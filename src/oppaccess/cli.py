@@ -171,9 +171,11 @@ def _build_policy(
         if "indices" not in params:
             raise ConfigError("fixed policy needs an 'indices' list")
         try:
-            return FixedSetPolicy([int(i) for i in params["indices"]])
+            policy = FixedSetPolicy([int(i) for i in params["indices"]])
+            policy.action_set.validate_for(n, k)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad fixed policy indices: {exc}")
+        return policy
     raise ConfigError(f"unknown policy {name!r}")
 
 

@@ -204,6 +204,9 @@ class FixedSetPolicy(Policy):
     def __init__(self, indices: Sequence[int]) -> None:
         self.action_set = ActionSet(tuple(indices))
 
+    def reset(self, n: int, k: int, initial_omega: Sequence[float]) -> None:
+        self.action_set.validate_for(n, k)
+
     def action(self, omega: Tuple[float, ...], t: int) -> ActionSet:
         return self.action_set
 

@@ -6,6 +6,11 @@ reproduced in isolation and results do not depend on execution order.  Nature
 (initial states and transitions) and policy-internal randomness live on
 disjoint streams, which makes common-random-numbers comparisons valid: two
 policies evaluated on the same seed see identical channel sample paths.
+
+The substreams of all replications are generated together in one vectorised
+Philox4x64-10 pass.  Its key/counter layout is the one numpy's
+``np.random.Philox(key=[seed, (stream_id << 48) + r])`` uses, so the draws, and
+every seeded result computed from them earlier, reproduce exactly.
 """
 
 from __future__ import annotations
@@ -92,29 +97,70 @@ class PairedSummary:
     diffs: np.ndarray = field(repr=False)
 
 
-def _substream(seed: int, stream_id: int, replication: int) -> np.random.Generator:
-    key = np.array(
-        [seed & _MASK64, ((stream_id << 48) + replication) & _MASK64],
-        dtype=np.uint64,
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+# Philox4x64-10 (Salmon et al., SC'11) as numpy's ``np.random.Philox`` runs it.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LO32 = np.uint64(0xFFFFFFFF)
+_U32 = np.uint64(32)
+_CHUNK_LANES = 4096
+
+
+def _mulhilo(m: int, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit product m * x, from 32-bit halves."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LO32, x >> _U32
+    # Neither sum overflows: (2**32 - 1)**2 + (2**32 - 1) < 2**64.
+    cross = m_hi * x_lo + ((m_lo * x_lo) >> _U32)
+    carry = m_lo * x_hi + (cross & _LO32)
+    hi = m_hi * x_hi + (cross >> _U32) + (carry >> _U32)
+    return hi, x * np.uint64(m)
+
+
+def _substream_uniforms(seed: int, stream_id: int, replications: int, count: int) -> np.ndarray:
+    """(R, count) doubles; row r equals the first ``count`` draws of
+    ``Generator(Philox(key=[seed, (stream_id << 48) + r])).random()``.
+
+    All (replication, counter-block) lanes run through the rounds together, in
+    chunks of about ``_CHUNK_LANES`` lanes to keep the temporaries small.
+    Block j of a substream has counter (j + 1, 0, 0, 0), because numpy bumps
+    the counter before its first block; each 64-bit word w becomes the double
+    (w >> 11) * 2**-53, in C order.
+    """
+    blocks = -(-count // 4)
+    rows = max(1, _CHUNK_LANES // blocks)
+    # Round i runs with the key bumped i times; r is added to the second word per chunk.
+    round_keys = [
+        (
+            np.uint64((seed + i * _PHILOX_W[0]) & _MASK64),
+            np.uint64(((stream_id << 48) + i * _PHILOX_W[1]) & _MASK64),
+        )
+        for i in range(_PHILOX_ROUNDS)
+    ]
+    counter = np.arange(1, blocks + 1, dtype=np.uint64)
+    out = np.empty((replications, count))
+    for start in range(0, replications, rows):
+        stop = min(start + rows, replications)
+        reps = np.arange(start, stop, dtype=np.uint64)[:, None]
+        x0 = np.broadcast_to(counter, (stop - start, blocks))
+        x1 = x2 = x3 = np.zeros_like(x0)
+        for k0, k1 in round_keys:
+            hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+            hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+            x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ (reps + k1), lo0
+        words = np.stack((x0, x1, x2, x3), axis=-1).reshape(stop - start, 4 * blocks)
+        np.multiply(words[:, :count] >> np.uint64(11), 2.0**-53, out=out[start:stop])
+    return out
 
 
 def _nature_uniforms(config: SimConfig) -> np.ndarray:
     """(R, T, n) uniforms: row 0 draws initial states, row t drives t -> t+1."""
     R, T, n = config.replications, config.horizon.T, config.n
-    out = np.empty((R, T, n))
-    for r in range(R):
-        out[r] = _substream(config.seed, _STREAM_NATURE, r).random((T, n))
-    return out
+    return _substream_uniforms(config.seed, _STREAM_NATURE, R, T * n).reshape(R, T, n)
 
 
 def _policy_uniforms(config: SimConfig) -> np.ndarray:
-    R, T = config.replications, config.horizon.T
-    out = np.empty((R, T))
-    for r in range(R):
-        out[r] = _substream(config.seed, _STREAM_POLICY, r).random(T)
-    return out
+    return _substream_uniforms(config.seed, _STREAM_POLICY, config.replications, config.horizon.T)
 
 
 def _summary(config: SimConfig, totals: np.ndarray, traces) -> SimSummary:
@@ -140,7 +186,18 @@ def _simulate_batch(config: SimConfig, policy: Policy, nat: np.ndarray, pol: np.
         rewards = obs.sum(axis=1)
         totals += disc * rewards
         if trace_steps is not None:
-            trace_steps.append((t, states.copy(), acts, obs, rewards, totals.copy()))
+            # Per-replication tuples, built once per step, are the records'
+            # own fields: no second copy of the trace is alive at any point.
+            trace_steps.append(
+                (
+                    t,
+                    list(map(tuple, states.tolist())),
+                    list(map(tuple, (acts + 1).tolist())),
+                    list(map(tuple, obs.tolist())),
+                    rewards.tolist(),
+                    totals.tolist(),
+                )
+            )
         if t < T:
             beliefs = beliefs * m.p11 + (1.0 - beliefs) * m.p01
             beliefs[rows, acts] = np.where(obs, m.p11, m.p01)
@@ -149,21 +206,15 @@ def _simulate_batch(config: SimConfig, policy: Policy, nat: np.ndarray, pol: np.
         disc *= beta
     traces = None
     if trace_steps is not None:
+        final = totals.tolist()
         traces = tuple(
             RunRecord(
                 r,
                 tuple(
-                    StepRecord(
-                        t,
-                        tuple(int(x) for x in st[r]),
-                        tuple(int(a) + 1 for a in acts[r]),
-                        tuple(int(x) for x in ob[r]),
-                        int(rw[r]),
-                        float(tot[r]),
-                    )
+                    StepRecord(t, st[r], acts[r], ob[r], rw[r], tot[r])
                     for (t, st, acts, ob, rw, tot) in trace_steps
                 ),
-                float(totals[r]),
+                final[r],
             )
             for r in range(R)
         )
@@ -246,11 +297,12 @@ def common_random_numbers_compare(
 def write_traces(path: str, traces: Sequence[RunRecord]) -> None:
     """Write one JSON record per step: schema version, replication, t, hidden
     states, 1-based action indices, observation bits, realised reward."""
+    encode = json.JSONEncoder(separators=(",", ":")).encode
     with open(path, "w") as f:
         for run in traces:
             for s in run.steps:
                 f.write(
-                    json.dumps(
+                    encode(
                         {
                             "v": TRACE_SCHEMA_VERSION,
                             "rep": run.replication,
@@ -259,8 +311,7 @@ def write_traces(path: str, traces: Sequence[RunRecord]) -> None:
                             "action": list(s.action),
                             "obs": list(s.observations),
                             "reward": s.reward,
-                        },
-                        separators=(",", ":"),
+                        }
                     )
                     + "\n"
                 )

@@ -7,6 +7,8 @@ path with the package's recursions.
 
 import itertools
 
+import numpy as np
+
 from oppaccess import ActionSet, HorizonSpec, TransitionModel
 
 
@@ -75,3 +77,14 @@ def full_observation_value(omega, model: TransitionModel, horizon: HorizonSpec):
             marginals += m
         total += horizon.beta**step * marginals
     return total
+
+
+def philox_substream_uniforms(seed, stream_id, replications, shape):
+    """Per-replication uniforms drawn the slow, obvious way: one numpy Philox
+    generator per replication r, keyed by [seed, (stream_id << 48) + r] mod 2**64."""
+    mask = (1 << 64) - 1
+    out = np.empty((replications,) + tuple(shape))
+    for r in range(replications):
+        key = np.array([seed & mask, ((stream_id << 48) + r) & mask], dtype=np.uint64)
+        out[r] = np.random.Generator(np.random.Philox(key=key)).random(shape)
+    return out

@@ -92,6 +92,20 @@ class TestErrorPaths:
         result = runner.invoke(main, ["run", cfg, "--out-dir", str(tmp_path / "o")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("indices", [[5], [1, 2]], ids=["beyond-n", "not-k"])
+    def test_fixed_indices_checked_against_n_and_k(self, runner, tmp_path, indices):
+        cfg_data = dict(
+            SOLVE_CFG,
+            kind="simulate",
+            policy={"name": "fixed", "indices": indices},
+            replications=5,
+        )
+        cfg = write_config(tmp_path, cfg_data)
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["run", cfg, "--out-dir", str(out)])
+        assert result.exit_code == 2, result.output
+        assert not (out / "results.csv").exists()
+
     def test_resource_cap_exit_4(self, runner, tmp_path):
         cfg_data = dict(
             SOLVE_CFG,

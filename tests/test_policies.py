@@ -133,6 +133,13 @@ class TestBaselines:
         p = FixedSetPolicy((1, 3))
         assert p.action((0.1, 0.9, 0.5), 7).indices == (1, 3)
 
+    def test_fixed_set_reset_checks_n_and_k(self):
+        FixedSetPolicy((1, 3)).reset(3, 2, (0.5,) * 3)
+        with pytest.raises(ValueError):
+            FixedSetPolicy((5,)).reset(3, 1, (0.5,) * 3)
+        with pytest.raises(ValueError):
+            FixedSetPolicy((1, 2)).reset(3, 1, (0.5,) * 3)
+
     def test_random_deterministic_given_uniform(self):
         p = UniformRandomPolicy(4, 2)
         p.set_uniform(0.17)

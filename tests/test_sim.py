@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -17,6 +18,9 @@ from oppaccess import (
     simulate,
     write_traces,
 )
+from oppaccess.sim import _nature_uniforms, _policy_uniforms
+
+from _oracles import philox_substream_uniforms
 
 
 def make_config(p01, p11, n, k, T, beta, omega, reps, seed, traces=False):
@@ -45,6 +49,33 @@ class TestDeterministicChains:
         cfg = make_config(0.0, 0.0, 2, 1, 3, 1.0, (0.0, 0.0), 50, 2)
         s = simulate(cfg, GreedyPolicy(1))
         assert np.all(s.totals == 0.0)
+
+
+class TestStreamLayout:
+    """The vectorised substreams match one numpy Philox generator per replication."""
+
+    SEEDS = [0, 1, 2**63, 2**64 - 1, int(np.random.default_rng(2009).integers(2**63))]
+    # (T, n) with T * n in {1, 3, 4, 5, 25, 32}: counts off a multiple of 4 included.
+    SHAPES = [(1, 1), (3, 1), (2, 2), (5, 1), (5, 5), (4, 8)]
+
+    @staticmethod
+    def assert_matches_oracle(seed, T, n, reps):
+        cfg = make_config(0.2, 0.8, n, 1, T, 1.0, (0.5,) * n, reps, seed)
+        nature = philox_substream_uniforms(seed, 1, reps, (T, n))
+        policy = philox_substream_uniforms(seed, 2, reps, (T,))
+        assert np.array_equal(_nature_uniforms(cfg), nature)
+        assert np.array_equal(_policy_uniforms(cfg), policy)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("T,n", SHAPES)
+    @pytest.mark.parametrize("reps", [1, 7])
+    def test_matches_per_replication_generators(self, seed, T, n, reps):
+        self.assert_matches_oracle(seed, T, n, reps)
+
+    @pytest.mark.parametrize("T,n", [(1, 1), (5, 5)])
+    def test_matches_across_several_chunks(self, T, n):
+        # A 4096-lane chunk holds 4096 replications at T * n = 1 and 585 at T * n = 25.
+        self.assert_matches_oracle(2**64 - 1, T, n, 3 * 4096 + 5)
 
 
 class TestDeterminism:
@@ -143,6 +174,18 @@ class TestTracesAndRecords:
             rec = json.loads(line)
             assert rec["v"] == 1
             assert set(rec) == {"v", "rep", "t", "states", "action", "obs", "reward"}
+
+    def test_trace_export_bytes_pinned(self, tmp_path):
+        cfg = SimConfig(
+            TransitionModel(0.2, 0.8), HorizonSpec(3, 0.9), 3, 2,
+            BeliefVector((0.5, 0.3, 0.7)), 4, 2024, True,
+        )
+        path = tmp_path / "traces.jsonl"
+        write_traces(str(path), simulate(cfg, UniformRandomPolicy(3, 2)).traces)
+        assert (
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            == "c2889f0291e2a5b8e6404d818ec27c731ff626525a0947803fcab5d869cf2ee7"
+        )
 
     def test_ordered_list_policy_runs_in_loop_path(self):
         cfg = make_config(0.2, 0.8, 3, 1, 4, 1.0, (0.3, 0.6, 0.9), 50, 33)
