@@ -15,13 +15,7 @@ from .model import (
     tau_iterate,
     update_belief,
 )
-from .dp import (
-    FiniteHorizonSolver,
-    ResourceLimitError,
-    SolveResult,
-    ValueQuery,
-    solve,
-)
+from .dp import FiniteHorizonSolver, ResourceLimitError, SolveResult
 from .policies import (
     FixedSetPolicy,
     GreedyPolicy,

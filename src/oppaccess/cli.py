@@ -43,6 +43,7 @@ from .policies import (
 )
 from .sim import SimConfig, common_random_numbers_compare, simulate, write_traces
 from .verify import (
+    REGIMES,
     InstanceSampler,
     check_affinity,
     check_lemma2_reduction,
@@ -288,15 +289,34 @@ _CHECKS = {
 }
 
 
+def _verify_int(section: dict, name: str, default: int, minimum: int) -> int:
+    value = section.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"verify.{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"verify.{name} must be >= {minimum}, got {value}")
+    return value
+
+
 def _run_verify(cfg: dict, seed: int, max_states: int, out_dir: Path) -> tuple:
     """Returns (rows, total violations, resource errors)."""
     section = _as_dict(cfg.get("verify", {}), "verify")
     allowed = {"properties", "count", "regime", "n_max", "T_max"}
     _require_keys(section, allowed, set(), "verify")
     props = section.get("properties", list(_CHECKS) + ["negative-scan"])
-    count = int(section.get("count", 100))
-    n_max = int(section.get("n_max", 5))
-    t_max = int(section.get("T_max", 5))
+    if not isinstance(props, list):
+        raise ConfigError("verify.properties must be a list")
+    for prop in props:
+        if prop != "negative-scan" and prop not in _CHECKS:
+            raise ConfigError(f"unknown verify property {prop!r}")
+    count = _verify_int(section, "count", 100, 0)
+    n_max = _verify_int(section, "n_max", 5, 2)
+    t_max = _verify_int(section, "T_max", 5, 1)
+    regime = section.get("regime", "positive")
+    if regime not in REGIMES:
+        raise ConfigError(f"verify.regime must be one of {list(REGIMES)}, got {regime!r}")
+    if regime == "negative" and "theorem1" in props:
+        raise ConfigError("theorem1 holds only for p11 >= p01; it cannot run with regime 'negative'")
     results: Dict[str, list] = {}
     rows = []
     n_violations = 0
@@ -322,9 +342,6 @@ def _run_verify(cfg: dict, seed: int, max_states: int, out_dir: Path) -> tuple:
             )
             n_errors += len(report.errors)
             continue
-        if prop not in _CHECKS:
-            raise ConfigError(f"unknown verify property {prop!r}")
-        regime = section.get("regime", "positive")
         samp = InstanceSampler(
             seed=seed,
             regime=regime,
@@ -482,21 +499,21 @@ def sweep(config, seed, threads, out_dir, max_memo, traces):
             point_dir = out / f"point_{point_id:04d}"
             rc = _execute(point_cfg, the_seed, max_memo, point_dir, traces)
             status = max(status, rc)
-            point_rows = list(
-                csv.DictReader((point_dir / "results.csv").open())
-            )
-            model = _parse_model(point_cfg)
+            with open(point_dir / "results.csv", newline="") as f:
+                point_rows = list(csv.DictReader(f))
+            model = _parse_model(point_cfg) if "model" in point_cfg else None
             for row in point_rows:
                 row["grid_point"] = point_id
                 for dotted, value in overrides.items():
                     row[f"grid.{dotted}"] = value
-                row["regime"] = (
-                    "positive" if model.positively_correlated else "negative"
-                )
-                if not model.positively_correlated:
-                    row["negative_scan_gap"] = _point_negative_gap(
-                        point_cfg, the_seed, max_memo
+                if model is not None:
+                    row["regime"] = (
+                        "positive" if model.positively_correlated else "negative"
                     )
+                    if not model.positively_correlated:
+                        row["negative_scan_gap"] = _point_negative_gap(
+                            point_cfg, the_seed, max_memo
+                        )
                 all_rows.append(row)
         fields = sorted({k for r in all_rows for k in r})
         normalized = [{f: r.get(f, "") for f in fields} for r in all_rows]

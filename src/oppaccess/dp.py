@@ -14,24 +14,33 @@ Two recursions are implemented:
   ascending-sorted vector this equals the expected discounted reward of the
   greedy policy.
 
-Both recursions are memoised on discrete state keys rather than raw float
-vectors: every reachable belief entry is tau^m applied to p01, p11, or one of
-the root entries, so a (origin, age) pair identifies it exactly and repeated
-states are recognised without any float-equality fragility.  Since channels
-are exchangeable, V additionally memoises on the sorted key.
+Every reachable belief entry is tau^m applied to p01, p11, or one of the
+root entries, so each entry is carried as a (value, key) pair whose key
+(origin, age) identifies it exactly.  Both recursions are memoised on
+(h, entries), so repeated states are recognised without float-equality
+fragility; since channels are exchangeable, V's entries are sorted.
+
+Each solver keeps one aged-entry table that maps an entry to the same entry
+one unobserved step on, so tau runs once per distinct entry, and a V state
+ages its n entries once for all C(n, k) selections.  Equal entries are
+contiguous in a sorted state, and V evaluates only the first selection of
+each sensed multiset: the others have bit-identical Q-values and reach only
+states already memoised, so values, the state visit order and the memo sizes
+are the same as with full enumeration.  ``action_values`` and
+``verify_cached_bellman`` still enumerate every selection.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from .model import (
     ActionSet,
     BeliefVector,
     HorizonSpec,
-    INITIAL,
     OBSERVED_BAD,
     OBSERVED_GOOD,
     TransitionModel,
@@ -68,6 +77,41 @@ def _poisson_binomial(values: Sequence[float]) -> List[float]:
     return probs
 
 
+@functools.lru_cache(maxsize=None)
+def _selections(n: int, k: int) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], int], ...]:
+    """Every k-subset of positions 0..n-1 in lexicographic order.
+
+    Each item is (selected positions, the other positions, bitmask of the
+    selected positions).
+    """
+    out = []
+    for sel in itertools.combinations(range(n), k):
+        mask = sum(1 << i for i in sel)
+        comp = tuple(i for i in range(n) if not mask >> i & 1)
+        out.append((sel, comp, mask))
+    return tuple(out)
+
+
+def _distinct_selections(
+    entries: Sequence[Tuple[float, Tuple]], k: int
+) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """(sel, complement) pairs of a sorted state, one per multiset of sensed entries.
+
+    Equal entries are contiguous in a sorted state.  A selection is kept only
+    if, within each run of equal entries, it takes the leftmost positions:
+    that is the lexicographically first selection sensing its multiset.  A
+    skipped selection has a Q-value bit-identical to the kept one's and
+    reaches only the states the kept one reached first.
+    """
+    repeats = 0  # bit i set: entry i equals entry i-1
+    for i in range(1, len(entries)):
+        if entries[i] == entries[i - 1]:
+            repeats |= 1 << i
+    for sel, comp, mask in _selections(len(entries), k):
+        if not (mask & repeats) >> 1 & ~mask:
+            yield sel, comp
+
+
 @dataclass(frozen=True)
 class SolveResult:
     """Value of a DP query plus every maximising first action."""
@@ -75,21 +119,6 @@ class SolveResult:
     value: float
     best_actions: Tuple[ActionSet, ...]
     cache_stats: Dict[str, int] = field(default_factory=dict, compare=False)
-
-
-@dataclass(frozen=True)
-class ValueQuery:
-    """A point query of the optimal value function."""
-
-    belief: BeliefVector
-    t: int
-    model: TransitionModel
-    horizon: HorizonSpec
-    k: int
-
-    def solve(self, max_states: int = 10_000_000) -> SolveResult:
-        solver = FiniteHorizonSolver(self.model, self.horizon, self.k, max_states)
-        return solver.optimal_value(self.belief, self.t)
 
 
 class FiniteHorizonSolver:
@@ -116,6 +145,10 @@ class FiniteHorizonSolver:
         self.max_states = max_states
         self._v_memo: Dict[Tuple, float] = {}
         self._w_memo: Dict[Tuple, float] = {}
+        # Entry (value, key) -> the same entry one unobserved step on.
+        self._aged_table: Dict[Tuple, Tuple] = {}
+        self._bad = (model.p01, _B0)
+        self._good = (model.p11, _G0)
 
     # -- shared plumbing ---------------------------------------------------
 
@@ -143,6 +176,17 @@ class FiniteHorizonSolver:
                 f"memoised state count exceeded cap {self.max_states}"
             )
 
+    def _aged(self, entries: Sequence[Tuple[float, Tuple]]) -> List[Tuple[float, Tuple]]:
+        """Every entry one unobserved step on, through the aged-entry table."""
+        table = self._aged_table
+        out = []
+        for e in entries:
+            aged = table.get(e)
+            if aged is None:
+                aged = table[e] = (tau(e[0], self.model), _age_key(e[1]))
+            out.append(aged)
+        return out
+
     def cache_stats(self) -> Dict[str, int]:
         return {"v_states": len(self._v_memo), "w_states": len(self._w_memo)}
 
@@ -150,16 +194,18 @@ class FiniteHorizonSolver:
 
     def _v(self, h: int, entries: Tuple[Tuple[float, Tuple], ...]) -> float:
         """Optimal value with h steps remaining after the current one; entries sorted."""
-        key = (h,) + tuple(kk for _, kk in entries)
+        key = (h, entries)
         hit = self._v_memo.get(key)
         if hit is not None:
             return hit
+        k = self.k
         if h == 0:
-            val = sum(v for v, _ in entries[-self.k :])
+            val = sum(v for v, _ in entries[-k:])
         else:
+            aged = self._aged(entries)
             val = max(
-                self._q(h, entries, sel)
-                for sel in itertools.combinations(range(len(entries)), self.k)
+                self._q(h, entries, aged, sel, comp)
+                for sel, comp in _distinct_selections(entries, k)
             )
         self._v_memo[key] = val
         self._bump()
@@ -169,50 +215,40 @@ class FiniteHorizonSolver:
         self,
         h: int,
         entries: Sequence[Tuple[float, Tuple]],
+        aged: Sequence[Tuple[float, Tuple]],
         sel: Sequence[int],
+        comp: Sequence[int],
     ) -> float:
-        """Value of sensing positions `sel` now, then acting optimally."""
-        sel_set = set(sel)
+        """Value of sensing positions `sel` now, then acting optimally.
+
+        `aged` holds every entry one unobserved step on; `comp` lists the
+        positions not in `sel`.  The updated belief depends on the outcome
+        only through the number of good observations, so the 2^k outcome sum
+        collapses to k+1 terms weighted by the Poisson-binomial law of the
+        sensed beliefs.
+        """
         sensed = [entries[i][0] for i in sel]
         imm = sum(sensed)
         if h == 0 or self.horizon.beta == 0.0:
             return imm
-        unsensed = [e for i, e in enumerate(entries) if i not in sel_set]
-        return imm + self.horizon.beta * self._continuation(h, sensed, unsensed)
-
-    def _continuation(
-        self,
-        h: int,
-        sensed_values: Sequence[float],
-        unsensed: Sequence[Tuple[float, Tuple]],
-    ) -> float:
-        """Expected V with h-1 steps remaining, over the sensed channels' outcomes.
-
-        The updated belief depends on the outcome only through the number of
-        good observations, so the 2^k outcome sum collapses to k+1 terms
-        weighted by the Poisson-binomial law of the sensed beliefs.
-        """
-        m = self.model
-        aged = [(tau(v, m), _age_key(kk)) for v, kk in unsensed]
+        unsensed = [aged[i] for i in comp]
         total = 0.0
-        for s, p in enumerate(_poisson_binomial(sensed_values)):
+        for s, p in enumerate(_poisson_binomial(sensed)):
             if p == 0.0:
                 continue
-            child = sorted(
-                [(m.p01, _B0)] * (self.k - s) + aged + [(m.p11, _G0)] * s
-            )
+            child = sorted([self._bad] * (self.k - s) + unsensed + [self._good] * s)
             total += p * self._v(h - 1, tuple(child))
-        return total
+        return imm + self.horizon.beta * total
 
     def action_values(self, belief: BeliefVector, t: int) -> Dict[ActionSet, float]:
         """Q-value of every first action: immediate reward + discounted optimal continuation."""
         h = self._check_t(belief, t)
         entries = self._root_entries(belief)
-        out = {}
-        for sel in itertools.combinations(range(belief.n), self.k):
-            action = ActionSet(tuple(i + 1 for i in sel))
-            out[action] = self._q(h, entries, sel)
-        return out
+        aged = self._aged(entries) if h > 0 and self.horizon.beta != 0.0 else ()
+        return {
+            ActionSet(tuple(i + 1 for i in sel)): self._q(h, entries, aged, sel, comp)
+            for sel, comp, _ in _selections(belief.n, self.k)
+        }
 
     def optimal_value(self, belief: BeliefVector, t: int, tol: float = 1e-9) -> SolveResult:
         """Optimal value from time t plus every action within `tol` of the maximum."""
@@ -227,24 +263,22 @@ class FiniteHorizonSolver:
 
     def _w(self, h: int, entries: Tuple[Tuple[float, Tuple], ...]) -> float:
         """Order-sensitive recursion: sense the last k entries, reorder, recurse."""
-        key = (h,) + tuple(kk for _, kk in entries)
+        key = (h, entries)
         hit = self._w_memo.get(key)
         if hit is not None:
             return hit
-        m = self.model
-        reward = sum(v for v, _ in entries[-self.k :])
+        k = self.k
+        reward = sum(v for v, _ in entries[-k:])
         if h == 0 or self.horizon.beta == 0.0:
             val = reward
         else:
-            sensed = [v for v, _ in entries[-self.k :]]
-            aged = [(tau(v, m), _age_key(kk)) for v, kk in entries[: -self.k]]
+            sensed = [v for v, _ in entries[-k:]]
+            aged = self._aged(entries[:-k])
             total = 0.0
             for s, p in enumerate(_poisson_binomial(sensed)):
                 if p == 0.0:
                     continue
-                child = (
-                    [(m.p01, _B0)] * (self.k - s) + aged + [(m.p11, _G0)] * s
-                )
+                child = [self._bad] * (k - s) + aged + [self._good] * s
                 total += p * self._w(h - 1, tuple(child))
             val = reward + self.horizon.beta * total
         self._w_memo[key] = val
@@ -349,16 +383,14 @@ class FiniteHorizonSolver:
         right-hand side.
         """
         worst = 0.0
-        for key, cached in list(self._v_memo.items()):
-            h, entry_keys = key[0], key[1:]
+        for (h, entries), cached in list(self._v_memo.items()):
             if h == 0:
                 continue
-            entries = tuple(
-                sorted((self._key_value(kk), kk) for kk in entry_keys)
-            )
+            rebuilt = tuple(sorted((self._key_value(kk), kk) for _, kk in entries))
+            aged = self._aged(rebuilt)
             rhs = max(
-                self._q(h, entries, sel)
-                for sel in itertools.combinations(range(len(entries)), self.k)
+                self._q(h, rebuilt, aged, sel, comp)
+                for sel, comp, _ in _selections(len(rebuilt), self.k)
             )
             worst = max(worst, abs(cached - rhs))
         return worst
@@ -369,8 +401,3 @@ class FiniteHorizonSolver:
         if key[0] == OBSERVED_GOOD:
             return tau_iterate(self.model.p11, self.model, key[1])
         return tau_iterate(key[1], self.model, key[2])
-
-
-def solve(query: ValueQuery, max_states: int = 10_000_000) -> SolveResult:
-    """One-shot convenience wrapper around :class:`FiniteHorizonSolver`."""
-    return query.solve(max_states)

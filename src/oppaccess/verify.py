@@ -32,6 +32,9 @@ from .policies import all_greedy_actions, greedy_action
 VALUE_TOL = 1e-9
 IDENTITY_TOL = 1e-12
 
+#: Correlation regimes an InstanceSampler can draw models from.
+REGIMES = ("positive", "negative", "boundary")
+
 
 @dataclass(frozen=True)
 class Instance:
@@ -98,7 +101,7 @@ class InstanceSampler:
     sorted_beliefs: bool = False
 
     def __post_init__(self) -> None:
-        if self.regime not in ("positive", "negative", "boundary"):
+        if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
 
     def rng_for(self, index: int) -> np.random.Generator:

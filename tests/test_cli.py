@@ -259,7 +259,74 @@ class TestSweep:
         assert rows[0.1]["regime"] == "negative"
         assert rows[0.1]["negative_scan_gap"] != ""
 
+    def test_verify_sweep_over_count(self, runner, tmp_path):
+        cfg_data = {
+            "kind": "verify",
+            "seed": 9,
+            "verify": {"properties": ["theorem1", "affinity"], "n_max": 3, "T_max": 2},
+            "grid": {"verify.count": [1, 2]},
+        }
+        cfg = write_config(tmp_path, cfg_data)
+        out = tmp_path / "sweep"
+        result = runner.invoke(main, ["sweep", cfg, "--out-dir", str(out)])
+        assert result.exit_code == 0, result.output
+        rows = read_rows(out)
+        assert sorted((r["grid_point"], r["instance"], r["count"]) for r in rows) == [
+            ("0", "affinity", "1"), ("0", "theorem1", "1"),
+            ("1", "affinity", "2"), ("1", "theorem1", "2"),
+        ]
+        assert all(r["grid.verify.count"] == r["count"] for r in rows)
+
     def test_sweep_without_grid_rejected(self, runner, tmp_path):
         cfg = write_config(tmp_path, SOLVE_CFG)
         result = runner.invoke(main, ["sweep", cfg, "--out-dir", str(tmp_path / "o")])
         assert result.exit_code == 2
+
+
+class TestVerifyConfigErrors:
+    @pytest.mark.parametrize(
+        "verify",
+        [
+            {"count": "two"},
+            {"count": 2.7},
+            {"count": True},
+            {"count": -1},
+            {"n_max": 4.0},
+            {"n_max": 1},
+            {"T_max": "3"},
+            {"T_max": 0},
+            {"regime": "sideways"},
+            {"regime": "negative", "properties": None},
+            {"regime": "negative", "properties": ["affinity", "theorem1"]},
+            {"properties": ["affinity", "lemma9"]},
+            {"properties": "affinity"},
+        ],
+        ids=[
+            "count-str", "count-float", "count-bool", "count-negative",
+            "n_max-float", "n_max-below-2", "T_max-str", "T_max-zero",
+            "regime-unknown", "regime-negative-default-properties",
+            "regime-negative-theorem1", "property-unknown", "properties-not-list",
+        ],
+    )
+    def test_rejected_before_any_property_runs(self, runner, tmp_path, verify):
+        section = {"properties": ["affinity"], "count": 2, "n_max": 3, "T_max": 2}
+        section.update(verify)
+        section = {key: v for key, v in section.items() if v is not None}
+        cfg = write_config(tmp_path, {"kind": "verify", "seed": 9, "verify": section})
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["run", cfg, "--out-dir", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "config error" in result.output
+        assert not (out / "violations.json").exists()
+        assert not (out / "results.csv").exists()
+
+    def test_negative_regime_without_theorem1_runs(self, runner, tmp_path):
+        cfg_data = {
+            "kind": "verify",
+            "seed": 9,
+            "verify": {"properties": ["affinity"], "regime": "negative", "count": 3,
+                       "n_max": 3, "T_max": 2},
+        }
+        cfg = write_config(tmp_path, cfg_data)
+        result = runner.invoke(main, ["run", cfg, "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
