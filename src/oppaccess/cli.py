@@ -97,7 +97,7 @@ def load_config(path: str) -> dict:
     cfg = _as_dict(cfg, "config")
     allowed = {
         "kind", "model", "horizon", "n", "k", "initial_belief", "policy",
-        "policies", "replications", "seed", "verify", "grid", "threads",
+        "policies", "replications", "seed", "verify", "grid",
     }
     _require_keys(cfg, allowed, {"kind"}, "config")
     if cfg["kind"] not in ("solve", "simulate", "compare", "verify"):
@@ -436,8 +436,6 @@ def main() -> None:
 
 def _common_options(fn):
     fn = click.option("--seed", type=int, default=None, help="Override the config seed.")(fn)
-    fn = click.option("--threads", type=int, default=1, show_default=True,
-                      help="Worker threads for simulation/verification batches.")(fn)
     fn = click.option("--out-dir", type=click.Path(), default="results",
                       show_default=True)(fn)
     fn = click.option("--max-memo", type=int, default=10_000_000, show_default=True,
@@ -460,7 +458,7 @@ def _resolve_seed(cfg: dict, seed: Optional[int]) -> int:
 @main.command()
 @click.argument("config", type=click.Path())
 @_common_options
-def run(config, seed, threads, out_dir, max_memo, traces):
+def run(config, seed, out_dir, max_memo, traces):
     """Execute the experiment described by CONFIG."""
     try:
         cfg = load_config(config)
@@ -478,7 +476,7 @@ def run(config, seed, threads, out_dir, max_memo, traces):
 @main.command()
 @click.argument("config", type=click.Path())
 @_common_options
-def sweep(config, seed, threads, out_dir, max_memo, traces):
+def sweep(config, seed, out_dir, max_memo, traces):
     """Repeat the experiment over the config's parameter grid."""
     try:
         cfg = load_config(config)
@@ -502,18 +500,23 @@ def sweep(config, seed, threads, out_dir, max_memo, traces):
             with open(point_dir / "results.csv", newline="") as f:
                 point_rows = list(csv.DictReader(f))
             model = _parse_model(point_cfg) if "model" in point_cfg else None
+            annotations = {}
+            if model is not None and point_rows:
+                annotations["regime"] = (
+                    "positive" if model.positively_correlated else "negative"
+                )
+                if not model.positively_correlated:
+                    # A solve point has the gap already; its CSV text round-trips.
+                    annotations["negative_scan_gap"] = (
+                        point_rows[0]["greedy_gap"]
+                        if point_cfg["kind"] == "solve"
+                        else _point_negative_gap(point_cfg, the_seed, max_memo)
+                    )
             for row in point_rows:
                 row["grid_point"] = point_id
                 for dotted, value in overrides.items():
                     row[f"grid.{dotted}"] = value
-                if model is not None:
-                    row["regime"] = (
-                        "positive" if model.positively_correlated else "negative"
-                    )
-                    if not model.positively_correlated:
-                        row["negative_scan_gap"] = _point_negative_gap(
-                            point_cfg, the_seed, max_memo
-                        )
+                row.update(annotations)
                 all_rows.append(row)
         fields = sorted({k for r in all_rows for k in r})
         normalized = [{f: r.get(f, "") for f in fields} for r in all_rows]

@@ -168,17 +168,6 @@ def tau_iterate(omega: float, model: TransitionModel, steps: int) -> float:
     return omega
 
 
-def tag_value(tag: Tag, model: TransitionModel, initial: Sequence[float]) -> float:
-    """Numeric belief encoded by a provenance tag, given the initial belief."""
-    if tag[0] == OBSERVED_GOOD:
-        return tau_iterate(model.p11, model, tag[1])
-    if tag[0] == OBSERVED_BAD:
-        return tau_iterate(model.p01, model, tag[1])
-    if tag[0] == INITIAL:
-        return tau_iterate(float(initial[tag[1] - 1]), model, tag[2])
-    raise ValueError(f"unknown provenance tag {tag!r}")
-
-
 def outcome_probability(beliefs_on_action: Sequence[float], bits: Sequence[int]) -> float:
     """Probability that the sensed channels realise the given 0/1 pattern."""
     if len(beliefs_on_action) != len(bits):

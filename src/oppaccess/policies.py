@@ -3,6 +3,13 @@
 A policy maps (belief, t) to a set of k channels to sense.  All policies here
 are deterministic given their construction arguments (the random baseline is
 deterministic given its seed), so simulation runs are reproducible.
+
+Each policy has two forms that make the same choices.  The scalar form,
+``action``/``observe``, serves one run at a time (exact policy evaluation in
+``dp`` uses it).  The batch form serves all R replications of a simulation at
+once: ``batch_actions(beliefs, t, u)`` returns an (R, k) array of 0-based
+indices, and ``batch_observe(acts, obs)`` feeds back the sensed bits, for the
+policies that keep per-run state.
 """
 
 from __future__ import annotations
@@ -81,7 +88,7 @@ def ordered_list_policy_step(
 
 
 class Policy:
-    """Base policy: override ``action``; hooks for per-run state and batching."""
+    """Base policy: override ``action`` and ``batch_actions``; hooks for per-run state."""
 
     name = "policy"
 
@@ -94,10 +101,13 @@ class Policy:
     def observe(self, action: ActionSet, bits: Sequence[int]) -> None:
         """Observation feedback; bits aligned with the sorted action indices."""
 
-    # Vectorised fast path: subclasses that are pure functions of the belief
-    # may implement batch_actions(beliefs (R, n), t, u (R,)) -> (R, k) 0-based
-    # index array.  ``u`` carries per-replication policy-stream uniforms.
-    supports_batch = False
+    def batch_actions(self, beliefs: np.ndarray, t: int, u: np.ndarray) -> np.ndarray:
+        """(R, k) sorted 0-based indices for beliefs (R, n) at time t; ``u`` (R,)
+        carries per-replication policy-stream uniforms."""
+        raise NotImplementedError(f"{type(self).__name__} does not implement batch_actions")
+
+    def batch_observe(self, acts: np.ndarray, obs: np.ndarray) -> None:
+        """Batch observation feedback: obs (R, k) aligned with acts (R, k)."""
 
     # Whether the policy consumes the policy-stream uniforms.
     uses_randomness = False
@@ -107,7 +117,6 @@ class GreedyPolicy(Policy):
     """Sense the k channels with the largest current beliefs."""
 
     name = "greedy"
-    supports_batch = True
 
     def __init__(self, k: int) -> None:
         self.k = k
@@ -138,6 +147,17 @@ class OptimalPolicy(Policy):
     def action(self, omega: Tuple[float, ...], t: int) -> ActionSet:
         return self.solver.optimal_value(BeliefVector(tuple(omega)), t).best_actions[0]
 
+    def batch_actions(self, beliefs: np.ndarray, t: int, u: np.ndarray) -> np.ndarray:
+        # One solver query per distinct belief row; replications share the answer.
+        uniq, inverse = np.unique(beliefs, axis=0, return_inverse=True)
+        table = np.array(
+            [
+                self.solver.optimal_value(BeliefVector(tuple(row)), t).best_actions[0].indices
+                for row in uniq.tolist()
+            ]
+        )
+        return table[inverse.reshape(-1)] - 1
+
 
 class OrderedListPolicy(Policy):
     """Maintains an explicit channel ordering instead of sorting beliefs.
@@ -153,9 +173,14 @@ class OrderedListPolicy(Policy):
         self.k = k
         self.initial_order = tuple(initial_order) if initial_order is not None else None
         self._order: Tuple[int, ...] = ()
+        self._lists: Optional[np.ndarray] = None
 
     def reset(self, n: int, k: int, initial_omega: Sequence[float]) -> None:
         if self.initial_order is not None:
+            if sorted(self.initial_order) != list(range(1, n + 1)):
+                raise ValueError(
+                    f"initial_order must be a permutation of 1..{n}: {self.initial_order}"
+                )
             self._order = self.initial_order
         else:
             # Ascending by belief; among ties the lower index sits closer to the
@@ -174,12 +199,25 @@ class OrderedListPolicy(Policy):
         list_bits = [bit_by_channel[c] for c in self._order[-self.k :]]
         _, self._order = ordered_list_policy_step(self._order, self.k, list_bits)
 
+    def batch_actions(self, beliefs: np.ndarray, t: int, u: np.ndarray) -> np.ndarray:
+        if t == 1:
+            # One 0-based list per replication, worst-first, all from the reset order.
+            self._lists = np.tile(np.array(self._order) - 1, (beliefs.shape[0], 1))
+        return np.sort(self._lists[:, -self.k :], axis=1)
+
+    def batch_observe(self, acts: np.ndarray, obs: np.ndarray) -> None:
+        # Group per channel: 0 sensed bad (to the front), 1 unsensed, 2 sensed
+        # good (to the back).  The stable sort keeps list order within a group.
+        group = np.ones(self._lists.shape, dtype=np.int8)
+        np.put_along_axis(group, acts, 2 * obs, axis=1)
+        order = np.argsort(np.take_along_axis(group, self._lists, axis=1), axis=1, kind="stable")
+        self._lists = np.take_along_axis(self._lists, order, axis=1)
+
 
 class RoundRobinPolicy(Policy):
     """Cycle through the channels in blocks of k, ignoring beliefs."""
 
     name = "round-robin"
-    supports_batch = True
 
     def __init__(self, n: int, k: int) -> None:
         self.n = n
@@ -199,7 +237,6 @@ class FixedSetPolicy(Policy):
     """Always sense the same fixed set of channels."""
 
     name = "fixed"
-    supports_batch = True
 
     def __init__(self, indices: Sequence[int]) -> None:
         self.action_set = ActionSet(tuple(indices))
@@ -219,7 +256,6 @@ class UniformRandomPolicy(Policy):
     """Uniformly random k-subset each step, driven by the policy uniform stream."""
 
     name = "random"
-    supports_batch = True
     uses_randomness = True
 
     def __init__(self, n: int, k: int) -> None:

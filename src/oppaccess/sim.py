@@ -11,17 +11,23 @@ The substreams of all replications are generated together in one vectorised
 Philox4x64-10 pass.  Its key/counter layout is the one numpy's
 ``np.random.Philox(key=[seed, (stream_id << 48) + r])`` uses, so the draws, and
 every seeded result computed from them earlier, reproduce exactly.
+
+Every policy runs on one vectorised path that steps all replications together:
+at each slot it asks the policy for an (R, k) action array
+(``Policy.batch_actions``), reads the sensed states, and hands the
+observations back through ``Policy.batch_observe``, which stateful policies
+such as the ordered list use to update their per-replication state.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import ActionSet, BeliefVector, HorizonSpec, TransitionModel, tau
+from .model import BeliefVector, HorizonSpec, TransitionModel
 from .policies import Policy
 
 TRACE_SCHEMA_VERSION = 1
@@ -183,6 +189,7 @@ def _simulate_batch(config: SimConfig, policy: Policy, nat: np.ndarray, pol: np.
     for t in range(1, T + 1):
         acts = policy.batch_actions(beliefs, t, pol[:, t - 1])
         obs = states[rows, acts]
+        policy.batch_observe(acts, obs)
         rewards = obs.sum(axis=1)
         totals += disc * rewards
         if trace_steps is not None:
@@ -199,6 +206,9 @@ def _simulate_batch(config: SimConfig, policy: Policy, nat: np.ndarray, pol: np.
                 )
             )
         if t < T:
+            # model.tau's arithmetic, clamp included, so beliefs stay bit-equal
+            # to the scalar recursion's.
+            np.clip(beliefs, 0.0, 1.0, out=beliefs)
             beliefs = beliefs * m.p11 + (1.0 - beliefs) * m.p01
             beliefs[rows, acts] = np.where(obs, m.p11, m.p01)
             p_good = np.where(states, m.p11, m.p01)
@@ -221,64 +231,17 @@ def _simulate_batch(config: SimConfig, policy: Policy, nat: np.ndarray, pol: np.
     return totals, traces
 
 
-def _simulate_loop(config: SimConfig, policy: Policy, nat: np.ndarray, pol: np.ndarray):
-    m, beta, T = config.model, config.horizon.beta, config.horizon.T
-    R, n, k = config.replications, config.n, config.k
-    omega0 = config.initial_belief.omega
-    totals = np.zeros(R)
-    traces: Optional[list] = [] if config.record_traces else None
-    for r in range(R):
-        states = tuple(int(nat[r, 0, i] < omega0[i]) for i in range(n))
-        beliefs = omega0
-        policy.reset(n, k, omega0)
-        total = 0.0
-        disc = 1.0
-        steps = [] if traces is not None else None
-        for t in range(1, T + 1):
-            if hasattr(policy, "set_uniform"):
-                policy.set_uniform(pol[r, t - 1])
-            action = policy.action(beliefs, t)
-            obs = tuple(states[i - 1] for i in action.indices)
-            reward = sum(obs)
-            total += disc * reward
-            policy.observe(action, obs)
-            if steps is not None:
-                steps.append(
-                    StepRecord(t, states, action.indices, obs, reward, total)
-                )
-            if t < T:
-                bit = dict(zip(action.indices, obs))
-                beliefs = tuple(
-                    (m.p11 if bit[i] else m.p01) if i in bit else tau(w, m)
-                    for i, w in enumerate(beliefs, start=1)
-                )
-                states = tuple(
-                    int(nat[r, t, i] < (m.p11 if states[i] else m.p01))
-                    for i in range(n)
-                )
-            disc *= beta
-        totals[r] = total
-        if traces is not None:
-            traces.append(RunRecord(r, tuple(steps), total))
-    return totals, tuple(traces) if traces is not None else None
-
-
 def simulate(config: SimConfig, policy: Policy) -> SimSummary:
     """Estimate a policy's expected discounted reward by seeded Monte Carlo.
 
-    Identical (config, policy) inputs produce bit-identical output.  Policies
-    that advertise ``supports_batch`` run on a vectorised path; the two paths
-    consume the same substreams and agree exactly.
+    Identical (config, policy) inputs produce bit-identical output.
     """
     nat = _nature_uniforms(config)
     pol = _policy_uniforms(config) if getattr(policy, "uses_randomness", False) else np.zeros(
         (config.replications, config.horizon.T)
     )
     policy.reset(config.n, config.k, config.initial_belief.omega)
-    if policy.supports_batch:
-        totals, traces = _simulate_batch(config, policy, nat, pol)
-    else:
-        totals, traces = _simulate_loop(config, policy, nat, pol)
+    totals, traces = _simulate_batch(config, policy, nat, pol)
     return _summary(config, totals, traces)
 
 

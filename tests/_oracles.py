@@ -6,10 +6,11 @@ path with the package's recursions.
 """
 
 import itertools
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from oppaccess import ActionSet, HorizonSpec, TransitionModel
+from oppaccess import ActionSet, HorizonSpec, RunRecord, StepRecord, TransitionModel, tau
 
 
 def brute_force_optimal(omega, t, model: TransitionModel, horizon: HorizonSpec, k: int):
@@ -88,3 +89,59 @@ def philox_substream_uniforms(seed, stream_id, replications, shape):
         key = np.array([seed & mask, ((stream_id << 48) + r) & mask], dtype=np.uint64)
         out[r] = np.random.Generator(np.random.Philox(key=key)).random(shape)
     return out
+
+
+class LoopRun(NamedTuple):
+    totals: np.ndarray
+    traces: Optional[Tuple[RunRecord, ...]]
+
+
+def simulate_loop(config, policy) -> LoopRun:
+    """Per-replication reference simulator: one Python step at a time, through
+    the scalar ``reset``/``action``/``observe`` policy interface, on the same
+    Philox substreams (nature on stream 1, policy on stream 2) as ``simulate``."""
+    m, beta, T = config.model, config.horizon.beta, config.horizon.T
+    R, n, k = config.replications, config.n, config.k
+    nat = philox_substream_uniforms(config.seed, 1, R, (T, n))
+    pol = (
+        philox_substream_uniforms(config.seed, 2, R, (T,))
+        if getattr(policy, "uses_randomness", False)
+        else np.zeros((R, T))
+    )
+    omega0 = config.initial_belief.omega
+    totals = np.zeros(R)
+    traces: Optional[list] = [] if config.record_traces else None
+    for r in range(R):
+        states = tuple(int(nat[r, 0, i] < omega0[i]) for i in range(n))
+        beliefs = omega0
+        policy.reset(n, k, omega0)
+        total = 0.0
+        disc = 1.0
+        steps = [] if traces is not None else None
+        for t in range(1, T + 1):
+            if hasattr(policy, "set_uniform"):
+                policy.set_uniform(pol[r, t - 1])
+            action = policy.action(beliefs, t)
+            obs = tuple(states[i - 1] for i in action.indices)
+            reward = sum(obs)
+            total += disc * reward
+            policy.observe(action, obs)
+            if steps is not None:
+                steps.append(
+                    StepRecord(t, states, action.indices, obs, reward, total)
+                )
+            if t < T:
+                bit = dict(zip(action.indices, obs))
+                beliefs = tuple(
+                    (m.p11 if bit[i] else m.p01) if i in bit else tau(w, m)
+                    for i, w in enumerate(beliefs, start=1)
+                )
+                states = tuple(
+                    int(nat[r, t, i] < (m.p11 if states[i] else m.p01))
+                    for i in range(n)
+                )
+            disc *= beta
+        totals[r] = total
+        if traces is not None:
+            traces.append(RunRecord(r, tuple(steps), total))
+    return LoopRun(totals, tuple(traces) if traces is not None else None)

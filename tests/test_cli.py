@@ -5,6 +5,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from oppaccess import FiniteHorizonSolver
 from oppaccess.cli import main
 
 
@@ -92,6 +93,23 @@ class TestErrorPaths:
         result = runner.invoke(main, ["run", cfg, "--out-dir", str(tmp_path / "o")])
         assert result.exit_code == 2
 
+    def test_threads_key_rejected(self, runner, tmp_path):
+        # Nothing ever read ``threads``; a config that still sets it is an error.
+        cfg = write_config(tmp_path, dict(SOLVE_CFG, threads=2))
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["run", cfg, "--out-dir", str(out)])
+        assert result.exit_code == 2
+        assert "threads" in result.output
+        assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_threads_option_rejected(self, runner, tmp_path, command):
+        cfg = write_config(tmp_path, dict(SOLVE_CFG, grid={"k": [1]}))
+        result = runner.invoke(
+            main, [command, cfg, "--out-dir", str(tmp_path / "o"), "--threads", "2"]
+        )
+        assert result.exit_code == 2
+
     @pytest.mark.parametrize("indices", [[5], [1, 2]], ids=["beyond-n", "not-k"])
     def test_fixed_indices_checked_against_n_and_k(self, runner, tmp_path, indices):
         cfg_data = dict(
@@ -122,6 +140,23 @@ class TestErrorPaths:
 
 
 class TestSimulateAndCompare:
+    def test_optimal_policy_resource_cap_exit_4(self, runner, tmp_path):
+        cfg_data = dict(
+            SOLVE_CFG,
+            kind="simulate",
+            policy="optimal",
+            horizon={"T": 5, "beta": 1.0},
+            n=4,
+            k=2,
+            initial_belief=[0.11, 0.52, 0.83, 0.4],
+            replications=20,
+        )
+        cfg = write_config(tmp_path, cfg_data)
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["run", cfg, "--out-dir", str(out), "--max-memo", "5"])
+        assert result.exit_code == 4, result.output
+        assert not (out / "results.csv").exists()
+
     def test_simulate_greedy(self, runner, tmp_path):
         cfg_data = dict(SOLVE_CFG, kind="simulate", policy="greedy", replications=2000)
         cfg = write_config(tmp_path, cfg_data)
@@ -276,6 +311,63 @@ class TestSweep:
             ("1", "affinity", "2"), ("1", "theorem1", "2"),
         ]
         assert all(r["grid.verify.count"] == r["count"] for r in rows)
+
+    # Merged results.csv of two negative-regime sweeps, less the wall-clock
+    # runtime_s column, as written before the gap was computed once per point.
+    SOLVE_SWEEP = (
+        {"kind": "solve", "model": {"p01": 0.2, "p11": 0.8}, "horizon": {"T": 4, "beta": 0.9},
+         "n": 4, "k": 2, "initial_belief": [0.9, 0.2, 0.5, 0.4],
+         "grid": {"model.p11": [0.8, 0.1], "k": [1, 2]}},
+        4,
+        "analytic_value,best_action,greedy_gap,greedy_value,grid.k,grid.model.p11,grid_point,instance,negative_scan_gap,policy,regime\n"
+        "2.7047873894400003,1,0,2.7047873894400003,1,0.80000000000000004,0,0,,optimal,positive\n"
+        "1.3676013086400001,1,0.10862781238800001,1.2589734962520001,1,0.10000000000000001,1,0,0.10862781238800001,optimal,negative\n"
+        "4.7089186439936004,1+3,0,4.7089186439936004,2,0.80000000000000004,2,0,,optimal,positive\n"
+        "2.3345135791167202,1+3,0.19947217560228037,2.1350414035144398,2,0.10000000000000001,3,0,0.19947217560228037,optimal,negative\n",
+    )
+    SIMULATE_SWEEP = (
+        {"kind": "simulate", "model": {"p01": 0.2, "p11": 0.8}, "horizon": {"T": 4, "beta": 0.9},
+         "n": 4, "k": 2, "initial_belief": [0.9, 0.2, 0.5, 0.4],
+         "policies": ["greedy", "round-robin", "random"], "replications": 300, "seed": 5,
+         "grid": {"model.p11": [0.8, 0.1]}},
+        1,
+        "grid.model.p11,grid_point,instance,negative_scan_gap,policy,regime,replications,simulated_mean,std_error\n"
+        "0.80000000000000004,0,0,,greedy,positive,300,4.7068566666666669,0.086644458532491864\n"
+        "0.80000000000000004,0,0,,round-robin,positive,300,3.5207866666666661,0.073892983447347058\n"
+        "0.80000000000000004,0,0,,random,positive,300,3.4256099999999998,0.089528160487579861\n"
+        "0.10000000000000001,1,0,0.19947217560228037,greedy,negative,300,2.3436366666666668,0.055667955852267234\n"
+        "0.10000000000000001,1,0,0.19947217560228037,round-robin,negative,300,1.9555366666666669,0.050799773368803661\n"
+        "0.10000000000000001,1,0,0.19947217560228037,random,negative,300,1.8450299999999999,0.057643714128114906\n",
+    )
+
+    @pytest.mark.parametrize("case", [SOLVE_SWEEP, SIMULATE_SWEEP], ids=["solve", "simulate"])
+    def test_negative_gap_solved_once_per_point(self, runner, tmp_path, monkeypatch, case):
+        import csv
+        import io
+
+        cfg_data, expected_solves, expected_csv = case
+        calls = []
+        query = FiniteHorizonSolver.optimal_value
+        monkeypatch.setattr(
+            FiniteHorizonSolver,
+            "optimal_value",
+            lambda self, belief, t: calls.append(t) or query(self, belief, t),
+        )
+        cfg = write_config(tmp_path, cfg_data)
+        out = tmp_path / "sweep"
+        result = runner.invoke(main, ["sweep", cfg, "--out-dir", str(out)])
+        assert result.exit_code == 0, result.output
+        # solve: one solve per point and none for the gap; simulate: one gap
+        # solve per negative-regime point, however many policies it runs.
+        assert len(calls) == expected_solves
+        with open(out / "results.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        if "runtime_s" in rows[0]:
+            col = rows[0].index("runtime_s")
+            rows = [r[:col] + r[col + 1:] for r in rows]
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows(rows)
+        assert text.getvalue() == expected_csv
 
     def test_sweep_without_grid_rejected(self, runner, tmp_path):
         cfg = write_config(tmp_path, SOLVE_CFG)

@@ -10,7 +10,11 @@ from oppaccess import (
     FixedSetPolicy,
     GreedyPolicy,
     HorizonSpec,
+    OptimalPolicy,
     OrderedListPolicy,
+    Policy,
+    ResourceLimitError,
+    RoundRobinPolicy,
     SimConfig,
     TransitionModel,
     UniformRandomPolicy,
@@ -20,7 +24,7 @@ from oppaccess import (
 )
 from oppaccess.sim import _nature_uniforms, _policy_uniforms
 
-from _oracles import philox_substream_uniforms
+from _oracles import philox_substream_uniforms, simulate_loop
 
 
 def make_config(p01, p11, n, k, T, beta, omega, reps, seed, traces=False):
@@ -97,11 +101,7 @@ class TestDeterminism:
     def test_batch_and_loop_paths_agree(self):
         cfg = make_config(0.3, 0.7, 4, 2, 5, 0.9, (0.2, 0.5, 0.8, 0.4), 200, 7)
         batched = simulate(cfg, GreedyPolicy(2))
-
-        class NoBatchGreedy(GreedyPolicy):
-            supports_batch = False
-
-        looped = simulate(cfg, NoBatchGreedy(2))
+        looped = simulate_loop(cfg, GreedyPolicy(2))
         assert np.array_equal(batched.totals, looped.totals)
 
     def test_random_policy_seeded(self):
@@ -190,9 +190,130 @@ class TestTracesAndRecords:
     def test_ordered_list_policy_runs_in_loop_path(self):
         cfg = make_config(0.2, 0.8, 3, 1, 4, 1.0, (0.3, 0.6, 0.9), 50, 33)
         greedy = simulate(cfg, GreedyPolicy(1))
-        ordered = simulate(cfg, OrderedListPolicy(1))
+        ordered = simulate_loop(cfg, OrderedListPolicy(1))
         # positive regime, ascending start: same policy, same sample paths
         assert np.array_equal(greedy.totals, ordered.totals)
+
+
+REGIMES = {"positive": (0.2, 0.8), "negative": (0.8, 0.3), "boundary": (0.4, 0.4)}
+
+POLICIES = {
+    "ordered-list": lambda m, h, n, k: OrderedListPolicy(k),
+    "ordered-list-custom": lambda m, h, n, k: OrderedListPolicy(k, (3, 1, 4, 2)),
+    "optimal": lambda m, h, n, k: OptimalPolicy(m, h, k),
+    "greedy": lambda m, h, n, k: GreedyPolicy(k),
+    "round-robin": lambda m, h, n, k: RoundRobinPolicy(n, k),
+    "fixed": lambda m, h, n, k: FixedSetPolicy(range(n - k + 1, n + 1)),
+    "random": lambda m, h, n, k: UniformRandomPolicy(n, k),
+}
+
+
+class TestBatchAgainstLoopOracle:
+    """Every built-in policy's batch form reproduces the per-replication loop."""
+
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", list(POLICIES))
+    def test_totals_and_traces_equal(self, name, k, regime):
+        p01, p11 = REGIMES[regime]
+        # Two equal initial beliefs exercise every tie rule at t = 1.
+        cfg = make_config(p01, p11, 4, k, 4, 0.9, (0.6, 0.3, 0.6, 0.8), 40, 100 + k, traces=True)
+        make = POLICIES[name]
+        batched = simulate(cfg, make(cfg.model, cfg.horizon, 4, k))
+        looped = simulate_loop(cfg, make(cfg.model, cfg.horizon, 4, k))
+        assert np.array_equal(batched.totals, looped.totals)
+        assert batched.traces == looped.traces
+
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    def test_stationary_start_many_ties(self, regime):
+        # All beliefs equal at every unobserved step: ties on every row.
+        p01, p11 = REGIMES[regime]
+        star = TransitionModel(p01, p11).stationary_belief()
+        cfg = make_config(p01, p11, 4, 2, 5, 1.0, (star,) * 4, 60, 7, traces=True)
+        for make in POLICIES.values():
+            batched = simulate(cfg, make(cfg.model, cfg.horizon, 4, 2))
+            looped = simulate_loop(cfg, make(cfg.model, cfg.horizon, 4, 2))
+            assert np.array_equal(batched.totals, looped.totals)
+            assert batched.traces == looped.traces
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_beliefs_just_above_one(self, k):
+        # Probabilities may exceed 1 by up to model.PROB_TOL.  model.tau clamps
+        # its input, and so must the batch update, or the optimal policy's
+        # queries drift out of range after a few unobserved steps.
+        p11 = 1.0 + 5e-13
+        cfg = make_config(0.2, p11, 4, k, 4, 0.9, (p11, 0.3, p11, 0.8), 100, 5, traces=True)
+        for name in ("optimal", "greedy", "ordered-list"):
+            make = POLICIES[name]
+            batched = simulate(cfg, make(cfg.model, cfg.horizon, 4, k))
+            looped = simulate_loop(cfg, make(cfg.model, cfg.horizon, 4, k))
+            assert np.array_equal(batched.totals, looped.totals)
+            assert batched.traces == looped.traces
+
+    def test_ordered_list_differs_from_greedy_in_negative_regime(self):
+        # A guard against a vacuous comparison: the ordered list really does
+        # reorder, so in the negative regime it is not greedy.
+        cfg = make_config(0.8, 0.3, 4, 2, 5, 1.0, (0.6, 0.3, 0.6, 0.8), 200, 3)
+        assert not np.array_equal(
+            simulate(cfg, OrderedListPolicy(2)).totals, simulate(cfg, GreedyPolicy(2)).totals
+        )
+
+    def test_optimal_shares_one_query_per_distinct_belief(self):
+        m, h = TransitionModel(0.8, 0.3), HorizonSpec(4, 0.9)
+        cfg = SimConfig(m, h, 4, 2, BeliefVector((0.6, 0.3, 0.6, 0.8)), 500, 5)
+        policy = OptimalPolicy(m, h, 2)
+        calls = []
+        query = policy.solver.optimal_value
+        policy.solver.optimal_value = lambda b, t: calls.append((b.omega, t)) or query(b, t)
+        simulate(cfg, policy)
+        assert len(calls) == len(set(calls)) < 500
+
+    def test_optimal_state_cap_trips_as_in_loop(self):
+        m, h = TransitionModel(0.8, 0.3), HorizonSpec(4, 0.9)
+        cfg = SimConfig(m, h, 4, 2, BeliefVector((0.6, 0.3, 0.6, 0.8)), 50, 5)
+        for cap in (5, 10_000_000):
+            outcomes = []
+            for run in (simulate, simulate_loop):
+                try:
+                    outcomes.append(run(cfg, OptimalPolicy(m, h, 2, cap)).totals.tolist())
+                except ResourceLimitError:
+                    outcomes.append("cap")
+            assert outcomes[0] == outcomes[1]
+            assert (outcomes[0] == "cap") == (cap == 5)
+
+    def test_ordered_list_rejects_bad_initial_order(self):
+        cfg = make_config(0.2, 0.8, 4, 2, 3, 1.0, (0.5,) * 4, 10, 1)
+        for order in [(1, 2, 3), (1, 2, 3, 3), (1, 2, 3, 5)]:
+            with pytest.raises(ValueError, match="permutation"):
+                simulate(cfg, OrderedListPolicy(2, order))
+
+    def test_policy_without_batch_form_names_the_method(self):
+        class ScalarOnly(Policy):
+            def action(self, omega, t):
+                return GreedyPolicy(1).action(omega, t)
+
+        cfg = make_config(0.2, 0.8, 3, 1, 3, 1.0, (0.5,) * 3, 10, 1)
+        with pytest.raises(NotImplementedError, match="batch_actions"):
+            simulate(cfg, ScalarOnly())
+
+    @pytest.mark.parametrize(
+        "name,p01,p11,seed,digest",
+        [
+            ("ordered-list-custom", 0.7, 0.3, 2024,
+             "8cbb166e386ff71959fdba3bf08e7affc02a51e63f75600c793b06b39ee79605"),
+            ("ordered-list", 0.2, 0.8, 2024,
+             "c76490e97b21a0ec5d4d03bb2565ed3514793d43ced92ddf42f8f4ac71806e48"),
+            ("optimal", 0.7, 0.3, 2025,
+             "465948079331dfd9704aa794645c27aa40a533ce10b9dc772ecb32822a9b9d98"),
+        ],
+    )
+    def test_trace_export_bytes_pinned(self, tmp_path, name, p01, p11, seed, digest):
+        # Digests of the traces written by the per-replication loop simulator
+        # that these policies ran on before they had a batch form.
+        cfg = make_config(p01, p11, 4, 2, 4, 0.9, (0.5, 0.3, 0.7, 0.6), 6, seed, traces=True)
+        path = tmp_path / "traces.jsonl"
+        write_traces(str(path), simulate(cfg, POLICIES[name](cfg.model, cfg.horizon, 4, 2)).traces)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestConfigValidation:
