@@ -413,10 +413,13 @@ def _execute(cfg: dict, seed: int, max_states: int, out_dir: Path, traces: bool)
     return status
 
 
-def _grid_points(grid: dict):
+def _grid_points(grid: dict) -> List[dict]:
+    """Every combination of axis values; each axis must be a nonempty list."""
     keys = sorted(grid)
-    for values in itertools.product(*(grid[k] for k in keys)):
-        yield dict(zip(keys, values))
+    for key in keys:
+        if not isinstance(grid[key], list) or not grid[key]:
+            raise ConfigError(f"grid axis {key!r} must be a nonempty list, got {grid[key]!r}")
+    return [dict(zip(keys, values)) for values in itertools.product(*(grid[k] for k in keys))]
 
 
 def _apply_override(cfg: dict, dotted: str, value: Any) -> None:

@@ -28,6 +28,18 @@ each sensed multiset: the others have bit-identical Q-values and reach only
 states already memoised, so values, the state visit order and the memo sizes
 are the same as with full enumeration.  ``action_values`` and
 ``verify_cached_bellman`` still enumerate every selection.
+
+``w_table`` answers the verify suite's W checks (lemma 2, lemma 3A/3B and
+affinity) for many vectors and every t at once.  W's state graph depends
+only on (n, k, H = T-1): each entry of a reachable state is p01, p11 or a
+root position, aged m steps.  The graph is built once per (n, k, H) and kept
+as per-depth int32 arrays of sensed symbols and child indices, then evaluated
+depth by depth with numpy over a (nodes x vectors) array; the root is node 0
+of every depth, so one pass yields W_t for t = 1..T.  Its values are
+float.hex-identical to ``w_value``, which stays the reference, and its node
+count, summed over depths, counts against ``max_states``.  Every sum in this
+module folds left to right from 0.0, so values do not depend on the Python
+version.
 """
 
 from __future__ import annotations
@@ -35,7 +47,9 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+
+import numpy as np
 
 from .model import (
     ActionSet,
@@ -43,6 +57,7 @@ from .model import (
     HorizonSpec,
     OBSERVED_BAD,
     OBSERVED_GOOD,
+    PROB_TOL,
     TransitionModel,
     tau,
     tau_iterate,
@@ -63,6 +78,18 @@ def _age_key(key: Tuple) -> Tuple:
     if key[0] == "V":
         return ("V", key[1], key[2] + 1)
     return (key[0], key[1] + 1)
+
+
+def _left_sum(values: Iterable) -> float | np.ndarray:
+    """0.0 + v1 + v2 + ... in the given order, for floats or numpy arrays.
+
+    The built-in ``sum`` compensates float rounding from Python 3.12 on, so
+    its last bit depends on the interpreter version; this fold does not.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def _poisson_binomial(values: Sequence[float]) -> List[float]:
@@ -200,7 +227,7 @@ class FiniteHorizonSolver:
             return hit
         k = self.k
         if h == 0:
-            val = sum(v for v, _ in entries[-k:])
+            val = _left_sum(v for v, _ in entries[-k:])
         else:
             aged = self._aged(entries)
             val = max(
@@ -228,7 +255,7 @@ class FiniteHorizonSolver:
         sensed beliefs.
         """
         sensed = [entries[i][0] for i in sel]
-        imm = sum(sensed)
+        imm = _left_sum(sensed)
         if h == 0 or self.horizon.beta == 0.0:
             return imm
         unsensed = [aged[i] for i in comp]
@@ -268,7 +295,7 @@ class FiniteHorizonSolver:
         if hit is not None:
             return hit
         k = self.k
-        reward = sum(v for v, _ in entries[-k:])
+        reward = _left_sum(v for v, _ in entries[-k:])
         if h == 0 or self.horizon.beta == 0.0:
             val = reward
         else:
@@ -295,82 +322,6 @@ class FiniteHorizonSolver:
         h = self._check_t(belief, t)
         entries = sorted(self._root_entries(belief))
         return self._w(h, tuple(entries))
-
-    def affine_swap_delta(
-        self,
-        prefix: Sequence[float],
-        x: float,
-        y: float,
-        suffix: Sequence[float],
-        t: int,
-    ) -> Tuple[float, float]:
-        """Both sides of the pairwise-swap identity implied by W's per-variable affinity.
-
-        Returns (W(..y,x..) - W(..x,y..),  (x - y) * [W(..0,1..) - W(..1,0..)]).
-        """
-
-        def w_of(a: float, b: float) -> float:
-            vec = BeliefVector(tuple(prefix) + (a, b) + tuple(suffix))
-            return self.w_value(vec, t)
-
-        lhs = w_of(y, x) - w_of(x, y)
-        rhs = (x - y) * (w_of(0.0, 1.0) - w_of(1.0, 0.0))
-        return lhs, rhs
-
-    # -- exact policy evaluation (independent of the W recursion) ----------
-
-    def exact_policy_value(
-        self,
-        policy_action: Callable[[Tuple[float, ...], int], ActionSet],
-        belief: BeliefVector,
-        t: int,
-    ) -> float:
-        """Expected discounted reward of a deterministic Markov policy from time t.
-
-        Evaluated by brute-force enumeration of all 2^k joint outcomes at every
-        step (no outcome grouping, no reordering), memoised on the raw belief
-        vector.  Deliberately a different code path from ``w_value`` so the two
-        can cross-check each other.
-        """
-        h0 = self._check_t(belief, t)
-        m, beta, k = self.model, self.horizon.beta, self.k
-        memo: Dict[Tuple, float] = {}
-
-        def rec(h: int, omega: Tuple[float, ...]) -> float:
-            key = (h, omega)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            t_abs = self.horizon.T - h
-            action = policy_action(omega, t_abs)
-            reward = sum(omega[i - 1] for i in action.indices)
-            if h == 0 or beta == 0.0:
-                val = reward
-            else:
-                expect = 0.0
-                for bits in itertools.product((0, 1), repeat=k):
-                    q = 1.0
-                    for i, b in zip(action.indices, bits):
-                        q *= omega[i - 1] if b else (1.0 - omega[i - 1])
-                    if q == 0.0:
-                        continue
-                    bit_by_channel = dict(zip(action.indices, bits))
-                    child = tuple(
-                        (m.p11 if bit_by_channel[i] else m.p01)
-                        if i in bit_by_channel
-                        else tau(w, m)
-                        for i, w in enumerate(omega, start=1)
-                    )
-                    expect += q * rec(h - 1, child)
-                val = reward + beta * expect
-            memo[key] = val
-            if len(memo) > self.max_states:
-                raise ResourceLimitError(
-                    f"policy-evaluation state count exceeded cap {self.max_states}"
-                )
-            return val
-
-        return rec(h0, tuple(belief.omega))
 
     # -- post-hoc audit ----------------------------------------------------
 
@@ -401,3 +352,138 @@ class FiniteHorizonSolver:
         if key[0] == OBSERVED_GOOD:
             return tau_iterate(self.model.p11, self.model, key[1])
         return tau_iterate(key[1], self.model, key[2])
+
+
+# -- greedy-value recursion as a position-keyed state graph ---------------------
+#
+# W's state graph depends only on (n, k, H): every entry of a reachable state
+# is a symbol "B aged m", "G aged m" or "root position i aged m", and the child
+# for s good outcomes is [B0]*(k-s) + aged(unsensed) + [G0]*s.  Symbol
+# b + m*(n+2) stands for base b aged m, with base 0 = p01, 1 = p11 and 2 + i =
+# root position i, so aging a symbol adds n+2.
+
+
+@dataclass(frozen=True)
+class _WGraph:
+    """Per-depth int32 arrays of the W state graph of one (n, k, H).
+
+    Depth d holds every state reachable from the root in at most d steps and
+    is evaluated with h = H - d steps remaining; node 0 of every depth is
+    the root itself, so one pass answers W_t for t = 1..H+1.
+    """
+
+    sensed: Tuple[np.ndarray, ...]  # depth d: (k, N_d) symbols of the last k entries
+    children: Tuple[np.ndarray, ...]  # depth d < H: (k+1, N_d) child at depth d+1, by s
+    nodes: int
+
+
+# (n, k, H) -> its graph.  Every graph is a pure function of its key, so the
+# cache is shared by all callers; a build stopped by a cap is not stored.
+_W_GRAPHS: Dict[Tuple[int, int, int], _WGraph] = {}
+
+
+def _node_cap_error(max_states: int) -> ResourceLimitError:
+    return ResourceLimitError(f"W state graph node count exceeded cap {max_states}")
+
+
+def _w_graph(n: int, k: int, H: int, max_states: int) -> _WGraph:
+    graph = _W_GRAPHS.get((n, k, H))
+    if graph is None:
+        graph = _W_GRAPHS[(n, k, H)] = _build_w_graph(n, k, H, max_states)
+    if graph.nodes > max_states:
+        raise _node_cap_error(max_states)
+    return graph
+
+
+def _build_w_graph(n: int, k: int, H: int, max_states: int) -> _WGraph:
+    stride = n + 2
+    root = tuple(range(2, n + 2))
+    blocks = [((0,) * (k - s), (1,) * s) for s in range(k + 1)]
+    level = [root]
+    nodes = 1
+    sensed, children = [], []
+    for d in range(H + 1):
+        sensed.append(np.array([node[n - k :] for node in level], dtype=np.int32).T.copy())
+        if d == H:
+            break
+        index = {root: 0}
+        rows = []
+        for node in level:
+            aged = tuple(sym + stride for sym in node[: n - k])
+            row = []
+            for bad, good in blocks:
+                child = bad + aged + good
+                i = index.get(child)
+                if i is None:
+                    i = index[child] = len(index)
+                    nodes += 1
+                    if nodes > max_states:
+                        raise _node_cap_error(max_states)
+                row.append(i)
+            rows.append(row)
+        children.append(np.array(rows, dtype=np.int32).T.copy())
+        level = list(index)
+    return _WGraph(tuple(sensed), tuple(children), nodes)
+
+
+def w_table(
+    model: TransitionModel,
+    horizon: HorizonSpec,
+    k: int,
+    vectors: Sequence[Sequence[float]],
+    max_states: int = 10_000_000,
+) -> np.ndarray:
+    """W_t^k of every vector (each taken in its given order) for every t.
+
+    Returns a (T, len(vectors)) array whose row t-1 holds W_t.  Values are
+    bit-identical to ``FiniteHorizonSolver.w_value``: sums fold left to
+    right, tau is iterated one step at a time, and the outcome law and the
+    continuation sum keep the recursion's operation order.  A zero-probability
+    child is evaluated too; it adds an exact 0.0.  The graph's node count,
+    summed over depths, counts against ``max_states``.
+    """
+    omega = np.array(vectors, dtype=float)
+    if omega.ndim != 2 or omega.shape[0] == 0:
+        raise ValueError("vectors must be a nonempty list of equal-length belief vectors")
+    if not np.all((omega >= -PROB_TOL) & (omega <= 1.0 + PROB_TOL)):
+        raise ValueError("belief entries must lie in [0, 1]")
+    if k < 1 or omega.shape[1] < k:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={omega.shape[1]}")
+    V, n = omega.shape
+    H = horizon.T - 1
+    graph = _w_graph(n, k, H, max_states)
+    # values[m, b]: base b aged m, for every vector.
+    values = np.empty((H + 1, n + 2, V))
+    values[0, 0] = model.p01
+    values[0, 1] = model.p11
+    values[0, 2:] = omega.T
+    for m in range(H):
+        x = np.minimum(1.0, np.maximum(0.0, values[m]))
+        values[m + 1] = x * model.p11 + (1.0 - x) * model.p01
+    values = values.reshape(-1, V)
+    out = np.empty((horizon.T, V))
+    for d in range(H, -1, -1):
+        sensed = values[graph.sensed[d]]
+        reward = _left_sum(sensed)
+        if d == H or horizon.beta == 0.0:
+            w = reward
+        else:
+            total = _left_sum(_poisson_binomial_rows(sensed) * w[graph.children[d]])
+            w = reward + horizon.beta * total
+        out[d] = w[0]
+    return out
+
+
+def _poisson_binomial_rows(sensed: np.ndarray) -> np.ndarray:
+    """``_poisson_binomial`` elementwise over axis 0 of `sensed`, in its operation order.
+
+    Row s of the result holds P(s successes); each row is built as
+    (0.0 + p[s-1]*w) + p[s]*(1.0 - w), as the scalar loop builds it.
+    """
+    probs = np.ones((1,) + sensed.shape[1:])
+    for w in sensed:
+        nxt = np.zeros((len(probs) + 1,) + sensed.shape[1:])
+        nxt[1:] += probs * w
+        nxt[:-1] += probs * (1.0 - w)
+        probs = nxt
+    return probs

@@ -13,7 +13,10 @@ over randomly sampled problem instances:
   proved and findings are reported without interpretation.
 
 Every instance is reproducible from (sampler seed, instance index); checks
-return machine-readable violation reports.
+return machine-readable violation reports.  The W-based checks (shift, swap,
+reduction, affinity) evaluate all of an instance's vectors, for every t, in
+one ``dp.w_table`` call; the theorem-1 check and the negative-regime scan use
+``FiniteHorizonSolver``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .model import BeliefVector, HorizonSpec, TransitionModel, tau_iterate
-from .dp import FiniteHorizonSolver, ResourceLimitError
+from .dp import FiniteHorizonSolver, ResourceLimitError, w_table
 from .policies import all_greedy_actions, greedy_action
 
 VALUE_TOL = 1e-9
@@ -59,6 +62,12 @@ class Instance:
 
     def solver(self, max_states: int = 10_000_000) -> FiniteHorizonSolver:
         return FiniteHorizonSolver(self.model, self.horizon, self.k, max_states)
+
+    def w_table(
+        self, vectors: Sequence[Sequence[float]], max_states: int = 10_000_000
+    ) -> List[List[float]]:
+        """W_t of every vector under this instance's model; row t-1 holds W_t."""
+        return w_table(self.model, self.horizon, self.k, vectors, max_states).tolist()
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -241,19 +250,19 @@ def check_lemma3_A(
         omega = tuple(sorted(inst.omega))
         rotated = omega[1:] + omega[:1]
         try:
-            solver = inst.solver(max_states)
-            for t in range(1, inst.T + 1):
-                lhs = 1.0 + solver.w_value(BeliefVector(rotated), t)
-                rhs = solver.w_value(BeliefVector(omega), t)
-                if lhs < rhs - VALUE_TOL:
-                    out.append(
-                        ViolationReport(
-                            "lemma3A", inst, lhs, rhs, rhs - lhs, VALUE_TOL,
-                            detail=f"t={t}",
-                        )
-                    )
+            table = inst.w_table([rotated, omega], max_states)
         except ResourceLimitError as exc:
             out.append(_resource_report("lemma3A/resource", inst, exc))
+            continue
+        for t, (w_rotated, rhs) in enumerate(table, start=1):
+            lhs = 1.0 + w_rotated
+            if lhs < rhs - VALUE_TOL:
+                out.append(
+                    ViolationReport(
+                        "lemma3A", inst, lhs, rhs, rhs - lhs, VALUE_TOL,
+                        detail=f"t={t}",
+                    )
+                )
     return out
 
 
@@ -267,23 +276,25 @@ def check_lemma3_B(
         rng = np.random.default_rng([sampler.seed, inst.index, 3])
         a, b = rng.random(), rng.random()
         x, y = max(a, b), min(a, b)
+        vectors = []
+        for j in range(inst.n - 1):
+            vectors.append(omega[:j] + (y, x) + omega[j + 2 :])
+            vectors.append(omega[:j] + (x, y) + omega[j + 2 :])
         try:
-            solver = inst.solver(max_states)
-            for j in range(inst.n - 1):
-                hi = omega[:j] + (y, x) + omega[j + 2 :]
-                lo = omega[:j] + (x, y) + omega[j + 2 :]
-                for t in range(1, inst.T + 1):
-                    lhs = solver.w_value(BeliefVector(hi), t)
-                    rhs = solver.w_value(BeliefVector(lo), t)
-                    if lhs < rhs - VALUE_TOL:
-                        out.append(
-                            ViolationReport(
-                                "lemma3B", inst, lhs, rhs, rhs - lhs, VALUE_TOL,
-                                detail=f"t={t} j={j} x={x} y={y}",
-                            )
-                        )
+            table = inst.w_table(vectors, max_states)
         except ResourceLimitError as exc:
             out.append(_resource_report("lemma3B/resource", inst, exc))
+            continue
+        for j in range(inst.n - 1):
+            for t, row in enumerate(table, start=1):
+                lhs, rhs = row[2 * j], row[2 * j + 1]
+                if lhs < rhs - VALUE_TOL:
+                    out.append(
+                        ViolationReport(
+                            "lemma3B", inst, lhs, rhs, rhs - lhs, VALUE_TOL,
+                            detail=f"t={t} j={j} x={x} y={y}",
+                        )
+                    )
     return out
 
 
@@ -295,24 +306,26 @@ def check_lemma2_reduction(
     out: List[ViolationReport] = []
     for inst in sampler.instances(count):
         omega = tuple(sorted(inst.omega))
+        selections = list(itertools.combinations(range(inst.n), inst.k))
+        vectors = [omega]
+        for sel in selections:
+            sel_set = set(sel)
+            rest = tuple(omega[i] for i in range(inst.n) if i not in sel_set)
+            vectors.append(rest + tuple(omega[i] for i in sel))
         try:
-            solver = inst.solver(max_states)
-            for t in range(1, inst.T + 1):
-                rhs = solver.w_value(BeliefVector(omega), t)
-                for sel in itertools.combinations(range(inst.n), inst.k):
-                    sel_set = set(sel)
-                    rest = tuple(omega[i] for i in range(inst.n) if i not in sel_set)
-                    chosen = tuple(omega[i] for i in sel)
-                    lhs = solver.w_value(BeliefVector(rest + chosen), t)
-                    if lhs > rhs + VALUE_TOL:
-                        out.append(
-                            ViolationReport(
-                                "lemma2", inst, lhs, rhs, lhs - rhs, VALUE_TOL,
-                                detail=f"t={t} first_action={sel}",
-                            )
-                        )
+            table = inst.w_table(vectors, max_states)
         except ResourceLimitError as exc:
             out.append(_resource_report("lemma2/resource", inst, exc))
+            continue
+        for t, (rhs, *firsts) in enumerate(table, start=1):
+            for sel, lhs in zip(selections, firsts):
+                if lhs > rhs + VALUE_TOL:
+                    out.append(
+                        ViolationReport(
+                            "lemma2", inst, lhs, rhs, lhs - rhs, VALUE_TOL,
+                            detail=f"t={t} first_action={sel}",
+                        )
+                    )
     return out
 
 
@@ -321,46 +334,52 @@ def check_affinity(
 ) -> List[ViolationReport]:
     """Per-variable affinity of W: swap identity plus three-point collinearity.
 
-    Holds in every correlation regime; checked at tolerance 1e-12.
+    The swap identity W(..y,x..) - W(..x,y..) = (x - y) * [W(..0,1..) -
+    W(..1,0..)] follows from W being affine in each entry.  Holds in every
+    correlation regime; checked at tolerance 1e-12.
     """
     out: List[ViolationReport] = []
     for inst in sampler.instances(count):
         rng = np.random.default_rng([sampler.seed, inst.index, 5])
         omega = inst.omega
         t = int(rng.integers(1, inst.T + 1))
+        vectors = []
+        if inst.n >= 2:
+            j = int(rng.integers(0, inst.n - 1))
+            x, y = float(rng.random()), float(rng.random())
+            for a, b in ((y, x), (x, y), (0.0, 1.0), (1.0, 0.0)):
+                vectors.append(omega[:j] + (a, b) + omega[j + 2 :])
+        # Three-point collinearity in a random coordinate.
+        i = int(rng.integers(inst.n))
+        v0, v1 = float(rng.random()), float(rng.random())
+        for v in (v0, v1, 0.5 * (v0 + v1)):
+            vectors.append(omega[:i] + (v,) + omega[i + 1 :])
         try:
-            solver = inst.solver(max_states)
-            if inst.n >= 2:
-                j = int(rng.integers(0, inst.n - 1))
-                x, y = float(rng.random()), float(rng.random())
-                lhs, rhs = solver.affine_swap_delta(
-                    omega[:j], x, y, omega[j + 2 :], t
-                )
-                if abs(lhs - rhs) > IDENTITY_TOL:
-                    out.append(
-                        ViolationReport(
-                            "affinity/swap", inst, lhs, rhs, abs(lhs - rhs),
-                            IDENTITY_TOL, detail=f"t={t} j={j} x={x} y={y}",
-                        )
-                    )
-            # Three-point collinearity in a random coordinate.
-            i = int(rng.integers(inst.n))
-            v0, v1 = float(rng.random()), float(rng.random())
-            vals = []
-            for v in (v0, v1, 0.5 * (v0 + v1)):
-                vec = omega[:i] + (v,) + omega[i + 1 :]
-                vals.append(solver.w_value(BeliefVector(vec), t))
-            resid = abs(vals[2] - 0.5 * (vals[0] + vals[1]))
-            if resid > IDENTITY_TOL:
-                out.append(
-                    ViolationReport(
-                        "affinity/collinear", inst, vals[2],
-                        0.5 * (vals[0] + vals[1]), resid, IDENTITY_TOL,
-                        detail=f"t={t} coord={i} v0={v0} v1={v1}",
-                    )
-                )
+            row = inst.w_table(vectors, max_states)[t - 1]
         except ResourceLimitError as exc:
             out.append(_resource_report("affinity/resource", inst, exc))
+            continue
+        if inst.n >= 2:
+            w_yx, w_xy, w_01, w_10 = row[:4]
+            lhs = w_yx - w_xy
+            rhs = (x - y) * (w_01 - w_10)
+            if abs(lhs - rhs) > IDENTITY_TOL:
+                out.append(
+                    ViolationReport(
+                        "affinity/swap", inst, lhs, rhs, abs(lhs - rhs),
+                        IDENTITY_TOL, detail=f"t={t} j={j} x={x} y={y}",
+                    )
+                )
+        vals = row[-3:]
+        resid = abs(vals[2] - 0.5 * (vals[0] + vals[1]))
+        if resid > IDENTITY_TOL:
+            out.append(
+                ViolationReport(
+                    "affinity/collinear", inst, vals[2],
+                    0.5 * (vals[0] + vals[1]), resid, IDENTITY_TOL,
+                    detail=f"t={t} coord={i} v0={v0} v1={v1}",
+                )
+            )
     return out
 
 

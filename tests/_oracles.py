@@ -10,7 +10,16 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from oppaccess import ActionSet, HorizonSpec, RunRecord, StepRecord, TransitionModel, tau
+from oppaccess import (
+    ActionSet,
+    BeliefVector,
+    HorizonSpec,
+    RunRecord,
+    StepRecord,
+    TransitionModel,
+    tau,
+)
+from oppaccess.dp import _left_sum
 
 
 def brute_force_optimal(omega, t, model: TransitionModel, horizon: HorizonSpec, k: int):
@@ -41,28 +50,57 @@ def brute_force_optimal(omega, t, model: TransitionModel, horizon: HorizonSpec, 
     return best
 
 
-def brute_force_policy_value(omega, t, model, horizon, k, policy_action):
-    """Value of a deterministic policy by exhaustive sample-tree expansion."""
-    n = len(omega)
-    action: ActionSet = policy_action(tuple(omega), t)
-    sel = [i - 1 for i in action.indices]
-    imm = sum(omega[i] for i in sel)
-    if t == horizon.T or horizon.beta == 0.0:
-        return imm
-    expect = 0.0
-    for bits in itertools.product((0, 1), repeat=k):
-        q = 1.0
-        for i, b in zip(sel, bits):
-            q *= omega[i] if b else (1.0 - omega[i])
-        bit = dict(zip(sel, bits))
-        child = tuple(
-            (model.p11 if bit[i] else model.p01)
-            if i in bit
-            else omega[i] * model.p11 + (1.0 - omega[i]) * model.p01
-            for i in range(n)
-        )
-        expect += q * brute_force_policy_value(child, t + 1, model, horizon, k, policy_action)
-    return imm + horizon.beta * expect
+def exact_policy_value(omega, t, model, horizon, k, policy_action):
+    """Expected discounted reward of a deterministic Markov policy from time t.
+
+    Every one of the 2^k joint outcomes is enumerated at every step (no
+    outcome grouping, no reordering), memoised on the raw belief vector only
+    so that criterion-sized instances stay fast.  Shares no code path with
+    the W recursion, so the two cross-check each other.
+    """
+    memo = {}
+
+    def rec(t, omega):
+        key = (t, omega)
+        if key in memo:
+            return memo[key]
+        action: ActionSet = policy_action(omega, t)
+        sel = [i - 1 for i in action.indices]
+        reward = _left_sum(omega[i] for i in sel)
+        if t == horizon.T or horizon.beta == 0.0:
+            val = reward
+        else:
+            expect = 0.0
+            for bits in itertools.product((0, 1), repeat=k):
+                q = 1.0
+                for i, b in zip(sel, bits):
+                    q *= omega[i] if b else (1.0 - omega[i])
+                if q == 0.0:
+                    continue
+                bit = dict(zip(sel, bits))
+                child = tuple(
+                    (model.p11 if bit[i] else model.p01) if i in bit else tau(w, model)
+                    for i, w in enumerate(omega)
+                )
+                expect += q * rec(t + 1, child)
+            val = reward + horizon.beta * expect
+        memo[key] = val
+        return val
+
+    return rec(t, tuple(omega))
+
+
+def affine_swap_delta(solver, prefix, x, y, suffix, t):
+    """Both sides of the pairwise-swap identity implied by W's per-variable affinity,
+    through ``solver.w_value``:
+
+    (W(..y,x..) - W(..x,y..),  (x - y) * [W(..0,1..) - W(..1,0..)]).
+    """
+
+    def w_of(a, b):
+        return solver.w_value(BeliefVector(tuple(prefix) + (a, b) + tuple(suffix)), t)
+
+    return w_of(y, x) - w_of(x, y), (x - y) * (w_of(0.0, 1.0) - w_of(1.0, 0.0))
 
 
 def full_observation_value(omega, model: TransitionModel, horizon: HorizonSpec):

@@ -30,7 +30,7 @@ from oppaccess import (
 )
 from oppaccess.cli import main as cli_main
 
-from _oracles import full_observation_value
+from _oracles import exact_policy_value, full_observation_value
 
 SEED = 20260823
 
@@ -109,8 +109,9 @@ def test_criterion_6_greedy_value_vs_exact_rollout():
         solver = inst.solver()
         belief = BeliefVector(inst.omega)
         gv = solver.greedy_value(belief, 1)
-        rollout = solver.exact_policy_value(
-            lambda w, t, k=inst.k: greedy_action(w, k), belief, 1
+        rollout = exact_policy_value(
+            inst.omega, 1, inst.model, inst.horizon, inst.k,
+            lambda w, t, k=inst.k: greedy_action(w, k),
         )
         worst = max(worst, abs(gv - rollout))
     ok = worst <= 1e-12

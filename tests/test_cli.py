@@ -139,6 +139,27 @@ class TestErrorPaths:
         assert result.exit_code == 4
 
 
+    def test_w_property_resource_cap_reported_exit_0(self, runner, tmp_path):
+        # A W check over the cap reports one resource error per instance and
+        # counts no violation, so the run still exits 0.
+        props = ["lemma3A", "lemma3B", "lemma2", "affinity"]
+        cfg_data = {
+            "kind": "verify",
+            "seed": 9,
+            "verify": {"properties": props, "count": 3, "n_max": 4, "T_max": 4},
+        }
+        cfg = write_config(tmp_path, cfg_data)
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["run", cfg, "--out-dir", str(out), "--max-memo", "5"])
+        assert result.exit_code == 0, result.output
+        rows = read_rows(out)
+        assert [(r["instance"], r["violations"]) for r in rows] == [(p, "0") for p in props]
+        assert all(int(r["errors"]) > 0 for r in rows)
+        records = [json.loads(line) for line in (out / "violations.json").read_text().splitlines()]
+        assert len(records) == sum(int(r["errors"]) for r in rows)
+        assert all(rec["property_id"].endswith("/resource") for rec in records)
+
+
 class TestSimulateAndCompare:
     def test_optimal_policy_resource_cap_exit_4(self, runner, tmp_path):
         cfg_data = dict(
@@ -368,6 +389,19 @@ class TestSweep:
         text = io.StringIO()
         csv.writer(text, lineterminator="\n").writerows(rows)
         assert text.getvalue() == expected_csv
+
+    @pytest.mark.parametrize(
+        "grid",
+        [{"model.p01": 0.3}, {"model.p01": []}, {"k": [1, 2], "model.p01": "0.3"}],
+        ids=["scalar", "empty", "string-after-list"],
+    )
+    def test_axis_must_be_nonempty_list(self, runner, tmp_path, grid):
+        cfg = write_config(tmp_path, dict(SOLVE_CFG, grid=grid))
+        out = tmp_path / "sweep"
+        result = runner.invoke(main, ["sweep", cfg, "--out-dir", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "must be a nonempty list" in result.output
+        assert not (out / "point_0000").exists()
 
     def test_sweep_without_grid_rejected(self, runner, tmp_path):
         cfg = write_config(tmp_path, SOLVE_CFG)

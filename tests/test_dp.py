@@ -14,9 +14,23 @@ from oppaccess import (
     greedy_action,
     tau_iterate,
 )
-from oppaccess.dp import _distinct_selections
+from oppaccess import dp, verify
+from oppaccess.dp import _distinct_selections, w_table
+from oppaccess.verify import (
+    REGIMES,
+    InstanceSampler,
+    check_affinity,
+    check_lemma2_reduction,
+    check_lemma3_A,
+    check_lemma3_B,
+)
 
-from _oracles import brute_force_optimal, full_observation_value
+from _oracles import (
+    affine_swap_delta,
+    brute_force_optimal,
+    exact_policy_value,
+    full_observation_value,
+)
 
 probs = st.floats(min_value=0.0, max_value=1.0)
 
@@ -150,20 +164,22 @@ class TestWValue:
         horizon = HorizonSpec(int(rng.integers(1, 5)), float(rng.random()))
         omega = tuple(float(w) for w in rng.random(n))
         s = FiniteHorizonSolver(model, horizon, k)
-        rollout = s.exact_policy_value(lambda w, t: greedy_action(w, k), BeliefVector(omega), 1)
+        rollout = exact_policy_value(
+            omega, 1, model, horizon, k, lambda w, t: greedy_action(w, k)
+        )
         assert s.greedy_value(BeliefVector(omega), 1) == pytest.approx(rollout, abs=1e-12)
 
 
 class TestAffineSwap:
     def test_equal_arguments_zero(self):
         s = make_solver(0.2, 0.8, 3, 0.9, 1)
-        lhs, rhs = s.affine_swap_delta((0.3,), 0.4, 0.4, (0.7,), 1)
+        lhs, rhs = affine_swap_delta(s, (0.3,), 0.4, 0.4, (0.7,), 1)
         assert lhs == pytest.approx(0.0, abs=1e-15)
         assert rhs == pytest.approx(0.0, abs=1e-15)
 
     def test_unit_swap_tautology(self):
         s = make_solver(0.2, 0.8, 3, 0.9, 2)
-        lhs, rhs = s.affine_swap_delta((0.3,), 1.0, 0.0, (0.7,), 1)
+        lhs, rhs = affine_swap_delta(s, (0.3,), 1.0, 0.0, (0.7,), 1)
         assert lhs == pytest.approx(rhs, abs=1e-15)
 
     @given(
@@ -177,7 +193,7 @@ class TestAffineSwap:
     @settings(max_examples=40, deadline=None)
     def test_identity_random(self, prefix, x, y, suffix, p01, p11):
         s = FiniteHorizonSolver(TransitionModel(p01, p11), HorizonSpec(3, 0.95), 1)
-        lhs, rhs = s.affine_swap_delta(tuple(prefix), x, y, tuple(suffix), 1)
+        lhs, rhs = affine_swap_delta(s, tuple(prefix), x, y, tuple(suffix), 1)
         assert abs(lhs - rhs) <= 1e-12
 
     def test_three_point_collinearity(self):
@@ -188,6 +204,105 @@ class TestAffineSwap:
             return s.w_value(BeliefVector((v,) + base), 1)
 
         assert w_at(0.5) == pytest.approx(0.5 * (w_at(0.0) + w_at(1.0)), abs=1e-12)
+
+
+class TestLeftToRightSums:
+    def test_top_k_sum_folds_left_to_right(self):
+        # 0.1 + 0.2 + 0.3 folded left to right; compensated summation (the
+        # built-in sum from Python 3.12 on) gives 0x1.3333333333333p-1.
+        want = "0x1.3333333333334p-1"
+        s = make_solver(0.2, 0.8, 1, 1.0, 3)
+        b = BeliefVector((0.1, 0.2, 0.3))
+        assert s.optimal_value(b, 1).value.hex() == want
+        assert s.w_value(b, 1).hex() == want
+        table = w_table(s.model, s.horizon, 3, [b.omega])
+        assert float(table[0, 0]).hex() == want
+
+
+_W_CHECKS = (check_lemma3_A, check_lemma3_B, check_lemma2_reduction, check_affinity)
+
+
+class TestWTable:
+    """The position-keyed W graph against the recursion, as float.hex."""
+
+    def test_property_vector_sets_match_solver(self, monkeypatch):
+        calls = []
+
+        def recording_w_table(model, horizon, k, vectors, max_states):
+            table = w_table(model, horizon, k, vectors, max_states)
+            calls.append((model, horizon, k, vectors, table))
+            return table
+
+        monkeypatch.setattr(verify, "w_table", recording_w_table)
+        for seed, regime in enumerate(REGIMES):
+            for check in _W_CHECKS:
+                sampler = InstanceSampler(
+                    seed=600 + seed, regime=regime, n_range=(2, 8), T_range=(1, 8),
+                    sorted_beliefs=check is not check_affinity,
+                )
+                check(sampler, 60)
+        compared, mismatches = 0, []
+        shapes, betas = set(), set()
+        for model, horizon, k, vectors, table in calls:
+            assert table.shape == (horizon.T, len(vectors))
+            solver = FiniteHorizonSolver(model, horizon, k)
+            for t in range(1, horizon.T + 1):
+                for vec, got in zip(vectors, table[t - 1].tolist()):
+                    want = solver.w_value(BeliefVector(vec), t)
+                    compared += 1
+                    if got.hex() != want.hex():
+                        mismatches.append((model, horizon, k, vec, t, got.hex(), want.hex()))
+            shapes.add((len(vectors[0]), k, horizon.T))
+            betas.add(horizon.beta if horizon.beta in (0.0, 1.0) else "random")
+        assert mismatches == []
+        assert compared >= 20_000
+        assert betas == {0.0, 1.0, "random"}
+        assert {n for n, _, _ in shapes} == set(range(2, 9))
+        assert {T for _, _, T in shapes} == set(range(1, 9))
+        assert any(k == 1 for _, k, _ in shapes) and any(k == n for n, k, _ in shapes)
+        assert {m.p01 < m.p11 for m, *_ in calls} == {True, False}
+        assert any(m.p01 == m.p11 for m, *_ in calls)
+
+    def test_one_graph_per_shape_answers_every_t(self):
+        model, horizon = TransitionModel(0.3, 0.8), HorizonSpec(5, 0.9)
+        # the last vector's first two entries are clamped by tau
+        vectors = [
+            (0.15, 0.62, 0.4, 0.88),
+            (0.88, 0.4, 0.62, 0.15),
+            (0.0, 1.0, 0.5, 0.5),
+            (-1e-13, 1.0 + 1e-13, 0.5, 0.3),
+        ]
+        table = w_table(model, horizon, 2, vectors)
+        solver = FiniteHorizonSolver(model, horizon, 2)
+        assert table.shape == (5, 4)
+        for t in range(1, 6):
+            for vec, got in zip(vectors, table[t - 1].tolist()):
+                assert got.hex() == solver.w_value(BeliefVector(vec), t).hex()
+
+    def test_node_cap_while_building_and_when_cached(self):
+        model, horizon, k = TransitionModel(0.3, 0.8), HorizonSpec(4, 0.9), 2
+        vectors = [(0.1, 0.5, 0.7, 0.9)]
+        key = (4, k, 3)
+        nodes = dp._w_graph(4, k, 3, 10_000).nodes
+        assert nodes > 5
+        for cap in (5, nodes - 1):
+            dp._W_GRAPHS.pop(key, None)
+            with pytest.raises(ResourceLimitError):
+                w_table(model, horizon, k, vectors, max_states=cap)
+            assert key not in dp._W_GRAPHS  # a build stopped by the cap is not kept
+        w_table(model, horizon, k, vectors, max_states=nodes)
+        assert dp._W_GRAPHS[key].nodes == nodes
+        with pytest.raises(ResourceLimitError):
+            w_table(model, horizon, k, vectors, max_states=nodes - 1)
+
+    @pytest.mark.parametrize(
+        "vectors, k",
+        [([], 1), ([(0.1, 0.2), (0.3,)], 1), ([(0.1, 1.5)], 1), ([(0.1, 0.2)], 3), ([(0.1,)], 0)],
+        ids=["empty", "ragged", "out-of-range", "k-above-n", "k-zero"],
+    )
+    def test_rejects_malformed_input(self, vectors, k):
+        with pytest.raises(ValueError):
+            w_table(TransitionModel(0.3, 0.8), HorizonSpec(2, 1.0), k, vectors)
 
 
 # Outputs of the full-enumeration solver, before the aged-entry table, the

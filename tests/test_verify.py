@@ -87,6 +87,25 @@ class TestChecks:
         assert viols
         assert all(v.error is not None for v in viols)
 
+    @pytest.mark.parametrize(
+        "check, prop",
+        [
+            (check_lemma3_A, "lemma3A"),
+            (check_lemma3_B, "lemma3B"),
+            (check_lemma2_reduction, "lemma2"),
+            (check_affinity, "affinity"),
+        ],
+        ids=["lemma3A", "lemma3B", "lemma2", "affinity"],
+    )
+    def test_w_property_resource_error_one_per_instance(self, check, prop):
+        # Every W state graph with n >= 4 and T = 5 has more than 5 nodes.
+        s = sampler(sorted_beliefs=True, n_range=(4, 5), T_range=(5, 5))
+        viols = check(s, 3, max_states=5)
+        assert [v.property_id for v in viols] == [f"{prop}/resource"] * 3
+        assert [v.instance.index for v in viols] == [0, 1, 2]
+        assert all("exceeded cap 5" in v.error for v in viols)
+        assert all(v.lhs is None and v.rhs is None for v in viols)
+
 
 class TestNegativeScan:
     def test_runs_and_reports(self):
