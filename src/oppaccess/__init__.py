@@ -5,15 +5,10 @@ from .model import (
     ActionSet,
     BeliefVector,
     HorizonSpec,
-    OutcomeRealization,
     TransitionModel,
     enumerate_actions,
-    enumerate_outcomes,
-    immediate_reward,
-    outcome_probability,
     tau,
     tau_iterate,
-    update_belief,
 )
 from .dp import FiniteHorizonSolver, ResourceLimitError, SolveResult
 from .policies import (

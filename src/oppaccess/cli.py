@@ -10,6 +10,9 @@ Experiment kinds:
 ``sweep`` repeats any of the above over a parameter grid.  Exit codes:
 0 success, 2 config error, 3 verification violations, 4 resource cap hit.
 
+Every config is parsed once, by ``load_config``, into a checked record
+before any work runs; ``sweep`` parses every grid point before it runs any.
+
 All numeric CSV fields are written with 17 significant digits, so artifacts
 are byte-identical across reruns with the same config and seed and values
 round-trip exactly through double precision.
@@ -17,20 +20,24 @@ round-trip exactly through double precision.
 
 from __future__ import annotations
 
+import copy
 import csv
+import functools
 import itertools
 import json
+import math
 import sys
 import time
 import warnings
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, List, Optional, Tuple, Union
 
 import click
 import yaml
 
 from . import __version__
-from .model import BeliefVector, HorizonSpec, TransitionModel
+from .model import ActionSet, BeliefVector, HorizonSpec, TransitionModel
 from .dp import FiniteHorizonSolver, ResourceLimitError
 from .policies import (
     FixedSetPolicy,
@@ -43,7 +50,6 @@ from .policies import (
 )
 from .sim import SimConfig, common_random_numbers_compare, simulate, write_traces
 from .verify import (
-    REGIMES,
     InstanceSampler,
     check_affinity,
     check_lemma2_reduction,
@@ -73,131 +79,196 @@ def _fmt(x: Any) -> str:
     return str(x)
 
 
-def _require_keys(section: dict, allowed: set, required: set, where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    missing = required - set(section)
-    if missing:
-        raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
+_CHECKS = {
+    "theorem1": check_theorem1,
+    "lemma3A": check_lemma3_A,
+    "lemma3B": check_lemma3_B,
+    "lemma2": check_lemma2_reduction,
+    "affinity": check_affinity,
+}
+_PROPERTIES = [*_CHECKS, "negative-scan"]
+# The lemma 3 and lemma 2 statements are about sorted belief vectors.
+_SORTED_BELIEFS = ("lemma3A", "lemma3B", "lemma2")
+
+_POLICIES = {
+    "greedy": lambda c, max_states: GreedyPolicy(c.k),
+    "optimal": lambda c, max_states: OptimalPolicy(c.model, c.horizon, c.k, max_states),
+    "ordered-list": lambda c, max_states: OrderedListPolicy(c.k),
+    "round-robin": lambda c, max_states: RoundRobinPolicy(c.n, c.k),
+    "random": lambda c, max_states: UniformRandomPolicy(c.n, c.k),
+}
+
+# Allowed keys of each mapping, with their defaults; _REQUIRED keys have none.
+_REQUIRED = object()
+_INSTANCE_KEYS = {
+    "kind": _REQUIRED, "seed": 0, "model": _REQUIRED, "horizon": _REQUIRED,
+    "n": _REQUIRED, "k": _REQUIRED, "initial_belief": "stationary",
+}
+_KEYS = {
+    "solve": _INSTANCE_KEYS,
+    "simulate": {**_INSTANCE_KEYS, "policy": "greedy", "policies": None, "replications": 1000},
+    "compare": {**_INSTANCE_KEYS, "policies": _REQUIRED, "replications": 1000},
+    "verify": {"kind": _REQUIRED, "seed": 0, "verify": {}},
+}
+_MODEL_KEYS = {"p01": _REQUIRED, "p11": _REQUIRED}
+_HORIZON_KEYS = {"T": _REQUIRED, "beta": 1.0}
+_POLICY_KEYS = {"name": _REQUIRED, "indices": None}
+_VERIFY_KEYS = {
+    "properties": _PROPERTIES, "count": 100, "regime": "positive", "n_max": 5, "T_max": 5,
+}
+# sim keys its Philox streams by the seed modulo 2**64.
+_SEED_MAX = 2**64 - 1
 
 
-def _as_dict(value: Any, where: str) -> dict:
+@dataclass(frozen=True)
+class _Experiment:
+    """One parsed and checked config; the runners read nothing else."""
+
+    mapping: dict  # the config as written, echoed into meta.json
+    kind: str
+    seed: int
+    # solve, simulate, compare: the instance (solve ignores replications)
+    instance: Optional[SimConfig] = None
+    # simulate, compare: a policy name, or a fixed policy's channels
+    policies: Tuple[Union[str, ActionSet], ...] = ()
+    # verify
+    properties: Tuple[str, ...] = ()
+    count: int = 0
+    sampler: Optional[InstanceSampler] = None
+
+
+def _fields(value: Any, table: dict, where: str) -> dict:
+    """`value` checked as a mapping over the keys of `table`, defaults filled in."""
     if not isinstance(value, dict):
         raise ConfigError(f"{where} must be a mapping, got {type(value).__name__}")
+    unknown = [key for key in value if key not in table]
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown, key=str)}")
+    missing = [key for key, default in table.items() if default is _REQUIRED and key not in value]
+    if missing:
+        raise ConfigError(f"missing keys in {where}: {missing}")
+    return {key: value.get(key, default) for key, default in table.items()}
+
+
+def _int(value: Any, where: str, low: float = -math.inf, high: float = math.inf) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    if not low <= value <= high:
+        raise ConfigError(f"{where} must lie in [{low}, {high}], got {value}")
     return value
 
 
-def load_config(path: str) -> dict:
+def _prob(value: Any, where: str) -> float:
+    """A number; the model and belief constructors check that it is a probability."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
     try:
-        with open(path) as f:
-            cfg = yaml.safe_load(f)
-    except (OSError, yaml.YAMLError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
-    cfg = _as_dict(cfg, "config")
-    allowed = {
-        "kind", "model", "horizon", "n", "k", "initial_belief", "policy",
-        "policies", "replications", "seed", "verify", "grid",
-    }
-    _require_keys(cfg, allowed, {"kind"}, "config")
-    if cfg["kind"] not in ("solve", "simulate", "compare", "verify"):
-        raise ConfigError(f"unknown experiment kind {cfg['kind']!r}")
-    return cfg
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{where} is out of range, got {value!r}")
 
 
-def _parse_model(cfg: dict) -> TransitionModel:
-    section = _as_dict(cfg.get("model"), "model")
-    _require_keys(section, {"p01", "p11"}, {"p01", "p11"}, "model")
+def load_config(cfg: dict, seed: Optional[int] = None) -> _Experiment:
+    """Parse and check one config mapping; `seed`, when given, overrides its seed.
+
+    Every check runs here, before any work: a malformed or out-of-range value
+    raises ConfigError, and the library constructors' range checks are
+    re-raised as ConfigError.
+    """
+    kind = cfg.get("kind")
+    if not isinstance(kind, str) or kind not in _KEYS:
+        raise ConfigError(f"unknown experiment kind {kind!r}; expected one of {list(_KEYS)}")
+    values = _fields(cfg, _KEYS[kind], "config")
+    seed = _int(values["seed"] if seed is None else seed, "seed", 0, _SEED_MAX)
     try:
-        return TransitionModel(float(section["p01"]), float(section["p11"]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad model: {exc}")
+        if kind == "verify":
+            return _Experiment(cfg, kind, seed, **_verify_fields(values["verify"], seed))
+        instance = _instance(values, seed)
+        return _Experiment(cfg, kind, seed, instance, _policy_specs(cfg, values, instance))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
-def _parse_horizon(cfg: dict) -> HorizonSpec:
-    section = _as_dict(cfg.get("horizon"), "horizon")
-    _require_keys(section, {"T", "beta"}, {"T"}, "horizon")
-    try:
-        return HorizonSpec(int(section["T"]), float(section.get("beta", 1.0)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad horizon: {exc}")
-
-
-def _parse_belief(cfg: dict, n: int, model: TransitionModel) -> BeliefVector:
-    raw = cfg.get("initial_belief", "stationary")
+def _instance(values: dict, seed: int) -> SimConfig:
+    section = _fields(values["model"], _MODEL_KEYS, "model")
+    model = TransitionModel(_prob(section["p01"], "model.p01"), _prob(section["p11"], "model.p11"))
+    section = _fields(values["horizon"], _HORIZON_KEYS, "horizon")
+    horizon = HorizonSpec(_int(section["T"], "horizon.T"), _prob(section["beta"], "horizon.beta"))
+    n, k = _int(values["n"], "n"), _int(values["k"], "k")
+    raw = values["initial_belief"]
     if raw == "stationary":
         try:
             star = model.stationary_belief()
         except ValueError:
-            warnings.warn(
-                "stationary belief undefined for p11=1, p01=0; using 0.5"
-            )
+            warnings.warn("stationary belief undefined for p11=1, p01=0; using 0.5")
             star = 0.5
-        return BeliefVector.initial((star,) * n)
-    if isinstance(raw, list):
-        if len(raw) != n:
-            raise ConfigError(f"initial_belief has {len(raw)} entries, expected n={n}")
-        try:
-            return BeliefVector.initial(tuple(float(w) for w in raw))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad initial_belief: {exc}")
-    raise ConfigError("initial_belief must be a list of probabilities or 'stationary'")
-
-
-def _build_policy(
-    spec: Any,
-    n: int,
-    k: int,
-    model: TransitionModel,
-    horizon: HorizonSpec,
-    max_states: int,
-) -> Policy:
-    if isinstance(spec, str):
-        name, params = spec, {}
+        omega = (star,) * n
+    elif isinstance(raw, list):
+        omega = tuple(_prob(w, "initial_belief entry") for w in raw)
     else:
-        section = _as_dict(spec, "policy")
-        _require_keys(section, {"name", "indices"}, {"name"}, "policy")
-        name, params = section["name"], section
-    if name == "greedy":
-        return GreedyPolicy(k)
-    if name == "optimal":
-        return OptimalPolicy(model, horizon, k, max_states)
-    if name == "ordered-list":
-        return OrderedListPolicy(k)
-    if name == "round-robin":
-        return RoundRobinPolicy(n, k)
-    if name == "random":
-        return UniformRandomPolicy(n, k)
+        raise ConfigError("initial_belief must be a list of probabilities or 'stationary'")
+    replications = _int(values.get("replications", 1), "replications")
+    return SimConfig(model, horizon, n, k, BeliefVector(omega), replications, seed)
+
+
+def _policy_specs(cfg: dict, values: dict, instance: SimConfig) -> tuple:
+    if values["kind"] == "solve":
+        return ()
+    if "policy" in cfg and "policies" in cfg:
+        raise ConfigError("give either 'policy' or 'policies', not both")
+    specs = cfg.get("policies", [values.get("policy")])
+    compare = values["kind"] == "compare"
+    if not isinstance(specs, list) or not specs or (compare and len(specs) != 2):
+        size = "exactly two" if compare else "one or more"
+        raise ConfigError(f"{values['kind']} needs a 'policies' list with {size} entries")
+    return tuple(_policy_spec(spec, instance) for spec in specs)
+
+
+def _policy_spec(spec: Any, instance: SimConfig) -> Union[str, ActionSet]:
+    spec = {"name": spec} if isinstance(spec, str) else spec
+    name = _fields(spec, _POLICY_KEYS, "policy")["name"]
     if name == "fixed":
-        if "indices" not in params:
+        indices = spec.get("indices")
+        if not isinstance(indices, list):
             raise ConfigError("fixed policy needs an 'indices' list")
-        try:
-            policy = FixedSetPolicy([int(i) for i in params["indices"]])
-            policy.action_set.validate_for(n, k)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad fixed policy indices: {exc}")
-        return policy
-    raise ConfigError(f"unknown policy {name!r}")
+        action = ActionSet(tuple(_int(i, "fixed policy index") for i in indices))
+        action.validate_for(instance.n, instance.k)
+        return action
+    if not isinstance(name, str) or name not in _POLICIES:
+        raise ConfigError(f"unknown policy {name!r}")
+    if "indices" in spec:
+        raise ConfigError(f"'indices' applies only to the fixed policy, not {name!r}")
+    return name
 
 
-def _parse_nk(cfg: dict) -> tuple:
-    try:
-        n, k = int(cfg["n"]), int(cfg["k"])
-    except (KeyError, TypeError, ValueError):
-        raise ConfigError("config needs integer n and k")
-    if not (1 <= k <= n):
-        raise ConfigError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return n, k
+def _verify_fields(section: Any, seed: int) -> dict:
+    values = _fields(section, _VERIFY_KEYS, "verify")
+    props = values["properties"]
+    if not isinstance(props, list) or any(prop not in _PROPERTIES for prop in props):
+        raise ConfigError(f"verify.properties must be a list drawn from {_PROPERTIES}, got {props!r}")
+    if values["regime"] == "negative" and "theorem1" in props:
+        raise ConfigError("theorem1 holds only for p11 >= p01; it cannot run with regime 'negative'")
+    n_max = _int(values["n_max"], "verify.n_max", 2)
+    t_max = _int(values["T_max"], "verify.T_max", 1)
+    return {
+        "properties": tuple(props),
+        "count": _int(values["count"], "verify.count", 0),
+        "sampler": InstanceSampler(seed, values["regime"], (2, n_max), (1, t_max)),
+    }
 
 
-def _run_solve(cfg: dict, seed: int, max_states: int) -> List[dict]:
-    model, horizon = _parse_model(cfg), _parse_horizon(cfg)
-    n, k = _parse_nk(cfg)
-    belief = _parse_belief(cfg, n, model)
-    solver = FiniteHorizonSolver(model, horizon, k, max_states)
+def _build_policy(spec: Union[str, ActionSet], instance: SimConfig, max_states: int) -> Policy:
+    if isinstance(spec, ActionSet):
+        return FixedSetPolicy(spec.indices)
+    return _POLICIES[spec](instance, max_states)
+
+
+def _run_solve(exp: _Experiment, max_states: int) -> List[dict]:
+    c = exp.instance
+    solver = FiniteHorizonSolver(c.model, c.horizon, c.k, max_states)
     t0 = time.perf_counter()
-    result = solver.optimal_value(belief, 1)
-    gv = solver.greedy_value(belief, 1)
+    result = solver.optimal_value(c.initial_belief, 1)
+    gv = solver.greedy_value(c.initial_belief, 1)
     runtime = time.perf_counter() - t0
     return [
         {
@@ -212,30 +283,11 @@ def _run_solve(cfg: dict, seed: int, max_states: int) -> List[dict]:
     ]
 
 
-def _sim_config(cfg: dict, seed: int, traces: bool) -> SimConfig:
-    model, horizon = _parse_model(cfg), _parse_horizon(cfg)
-    n, k = _parse_nk(cfg)
-    belief = _parse_belief(cfg, n, model)
-    try:
-        reps = int(cfg.get("replications", 1000))
-    except (TypeError, ValueError):
-        raise ConfigError("replications must be an integer")
-    try:
-        return SimConfig(model, horizon, n, k, belief, reps, seed, traces)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
-def _run_simulate(cfg: dict, seed: int, max_states: int, out_dir: Path, traces: bool) -> List[dict]:
-    sim_cfg = _sim_config(cfg, seed, traces)
-    specs = cfg.get("policies", [cfg.get("policy", "greedy")])
-    if not isinstance(specs, list):
-        raise ConfigError("policies must be a list")
+def _run_simulate(exp: _Experiment, max_states: int, out_dir: Path, traces: bool) -> List[dict]:
+    sim_cfg = replace(exp.instance, record_traces=traces)
     rows = []
-    for i, spec in enumerate(specs):
-        policy = _build_policy(
-            spec, sim_cfg.n, sim_cfg.k, sim_cfg.model, sim_cfg.horizon, max_states
-        )
+    for spec in exp.policies:
+        policy = _build_policy(spec, sim_cfg, max_states)
         t0 = time.perf_counter()
         summary = simulate(sim_cfg, policy)
         runtime = time.perf_counter() - t0
@@ -254,17 +306,10 @@ def _run_simulate(cfg: dict, seed: int, max_states: int, out_dir: Path, traces: 
     return rows
 
 
-def _run_compare(cfg: dict, seed: int, max_states: int) -> List[dict]:
-    sim_cfg = _sim_config(cfg, seed, False)
-    specs = cfg.get("policies")
-    if not (isinstance(specs, list) and len(specs) == 2):
-        raise ConfigError("compare needs a 'policies' list with exactly two entries")
-    pa, pb = (
-        _build_policy(s, sim_cfg.n, sim_cfg.k, sim_cfg.model, sim_cfg.horizon, max_states)
-        for s in specs
-    )
+def _run_compare(exp: _Experiment, max_states: int) -> List[dict]:
+    pa, pb = (_build_policy(spec, exp.instance, max_states) for spec in exp.policies)
     t0 = time.perf_counter()
-    paired = common_random_numbers_compare(sim_cfg, pa, pb)
+    paired = common_random_numbers_compare(exp.instance, pa, pb)
     runtime = time.perf_counter() - t0
     return [
         {
@@ -280,95 +325,41 @@ def _run_compare(cfg: dict, seed: int, max_states: int) -> List[dict]:
     ]
 
 
-_CHECKS = {
-    "theorem1": check_theorem1,
-    "lemma3A": check_lemma3_A,
-    "lemma3B": check_lemma3_B,
-    "lemma2": check_lemma2_reduction,
-    "affinity": check_affinity,
-}
-
-
-def _verify_int(section: dict, name: str, default: int, minimum: int) -> int:
-    value = section.get(name, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"verify.{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"verify.{name} must be >= {minimum}, got {value}")
-    return value
-
-
-def _run_verify(cfg: dict, seed: int, max_states: int, out_dir: Path) -> tuple:
-    """Returns (rows, total violations, resource errors)."""
-    section = _as_dict(cfg.get("verify", {}), "verify")
-    allowed = {"properties", "count", "regime", "n_max", "T_max"}
-    _require_keys(section, allowed, set(), "verify")
-    props = section.get("properties", list(_CHECKS) + ["negative-scan"])
-    if not isinstance(props, list):
-        raise ConfigError("verify.properties must be a list")
-    for prop in props:
-        if prop != "negative-scan" and prop not in _CHECKS:
-            raise ConfigError(f"unknown verify property {prop!r}")
-    count = _verify_int(section, "count", 100, 0)
-    n_max = _verify_int(section, "n_max", 5, 2)
-    t_max = _verify_int(section, "T_max", 5, 1)
-    regime = section.get("regime", "positive")
-    if regime not in REGIMES:
-        raise ConfigError(f"verify.regime must be one of {list(REGIMES)}, got {regime!r}")
-    if regime == "negative" and "theorem1" in props:
-        raise ConfigError("theorem1 holds only for p11 >= p01; it cannot run with regime 'negative'")
-    results: Dict[str, list] = {}
+def _run_verify(exp: _Experiment, max_states: int, out_dir: Path) -> tuple:
+    """Returns (rows, total violations)."""
+    results = {}
     rows = []
     n_violations = 0
-    n_errors = 0
     all_viols = []
-    for prop in props:
+    for prop in exp.properties:
         if prop == "negative-scan":
-            samp = InstanceSampler(
-                seed=seed, regime="negative", n_range=(2, n_max), T_range=(1, t_max)
-            )
-            report = scan_negative_regime(samp, count, max_states)
+            sampler = replace(exp.sampler, regime="negative")
+            report = scan_negative_regime(sampler, exp.count, max_states)
             (out_dir / "negative_scan.json").write_text(
                 json.dumps(report.to_dict(), sort_keys=True, indent=2)
             )
-            rows.append(
-                {
-                    "instance": prop,
-                    "policy": "greedy",
-                    "violations": len(report.findings),
-                    "errors": len(report.errors),
-                    "count": count,
-                }
-            )
-            n_errors += len(report.errors)
-            continue
-        samp = InstanceSampler(
-            seed=seed,
-            regime=regime,
-            n_range=(2, n_max),
-            T_range=(1, t_max),
-            sorted_beliefs=prop in ("lemma3A", "lemma3B", "lemma2"),
-        )
-        viols = _CHECKS[prop](samp, count, max_states)
-        real = [v for v in viols if v.error is None]
-        errs = [v for v in viols if v.error is not None]
-        results[prop] = viols
-        all_viols.extend(viols)
-        n_violations += len(real)
-        n_errors += len(errs)
+            found, errors = len(report.findings), len(report.errors)
+        else:
+            sampler = replace(exp.sampler, sorted_beliefs=prop in _SORTED_BELIEFS)
+            viols = _CHECKS[prop](sampler, exp.count, max_states)
+            found = sum(v.error is None for v in viols)
+            errors = len(viols) - found
+            results[prop] = viols
+            all_viols.extend(viols)
+            n_violations += found
         rows.append(
             {
                 "instance": prop,
                 "policy": "greedy",
-                "violations": len(real),
-                "errors": len(errs),
-                "count": count,
+                "violations": found,
+                "errors": errors,
+                "count": exp.count,
             }
         )
     (out_dir / "violations.json").write_text(violations_to_json(all_viols) + "\n")
     if results:
         click.echo(summary_table(results))
-    return rows, n_violations, n_errors
+    return rows, n_violations
 
 
 def _write_csv(path: Path, rows: List[dict]) -> None:
@@ -391,45 +382,61 @@ def _write_sidecar(path: Path, cfg: dict, seed: int, wall: float) -> None:
         "seed": seed,
         "wall_time_s": wall,
     }
-    path.write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(sidecar, sort_keys=True, indent=2, default=str) + "\n")
 
 
-def _execute(cfg: dict, seed: int, max_states: int, out_dir: Path, traces: bool) -> int:
+def _execute(exp: _Experiment, max_states: int, out_dir: Path, traces: bool) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     status = EXIT_OK
-    if cfg["kind"] == "solve":
-        rows = _run_solve(cfg, seed, max_states)
-    elif cfg["kind"] == "simulate":
-        rows = _run_simulate(cfg, seed, max_states, out_dir, traces)
-    elif cfg["kind"] == "compare":
-        rows = _run_compare(cfg, seed, max_states)
+    if exp.kind == "solve":
+        rows = _run_solve(exp, max_states)
+    elif exp.kind == "simulate":
+        rows = _run_simulate(exp, max_states, out_dir, traces)
+    elif exp.kind == "compare":
+        rows = _run_compare(exp, max_states)
     else:
-        rows, n_violations, _ = _run_verify(cfg, seed, max_states, out_dir)
+        rows, n_violations = _run_verify(exp, max_states, out_dir)
         if n_violations:
             status = EXIT_VIOLATIONS
     _write_csv(out_dir / "results.csv", rows)
-    _write_sidecar(out_dir / "meta.json", cfg, seed, time.perf_counter() - t0)
+    _write_sidecar(out_dir / "meta.json", exp.mapping, exp.seed, time.perf_counter() - t0)
     return status
+
+
+def _read_mapping(path: str) -> dict:
+    try:
+        with open(path) as f:
+            cfg = yaml.safe_load(f)
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config must be a mapping, got {type(cfg).__name__}")
+    return cfg
 
 
 def _grid_points(grid: dict) -> List[dict]:
     """Every combination of axis values; each axis must be a nonempty list."""
+    for key, values in grid.items():
+        if not isinstance(key, str):
+            raise ConfigError(f"grid axis {key!r} must be a dotted config path")
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"grid axis {key!r} must be a nonempty list, got {values!r}")
     keys = sorted(grid)
-    for key in keys:
-        if not isinstance(grid[key], list) or not grid[key]:
-            raise ConfigError(f"grid axis {key!r} must be a nonempty list, got {grid[key]!r}")
     return [dict(zip(keys, values)) for values in itertools.product(*(grid[k] for k in keys))]
 
 
-def _apply_override(cfg: dict, dotted: str, value: Any) -> None:
-    parts = dotted.split(".")
-    node = cfg
-    for p in parts[:-1]:
-        node = node.setdefault(p, {})
-        if not isinstance(node, dict):
-            raise ConfigError(f"grid axis {dotted!r} does not address a mapping")
-    node[parts[-1]] = value
+def _point_config(base: dict, overrides: dict) -> dict:
+    cfg = copy.deepcopy(base)
+    for dotted, value in overrides.items():
+        parts = dotted.split(".")
+        node = cfg
+        for p in parts[:-1]:
+            node = node.setdefault(p, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"grid axis {dotted!r} does not address a mapping")
+        node[parts[-1]] = value
+    return cfg
 
 
 @click.group()
@@ -437,107 +444,87 @@ def main() -> None:
     """Finite-horizon opportunistic channel access experiments."""
 
 
-def _common_options(fn):
-    fn = click.option("--seed", type=int, default=None, help="Override the config seed.")(fn)
-    fn = click.option("--out-dir", type=click.Path(), default="results",
-                      show_default=True)(fn)
-    fn = click.option("--max-memo", type=int, default=10_000_000, show_default=True,
-                      help="Cap on memoised DP states.")(fn)
-    fn = click.option("--traces/--no-traces", default=False,
-                      help="Export per-step simulation traces (JSONL).")(fn)
-    return fn
+def _command(body):
+    """Register `body` as a subcommand taking CONFIG and the common options.
+
+    `body` returns the exit status; a config error exits 2 and a resource cap
+    exits 4, each with its message on stderr.
+    """
+
+    @functools.wraps(body)
+    def callback(**kwargs):
+        try:
+            status = body(**kwargs)
+        except ConfigError as exc:
+            click.echo(f"config error: {exc}", err=True)
+            status = EXIT_CONFIG
+        except ResourceLimitError as exc:
+            click.echo(f"resource cap: {exc}", err=True)
+            status = EXIT_RESOURCE
+        sys.exit(status)
+
+    callback = click.option("--seed", type=int, default=None,
+                            help="Override the config seed.")(callback)
+    callback = click.option("--out-dir", type=click.Path(), default="results",
+                            show_default=True)(callback)
+    callback = click.option("--max-memo", type=int, default=10_000_000, show_default=True,
+                            help="Cap on memoised DP states.")(callback)
+    callback = click.option("--traces/--no-traces", default=False,
+                            help="Export per-step simulation traces (JSONL).")(callback)
+    callback = click.argument("config", type=click.Path())(callback)
+    return main.command()(callback)
 
 
-def _resolve_seed(cfg: dict, seed: Optional[int]) -> int:
-    if seed is not None:
-        return seed
-    raw = cfg.get("seed", 0)
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise ConfigError("seed must be an integer")
-
-
-@main.command()
-@click.argument("config", type=click.Path())
-@_common_options
+@_command
 def run(config, seed, out_dir, max_memo, traces):
     """Execute the experiment described by CONFIG."""
-    try:
-        cfg = load_config(config)
-        the_seed = _resolve_seed(cfg, seed)
-        status = _execute(cfg, the_seed, max_memo, Path(out_dir), traces)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    except ResourceLimitError as exc:
-        click.echo(f"resource cap: {exc}", err=True)
-        sys.exit(EXIT_RESOURCE)
-    sys.exit(status)
+    return _execute(load_config(_read_mapping(config), seed), max_memo, Path(out_dir), traces)
 
 
-@main.command()
-@click.argument("config", type=click.Path())
-@_common_options
+@_command
 def sweep(config, seed, out_dir, max_memo, traces):
     """Repeat the experiment over the config's parameter grid."""
-    try:
-        cfg = load_config(config)
-        grid = _as_dict(cfg.get("grid"), "grid")
-        if not grid:
-            raise ConfigError("sweep config needs a nonempty 'grid' mapping")
-        the_seed = _resolve_seed(cfg, seed)
-        base = {k: v for k, v in cfg.items() if k != "grid"}
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        all_rows: List[dict] = []
-        status = EXIT_OK
-        t0 = time.perf_counter()
-        for point_id, overrides in enumerate(_grid_points(grid)):
-            point_cfg = json.loads(json.dumps(base))
+    cfg = _read_mapping(config)
+    grid = cfg.get("grid")
+    if not isinstance(grid, dict) or not grid:
+        raise ConfigError("sweep config needs a nonempty 'grid' mapping")
+    base = {key: value for key, value in cfg.items() if key != "grid"}
+    # Every point is parsed before any directory is made or any point runs.
+    points = [
+        (overrides, load_config(_point_config(base, overrides), seed))
+        for overrides in _grid_points(grid)
+    ]
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    all_rows: List[dict] = []
+    status = EXIT_OK
+    t0 = time.perf_counter()
+    for point_id, (overrides, exp) in enumerate(points):
+        point_dir = out / f"point_{point_id:04d}"
+        status = max(status, _execute(exp, max_memo, point_dir, traces))
+        with open(point_dir / "results.csv", newline="") as f:
+            point_rows = list(csv.DictReader(f))
+        annotations = {}
+        if exp.instance is not None:
+            positive = exp.instance.model.positively_correlated
+            annotations["regime"] = "positive" if positive else "negative"
+            if not positive:
+                # A solve point has the gap already; its CSV text round-trips.
+                annotations["negative_scan_gap"] = (
+                    point_rows[0] if exp.kind == "solve" else _run_solve(exp, max_memo)[0]
+                )["greedy_gap"]
+        for row in point_rows:
+            row["grid_point"] = point_id
             for dotted, value in overrides.items():
-                _apply_override(point_cfg, dotted, value)
-            point_dir = out / f"point_{point_id:04d}"
-            rc = _execute(point_cfg, the_seed, max_memo, point_dir, traces)
-            status = max(status, rc)
-            with open(point_dir / "results.csv", newline="") as f:
-                point_rows = list(csv.DictReader(f))
-            model = _parse_model(point_cfg) if "model" in point_cfg else None
-            annotations = {}
-            if model is not None and point_rows:
-                annotations["regime"] = (
-                    "positive" if model.positively_correlated else "negative"
-                )
-                if not model.positively_correlated:
-                    # A solve point has the gap already; its CSV text round-trips.
-                    annotations["negative_scan_gap"] = (
-                        point_rows[0]["greedy_gap"]
-                        if point_cfg["kind"] == "solve"
-                        else _point_negative_gap(point_cfg, the_seed, max_memo)
-                    )
-            for row in point_rows:
-                row["grid_point"] = point_id
-                for dotted, value in overrides.items():
-                    row[f"grid.{dotted}"] = value
-                row.update(annotations)
-                all_rows.append(row)
-        fields = sorted({k for r in all_rows for k in r})
-        normalized = [{f: r.get(f, "") for f in fields} for r in all_rows]
-        _write_csv(out / "results.csv", normalized)
-        _write_sidecar(out / "meta.json", cfg, the_seed, time.perf_counter() - t0)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    except ResourceLimitError as exc:
-        click.echo(f"resource cap: {exc}", err=True)
-        sys.exit(EXIT_RESOURCE)
-    sys.exit(status)
+                row[f"grid.{dotted}"] = value
+            row.update(annotations)
+            all_rows.append(row)
+    fields = sorted({k for r in all_rows for k in r})
+    normalized = [{f: r.get(f, "") for f in fields} for r in all_rows]
+    _write_csv(out / "results.csv", normalized)
+    _write_sidecar(out / "meta.json", cfg, points[0][1].seed, time.perf_counter() - t0)
+    return status
 
 
-def _point_negative_gap(cfg: dict, seed: int, max_states: int) -> float:
-    """Greedy/optimal gap of the grid point's own instance (negative regime)."""
-    model, horizon = _parse_model(cfg), _parse_horizon(cfg)
-    n, k = _parse_nk(cfg)
-    belief = _parse_belief(cfg, n, model)
-    solver = FiniteHorizonSolver(model, horizon, k, max_states)
-    return solver.optimal_value(belief, 1).value - solver.greedy_value(belief, 1)
+if __name__ == "__main__":
+    main()

@@ -4,10 +4,8 @@ Channels are independent, statistically identical two-state Markov chains
 ("good" = 1, "bad" = 0) parametrised by the transition probabilities p01
 (bad -> good) and p11 (good -> good).  The decision maker's information state
 is the vector of per-channel probabilities of being good right now; this
-module owns that representation and every single-step operation on it:
-belief propagation for unobserved channels, Bayesian collapse to p11/p01 on
-observation, outcome probabilities for a sensed subset, and the one-step
-expected reward.
+module owns that representation, sensing sets, and belief propagation for
+unobserved channels.
 
 Channel indices are 1-based throughout the public API.
 """
@@ -16,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 #: Absolute tolerance for probability-domain and probability-sum checks.
 PROB_TOL = 1e-12
@@ -74,23 +72,13 @@ class HorizonSpec:
             raise ValueError(f"discount beta must lie in [0, 1], got {self.beta}")
 
 
-# Provenance tags: each belief entry is exactly one of
-#   ("G", m)    -- tau^m(p11), channel observed good m steps ago
-#   ("B", m)    -- tau^m(p01), channel observed bad m steps ago
-#   ("I", i, m) -- tau^m(omega_i(1)), channel i never observed since the start
-# Tracking these lets exact solvers memoise on discrete keys instead of floats.
+# Optional provenance tags: each belief entry is ("G", m), tau^m(p11), or
+# ("B", m), tau^m(p01), for a channel observed good or bad m steps ago.
+# Exact solvers memoise tagged entries on these discrete keys instead of floats.
 Tag = Tuple
 
 OBSERVED_GOOD = "G"
 OBSERVED_BAD = "B"
-INITIAL = "I"
-
-
-def age_tag(tag: Tag) -> Tag:
-    """Tag after one more unobserved propagation step."""
-    if tag[0] == INITIAL:
-        return (INITIAL, tag[1], tag[2] + 1)
-    return (tag[0], tag[1] + 1)
 
 
 @dataclass(frozen=True)
@@ -107,13 +95,6 @@ class BeliefVector:
             _check_prob(w, f"omega[{i}]")
         if self.tags is not None and len(self.tags) != len(self.omega):
             raise ValueError("provenance tags must align with omega")
-
-    @classmethod
-    def initial(cls, omega: Sequence[float]) -> "BeliefVector":
-        """Fresh belief with Initial(i) provenance on every entry."""
-        values = tuple(float(w) for w in omega)
-        tags = tuple((INITIAL, i + 1, 0) for i in range(len(values)))
-        return cls(values, tags)
 
     @property
     def n(self) -> int:
@@ -145,14 +126,6 @@ class ActionSet:
         return len(self.indices)
 
 
-@dataclass(frozen=True)
-class OutcomeRealization:
-    """Joint observation on a sensed subset: bits aligned with the sorted action."""
-
-    bits: Tuple[int, ...]
-    probability: float
-
-
 def tau(omega: float, model: TransitionModel) -> float:
     """One-step belief propagation for an unobserved channel."""
     if not (-PROB_TOL <= omega <= 1.0 + PROB_TOL):
@@ -166,61 +139,6 @@ def tau_iterate(omega: float, model: TransitionModel, steps: int) -> float:
     for _ in range(steps):
         omega = tau(omega, model)
     return omega
-
-
-def outcome_probability(beliefs_on_action: Sequence[float], bits: Sequence[int]) -> float:
-    """Probability that the sensed channels realise the given 0/1 pattern."""
-    if len(beliefs_on_action) != len(bits):
-        raise ValueError(
-            f"length mismatch: {len(beliefs_on_action)} beliefs vs {len(bits)} bits"
-        )
-    p = 1.0
-    for w, b in zip(beliefs_on_action, bits):
-        _check_prob(w, "belief")
-        p *= w if b else (1.0 - w)
-    return p
-
-
-def enumerate_outcomes(belief: BeliefVector, action: ActionSet) -> Iterator[OutcomeRealization]:
-    """All 2^k joint realisations of the sensed channels with their probabilities."""
-    action.validate_for(belief.n)
-    sensed = [belief.omega[i - 1] for i in action.indices]
-    for bits in itertools.product((0, 1), repeat=len(sensed)):
-        yield OutcomeRealization(bits, outcome_probability(sensed, bits))
-
-
-def update_belief(
-    belief: BeliefVector,
-    action: ActionSet,
-    outcome: OutcomeRealization,
-    model: TransitionModel,
-) -> BeliefVector:
-    """Next-step belief: observed channels collapse to p11/p01, the rest propagate by tau."""
-    action.validate_for(belief.n)
-    if len(outcome.bits) != action.k:
-        raise ValueError(
-            f"outcome has {len(outcome.bits)} bits but action senses {action.k} channels"
-        )
-    bit_by_channel = dict(zip(action.indices, outcome.bits))
-    values = []
-    tags: Optional[list] = [] if belief.tags is not None else None
-    for i, w in enumerate(belief.omega, start=1):
-        if i in bit_by_channel:
-            good = bit_by_channel[i]
-            values.append(model.p11 if good else model.p01)
-            if tags is not None:
-                tags.append((OBSERVED_GOOD, 0) if good else (OBSERVED_BAD, 0))
-        else:
-            values.append(tau(w, model))
-            if tags is not None:
-                tags.append(age_tag(belief.tags[i - 1]))
-    return BeliefVector(tuple(values), tuple(tags) if tags is not None else None)
-
-
-def immediate_reward(belief: BeliefVector, action: ActionSet) -> float:
-    """One-step expected reward of sensing `action`: sum of the selected beliefs."""
-    action.validate_for(belief.n)
-    return sum(belief.omega[i - 1] for i in action.indices)
 
 
 def enumerate_actions(n: int, k: int) -> list[ActionSet]:

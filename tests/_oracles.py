@@ -6,7 +6,8 @@ path with the package's recursions.
 """
 
 import itertools
-from typing import NamedTuple, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,6 +21,72 @@ from oppaccess import (
     tau,
 )
 from oppaccess.dp import _left_sum
+from oppaccess.model import OBSERVED_BAD, OBSERVED_GOOD, _check_prob
+
+
+@dataclass(frozen=True)
+class OutcomeRealization:
+    """Joint observation on a sensed subset: bits aligned with the sorted action."""
+
+    bits: Tuple[int, ...]
+    probability: float
+
+
+def outcome_probability(beliefs_on_action: Sequence[float], bits: Sequence[int]) -> float:
+    """Probability that the sensed channels realise the given 0/1 pattern."""
+    if len(beliefs_on_action) != len(bits):
+        raise ValueError(
+            f"length mismatch: {len(beliefs_on_action)} beliefs vs {len(bits)} bits"
+        )
+    p = 1.0
+    for w, b in zip(beliefs_on_action, bits):
+        _check_prob(w, "belief")
+        p *= w if b else (1.0 - w)
+    return p
+
+
+def enumerate_outcomes(belief: BeliefVector, action: ActionSet) -> Iterator[OutcomeRealization]:
+    """All 2^k joint realisations of the sensed channels with their probabilities."""
+    action.validate_for(belief.n)
+    sensed = [belief.omega[i - 1] for i in action.indices]
+    for bits in itertools.product((0, 1), repeat=len(sensed)):
+        yield OutcomeRealization(bits, outcome_probability(sensed, bits))
+
+
+def update_belief(
+    belief: BeliefVector,
+    action: ActionSet,
+    outcome: OutcomeRealization,
+    model: TransitionModel,
+) -> BeliefVector:
+    """Next-step belief: observed channels collapse to p11/p01, the rest propagate
+    by tau; G/B provenance tags are reset on observation and aged otherwise."""
+    action.validate_for(belief.n)
+    if len(outcome.bits) != action.k:
+        raise ValueError(
+            f"outcome has {len(outcome.bits)} bits but action senses {action.k} channels"
+        )
+    bit_by_channel = dict(zip(action.indices, outcome.bits))
+    values = []
+    tags: Optional[list] = [] if belief.tags is not None else None
+    for i, w in enumerate(belief.omega, start=1):
+        if i in bit_by_channel:
+            good = bit_by_channel[i]
+            values.append(model.p11 if good else model.p01)
+            if tags is not None:
+                tags.append((OBSERVED_GOOD, 0) if good else (OBSERVED_BAD, 0))
+        else:
+            values.append(tau(w, model))
+            if tags is not None:
+                tag = belief.tags[i - 1]
+                tags.append((tag[0], tag[1] + 1))
+    return BeliefVector(tuple(values), tuple(tags) if tags is not None else None)
+
+
+def immediate_reward(belief: BeliefVector, action: ActionSet) -> float:
+    """One-step expected reward of sensing `action`: sum of the selected beliefs."""
+    action.validate_for(belief.n)
+    return sum(belief.omega[i - 1] for i in action.indices)
 
 
 def brute_force_optimal(omega, t, model: TransitionModel, horizon: HorizonSpec, k: int):

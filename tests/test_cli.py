@@ -1,10 +1,17 @@
 import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import oppaccess
 from oppaccess import FiniteHorizonSolver
 from oppaccess.cli import main
 
@@ -456,3 +463,187 @@ class TestVerifyConfigErrors:
         cfg = write_config(tmp_path, cfg_data)
         result = runner.invoke(main, ["run", cfg, "--out-dir", str(tmp_path / "out")])
         assert result.exit_code == 0, result.output
+
+
+SIM_CFG = dict(SOLVE_CFG, kind="simulate", replications=5)
+VERIFY_CFG = {
+    "kind": "verify",
+    "seed": 9,
+    "verify": {"properties": ["affinity"], "count": 1, "n_max": 3, "T_max": 2},
+}
+
+
+class TestRejectedBeforeAnyWork:
+    # (command, config, extra arguments)
+    CASES = {
+        "n-float": ("run", dict(SOLVE_CFG, n=3.7), []),
+        "n-bool": ("run", dict(SOLVE_CFG, n=True), []),
+        "T-float": ("run", dict(SOLVE_CFG, horizon={"T": 2.9}), []),
+        "p01-str": ("run", dict(SOLVE_CFG, model={"p01": "0.2", "p11": 0.8}), []),
+        "replications-float": ("run", dict(SIM_CFG, replications=2.5), []),
+        "seed-float": ("run", dict(SIM_CFG, seed=2.5), []),
+        "seed-2**64": ("run", dict(SIM_CFG, seed=2**64), []),
+        "seed-negative": ("run", dict(SIM_CFG, seed=-1), []),
+        "verify-seed-negative": ("run", dict(VERIFY_CFG, seed=-1), []),
+        "option-seed-negative": ("run", SIM_CFG, ["--seed", "-1"]),
+        "option-seed-2**64": ("run", SIM_CFG, ["--seed", str(2**64)]),
+        "fixed-index-float": ("run", dict(SIM_CFG, policy={"name": "fixed", "indices": [1.5]}), []),
+        "indices-on-greedy": ("run", dict(SIM_CFG, policy={"name": "greedy", "indices": [1]}), []),
+        "policies-empty": ("run", dict(SIM_CFG, policies=[]), []),
+        "policy-and-policies": ("run", dict(SIM_CFG, policy="greedy", policies=["random"]), []),
+        "p01-huge-int": ("run", dict(SOLVE_CFG, model={"p01": 10**400, "p11": 0.8}), []),
+        "property-unhashable": ("run", dict(VERIFY_CFG, verify={"properties": [[1]]}), []),
+        "grid-in-run": ("run", dict(SOLVE_CFG, grid={"k": [1]}), []),
+        "policy-in-solve": ("run", dict(SOLVE_CFG, policy="greedy"), []),
+        "model-in-verify": ("run", dict(VERIFY_CFG, model={"p01": 0.2, "p11": 0.8}), []),
+        "sweep-invalid-second-point": ("sweep", dict(SOLVE_CFG, grid={"model.p01": [0.3, 7]}), []),
+        "sweep-unknown-axis": ("sweep", dict(SOLVE_CFG, grid={"foo.bar": [1]}), []),
+        "sweep-unknown-kind": ("sweep", dict(VERIFY_CFG, grid={"kind": ["nope"]}), []),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exit_2_and_nothing_written(self, runner, tmp_path, case):
+        command, cfg_data, extra = self.CASES[case]
+        cfg = write_config(tmp_path, cfg_data)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, cfg, "--out-dir", str(out), *extra])
+        assert result.exit_code == 2, result.output
+        assert "config error:" in result.output
+        # No results.csv, meta.json or point_* directory: the out dir is never made.
+        assert not out.exists()
+
+
+def test_sweep_seed_axis_sets_each_point_seed(runner, tmp_path):
+    cfg = write_config(tmp_path, dict(SIM_CFG, replications=200, grid={"seed": [1, 2, 3]}))
+    out = tmp_path / "sweep"
+    result = runner.invoke(main, ["sweep", cfg, "--out-dir", str(out)])
+    assert result.exit_code == 0, result.output
+    assert len({row["simulated_mean"] for row in read_rows(out)}) == 3
+    for point, seed in enumerate([1, 2, 3]):
+        meta = json.loads((out / f"point_{point:04d}" / "meta.json").read_text())
+        assert meta["seed"] == seed
+
+
+def test_python_m_entry_point(tmp_path):
+    src = str(Path(oppaccess.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def run_module(cfg_data, out):
+        cfg = write_config(tmp_path, cfg_data, name=f"{out}.yaml")
+        command = [sys.executable, "-m", "oppaccess.cli", "run", cfg, "--out-dir", str(tmp_path / out)]
+        return subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+
+    ok = run_module(SOLVE_CFG, "ok")
+    assert ok.returncode == 0, ok.stderr
+    assert (tmp_path / "ok" / "results.csv").exists()
+    bad = run_module(dict(SOLVE_CFG, n=3.7), "bad")
+    assert bad.returncode == 2
+    assert "config error:" in bad.stderr
+    assert not (tmp_path / "bad").exists()
+
+
+# Fuzzing: random mappings and grids over known and junk keys.  Integers stay
+# small and --max-memo is tiny, so no example does real work; a verify section
+# always carries a count for the same reason (the default is 100 instances).
+_ints = st.integers(1, 3)
+_numbers = st.floats(0, 1) | st.sampled_from([0, 1, 0.2, 0.8])
+_POLICY_NAMES = ["greedy", "optimal", "ordered-list", "round-robin", "random", "fixed", "junk"]
+_PROPERTY_NAMES = ["theorem1", "lemma3A", "lemma3B", "lemma2", "affinity", "negative-scan", "junk"]
+_junk = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 4)
+    | st.sampled_from([2.5, 3.0, 1.5, math.nan, math.inf, "0.2", "junk"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["kind", "n", "p01", "count", "name", "junk"]), inner,
+                      max_size=3),
+    max_leaves=6,
+)
+
+
+def _mapping(fields, required=()):
+    return st.fixed_dictionaries(
+        {key: fields[key] for key in required},
+        optional={key: value for key, value in fields.items() if key not in required},
+    )
+
+
+_policy = st.sampled_from(_POLICY_NAMES) | _mapping(
+    {"name": st.sampled_from(_POLICY_NAMES), "indices": st.lists(_ints, max_size=3)}, ["name"]
+)
+_FIELDS = {
+    "seed": st.integers(0, 4),
+    "model": _mapping({"p01": _numbers, "p11": _numbers}, ["p01", "p11"]),
+    "horizon": _mapping({"T": _ints, "beta": _numbers}, ["T"]),
+    "n": _ints,
+    "k": st.integers(1, 2),
+    "initial_belief": st.just("stationary") | st.lists(_numbers, max_size=4),
+    "policy": _policy,
+    "policies": st.lists(_policy, max_size=3),
+    "replications": _ints,
+    "verify": _mapping(
+        {"count": _ints, "properties": st.lists(st.sampled_from(_PROPERTY_NAMES), max_size=3),
+         "regime": st.sampled_from(["positive", "negative", "boundary", "sideways"]),
+         "n_max": _ints, "T_max": _ints},
+        ["count"],
+    ),
+}
+_INSTANCE = ["model", "horizon", "n", "k"]
+# kind: (keys always drawn, keys sometimes drawn)
+_KINDS = {
+    "solve": (_INSTANCE, ["seed", "initial_belief", "policy"]),
+    "simulate": (_INSTANCE, ["seed", "initial_belief", "policy", "policies", "replications"]),
+    "compare": (_INSTANCE + ["policies"], ["seed", "initial_belief", "replications"]),
+    "verify": (["verify"], ["seed", "model"]),
+    "nope": ([], ["seed"]),
+}
+_AXES = {
+    "n": _ints, "k": st.integers(1, 2), "seed": st.integers(0, 4), "horizon.T": _ints,
+    "model.p01": _numbers,
+    "verify.count": _ints, "policy.name": st.sampled_from(_POLICY_NAMES), "foo.bar": _ints,
+    "kind": st.sampled_from(["solve", "simulate", "compare", "nope"]),
+}
+_grids = st.lists(st.sampled_from(list(_AXES)), min_size=1, max_size=2, unique=True).flatmap(
+    lambda axes: st.fixed_dictionaries({axis: st.lists(_AXES[axis], min_size=1, max_size=3) for axis in axes})
+)
+
+
+def _slots(node):
+    """Every (container, key) position in a nested config."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _slots(value)
+
+
+@st.composite
+def _configs(draw, with_grid):
+    """A config of one kind with its needed keys, some optional ones, and up
+    to two values anywhere in it replaced by junk."""
+    kind = draw(st.sampled_from(list(_KINDS)))
+    needed, optional = _KINDS[kind]
+    keys = needed + draw(st.lists(st.sampled_from(optional), max_size=2, unique=True))
+    cfg = {"kind": kind, **{key: draw(_FIELDS[key]) for key in keys}}
+    if with_grid:
+        cfg["grid"] = draw(_grids)
+    slots = list(_slots(cfg))
+    for i in draw(st.lists(st.integers(0, len(slots) - 1), max_size=2)):
+        node, key = slots[i]
+        node[key] = draw(_junk)
+    if draw(st.sampled_from(range(10))) == 9:
+        cfg = draw(_junk)
+    if isinstance(cfg, dict) and isinstance(cfg.get("verify"), dict):
+        cfg["verify"].setdefault("count", 1)
+    return cfg
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), command=st.sampled_from(["run", "sweep"]))
+def test_fuzzed_configs_end_in_a_documented_exit_code(data, command):
+    cfg = data.draw(_configs(with_grid=command == "sweep"))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        args = [command, str(path), "--out-dir", str(Path(tmp) / "out"), "--max-memo", "5"]
+        result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 2, 3, 4), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception

@@ -8,14 +8,16 @@ from oppaccess import (
     BeliefVector,
     TransitionModel,
     enumerate_actions,
+    tau,
+    tau_iterate,
+)
+from _oracles import (
+    OutcomeRealization,
     enumerate_outcomes,
     immediate_reward,
     outcome_probability,
-    tau,
-    tau_iterate,
     update_belief,
 )
-from oppaccess.model import OutcomeRealization
 
 probs = st.floats(min_value=0.0, max_value=1.0)
 
@@ -131,9 +133,10 @@ class TestUpdateBelief:
 
     def test_provenance_tags(self):
         m = TransitionModel(0.2, 0.8)
-        b = BeliefVector.initial((0.5, 0.6, 0.7))
+        omega = (tau_iterate(m.p01, m, 2), m.p11, tau(m.p11, m))
+        b = BeliefVector(omega, (("B", 2), ("G", 0), ("G", 1)))
         out = update_belief(b, ActionSet((1, 3)), OutcomeRealization((1, 0), 0.15), m)
-        assert out.tags == (("G", 0), ("I", 2, 1), ("B", 0))
+        assert out.tags == (("G", 0), ("G", 1), ("B", 0))
         out2 = update_belief(out, ActionSet((2,)), OutcomeRealization((1,), 0.5), m)
         assert out2.tags == (("G", 1), ("G", 0), ("B", 1))
 
