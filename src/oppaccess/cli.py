@@ -467,8 +467,10 @@ def _command(body):
                             help="Override the config seed.")(callback)
     callback = click.option("--out-dir", type=click.Path(), default="results",
                             show_default=True)(callback)
-    callback = click.option("--max-memo", type=int, default=10_000_000, show_default=True,
-                            help="Cap on memoised DP states.")(callback)
+    callback = click.option("--max-memo", type=click.IntRange(min=1), default=10_000_000,
+                            show_default=True,
+                            help="Cap on DP states: V graph nodes, W memo entries "
+                                 "and W graph nodes.")(callback)
     callback = click.option("--traces/--no-traces", default=False,
                             help="Export per-step simulation traces (JSONL).")(callback)
     callback = click.argument("config", type=click.Path())(callback)

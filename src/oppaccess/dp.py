@@ -16,18 +16,26 @@ Two recursions are implemented:
 
 Every reachable belief entry is tau^m applied to p01, p11, or one of the
 root entries, so each entry is carried as a (value, key) pair whose key
-(origin, age) identifies it exactly.  Both recursions are memoised on
-(h, entries), so repeated states are recognised without float-equality
-fragility; since channels are exchangeable, V's entries are sorted.
+(origin, age) identifies it exactly, and states are recognised without
+float-equality fragility.  Each solver keeps one aged-entry table that maps an
+entry to the same entry one unobserved step on, so tau runs once per distinct
+entry.  W is memoised on (h, entries).
 
-Each solver keeps one aged-entry table that maps an entry to the same entry
-one unobserved step on, so tau runs once per distinct entry, and a V state
-ages its n entries once for all C(n, k) selections.  Equal entries are
-contiguous in a sorted state, and V evaluates only the first selection of
-each sensed multiset: the others have bit-identical Q-values and reach only
-states already memoised, so values, the state visit order and the memo sizes
-are the same as with full enumeration.  ``action_values`` and
-``verify_cached_bellman`` still enumerate every selection.
+V is solved over a level graph, for a batch of root beliefs at one t at a
+time (``FiniteHorizonSolver.action_value_table``).  Every entry a reachable
+state can hold is ranked once by (value, key), so a state, sorted since
+channels are exchangeable, is a row of small ints.  Level d holds the
+distinct states reachable from the roots in d steps, found with one
+``np.unique`` per level; backward induction then runs level by level with
+numpy gathers in the scalar Bellman recursion's operation order, so the
+Q-values are float.hex-identical to it.  Equal entries are contiguous in a
+sorted state, and below the roots only the first selection of each sensed
+multiset is expanded: the others have bit-identical Q-values and reach the
+same states.  Zero-probability children are pruned, so a single root's node
+count equals the recursion's memo size.  Nodes count against ``max_states``
+before any value is computed.  A solver keeps the Q rows it answered, keyed
+on (t, root entries), and the solved levels, which ``verify_cached_bellman``
+audits.
 
 ``w_table`` answers the verify suite's W checks (lemma 2, lemma 3A/3B and
 affinity) for many vectors and every t at once.  W's state graph depends
@@ -47,7 +55,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -58,14 +66,16 @@ from .model import (
     OBSERVED_BAD,
     OBSERVED_GOOD,
     PROB_TOL,
+    VALUE_TOL,
     TransitionModel,
+    enumerate_actions,
     tau,
     tau_iterate,
 )
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when a solver's memo table would exceed its configured cap."""
+    """Raised when a solver's state count (memo entries or graph nodes) would exceed its cap."""
 
 
 # Internal state keys: ("B", m) = tau^m(p01); ("G", m) = tau^m(p11);
@@ -119,24 +129,78 @@ def _selections(n: int, k: int) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...],
     return tuple(out)
 
 
-def _distinct_selections(
-    entries: Sequence[Tuple[float, Tuple]], k: int
-) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """(sel, complement) pairs of a sorted state, one per multiset of sensed entries.
+@functools.lru_cache(maxsize=None)
+def _selection_arrays(n: int, k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_selections(n, k)`` as read-only arrays.
+
+    Returns the selected positions (C, k), the other positions (C, n-k) and
+    the bitmasks (C,).
+    """
+    sels = _selections(n, k)
+    out = (
+        np.array([sel for sel, _, _ in sels], dtype=np.intp).reshape(len(sels), k),
+        np.array([comp for _, comp, _ in sels], dtype=np.intp).reshape(len(sels), n - k),
+        np.array([mask for _, _, mask in sels], dtype=np.int64),
+    )
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _sensing_pairs(rows: np.ndarray, masks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(state, selection) index pairs of sorted states, one per multiset of sensed entries.
 
     Equal entries are contiguous in a sorted state.  A selection is kept only
     if, within each run of equal entries, it takes the leftmost positions:
     that is the lexicographically first selection sensing its multiset.  A
     skipped selection has a Q-value bit-identical to the kept one's and
-    reaches only the states the kept one reached first.
+    reaches only the states the kept one reaches.  Pairs are grouped by
+    state, selections in order.
     """
-    repeats = 0  # bit i set: entry i equals entry i-1
-    for i in range(1, len(entries)):
-        if entries[i] == entries[i - 1]:
-            repeats |= 1 << i
-    for sel, comp, mask in _selections(len(entries), k):
-        if not (mask & repeats) >> 1 & ~mask:
-            yield sel, comp
+    shifts = np.arange(1, rows.shape[1], dtype=np.int64)
+    # bit i set: entry i equals entry i-1
+    repeats = ((rows[:, 1:] == rows[:, :-1]).astype(np.int64) << shifts).sum(axis=1)
+    keep = (((masks & repeats[:, None]) >> 1) & ~masks) == 0
+    return np.nonzero(keep)
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _fold_keys(rows: np.ndarray, base: int) -> np.ndarray:
+    """One int64 per row of ranks below `base`, ordered as the rows are lexicographically.
+
+    Columns fold left to right in base `base`.  Whenever the next fold could
+    overflow, the partial keys are first replaced by their dense ids, so the
+    keys stay exact for any row length.
+    """
+    key = np.zeros(len(rows), dtype=np.int64)
+    top = 0  # the largest key possible so far
+    for j in range(rows.shape[1]):
+        if top * base + base - 1 > _INT64_MAX:
+            uniq, key = np.unique(key, return_inverse=True)
+            key = key.reshape(-1)
+            top = len(uniq) - 1
+        key = key * base + rows[:, j]
+        top = top * base + base - 1
+    return key
+
+
+@dataclass(frozen=True)
+class _VLevel:
+    """One level of a solved V graph: its states as sorted rank rows, and their values."""
+
+    h: int  # steps remaining after the current one
+    rows: np.ndarray
+    values: np.ndarray
+
+
+@dataclass(frozen=True)
+class _VGraph:
+    """The levels below the roots of one solved V graph, and what its ranks stand for."""
+
+    entries: Tuple[Tuple[float, Tuple], ...]  # rank -> (value, key)
+    levels: Tuple[_VLevel, ...]
 
 
 @dataclass(frozen=True)
@@ -149,12 +213,13 @@ class SolveResult:
 
 
 class FiniteHorizonSolver:
-    """Memoising exact solver for a fixed (model, horizon, k).
+    """Exact solver for a fixed (model, horizon, k).
 
-    One instance owns private memo tables and is meant to be used from a
-    single thread; independent instances can run concurrently.  The tables
-    are shared across queries, so evaluating many beliefs or time indices
-    against the same model is cheap.
+    One instance owns private tables (the aged entries, the W memo, the
+    solved V levels and the V answers) and is meant to be used from a single
+    thread; independent instances can run concurrently.  The tables are
+    shared across queries, so asking again is free, and ``max_states`` caps
+    V graph nodes plus W memo entries over all of an instance's queries.
     """
 
     def __init__(
@@ -170,8 +235,12 @@ class FiniteHorizonSolver:
         self.horizon = horizon
         self.k = k
         self.max_states = max_states
-        self._v_memo: Dict[Tuple, float] = {}
         self._w_memo: Dict[Tuple, float] = {}
+        # V: the level graphs solved so far, their node count, and the Q row
+        # of every root answered, keyed on (t, root entries).
+        self._v_graphs: List[_VGraph] = []
+        self._v_nodes = 0
+        self._answers: Dict[Tuple, np.ndarray] = {}
         # Entry (value, key) -> the same entry one unobserved step on.
         self._aged_table: Dict[Tuple, Tuple] = {}
         self._bad = (model.p01, _B0)
@@ -198,7 +267,7 @@ class FiniteHorizonSolver:
         return entries
 
     def _bump(self) -> None:
-        if len(self._v_memo) + len(self._w_memo) > self.max_states:
+        if self._v_nodes + len(self._w_memo) > self.max_states:
             raise ResourceLimitError(
                 f"memoised state count exceeded cap {self.max_states}"
             )
@@ -215,76 +284,149 @@ class FiniteHorizonSolver:
         return out
 
     def cache_stats(self) -> Dict[str, int]:
-        return {"v_states": len(self._v_memo), "w_states": len(self._w_memo)}
+        return {"v_states": self._v_nodes, "w_states": len(self._w_memo)}
 
     # -- optimal value -----------------------------------------------------
 
-    def _v(self, h: int, entries: Tuple[Tuple[float, Tuple], ...]) -> float:
-        """Optimal value with h steps remaining after the current one; entries sorted."""
-        key = (h, entries)
-        hit = self._v_memo.get(key)
-        if hit is not None:
-            return hit
-        k = self.k
-        if h == 0:
-            val = _left_sum(v for v, _ in entries[-k:])
-        else:
-            aged = self._aged(entries)
-            val = max(
-                self._q(h, entries, aged, sel, comp)
-                for sel, comp in _distinct_selections(entries, k)
-            )
-        self._v_memo[key] = val
-        self._bump()
-        return val
+    def action_value_table(self, beliefs: Sequence[BeliefVector], t: int) -> np.ndarray:
+        """Q-values of every first action for each belief, all at time t.
 
-    def _q(
-        self,
-        h: int,
-        entries: Sequence[Tuple[float, Tuple]],
-        aged: Sequence[Tuple[float, Tuple]],
-        sel: Sequence[int],
-        comp: Sequence[int],
-    ) -> float:
-        """Value of sensing positions `sel` now, then acting optimally.
-
-        `aged` holds every entry one unobserved step on; `comp` lists the
-        positions not in `sel`.  The updated belief depends on the outcome
-        only through the number of good observations, so the 2^k outcome sum
-        collapses to k+1 terms weighted by the Poisson-binomial law of the
-        sensed beliefs.
+        Returns a (len(beliefs), C(n, k)) array whose columns follow the
+        lexicographic order of the sensing sets (``model.enumerate_actions``).
+        The beliefs not answered before are solved together over one level
+        graph; the answers are kept, so asking again is free.
         """
-        sensed = [entries[i][0] for i in sel]
-        imm = _left_sum(sensed)
-        if h == 0 or self.horizon.beta == 0.0:
-            return imm
-        unsensed = [aged[i] for i in comp]
-        total = 0.0
-        for s, p in enumerate(_poisson_binomial(sensed)):
-            if p == 0.0:
-                continue
-            child = sorted([self._bad] * (self.k - s) + unsensed + [self._good] * s)
-            total += p * self._v(h - 1, tuple(child))
-        return imm + self.horizon.beta * total
+        if not beliefs:
+            raise ValueError("need at least one belief")
+        if len({b.n for b in beliefs}) != 1:
+            raise ValueError("beliefs must all have the same number of channels")
+        h = self._check_t(beliefs[0], t)
+        return self._q_table(h, [tuple(self._root_entries(b)) for b in beliefs])
 
     def action_values(self, belief: BeliefVector, t: int) -> Dict[ActionSet, float]:
         """Q-value of every first action: immediate reward + discounted optimal continuation."""
-        h = self._check_t(belief, t)
-        entries = self._root_entries(belief)
-        aged = self._aged(entries) if h > 0 and self.horizon.beta != 0.0 else ()
-        return {
-            ActionSet(tuple(i + 1 for i in sel)): self._q(h, entries, aged, sel, comp)
-            for sel, comp, _ in _selections(belief.n, self.k)
-        }
+        row = self.action_value_table([belief], t)[0]
+        return dict(zip(enumerate_actions(belief.n, self.k), row.tolist()))
 
-    def optimal_value(self, belief: BeliefVector, t: int, tol: float = 1e-9) -> SolveResult:
+    def optimal_value(self, belief: BeliefVector, t: int, tol: float = VALUE_TOL) -> SolveResult:
         """Optimal value from time t plus every action within `tol` of the maximum."""
         qs = self.action_values(belief, t)
         best = max(qs.values())
-        actions = tuple(
-            sorted((a for a, v in qs.items() if v >= best - tol), key=lambda a: a.indices)
-        )
+        actions = tuple(a for a, v in qs.items() if v >= best - tol)
         return SolveResult(best, actions, self.cache_stats())
+
+    def _q_table(self, h: int, roots: Sequence[Tuple[Tuple[float, Tuple], ...]]) -> np.ndarray:
+        """Q rows of root entry tuples with h steps remaining, through the answer cache."""
+        t = self.horizon.T - h
+        new = list(dict.fromkeys(r for r in roots if (t, r) not in self._answers))
+        if new:
+            for root, row in zip(new, self._solve_roots(h, new)):
+                self._answers[(t, root)] = row
+        return np.array([self._answers[(t, r)] for r in roots])
+
+    def _solve_roots(self, h: int, roots: Sequence[Tuple[Tuple[float, Tuple], ...]]) -> np.ndarray:
+        """Q-values of every selection at each root, by backward induction over a level graph.
+
+        Level d of the graph holds the sorted states reachable from the roots
+        in d steps, with h - d steps remaining.  At the roots every selection
+        is evaluated, in the given entry order; below them only the leftmost
+        selection of each sensed multiset (see ``_sensing_pairs``), and only
+        the children of nonzero outcome probability.  Every (value, key) entry
+        a state can hold is ranked once, so a state is a sorted row of ranks.
+        The graph is complete, and counted against ``max_states``, before any
+        value is computed; a graph stopped by the cap is not kept.
+        """
+        n, k, beta = len(roots[0]), self.k, self.horizon.beta
+        sel_pos, comp_pos, masks = _selection_arrays(n, k)
+        if h == 0 or beta == 0.0:
+            values = np.array([[v for v, _ in root] for root in roots])
+            return _left_sum(np.moveaxis(values[:, sel_pos], 2, 0))
+        entries, vals, aged_rank, rows, bad, good = self._rank_entries(h, roots)
+        nodes = 0
+        expanded = []  # level d < h: (sensed ranks, child index by s, first pair of each state)
+        levels = [rows]
+        for d in range(h):
+            if d == 0:
+                state = np.repeat(np.arange(len(rows)), len(masks))
+                sel = np.tile(np.arange(len(masks)), len(rows))
+            else:
+                state, sel = _sensing_pairs(rows, masks)
+            sensed = rows[state[:, None], sel_pos[sel]]
+            live = _poisson_binomial_rows(vals[sensed].T) != 0.0
+            # A child is the aged unsensed entries plus k-s copies of p01 and s of
+            # p11.  No aged entry is p01 or p11 itself, so a child is identified
+            # by (its sorted aged part, s), and only new nodes need a full sort.
+            aged = aged_rank[rows[state[:, None], comp_pos[sel]]]
+            aged.sort(axis=1)
+            _, first, part = np.unique(
+                _fold_keys(aged, len(entries)), return_index=True, return_inverse=True
+            )
+            slot = part.reshape(1, -1) * (k + 1) + np.arange(k + 1).reshape(-1, 1)
+            found = np.zeros(len(first) * (k + 1), dtype=bool)
+            found[slot[live]] = True
+            made = np.flatnonzero(found)
+            nodes += len(made)
+            if self._v_nodes + nodes + len(self._w_memo) > self.max_states:
+                raise ResourceLimitError(
+                    f"V state graph node count exceeded cap {self.max_states}"
+                )
+            ids = np.cumsum(found, dtype=np.int32) - 1
+            child = np.where(live, ids[slot], 0)  # a pruned slot reads node 0, weight 0
+            goods = (made % (k + 1)).reshape(-1, 1)
+            rows = np.concatenate(
+                [aged[first[made // (k + 1)]], np.where(np.arange(k) < k - goods, bad, good)],
+                axis=1,
+            ).astype(rows.dtype)
+            rows.sort(axis=1)
+            del aged, first, part, slot, found, made, ids
+            starts = np.flatnonzero(np.diff(state, prepend=-1))
+            expanded.append((sensed, child, starts))
+            levels.append(rows)
+        value = _left_sum(vals[rows[:, n - k :]].T)
+        kept = [_VLevel(0, rows, value)]
+        for d in range(h - 1, -1, -1):
+            sensed, child, starts = expanded.pop()
+            sensed = vals[sensed].T
+            total = _left_sum(_poisson_binomial_rows(sensed) * value[child])
+            q = _left_sum(sensed) + beta * total
+            if d == 0:
+                break
+            value = np.maximum.reduceat(q, starts)
+            kept.append(_VLevel(h - d, levels[d], value))
+        self._v_graphs.append(_VGraph(tuple(entries), tuple(kept)))
+        self._v_nodes += nodes
+        return q.reshape(len(roots), len(masks))
+
+    def _rank_entries(self, h: int, roots: Sequence[Tuple[Tuple[float, Tuple], ...]]):
+        """Rank every entry a state below these roots can hold, in (value, key) order.
+
+        Those are p01 and p11 aged up to h-1 steps and each root entry aged up
+        to h steps.  Returns the ranked entries, their values, the rank of
+        each entry one unobserved step on (-1 past the last age needed) and
+        the roots as rows of ranks, then the ranks of p01 and p11 themselves.
+        """
+        found = {self._bad, self._good}
+        observed = [self._bad, self._good]
+        for _ in range(h - 1):
+            observed = self._aged(observed)
+            found.update(observed)
+        chain = list({e for root in roots for e in root})
+        found.update(chain)
+        for _ in range(h):
+            chain = self._aged(chain)
+            found.update(chain)
+        entries = sorted(found)
+        rank = {e: i for i, e in enumerate(entries)}
+        dtype = np.int16 if len(entries) <= np.iinfo(np.int16).max else np.int32
+        table = self._aged_table
+        aged_rank = np.array([rank.get(table.get(e), -1) for e in entries], dtype=dtype)
+        if np.isin([rank[self._bad], rank[self._good]], aged_rank).any():
+            raise ValueError(
+                "an aged root entry equals p01 or p11 observed now: tag ages must be >= 0"
+            )
+        rows = np.array([[rank[e] for e in root] for root in roots], dtype=dtype)
+        values = np.array([v for v, _ in entries])
+        return entries, values, aged_rank, rows, rank[self._bad], rank[self._good]
 
     # -- greedy-value recursion -------------------------------------------
 
@@ -326,25 +468,60 @@ class FiniteHorizonSolver:
     # -- post-hoc audit ----------------------------------------------------
 
     def verify_cached_bellman(self) -> float:
-        """Recompute every non-terminal memoised V entry from its children.
+        """Recompute every non-terminal kept V graph node from its children.
 
         State keys encode each entry as tau^m of a known base, so the belief
-        values are reconstructible from the key alone.  Returns the largest
-        absolute residual between the cached value and the recomputed
-        right-hand side.
+        values are reconstructible from the key alone.  Each node is rebuilt
+        that way and its right-hand side taken over all C(n, k) selections,
+        in scalar code, with the children's values read from the kept levels
+        (a child missing from them is solved).  Returns the largest absolute
+        residual between the kept value and the recomputed right-hand side.
         """
+        states: Dict[Tuple, float] = {}
+        for graph in list(self._v_graphs):
+            for level in graph.levels:
+                for row, v in zip(level.rows.tolist(), level.values.tolist()):
+                    states[(level.h, tuple(graph.entries[r] for r in row))] = v
         worst = 0.0
-        for (h, entries), cached in list(self._v_memo.items()):
+        for (h, entries), cached in states.items():
             if h == 0:
                 continue
             rebuilt = tuple(sorted((self._key_value(kk), kk) for _, kk in entries))
             aged = self._aged(rebuilt)
             rhs = max(
-                self._q(h, rebuilt, aged, sel, comp)
+                self._audit_q(h, rebuilt, aged, sel, comp, states)
                 for sel, comp, _ in _selections(len(rebuilt), self.k)
             )
             worst = max(worst, abs(cached - rhs))
         return worst
+
+    def _audit_q(
+        self,
+        h: int,
+        entries: Sequence[Tuple[float, Tuple]],
+        aged: Sequence[Tuple[float, Tuple]],
+        sel: Sequence[int],
+        comp: Sequence[int],
+        states: Dict[Tuple, float],
+    ) -> float:
+        """Q-value of sensing positions `sel` of a sorted state, children read from `states`.
+
+        The updated belief depends on the outcome only through the number of
+        good observations, so the 2^k outcome sum collapses to k+1 terms
+        weighted by the Poisson-binomial law of the sensed beliefs.
+        """
+        sensed = [entries[i][0] for i in sel]
+        unsensed = [aged[i] for i in comp]
+        total = 0.0
+        for s, p in enumerate(_poisson_binomial(sensed)):
+            if p == 0.0:
+                continue
+            child = tuple(sorted([self._bad] * (self.k - s) + unsensed + [self._good] * s))
+            v = states.get((h - 1, child))
+            if v is None:
+                v = float(self._q_table(h - 1, [child])[0].max())
+            total += p * v
+        return _left_sum(sensed) + self.horizon.beta * total
 
     def _key_value(self, key: Tuple) -> float:
         if key[0] == OBSERVED_BAD:

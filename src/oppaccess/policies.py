@@ -19,7 +19,14 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import ActionSet, BeliefVector, HorizonSpec, TransitionModel, enumerate_actions
+from .model import (
+    VALUE_TOL,
+    ActionSet,
+    BeliefVector,
+    HorizonSpec,
+    TransitionModel,
+    enumerate_actions,
+)
 from .dp import FiniteHorizonSolver
 
 
@@ -148,15 +155,15 @@ class OptimalPolicy(Policy):
         return self.solver.optimal_value(BeliefVector(tuple(omega)), t).best_actions[0]
 
     def batch_actions(self, beliefs: np.ndarray, t: int, u: np.ndarray) -> np.ndarray:
-        # One solver query per distinct belief row; replications share the answer.
+        # One solver query per step, over the distinct belief rows; replications
+        # share the answer.  The first sensing set within VALUE_TOL of the row
+        # maximum is optimal_value(...).best_actions[0].
         uniq, inverse = np.unique(beliefs, axis=0, return_inverse=True)
-        table = np.array(
-            [
-                self.solver.optimal_value(BeliefVector(tuple(row)), t).best_actions[0].indices
-                for row in uniq.tolist()
-            ]
-        )
-        return table[inverse.reshape(-1)] - 1
+        rows = [BeliefVector(tuple(row)) for row in uniq.tolist()]
+        qs = self.solver.action_value_table(rows, t)
+        best = np.argmax(qs >= qs.max(axis=1, keepdims=True) - VALUE_TOL, axis=1)
+        actions = enumerate_actions(beliefs.shape[1], self.solver.k)
+        return np.array([a.indices for a in actions])[best[inverse.reshape(-1)]] - 1
 
 
 class OrderedListPolicy(Policy):

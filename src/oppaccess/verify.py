@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import BeliefVector, HorizonSpec, TransitionModel, tau_iterate
+from .model import BeliefVector, HorizonSpec, TransitionModel, enumerate_actions, tau_iterate
 from .dp import FiniteHorizonSolver, ResourceLimitError, w_table
 from .policies import all_greedy_actions, greedy_action
 
@@ -177,8 +177,8 @@ def _resource_report(property_id: str, inst: Instance, exc: Exception) -> Violat
     return ViolationReport(property_id, inst, error=f"{type(exc).__name__}: {exc}")
 
 
-def _greedy_reachable_states(inst: Instance):
-    """(t, belief) states reachable from the initial belief under greedy play."""
+def _greedy_reachable_states(inst: Instance) -> Dict[int, set]:
+    """t -> the beliefs reachable at time t from the initial belief under greedy play."""
     states = {1: {inst.omega}}
     model = inst.model
     for t in range(1, inst.T):
@@ -195,9 +195,7 @@ def _greedy_reachable_states(inst: Instance):
                 )
                 nxt.add(child)
         states[t + 1] = nxt
-    for t, beliefs in states.items():
-        for omega in beliefs:
-            yield t, omega
+    return states
 
 
 def check_theorem1(
@@ -220,22 +218,26 @@ def check_theorem1(
                         "theorem1/value", inst, gv, ov, abs(gv - ov), VALUE_TOL
                     )
                 )
-            for t, omega in _greedy_reachable_states(inst):
-                qs = solver.action_values(BeliefVector(omega), t)
-                best = max(qs.values())
-                for ga in all_greedy_actions(omega, inst.k):
-                    if qs[ga] < best - VALUE_TOL:
-                        out.append(
-                            ViolationReport(
-                                "theorem1/action",
-                                inst,
-                                qs[ga],
-                                best,
-                                best - qs[ga],
-                                VALUE_TOL,
-                                detail=f"t={t} omega={omega} action={ga.indices}",
+            actions = enumerate_actions(inst.n, inst.k)
+            for t, omegas in _greedy_reachable_states(inst).items():
+                omegas = list(omegas)
+                table = solver.action_value_table([BeliefVector(o) for o in omegas], t)
+                for omega, row in zip(omegas, table.tolist()):
+                    qs = dict(zip(actions, row))
+                    best = max(row)
+                    for ga in all_greedy_actions(omega, inst.k):
+                        if qs[ga] < best - VALUE_TOL:
+                            out.append(
+                                ViolationReport(
+                                    "theorem1/action",
+                                    inst,
+                                    qs[ga],
+                                    best,
+                                    best - qs[ga],
+                                    VALUE_TOL,
+                                    detail=f"t={t} omega={omega} action={ga.indices}",
+                                )
                             )
-                        )
         except ResourceLimitError as exc:
             out.append(_resource_report("theorem1/resource", inst, exc))
     return out

@@ -2,25 +2,34 @@
 
 Deliberately naive: no memoisation, no outcome grouping, no reordering
 tricks.  Only usable at tiny sizes, which is the point -- they share no code
-path with the package's recursions.
+path with the package's recursions.  The exception is ``RecursiveVSolver``:
+the memoised Bellman recursion that the level-graph V engine replaced, kept
+as it was so the engine can be compared with it bit for bit.
 """
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from oppaccess import (
     ActionSet,
     BeliefVector,
+    FiniteHorizonSolver,
     HorizonSpec,
     RunRecord,
     StepRecord,
     TransitionModel,
     tau,
 )
-from oppaccess.dp import _left_sum
+from oppaccess.dp import (
+    ResourceLimitError,
+    SolveResult,
+    _left_sum,
+    _poisson_binomial,
+    _selections,
+)
 from oppaccess.model import OBSERVED_BAD, OBSERVED_GOOD, _check_prob
 
 
@@ -87,6 +96,137 @@ def immediate_reward(belief: BeliefVector, action: ActionSet) -> float:
     """One-step expected reward of sensing `action`: sum of the selected beliefs."""
     action.validate_for(belief.n)
     return sum(belief.omega[i - 1] for i in action.indices)
+
+
+def _distinct_selections(
+    entries: Sequence[Tuple[float, Tuple]], k: int
+) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """(sel, complement) pairs of a sorted state, one per multiset of sensed entries.
+
+    Equal entries are contiguous in a sorted state.  A selection is kept only
+    if, within each run of equal entries, it takes the leftmost positions:
+    that is the lexicographically first selection sensing its multiset.  A
+    skipped selection has a Q-value bit-identical to the kept one's and
+    reaches only the states the kept one reached first.
+    """
+    repeats = 0  # bit i set: entry i equals entry i-1
+    for i in range(1, len(entries)):
+        if entries[i] == entries[i - 1]:
+            repeats |= 1 << i
+    for sel, comp, mask in _selections(len(entries), k):
+        if not (mask & repeats) >> 1 & ~mask:
+            yield sel, comp
+
+
+class RecursiveVSolver(FiniteHorizonSolver):
+    """The memoised Bellman recursion that the level-graph V engine replaced.
+
+    V is memoised on (h, sorted entries) and explored depth first; a state
+    is counted against ``max_states`` the moment it is memoised, so a cap
+    trips part-way through, with the states visited so far left in the
+    memo.  W and the aged-entry table are the library's.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._v_memo: Dict[Tuple, float] = {}
+
+    def _bump(self) -> None:
+        if len(self._v_memo) + len(self._w_memo) > self.max_states:
+            raise ResourceLimitError(
+                f"memoised state count exceeded cap {self.max_states}"
+            )
+
+    def cache_stats(self) -> Dict[str, int]:
+        return {"v_states": len(self._v_memo), "w_states": len(self._w_memo)}
+
+    def _v(self, h: int, entries: Tuple[Tuple[float, Tuple], ...]) -> float:
+        """Optimal value with h steps remaining after the current one; entries sorted."""
+        key = (h, entries)
+        hit = self._v_memo.get(key)
+        if hit is not None:
+            return hit
+        k = self.k
+        if h == 0:
+            val = _left_sum(v for v, _ in entries[-k:])
+        else:
+            aged = self._aged(entries)
+            val = max(
+                self._q(h, entries, aged, sel, comp)
+                for sel, comp in _distinct_selections(entries, k)
+            )
+        self._v_memo[key] = val
+        self._bump()
+        return val
+
+    def _q(
+        self,
+        h: int,
+        entries: Sequence[Tuple[float, Tuple]],
+        aged: Sequence[Tuple[float, Tuple]],
+        sel: Sequence[int],
+        comp: Sequence[int],
+    ) -> float:
+        """Value of sensing positions `sel` now, then acting optimally.
+
+        `aged` holds every entry one unobserved step on; `comp` lists the
+        positions not in `sel`.  The updated belief depends on the outcome
+        only through the number of good observations, so the 2^k outcome sum
+        collapses to k+1 terms weighted by the Poisson-binomial law of the
+        sensed beliefs.
+        """
+        sensed = [entries[i][0] for i in sel]
+        imm = _left_sum(sensed)
+        if h == 0 or self.horizon.beta == 0.0:
+            return imm
+        unsensed = [aged[i] for i in comp]
+        total = 0.0
+        for s, p in enumerate(_poisson_binomial(sensed)):
+            if p == 0.0:
+                continue
+            child = sorted([self._bad] * (self.k - s) + unsensed + [self._good] * s)
+            total += p * self._v(h - 1, tuple(child))
+        return imm + self.horizon.beta * total
+
+    def action_values(self, belief: BeliefVector, t: int) -> Dict[ActionSet, float]:
+        """Q-value of every first action: immediate reward + discounted optimal continuation."""
+        h = self._check_t(belief, t)
+        entries = self._root_entries(belief)
+        aged = self._aged(entries) if h > 0 and self.horizon.beta != 0.0 else ()
+        return {
+            ActionSet(tuple(i + 1 for i in sel)): self._q(h, entries, aged, sel, comp)
+            for sel, comp, _ in _selections(belief.n, self.k)
+        }
+
+    def optimal_value(self, belief: BeliefVector, t: int, tol: float = 1e-9) -> SolveResult:
+        """Optimal value from time t plus every action within `tol` of the maximum."""
+        qs = self.action_values(belief, t)
+        best = max(qs.values())
+        actions = tuple(
+            sorted((a for a, v in qs.items() if v >= best - tol), key=lambda a: a.indices)
+        )
+        return SolveResult(best, actions, self.cache_stats())
+
+    def verify_cached_bellman(self) -> float:
+        """Recompute every non-terminal memoised V entry from its children.
+
+        State keys encode each entry as tau^m of a known base, so the belief
+        values are reconstructible from the key alone.  Returns the largest
+        absolute residual between the cached value and the recomputed
+        right-hand side.
+        """
+        worst = 0.0
+        for (h, entries), cached in list(self._v_memo.items()):
+            if h == 0:
+                continue
+            rebuilt = tuple(sorted((self._key_value(kk), kk) for _, kk in entries))
+            aged = self._aged(rebuilt)
+            rhs = max(
+                self._q(h, rebuilt, aged, sel, comp)
+                for sel, comp, _ in _selections(len(rebuilt), self.k)
+            )
+            worst = max(worst, abs(cached - rhs))
+        return worst
 
 
 def brute_force_optimal(omega, t, model: TransitionModel, horizon: HorizonSpec, k: int):

@@ -117,6 +117,25 @@ class TestErrorPaths:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_max_memo_below_one_rejected(self, runner, tmp_path, command, cap):
+        # Such a cap used to report every verify instance as a resource error
+        # and exit 0, a run that checked nothing.
+        cfg_data = {
+            "kind": "verify",
+            "seed": 9,
+            "verify": {"properties": ["theorem1"], "count": 5, "n_max": 3, "T_max": 3},
+        }
+        if command == "sweep":
+            cfg_data["grid"] = {"verify.count": [5]}
+        cfg = write_config(tmp_path, cfg_data)
+        out = tmp_path / "o"
+        result = runner.invoke(main, [command, cfg, "--out-dir", str(out), "--max-memo", cap])
+        assert result.exit_code == 2, result.output
+        assert "--max-memo" in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("indices", [[5], [1, 2]], ids=["beyond-n", "not-k"])
     def test_fixed_indices_checked_against_n_and_k(self, runner, tmp_path, indices):
         cfg_data = dict(

@@ -15,7 +15,7 @@ from oppaccess import (
     tau_iterate,
 )
 from oppaccess import dp, verify
-from oppaccess.dp import _distinct_selections, w_table
+from oppaccess.dp import w_table
 from oppaccess.verify import (
     REGIMES,
     InstanceSampler,
@@ -26,6 +26,8 @@ from oppaccess.verify import (
 )
 
 from _oracles import (
+    RecursiveVSolver,
+    _distinct_selections,
     affine_swap_delta,
     brute_force_optimal,
     exact_policy_value,
@@ -473,20 +475,40 @@ class TestPinnedOutputs:
         assert s.verify_cached_bellman() <= 1e-12
 
     def test_resource_cap_trips_at_same_state(self):
+        # The depth-first recursion, now the oracle, keeps its trip point and
+        # the states it visited before the cap tripped.
         p01, p11, T, beta, k, omega, _ = PINNED_INSTANCES["pos-k2-beta1"]
+        model, horizon = TransitionModel(p01, p11), HorizonSpec(T, beta)
         b = BeliefVector(omega)
         # 501 V states in all: a cap of 501 suffices, 500 trips on the last one.
-        make_solver(p01, p11, T, beta, k, max_states=501).optimal_value(b, 1)
+        RecursiveVSolver(model, horizon, k, max_states=501).optimal_value(b, 1)
         for cap, digest in [
             (500, "274e43a56239257a63b0863e694a2672aba05645114bfc764f995855df60348d"),
             (167, "c837e95907644940046a3a5b04051c13fcd48a640a2be065ad80808d2800a1a2"),
         ]:
-            s = make_solver(p01, p11, T, beta, k, max_states=cap)
+            s = RecursiveVSolver(model, horizon, k, max_states=cap)
             with pytest.raises(ResourceLimitError):
                 s.optimal_value(b, 1)
             assert s.cache_stats() == {"v_states": cap + 1, "w_states": 0}
             # the same states were visited before the cap tripped
             assert _memo_digest(s) == digest
+
+    def test_graph_cap_trips_at_the_recursions_threshold(self):
+        p01, p11, T, beta, k, omega, _ = PINNED_INSTANCES["pos-k2-beta1"]
+        b = BeliefVector(omega)
+        s = make_solver(p01, p11, T, beta, k, max_states=501)
+        s.optimal_value(b, 1)
+        assert s.cache_stats() == {"v_states": 501, "w_states": 0}
+        for cap in (500, 167):
+            s = make_solver(p01, p11, T, beta, k, max_states=cap)
+            with pytest.raises(ResourceLimitError):
+                s.optimal_value(b, 1)
+            # a graph stopped by the cap is not kept, and no answer is cached
+            assert s.cache_stats() == {"v_states": 0, "w_states": 0}
+            assert s._v_graphs == [] and s._answers == {}
+            assert s.verify_cached_bellman() == 0.0
+            with pytest.raises(ResourceLimitError):
+                s.optimal_value(b, 1)
 
 
 class TestDistinctSelections:
@@ -508,3 +530,172 @@ class TestDistinctSelections:
         assert [sel for sel, _ in got] == want
         for sel, comp in got:
             assert sorted(sel + comp) == list(range(n))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_graph_pairs_follow_the_leftmost_rule(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        n = int(rng.integers(1, 8))
+        k = int(rng.integers(1, n + 1))
+        rows = np.sort(rng.integers(0, 3, (5, n)), axis=1).astype(np.int16)
+        _, _, masks = dp._selection_arrays(n, k)
+        state, sel = dp._sensing_pairs(rows, masks)
+        selections = dp._selections(n, k)
+        for i, row in enumerate(rows.tolist()):
+            entries = tuple((0.1 * key, ("B", key)) for key in row)
+            want = [s for s, _ in _distinct_selections(entries, k)]
+            assert [selections[j][0] for j in sel[state == i]] == want
+
+
+def _sample_v_instance(rng, case):
+    """A small instance for the V graph, varied by `case` over the edge cases."""
+    n = int(rng.integers(2, 6))
+    k = int(rng.integers(1, min(3, n) + 1))
+    T = int(rng.integers(2, 5))
+    p01, p11 = (float(x) for x in rng.random(2))
+    if case % 4 == 1:
+        p01, p11 = min(p01, p11), max(p01, p11)
+    elif case % 4 == 2:
+        p01, p11 = max(p01, p11), min(p01, p11)
+    elif case % 4 == 3:
+        p11 = p01
+    beta = (0.0, 1.0, float(rng.random()))[case % 3]
+    model = TransitionModel(p01, p11)
+    omega = [float(x) for x in rng.random(n)]
+    tags = None
+    if case % 5 == 0:
+        # exact 0.0 and 1.0 entries: some outcomes have probability 0
+        omega[0], omega[-1] = 0.0, 1.0
+    elif case % 5 == 1:
+        omega[-1] = omega[0]  # tied roots
+    elif case % 5 == 2:
+        # tagged roots, each value consistent with its tag
+        tags = [None] * n
+        tags[0] = ("G", 1)
+        omega[0] = tau_iterate(p11, model, 1)
+        tags[-1] = ("B", 0)
+        omega[-1] = p01
+        if n > 2:
+            tags[1] = ("B", 0)
+            omega[1] = p01  # a tie between tagged entries
+        tags = tuple(tags)
+    return model, HorizonSpec(T, beta), k, BeliefVector(tuple(omega), tags)
+
+
+class TestVGraph:
+    """The level-graph V engine against the memoised recursion it replaced."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_q_values_and_state_count_match_recursion(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        model, horizon, k, belief = _sample_v_instance(rng, seed)
+        t = int(rng.integers(1, horizon.T + 1))
+        graph = FiniteHorizonSolver(model, horizon, k)
+        oracle = RecursiveVSolver(model, horizon, k)
+        got = {a.indices: q.hex() for a, q in graph.action_values(belief, t).items()}
+        want = {a.indices: q.hex() for a, q in oracle.action_values(belief, t).items()}
+        assert got == want
+        assert graph.cache_stats()["v_states"] == len(oracle._v_memo)
+        assert graph.verify_cached_bellman() <= 1e-12
+        if belief.tags is None:
+            value = graph.optimal_value(belief, t).value
+            assert value == pytest.approx(
+                brute_force_optimal(belief.omega, t, model, horizon, k), abs=1e-10
+            )
+
+    def test_sampled_cases_cover_every_edge(self):
+        models, betas, ks, pruned = set(), set(), set(), 0
+        for seed in range(60):
+            rng = np.random.default_rng(700 + seed)
+            model, horizon, k, belief = _sample_v_instance(rng, seed)
+            models.add((model.p11 > model.p01) - (model.p11 < model.p01))
+            betas.add(horizon.beta if horizon.beta in (0.0, 1.0) else "random")
+            ks.add(k)
+            pruned += 0.0 in belief.omega and 1.0 in belief.omega
+        assert models == {-1, 0, 1} and betas == {0.0, 1.0, "random"} and ks == {1, 2, 3}
+        assert pruned >= 10
+
+    def test_zero_probability_children_are_pruned(self):
+        # sensing the 1.0 entry can never see it bad, so fewer states are reached
+        model, horizon = TransitionModel(0.3, 0.8), HorizonSpec(4, 0.9)
+        sure = make_solver(0.3, 0.8, 4, 0.9, 1)
+        sure.optimal_value(BeliefVector((0.2, 0.5, 1.0)), 1)
+        oracle = RecursiveVSolver(model, horizon, 1)
+        oracle.optimal_value(BeliefVector((0.2, 0.5, 1.0)), 1)
+        unsure = make_solver(0.3, 0.8, 4, 0.9, 1)
+        unsure.optimal_value(BeliefVector((0.2, 0.5, 0.99)), 1)
+        assert sure.cache_stats() == oracle.cache_stats()
+        assert sure.cache_stats()["v_states"] < unsure.cache_stats()["v_states"]
+
+    def test_wide_state_keys_rerank_instead_of_overflowing(self):
+        model, horizon = TransitionModel(0.3, 0.8), HorizonSpec(3, 0.95)
+        omega = tuple(float(w) for w in np.random.default_rng(5).random(12))
+        graph = FiniteHorizonSolver(model, horizon, 1)
+        oracle = RecursiveVSolver(model, horizon, 1)
+        got = graph.action_values(BeliefVector(omega), 1)
+        assert {a: q.hex() for a, q in got.items()} == {
+            a: q.hex() for a, q in oracle.action_values(BeliefVector(omega), 1).items()
+        }
+        assert graph.cache_stats()["v_states"] == len(oracle._v_memo)
+        # a plain base-E fold of 12 ranks would not fit in an int64
+        assert len(graph._v_graphs[0].entries) ** 12 > np.iinfo(np.int64).max
+
+    def test_fold_keys_order_rows_lexicographically(self):
+        rng = np.random.default_rng(9)
+        rows = rng.integers(0, 60, (400, 12)).astype(np.int16)
+        rows[200:] = rows[:200]  # every row twice
+        keys = dp._fold_keys(rows, 60)
+        order = np.lexsort(rows.T[::-1])
+        assert np.all(np.diff(keys[order]) >= 0)
+        assert len(np.unique(keys)) == len(np.unique(rows, axis=0))
+
+    def test_one_table_call_answers_many_roots(self):
+        model, horizon, k = TransitionModel(0.7, 0.2), HorizonSpec(4, 0.9), 2
+        beliefs = [
+            BeliefVector((0.6, 0.3, 0.6, 0.8)),
+            BeliefVector((0.1, 0.9, 0.5, 0.5)),
+            BeliefVector((0.6, 0.3, 0.6, 0.8)),
+            BeliefVector((0.0, 1.0, 0.25, 0.5)),
+        ]
+        solver = FiniteHorizonSolver(model, horizon, k)
+        for t in (1, 2, 4):
+            table = solver.action_value_table(beliefs, t)
+            assert table.shape == (4, 6)
+            for b, row in zip(beliefs, table.tolist()):
+                want = RecursiveVSolver(model, horizon, k).action_values(b, t)
+                assert [q.hex() for q in row] == [q.hex() for q in want.values()]
+        assert solver.verify_cached_bellman() <= 1e-12
+
+    def test_answers_are_cached_and_copied(self):
+        solver = make_solver(0.3, 0.8, 4, 0.9, 2)
+        b = BeliefVector((0.15, 0.62, 0.4, 0.88))
+        first = solver.action_value_table([b], 1)
+        stats = solver.cache_stats()
+        first[0, 0] = -1.0
+        again = solver.action_value_table([b, b], 1)
+        assert solver.cache_stats() == stats
+        assert again[0, 0] != -1.0 and np.array_equal(again[0], again[1])
+
+    def test_audit_flags_a_tag_inconsistent_with_its_value(self):
+        # 0.31 tagged as p01 observed now (p01 = 0.3): the rebuilt states are
+        # not in the graph, so the audit solves them and reports the gap.
+        model, horizon = TransitionModel(0.3, 0.8), HorizonSpec(4, 0.9)
+        b = BeliefVector((0.31, 0.5, 0.7), (("B", 0), None, None))
+        graph, oracle = FiniteHorizonSolver(model, horizon, 1), RecursiveVSolver(model, horizon, 1)
+        graph.optimal_value(b, 1)
+        oracle.optimal_value(b, 1)
+        residual = graph.verify_cached_bellman()
+        assert residual > 1e-3
+        assert residual == pytest.approx(oracle.verify_cached_bellman(), abs=1e-15)
+
+    def test_rejects_bad_queries(self):
+        solver = make_solver(0.3, 0.8, 3, 0.9, 1)
+        with pytest.raises(ValueError):
+            solver.action_value_table([], 1)
+        with pytest.raises(ValueError):
+            solver.action_value_table([BeliefVector((0.1, 0.2)), BeliefVector((0.3,))], 1)
+        with pytest.raises(ValueError):
+            solver.action_value_table([BeliefVector((0.1, 0.2))], 4)
+        # tau(0.0) is p01 exactly, so this entry aged once is p01 observed now
+        tagged = BeliefVector((0.0, 0.2), (("B", -1), None))
+        with pytest.raises(ValueError, match="tag ages"):
+            solver.action_value_table([tagged], 1)

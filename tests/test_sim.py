@@ -263,10 +263,19 @@ class TestBatchAgainstLoopOracle:
         cfg = SimConfig(m, h, 4, 2, BeliefVector((0.6, 0.3, 0.6, 0.8)), 500, 5)
         policy = OptimalPolicy(m, h, 2)
         calls = []
-        query = policy.solver.optimal_value
-        policy.solver.optimal_value = lambda b, t: calls.append((b.omega, t)) or query(b, t)
+        query = policy.solver.action_value_table
+
+        def recording(beliefs, t):
+            calls.append((t, [b.omega for b in beliefs]))
+            return query(beliefs, t)
+
+        policy.solver.action_value_table = recording
         simulate(cfg, policy)
-        assert len(calls) == len(set(calls)) < 500
+        # one batched query per step, each over distinct belief rows
+        assert [t for t, _ in calls] == [1, 2, 3, 4]
+        for _, rows in calls:
+            assert len(rows) == len(set(rows))
+        assert len(calls[0][1]) == 1 and 1 < len(calls[-1][1]) < 500
 
     def test_optimal_state_cap_trips_as_in_loop(self):
         m, h = TransitionModel(0.8, 0.3), HorizonSpec(4, 0.9)
