@@ -30,6 +30,7 @@ from .sim import (
     SimConfig,
     SimSummary,
     StepRecord,
+    Traces,
     common_random_numbers_compare,
     simulate,
     write_traces,

@@ -447,8 +447,8 @@ def main() -> None:
 def _command(body):
     """Register `body` as a subcommand taking CONFIG and the common options.
 
-    `body` returns the exit status; a config error exits 2 and a resource cap
-    exits 4, each with its message on stderr.
+    `body` returns the exit status; a config error exits 2, and a resource cap
+    or a failed allocation exits 4, each with its message on stderr.
     """
 
     @functools.wraps(body)
@@ -460,6 +460,9 @@ def _command(body):
             status = EXIT_CONFIG
         except ResourceLimitError as exc:
             click.echo(f"resource cap: {exc}", err=True)
+            status = EXIT_RESOURCE
+        except MemoryError as exc:
+            click.echo(f"resource cap: out of memory: {exc}", err=True)
             status = EXIT_RESOURCE
         sys.exit(status)
 

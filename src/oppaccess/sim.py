@@ -16,17 +16,22 @@ Every policy runs on one vectorised path that steps all replications together:
 at each slot it asks the policy for an (R, k) action array
 (``Policy.batch_actions``), reads the sensed states, and hands the
 observations back through ``Policy.batch_observe``, which stateful policies
-such as the ordered list use to update their per-replication state.
+such as the ordered list use to update their per-replication state.  A traced
+run keeps each step's arrays as the columns of one read-only ``Traces``;
+``RunRecord``s are built only when a replication is read, and
+``write_traces`` writes the JSONL from the columns.
 """
 
 from __future__ import annotations
 
-import json
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
+from .dp import _fold_keys
 from .model import BeliefVector, HorizonSpec, TransitionModel
 from .policies import Policy
 
@@ -81,6 +86,61 @@ class RunRecord:
     total: float
 
 
+@dataclass(frozen=True, eq=False)
+class Traces(Sequence):
+    """Every replication's sample path, kept as read-only per-step columns.
+
+    Each array has shape (T, R) or (T, R, width): ``states`` holds the hidden
+    channel states, ``actions`` the 1-based sensed channel indices,
+    ``observations`` the sensed bits, ``rewards`` the slot rewards and
+    ``discounted_cum`` the discounted reward accumulated through each slot.
+    The arrays are made read-only.  Item r builds replication r's
+    ``RunRecord`` on demand, with Python ints, floats and tuples, and a
+    ``Traces`` equals any sequence of the same ``RunRecord``s.
+    """
+
+    states: np.ndarray
+    actions: np.ndarray
+    observations: np.ndarray
+    rewards: np.ndarray
+    discounted_cum: np.ndarray
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        for column in (
+            self.states, self.actions, self.observations, self.rewards, self.discounted_cum
+        ):
+            column.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.rewards.shape[1]
+
+    def __getitem__(self, r) -> RunRecord:
+        r = operator.index(r)
+        if not -len(self) <= r < len(self):
+            raise IndexError(f"replication {r} out of range for {len(self)} replications")
+        r %= len(self)
+        cum = self.discounted_cum[:, r].tolist()
+        steps = tuple(
+            StepRecord(t, tuple(st), tuple(act), tuple(ob), rw, c)
+            for t, st, act, ob, rw, c in zip(
+                range(1, len(cum) + 1),
+                self.states[:, r].tolist(),
+                self.actions[:, r].tolist(),
+                self.observations[:, r].tolist(),
+                self.rewards[:, r].tolist(),
+                cum,
+            )
+        )
+        return RunRecord(r, steps, cum[-1])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 @dataclass(frozen=True)
 class SimSummary:
     mean: float
@@ -88,7 +148,7 @@ class SimSummary:
     std_error: float
     replications: int
     totals: np.ndarray = field(repr=False)
-    traces: Optional[Tuple[RunRecord, ...]] = None
+    traces: Optional[Traces] = None
 
 
 @dataclass(frozen=True)
@@ -110,6 +170,8 @@ _PHILOX_ROUNDS = 10
 _LO32 = np.uint64(0xFFFFFFFF)
 _U32 = np.uint64(32)
 _CHUNK_LANES = 4096
+#: Trace lines formatted at a time by ``write_traces``.
+_TRACE_BLOCK_LINES = 8192
 
 
 def _mulhilo(m: int, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -185,26 +247,24 @@ def _simulate_batch(config: SimConfig, policy: Policy, nat: np.ndarray, pol: np.
     totals = np.zeros(R)
     rows = np.arange(R)[:, None]
     disc = 1.0
-    trace_steps = [] if config.record_traces else None
+    columns = None
+    if config.record_traces:
+        columns = (
+            np.empty((T, R, n), dtype=np.int8),
+            np.empty((T, R, k), dtype=np.int64),
+            np.empty((T, R, k), dtype=np.int8),
+            np.empty((T, R), dtype=np.int64),
+            np.empty((T, R)),
+        )
     for t in range(1, T + 1):
         acts = policy.batch_actions(beliefs, t, pol[:, t - 1])
         obs = states[rows, acts]
         policy.batch_observe(acts, obs)
         rewards = obs.sum(axis=1)
         totals += disc * rewards
-        if trace_steps is not None:
-            # Per-replication tuples, built once per step, are the records'
-            # own fields: no second copy of the trace is alive at any point.
-            trace_steps.append(
-                (
-                    t,
-                    list(map(tuple, states.tolist())),
-                    list(map(tuple, (acts + 1).tolist())),
-                    list(map(tuple, obs.tolist())),
-                    rewards.tolist(),
-                    totals.tolist(),
-                )
-            )
+        if columns is not None:
+            for column, step in zip(columns, (states, acts + 1, obs, rewards, totals)):
+                column[t - 1] = step
         if t < T:
             # model.tau's arithmetic, clamp included, so beliefs stay bit-equal
             # to the scalar recursion's.
@@ -214,21 +274,7 @@ def _simulate_batch(config: SimConfig, policy: Policy, nat: np.ndarray, pol: np.
             p_good = np.where(states, m.p11, m.p01)
             states = (nat[:, t, :] < p_good).astype(np.int8)
         disc *= beta
-    traces = None
-    if trace_steps is not None:
-        final = totals.tolist()
-        traces = tuple(
-            RunRecord(
-                r,
-                tuple(
-                    StepRecord(t, st[r], acts[r], ob[r], rw[r], tot[r])
-                    for (t, st, acts, ob, rw, tot) in trace_steps
-                ),
-                final[r],
-            )
-            for r in range(R)
-        )
-    return totals, traces
+    return totals, (Traces(*columns) if columns is not None else None)
 
 
 def simulate(config: SimConfig, policy: Policy) -> SimSummary:
@@ -257,24 +303,50 @@ def common_random_numbers_compare(
     return PairedSummary(sa.mean, sb.mean, float(diffs.mean()), se, len(diffs), diffs)
 
 
-def write_traces(path: str, traces: Sequence[RunRecord]) -> None:
-    """Write one JSON record per step: schema version, replication, t, hidden
-    states, 1-based action indices, observation bits, realised reward."""
-    encode = json.JSONEncoder(separators=(",", ":")).encode
+def write_traces(path: str, traces: Traces) -> None:
+    """Write one compact JSON record per step, replication by replication:
+    schema version, replication, t, hidden states, 1-based action indices,
+    observation bits, realised reward.
+
+    Each block of replications folds every step's (t, states, action, obs,
+    reward) row to one int64 code and formats each distinct row's text once.
+    """
+    if not isinstance(traces, Traces):
+        raise TypeError(f"write_traces needs a Traces, got {type(traces).__name__}")
+    T, R, n = traces.states.shape
+    k = traces.actions.shape[2]
+    columns = (
+        np.broadcast_to(np.arange(1, T + 1).reshape(T, 1, 1), (T, R, 1)),
+        traces.states,
+        traces.actions,
+        traces.observations,
+        traces.rewards.reshape(T, R, 1),
+    )
+    head = f'{{"v":{TRACE_SCHEMA_VERSION},"rep":'
+    block = max(1, _TRACE_BLOCK_LINES // T)
     with open(path, "w") as f:
-        for run in traces:
-            for s in run.steps:
-                f.write(
-                    encode(
-                        {
-                            "v": TRACE_SCHEMA_VERSION,
-                            "rep": run.replication,
-                            "t": s.t,
-                            "states": list(s.states),
-                            "action": list(s.action),
-                            "obs": list(s.observations),
-                            "reward": s.reward,
-                        }
-                    )
-                    + "\n"
+        for start in range(0, R, block):
+            stop = min(start + block, R)
+            # One row per (replication, t), replication-major.
+            rows = np.concatenate(
+                [c[:, start:stop].swapaxes(0, 1).reshape((stop - start) * T, -1) for c in columns],
+                axis=1,
+            )
+            _, first, ids = np.unique(
+                _fold_keys(rows, int(rows.max()) + 1), return_index=True, return_inverse=True
+            )
+            tails = [
+                f',"t":{row[0]},"states":[{",".join(map(str, row[1 : n + 1]))}],'
+                f'"action":[{",".join(map(str, row[n + 1 : n + k + 1]))}],'
+                f'"obs":[{",".join(map(str, row[n + k + 1 : -1]))}],"reward":{row[-1]}}}\n'
+                for row in rows[first].tolist()
+            ]
+            f.write(
+                "".join(
+                    [
+                        head + str(r) + tails[i]
+                        for r, rep_ids in zip(range(start, stop), ids.reshape(-1, T).tolist())
+                        for i in rep_ids
+                    ]
                 )
+            )

@@ -14,9 +14,10 @@ over randomly sampled problem instances:
 
 Every instance is reproducible from (sampler seed, instance index); checks
 return machine-readable violation reports.  The W-based checks (shift, swap,
-reduction, affinity) evaluate all of an instance's vectors, for every t, in
-one ``dp.w_table`` call; the theorem-1 check and the negative-regime scan use
-``FiniteHorizonSolver``.
+reduction) evaluate all of an instance's vectors, for every t, in one
+``dp.w_table`` call; the affinity check, which needs one t, makes its call over
+the slots left from that t.  The theorem-1 check and the negative-regime scan
+use ``FiniteHorizonSolver``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .model import BeliefVector, HorizonSpec, TransitionModel, enumerate_actions, tau_iterate
-from .dp import FiniteHorizonSolver, ResourceLimitError, w_table
+from .dp import FiniteHorizonSolver, ResourceLimitError, _w_graph, w_table
 from .policies import all_greedy_actions, greedy_action
 
 VALUE_TOL = 1e-9
@@ -357,7 +358,11 @@ def check_affinity(
         for v in (v0, v1, 0.5 * (v0 + v1)):
             vectors.append(omega[:i] + (v,) + omega[i + 1 :])
         try:
-            row = inst.w_table(vectors, max_states)[t - 1]
+            # The cap counts the whole (n, k, T) graph, as in the other W checks,
+            # but W_t is the first row of the table over the T - t + 1 slots left.
+            _w_graph(inst.n, inst.k, inst.T - 1, max_states)
+            horizon = HorizonSpec(inst.T - t + 1, inst.beta)
+            row = w_table(inst.model, horizon, inst.k, vectors, max_states)[0].tolist()
         except ResourceLimitError as exc:
             out.append(_resource_report("affinity/resource", inst, exc))
             continue

@@ -8,6 +8,7 @@ as it was so the engine can be compared with it bit for bit.
 """
 
 import itertools
+import json
 from dataclasses import dataclass
 from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
 
@@ -390,3 +391,26 @@ def simulate_loop(config, policy) -> LoopRun:
         if traces is not None:
             traces.append(RunRecord(r, tuple(steps), total))
     return LoopRun(totals, tuple(traces) if traces is not None else None)
+
+
+def write_traces_json(path, runs) -> None:
+    """Reference trace writer: one compact ``json`` encoding per step of each
+    ``RunRecord``, the bytes that ``sim.write_traces`` must reproduce."""
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    with open(path, "w") as f:
+        for run in runs:
+            for s in run.steps:
+                f.write(
+                    encode(
+                        {
+                            "v": 1,
+                            "rep": run.replication,
+                            "t": s.t,
+                            "states": list(s.states),
+                            "action": list(s.action),
+                            "obs": list(s.observations),
+                            "reward": s.reward,
+                        }
+                    )
+                    + "\n"
+                )

@@ -164,6 +164,28 @@ class TestErrorPaths:
         )
         assert result.exit_code == 4
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_out_of_memory_exit_4(self, runner, tmp_path, command):
+        # The (10**12, 25) float64 uniforms need 182 TiB, more than any
+        # process's address space, so numpy refuses the allocation at once.
+        cfg_data = dict(
+            SOLVE_CFG,
+            kind="simulate",
+            policy="greedy",
+            horizon={"T": 5, "beta": 1.0},
+            n=5,
+            k=2,
+            initial_belief=[0.5] * 5,
+            replications=1_000_000_000_000,
+        )
+        if command == "sweep":
+            cfg_data["grid"] = {"k": [2]}
+        cfg = write_config(tmp_path, cfg_data)
+        out = tmp_path / "o"
+        result = runner.invoke(main, [command, cfg, "--out-dir", str(out)])
+        assert result.exit_code == 4, result.output
+        assert "resource cap: out of memory" in result.output
+        assert not (out / "results.csv").exists()
 
     def test_w_property_resource_cap_reported_exit_0(self, runner, tmp_path):
         # A W check over the cap reports one resource error per instance and

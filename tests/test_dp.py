@@ -265,6 +265,48 @@ class TestWTable:
         assert {m.p01 < m.p11 for m, *_ in calls} == {True, False}
         assert any(m.p01 == m.p11 for m, *_ in calls)
 
+    @pytest.mark.parametrize("cap", [10_000_000, 40, 5])
+    def test_affinity_row_equals_the_whole_tables_row(self, monkeypatch, cap):
+        # check_affinity evaluates W over the T - t + 1 slots left from its t.
+        # Its values must equal row t - 1 of the whole (n, k, T) table, and the
+        # cap must still count the whole graph, so the same instances report
+        # affinity/resource.
+        calls = []
+
+        def recording_w_table(model, horizon, k, vectors, max_states):
+            table = w_table(model, horizon, k, vectors, max_states)
+            calls.append((horizon.T, vectors, table[0]))
+            return table
+
+        monkeypatch.setattr(verify, "w_table", recording_w_table)
+        compared = short = tripped_total = 0
+        for seed, regime in enumerate(REGIMES):
+            sampler = InstanceSampler(
+                seed=700 + seed, regime=regime, n_range=(2, 8), T_range=(1, 8),
+                sorted_beliefs=False,
+            )
+            del calls[:]
+            reports = check_affinity(sampler, 80, max_states=cap)
+            tripped = [v.instance.index for v in reports if v.property_id == "affinity/resource"]
+            assert all(v.property_id == "affinity/resource" for v in reports)
+            evaluated = []
+            for inst in sampler.instances(80):
+                try:
+                    w_table(inst.model, inst.horizon, inst.k, [inst.omega], cap)
+                    evaluated.append(inst)
+                except ResourceLimitError:
+                    assert inst.index in tripped
+            assert len(tripped) + len(evaluated) == 80 == len(tripped) + len(calls)
+            tripped_total += len(tripped)
+            for inst, (slots_left, vectors, row) in zip(evaluated, calls):
+                whole = w_table(inst.model, inst.horizon, inst.k, vectors)
+                t = inst.T - slots_left + 1
+                assert [x.hex() for x in row.tolist()] == [x.hex() for x in whole[t - 1].tolist()]
+                compared += len(vectors)
+                short += t > 1
+        assert compared > 300 and short > 5
+        assert (tripped_total > 90) == (cap < 10_000_000)
+
     def test_one_graph_per_shape_answers_every_t(self):
         model, horizon = TransitionModel(0.3, 0.8), HorizonSpec(5, 0.9)
         # the last vector's first two entries are clamped by tau

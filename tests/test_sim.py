@@ -16,15 +16,17 @@ from oppaccess import (
     ResourceLimitError,
     RoundRobinPolicy,
     SimConfig,
+    Traces,
     TransitionModel,
     UniformRandomPolicy,
     common_random_numbers_compare,
     simulate,
     write_traces,
 )
+from oppaccess import sim
 from oppaccess.sim import _nature_uniforms, _policy_uniforms
 
-from _oracles import philox_substream_uniforms, simulate_loop
+from _oracles import philox_substream_uniforms, simulate_loop, write_traces_json
 
 
 def make_config(p01, p11, n, k, T, beta, omega, reps, seed, traces=False):
@@ -223,6 +225,7 @@ class TestBatchAgainstLoopOracle:
         looped = simulate_loop(cfg, make(cfg.model, cfg.horizon, 4, k))
         assert np.array_equal(batched.totals, looped.totals)
         assert batched.traces == looped.traces
+        assert tuple(batched.traces) == looped.traces
 
     @pytest.mark.parametrize("regime", sorted(REGIMES))
     def test_stationary_start_many_ties(self, regime):
@@ -235,6 +238,7 @@ class TestBatchAgainstLoopOracle:
             looped = simulate_loop(cfg, make(cfg.model, cfg.horizon, 4, 2))
             assert np.array_equal(batched.totals, looped.totals)
             assert batched.traces == looped.traces
+            assert tuple(batched.traces) == looped.traces
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_beliefs_just_above_one(self, k):
@@ -249,6 +253,7 @@ class TestBatchAgainstLoopOracle:
             looped = simulate_loop(cfg, make(cfg.model, cfg.horizon, 4, k))
             assert np.array_equal(batched.totals, looped.totals)
             assert batched.traces == looped.traces
+            assert tuple(batched.traces) == looped.traces
 
     def test_ordered_list_differs_from_greedy_in_negative_regime(self):
         # A guard against a vacuous comparison: the ordered list really does
@@ -323,6 +328,104 @@ class TestBatchAgainstLoopOracle:
         path = tmp_path / "traces.jsonl"
         write_traces(str(path), simulate(cfg, POLICIES[name](cfg.model, cfg.horizon, 4, 2)).traces)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def assert_written_as_reference(tmp_path, traces):
+    ours, ref = tmp_path / "columns.jsonl", tmp_path / "reference.jsonl"
+    write_traces(str(ours), traces)
+    write_traces_json(str(ref), tuple(traces))
+    assert ours.read_bytes() == ref.read_bytes()
+
+
+class TestTraceColumns:
+    """``Traces`` and the column writer against the record-by-record reference."""
+
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("name", list(POLICIES))
+    def test_every_policy_writes_reference_bytes(self, tmp_path, name, k):
+        cfg = make_config(0.8, 0.3, 4, k, 4, 0.9, (0.6, 0.3, 0.6, 0.8), 30, 11, traces=True)
+        summary = simulate(cfg, POLICIES[name](cfg.model, cfg.horizon, 4, k))
+        assert_written_as_reference(tmp_path, summary.traces)
+
+    @pytest.mark.parametrize("reps,T", [(1, 4), (1, 1), (40, 1)])
+    def test_one_replication_and_one_slot(self, tmp_path, reps, T):
+        cfg = make_config(0.2, 0.8, 3, 2, T, 0.9, (0.5, 0.3, 0.7), reps, 5, traces=True)
+        traces = simulate(cfg, UniformRandomPolicy(3, 2)).traces
+        assert traces.states.shape == (T, reps, 3)
+        assert_written_as_reference(tmp_path, traces)
+
+    def test_many_writer_blocks(self, tmp_path, monkeypatch):
+        cfg = make_config(0.2, 0.8, 3, 1, 3, 0.9, (0.5, 0.3, 0.7), 23, 6, traces=True)
+        traces = simulate(cfg, GreedyPolicy(1)).traces
+        # Blocks of two replications, the last one short.
+        monkeypatch.setattr(sim, "_TRACE_BLOCK_LINES", 7)
+        assert_written_as_reference(tmp_path, traces)
+
+    def test_more_replications_than_one_block(self, tmp_path):
+        T = 4
+        reps = sim._TRACE_BLOCK_LINES // T + 1000
+        cfg = make_config(0.2, 0.8, 5, 2, T, 0.9, (0.1, 0.3, 0.5, 0.7, 0.9), reps, 8, traces=True)
+        assert_written_as_reference(tmp_path, simulate(cfg, GreedyPolicy(2)).traces)
+
+    def test_wide_rows_re_rank(self, tmp_path):
+        # Rows of 1 + 70 + 3 + 3 + 1 entries below base 71 overflow an int64
+        # many times over, so the codes must be re-ranked as they are folded.
+        n = 70
+        omega = tuple(np.random.default_rng(3).random(n))
+        cfg = make_config(0.2, 0.8, n, 3, 3, 0.9, omega, 50, 9, traces=True)
+        traces = simulate(cfg, UniformRandomPolicy(n, 3)).traces
+        assert 71 ** 78 > np.iinfo(np.int64).max
+        assert_written_as_reference(tmp_path, traces)
+
+    def test_rows_differing_only_in_the_first_channel(self, tmp_path):
+        # Base 64 (the largest entry is action 63): a fold that let the code
+        # wrap would multiply the first channels by 64**11 = 0 mod 2**64.
+        states = np.zeros((1, 2, 63), dtype=np.int8)
+        states[0, 1, 0] = 1
+        traces = Traces(
+            states,
+            np.full((1, 2, 3), [61, 62, 63]),
+            np.zeros((1, 2, 3), dtype=np.int8),
+            np.zeros((1, 2), dtype=np.int64),
+            np.zeros((1, 2)),
+        )
+        assert_written_as_reference(tmp_path, traces)
+        lines = (tmp_path / "columns.jsonl").read_text().splitlines()
+        assert [json.loads(line)["states"][0] for line in lines] == [0, 1]
+
+    def test_sequence_of_run_records(self):
+        cfg = make_config(0.8, 0.3, 4, 2, 3, 0.9, (0.6, 0.3, 0.6, 0.8), 7, 12, traces=True)
+        traces = simulate(cfg, UniformRandomPolicy(4, 2)).traces
+        looped = simulate_loop(cfg, UniformRandomPolicy(4, 2)).traces
+        assert isinstance(traces, Traces) and len(traces) == 7
+        assert traces[-1] == traces[6] == looped[6] and traces[-7] == looped[0]
+        assert traces[-1].replication == 6
+        for bad in (7, -8):
+            with pytest.raises(IndexError):
+                traces[bad]
+        assert traces == looped and looped == traces and tuple(traces) == looped
+        assert traces != looped[:-1] and traces != looped[::-1] and traces != 7
+        assert traces == simulate(cfg, UniformRandomPolicy(4, 2)).traces
+        with pytest.raises(TypeError):
+            hash(traces)
+
+    def test_columns_read_only(self):
+        cfg = make_config(0.2, 0.8, 3, 2, 2, 0.9, (0.5, 0.3, 0.7), 4, 13, traces=True)
+        traces = simulate(cfg, GreedyPolicy(2)).traces
+        columns = (
+            traces.states, traces.actions, traces.observations, traces.rewards,
+            traces.discounted_cum,
+        )
+        assert [c.shape for c in columns] == [(2, 4, 3), (2, 4, 2), (2, 4, 2), (2, 4), (2, 4)]
+        for column in columns:
+            with pytest.raises(ValueError, match="read-only"):
+                column[0, 0] = 1
+
+    def test_writer_takes_only_traces(self, tmp_path):
+        cfg = make_config(0.2, 0.8, 3, 2, 2, 0.9, (0.5, 0.3, 0.7), 4, 13, traces=True)
+        runs = tuple(simulate(cfg, GreedyPolicy(2)).traces)
+        with pytest.raises(TypeError, match="Traces"):
+            write_traces(str(tmp_path / "t.jsonl"), runs)
 
 
 class TestConfigValidation:
