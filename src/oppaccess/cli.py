@@ -472,8 +472,9 @@ def _command(body):
                             show_default=True)(callback)
     callback = click.option("--max-memo", type=click.IntRange(min=1), default=10_000_000,
                             show_default=True,
-                            help="Cap on DP states: V graph nodes, W memo entries "
-                                 "and W graph nodes.")(callback)
+                            help="Cap on the node count of each DP state graph: "
+                                 "a solver's V graph and each W graph, capped "
+                                 "separately.")(callback)
     callback = click.option("--traces/--no-traces", default=False,
                             help="Export per-step simulation traces (JSONL).")(callback)
     callback = click.argument("config", type=click.Path())(callback)

@@ -12,14 +12,14 @@ Two recursions are implemented:
   [p01-block, tau(unsensed entries in order), p11-block] where the block
   lengths are the number of bad/good observations.  Applied to an
   ascending-sorted vector this equals the expected discounted reward of the
-  greedy policy.
+  greedy policy (``greedy_value``).
 
 Every reachable belief entry is tau^m applied to p01, p11, or one of the
-root entries, so each entry is carried as a (value, key) pair whose key
+root entries, so V carries each entry as a (value, key) pair whose key
 (origin, age) identifies it exactly, and states are recognised without
 float-equality fragility.  Each solver keeps one aged-entry table that maps an
 entry to the same entry one unobserved step on, so tau runs once per distinct
-entry.  W is memoised on (h, entries).
+entry.
 
 V is solved over a level graph, for a batch of root beliefs at one t at a
 time (``FiniteHorizonSolver.action_value_table``).  Every entry a reachable
@@ -32,22 +32,22 @@ Q-values are float.hex-identical to it.  Equal entries are contiguous in a
 sorted state, and below the roots only the first selection of each sensed
 multiset is expanded: the others have bit-identical Q-values and reach the
 same states.  Zero-probability children are pruned, so a single root's node
-count equals the recursion's memo size.  Nodes count against ``max_states``
-before any value is computed.  A solver keeps the Q rows it answered, keyed
-on (t, root entries), and the solved levels, which ``verify_cached_bellman``
-audits.
+count equals the recursion's memo size.  A solver's V graph nodes, summed
+over its queries, count against ``max_states`` before any value is computed.
+A solver keeps the Q rows it answered, keyed on (t, root entries), and the
+solved levels, which ``verify_cached_bellman`` audits.
 
-``w_table`` answers the verify suite's W checks (lemma 2, lemma 3A/3B and
-affinity) for many vectors and every t at once.  W's state graph depends
-only on (n, k, H = T-1): each entry of a reachable state is p01, p11 or a
-root position, aged m steps.  The graph is built once per (n, k, H) and kept
-as per-depth int32 arrays of sensed symbols and child indices, then evaluated
-depth by depth with numpy over a (nodes x vectors) array; the root is node 0
-of every depth, so one pass yields W_t for t = 1..T.  Its values are
-float.hex-identical to ``w_value``, which stays the reference, and its node
-count, summed over depths, counts against ``max_states``.  Every sum in this
-module folds left to right from 0.0, so values do not depend on the Python
-version.
+W has one engine, ``w_table``, which evaluates many vectors for every t at
+once; ``FiniteHorizonSolver.w_value`` and ``greedy_value`` read one row of
+it.  W's state graph depends only on (n, k, H = T-1): each entry of a
+reachable state is p01, p11 or a root position, aged m steps.  The graph is
+built once per (n, k, H) and kept as per-depth int32 arrays of sensed
+symbols and child indices, then evaluated depth by depth with numpy over a
+(nodes x vectors) array; the root is node 0 of every depth, so one pass
+yields W_t for t = 1..T.  Its values are float.hex-identical to the scalar
+memoised recursion, and its node count, summed over depths, counts against
+``max_states`` on its own.  Every sum in this module folds left to right
+from 0.0, so values do not depend on the Python version.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ from .model import (
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when a solver's state count (memo entries or graph nodes) would exceed its cap."""
+    """Raised when a state graph's node count would exceed its cap."""
 
 
 # Internal state keys: ("B", m) = tau^m(p01); ("G", m) = tau^m(p11);
@@ -215,11 +215,12 @@ class SolveResult:
 class FiniteHorizonSolver:
     """Exact solver for a fixed (model, horizon, k).
 
-    One instance owns private tables (the aged entries, the W memo, the
-    solved V levels and the V answers) and is meant to be used from a single
-    thread; independent instances can run concurrently.  The tables are
-    shared across queries, so asking again is free, and ``max_states`` caps
-    V graph nodes plus W memo entries over all of an instance's queries.
+    One instance owns private tables (the aged entries, the solved V levels
+    and the V answers) and is meant to be used from a single thread;
+    independent instances can run concurrently.  The tables are shared
+    across queries, so asking again is free.  ``max_states`` caps the V graph
+    nodes over all of an instance's queries, and, on its own, the node count
+    of each W graph a query reads (see ``w_table``).
     """
 
     def __init__(
@@ -235,7 +236,8 @@ class FiniteHorizonSolver:
         self.horizon = horizon
         self.k = k
         self.max_states = max_states
-        self._w_memo: Dict[Tuple, float] = {}
+        # W: the node count of the graph read for each belief length n.
+        self._w_nodes: Dict[int, int] = {}
         # V: the level graphs solved so far, their node count, and the Q row
         # of every root answered, keyed on (t, root entries).
         self._v_graphs: List[_VGraph] = []
@@ -266,12 +268,6 @@ class FiniteHorizonSolver:
                 entries.append((w, ("V", w, 0)))
         return entries
 
-    def _bump(self) -> None:
-        if self._v_nodes + len(self._w_memo) > self.max_states:
-            raise ResourceLimitError(
-                f"memoised state count exceeded cap {self.max_states}"
-            )
-
     def _aged(self, entries: Sequence[Tuple[float, Tuple]]) -> List[Tuple[float, Tuple]]:
         """Every entry one unobserved step on, through the aged-entry table."""
         table = self._aged_table
@@ -284,7 +280,7 @@ class FiniteHorizonSolver:
         return out
 
     def cache_stats(self) -> Dict[str, int]:
-        return {"v_states": self._v_nodes, "w_states": len(self._w_memo)}
+        return {"v_states": self._v_nodes, "w_states": sum(self._w_nodes.values())}
 
     # -- optimal value -----------------------------------------------------
 
@@ -366,7 +362,7 @@ class FiniteHorizonSolver:
             found[slot[live]] = True
             made = np.flatnonzero(found)
             nodes += len(made)
-            if self._v_nodes + nodes + len(self._w_memo) > self.max_states:
+            if self._v_nodes + nodes > self.max_states:
                 raise ResourceLimitError(
                     f"V state graph node count exceeded cap {self.max_states}"
                 )
@@ -428,42 +424,24 @@ class FiniteHorizonSolver:
         values = np.array([v for v, _ in entries])
         return entries, values, aged_rank, rows, rank[self._bad], rank[self._good]
 
-    # -- greedy-value recursion -------------------------------------------
+    # -- greedy value ------------------------------------------------------
 
-    def _w(self, h: int, entries: Tuple[Tuple[float, Tuple], ...]) -> float:
-        """Order-sensitive recursion: sense the last k entries, reorder, recurse."""
-        key = (h, entries)
-        hit = self._w_memo.get(key)
-        if hit is not None:
-            return hit
-        k = self.k
-        reward = _left_sum(v for v, _ in entries[-k:])
-        if h == 0 or self.horizon.beta == 0.0:
-            val = reward
-        else:
-            sensed = [v for v, _ in entries[-k:]]
-            aged = self._aged(entries[:-k])
-            total = 0.0
-            for s, p in enumerate(_poisson_binomial(sensed)):
-                if p == 0.0:
-                    continue
-                child = [self._bad] * (k - s) + aged + [self._good] * s
-                total += p * self._w(h - 1, tuple(child))
-            val = reward + self.horizon.beta * total
-        self._w_memo[key] = val
-        self._bump()
-        return val
+    def _w_at(self, omega: Sequence[float], t: int) -> float:
+        """W_t^k of `omega` in its given order: one entry of ``w_table``'s row t-1."""
+        n, H = len(omega), self.horizon.T - 1
+        value = w_table(self.model, self.horizon, self.k, [omega], self.max_states)[t - 1, 0]
+        self._w_nodes[n] = _w_graph(n, self.k, H, self.max_states).nodes
+        return float(value)
 
     def w_value(self, belief: BeliefVector, t: int) -> float:
         """W_t^k of the belief vector taken in its given (arbitrary) order."""
-        h = self._check_t(belief, t)
-        return self._w(h, tuple(self._root_entries(belief)))
+        self._check_t(belief, t)
+        return self._w_at(belief.omega, t)
 
     def greedy_value(self, belief: BeliefVector, t: int) -> float:
         """Expected discounted reward of the greedy policy: W on the sorted vector."""
-        h = self._check_t(belief, t)
-        entries = sorted(self._root_entries(belief))
-        return self._w(h, tuple(entries))
+        self._check_t(belief, t)
+        return self._w_at(sorted(belief.omega), t)
 
     # -- post-hoc audit ----------------------------------------------------
 
@@ -613,8 +591,8 @@ def w_table(
     """W_t^k of every vector (each taken in its given order) for every t.
 
     Returns a (T, len(vectors)) array whose row t-1 holds W_t.  Values are
-    bit-identical to ``FiniteHorizonSolver.w_value``: sums fold left to
-    right, tau is iterated one step at a time, and the outcome law and the
+    bit-identical to the scalar memoised recursion: sums fold left to right,
+    tau is iterated one step at a time, and the outcome law and the
     continuation sum keep the recursion's operation order.  A zero-probability
     child is evaluated too; it adds an exact 0.0.  The graph's node count,
     summed over depths, counts against ``max_states``.

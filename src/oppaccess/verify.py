@@ -17,7 +17,11 @@ return machine-readable violation reports.  The W-based checks (shift, swap,
 reduction) evaluate all of an instance's vectors, for every t, in one
 ``dp.w_table`` call; the affinity check, which needs one t, makes its call over
 the slots left from that t.  The theorem-1 check and the negative-regime scan
-use ``FiniteHorizonSolver``.
+use ``FiniteHorizonSolver``, whose greedy value reads the same W tables.
+
+``max_states`` caps each state graph's node count: the W graph of an
+instance's (n, k, T-1), and a solver's V graph.  An instance over the cap is
+reported as one ``<property>/resource`` error, and the run goes on.
 """
 
 from __future__ import annotations
@@ -308,6 +312,12 @@ def check_lemma2_reduction(
     W(complement-sorted, a) <= W(sorted), with equality for the greedy set."""
     out: List[ViolationReport] = []
     for inst in sampler.instances(count):
+        try:
+            # The cap applies before the C(n, k) + 1 vectors are built.
+            _w_graph(inst.n, inst.k, inst.T - 1, max_states)
+        except ResourceLimitError as exc:
+            out.append(_resource_report("lemma2/resource", inst, exc))
+            continue
         omega = tuple(sorted(inst.omega))
         selections = list(itertools.combinations(range(inst.n), inst.k))
         vectors = [omega]
@@ -315,11 +325,7 @@ def check_lemma2_reduction(
             sel_set = set(sel)
             rest = tuple(omega[i] for i in range(inst.n) if i not in sel_set)
             vectors.append(rest + tuple(omega[i] for i in sel))
-        try:
-            table = inst.w_table(vectors, max_states)
-        except ResourceLimitError as exc:
-            out.append(_resource_report("lemma2/resource", inst, exc))
-            continue
+        table = inst.w_table(vectors, max_states)
         for t, (rhs, *firsts) in enumerate(table, start=1):
             for sel, lhs in zip(selections, firsts):
                 if lhs > rhs + VALUE_TOL:

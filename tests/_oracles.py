@@ -3,8 +3,9 @@
 Deliberately naive: no memoisation, no outcome grouping, no reordering
 tricks.  Only usable at tiny sizes, which is the point -- they share no code
 path with the package's recursions.  The exception is ``RecursiveVSolver``:
-the memoised Bellman recursion that the level-graph V engine replaced, kept
-as it was so the engine can be compared with it bit for bit.
+the memoised Bellman and greedy-value recursions that the level-graph V
+engine and ``dp.w_table`` replaced, kept as they were so the engines can be
+compared with them bit for bit.
 """
 
 import itertools
@@ -125,12 +126,15 @@ class RecursiveVSolver(FiniteHorizonSolver):
     V is memoised on (h, sorted entries) and explored depth first; a state
     is counted against ``max_states`` the moment it is memoised, so a cap
     trips part-way through, with the states visited so far left in the
-    memo.  W and the aged-entry table are the library's.
+    memo.  The greedy-value recursion W that ``dp.w_table`` replaced is kept
+    the same way, memoised on (h, entries); V and W memo entries count
+    against one cap together.  The aged-entry table is the library's.
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._v_memo: Dict[Tuple, float] = {}
+        self._w_memo: Dict[Tuple, float] = {}
 
     def _bump(self) -> None:
         if len(self._v_memo) + len(self._w_memo) > self.max_states:
@@ -228,6 +232,41 @@ class RecursiveVSolver(FiniteHorizonSolver):
             )
             worst = max(worst, abs(cached - rhs))
         return worst
+
+    def _w(self, h: int, entries: Tuple[Tuple[float, Tuple], ...]) -> float:
+        """Order-sensitive recursion: sense the last k entries, reorder, recurse."""
+        key = (h, entries)
+        hit = self._w_memo.get(key)
+        if hit is not None:
+            return hit
+        k = self.k
+        reward = _left_sum(v for v, _ in entries[-k:])
+        if h == 0 or self.horizon.beta == 0.0:
+            val = reward
+        else:
+            sensed = [v for v, _ in entries[-k:]]
+            aged = self._aged(entries[:-k])
+            total = 0.0
+            for s, p in enumerate(_poisson_binomial(sensed)):
+                if p == 0.0:
+                    continue
+                child = [self._bad] * (k - s) + aged + [self._good] * s
+                total += p * self._w(h - 1, tuple(child))
+            val = reward + self.horizon.beta * total
+        self._w_memo[key] = val
+        self._bump()
+        return val
+
+    def w_value(self, belief: BeliefVector, t: int) -> float:
+        """W_t^k of the belief vector taken in its given (arbitrary) order."""
+        h = self._check_t(belief, t)
+        return self._w(h, tuple(self._root_entries(belief)))
+
+    def greedy_value(self, belief: BeliefVector, t: int) -> float:
+        """Expected discounted reward of the greedy policy: W on the sorted vector."""
+        h = self._check_t(belief, t)
+        entries = sorted(self._root_entries(belief))
+        return self._w(h, tuple(entries))
 
 
 def brute_force_optimal(omega, t, model: TransitionModel, horizon: HorizonSpec, k: int):

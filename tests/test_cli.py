@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oppaccess
 from oppaccess import FiniteHorizonSolver
-from oppaccess.cli import main
+from oppaccess.cli import load_config, main
 
 
 @pytest.fixture
@@ -283,6 +284,36 @@ class TestSimulateAndCompare:
             # strip the runtime column, which is wall-clock and legitimately varies
             outs.append([line.rsplit(",", 1)[0] for line in row.splitlines()])
         assert outs[0] == outs[1]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_blocks(lang):
+    return re.findall(rf"^```{lang}\n(.*?)^```", README.read_text(), re.M | re.S)
+
+
+def readme_configs():
+    return [c for c in map(yaml.safe_load, readme_blocks("yaml")) if "kind" in c]
+
+
+class TestReadmeExamples:
+    def test_every_config_parses(self):
+        configs = readme_configs()
+        assert [c["kind"] for c in configs] == ["solve", "simulate", "compare", "verify"]
+        for cfg in configs:
+            load_config(cfg)
+
+    def test_simulate_trace_lines(self, runner, tmp_path):
+        (cfg,) = [c for c in readme_configs() if c["kind"] == "simulate"]
+        # Replication 0's substream does not depend on the replication count.
+        cfg["replications"] = 1
+        out = tmp_path / "out"
+        args = ["run", write_config(tmp_path, cfg), "--out-dir", str(out), "--traces"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        (shown,) = readme_blocks("json")
+        assert (out / "traces_greedy.jsonl").read_text() == shown
 
 
 class TestVerifyKind:

@@ -16,6 +16,7 @@ from oppaccess import (
 )
 from oppaccess import dp, verify
 from oppaccess.dp import w_table
+from oppaccess.model import OBSERVED_BAD, OBSERVED_GOOD
 from oppaccess.verify import (
     REGIMES,
     InstanceSampler,
@@ -217,6 +218,7 @@ class TestLeftToRightSums:
         b = BeliefVector((0.1, 0.2, 0.3))
         assert s.optimal_value(b, 1).value.hex() == want
         assert s.w_value(b, 1).hex() == want
+        assert RecursiveVSolver(s.model, s.horizon, 3).w_value(b, 1).hex() == want
         table = w_table(s.model, s.horizon, 3, [b.omega])
         assert float(table[0, 0]).hex() == want
 
@@ -225,7 +227,7 @@ _W_CHECKS = (check_lemma3_A, check_lemma3_B, check_lemma2_reduction, check_affin
 
 
 class TestWTable:
-    """The position-keyed W graph against the recursion, as float.hex."""
+    """The position-keyed W graph against the memoised recursion, as float.hex."""
 
     def test_property_vector_sets_match_solver(self, monkeypatch):
         calls = []
@@ -247,10 +249,10 @@ class TestWTable:
         shapes, betas = set(), set()
         for model, horizon, k, vectors, table in calls:
             assert table.shape == (horizon.T, len(vectors))
-            solver = FiniteHorizonSolver(model, horizon, k)
+            oracle = RecursiveVSolver(model, horizon, k)
             for t in range(1, horizon.T + 1):
                 for vec, got in zip(vectors, table[t - 1].tolist()):
-                    want = solver.w_value(BeliefVector(vec), t)
+                    want = oracle.w_value(BeliefVector(vec), t)
                     compared += 1
                     if got.hex() != want.hex():
                         mismatches.append((model, horizon, k, vec, t, got.hex(), want.hex()))
@@ -317,11 +319,11 @@ class TestWTable:
             (-1e-13, 1.0 + 1e-13, 0.5, 0.3),
         ]
         table = w_table(model, horizon, 2, vectors)
-        solver = FiniteHorizonSolver(model, horizon, 2)
+        oracle = RecursiveVSolver(model, horizon, 2)
         assert table.shape == (5, 4)
         for t in range(1, 6):
             for vec, got in zip(vectors, table[t - 1].tolist()):
-                assert got.hex() == solver.w_value(BeliefVector(vec), t).hex()
+                assert got.hex() == oracle.w_value(BeliefVector(vec), t).hex()
 
     def test_node_cap_while_building_and_when_cached(self):
         model, horizon, k = TransitionModel(0.3, 0.8), HorizonSpec(4, 0.9), 2
@@ -349,10 +351,72 @@ class TestWTable:
             w_table(TransitionModel(0.3, 0.8), HorizonSpec(2, 1.0), k, vectors)
 
 
+class TestSolverWReadsTheTable:
+    """``w_value``/``greedy_value`` read ``w_table``; the memoised recursion is the reference."""
+
+    def test_values_match_the_recursion(self):
+        compared = tagged = tied = 0
+        betas = set()
+        for seed, regime in enumerate(REGIMES):
+            sampler = InstanceSampler(
+                seed=800 + seed, regime=regime, n_range=(2, 8), T_range=(1, 8)
+            )
+            for inst in sampler.instances(100):
+                rng = np.random.default_rng([800 + seed, inst.index])
+                omega, tags = list(inst.omega), [None] * inst.n
+                # Observed entries carry G/B tags and their exact values.
+                for i in np.flatnonzero(rng.random(inst.n) < 0.4):
+                    good, m = bool(rng.integers(2)), int(rng.integers(3))
+                    omega[i] = tau_iterate(inst.p11 if good else inst.p01, inst.model, m)
+                    tags[i] = (OBSERVED_GOOD if good else OBSERVED_BAD, m)
+                if rng.random() < 0.5:
+                    i, j = rng.choice(inst.n, 2, replace=False)
+                    omega[j], tags[j] = omega[i], tags[i]
+                b = BeliefVector(tuple(omega), tuple(tags) if any(tags) else None)
+                solver = inst.solver()
+                oracle = RecursiveVSolver(inst.model, inst.horizon, inst.k)
+                for t in range(1, inst.T + 1):
+                    for method in ("w_value", "greedy_value"):
+                        got = getattr(solver, method)(b, t)
+                        want = getattr(oracle, method)(b, t)
+                        assert got.hex() == want.hex(), (inst, b, t, method)
+                        compared += 1
+                # w_states counts the one graph every query read
+                nodes = dp._W_GRAPHS[(inst.n, inst.k, inst.T - 1)].nodes
+                assert solver.cache_stats() == {"v_states": 0, "w_states": nodes}
+                tagged += b.tags is not None
+                tied += len(set(omega)) < inst.n
+                betas.add(inst.beta if inst.beta in (0.0, 1.0) else "random")
+        assert compared > 2500 and tagged > 150 and tied > 150
+        assert betas == {0.0, 1.0, "random"}
+
+    def test_each_graph_is_capped_on_its_own(self):
+        model, horizon, k = TransitionModel(0.3, 0.8), HorizonSpec(4, 0.9), 2
+        b = BeliefVector((0.1, 0.5, 0.7, 0.9))
+        w_nodes = dp._w_graph(4, k, 3, 10_000).nodes
+        v_nodes = make_solver(0.3, 0.8, 4, 0.9, k).optimal_value(b, 1).cache_stats["v_states"]
+        # V and W nodes are not summed: a cap that each graph fits runs both
+        cap = max(v_nodes, w_nodes)
+        s = FiniteHorizonSolver(model, horizon, k, max_states=cap)
+        w = s.greedy_value(b, 1)
+        assert s.optimal_value(b, 1).value == pytest.approx(w, abs=1e-9)
+        assert s.cache_stats() == {"v_states": v_nodes, "w_states": w_nodes}
+        # a second length adds its graph once, however often it is read
+        s.w_value(BeliefVector((0.2, 0.6, 0.4)), 2)
+        s.w_value(BeliefVector((0.6, 0.2, 0.4)), 1)
+        assert s.cache_stats()["w_states"] == w_nodes + dp._w_graph(3, k, 3, 10_000).nodes
+        for cap, query in [(w_nodes - 1, "greedy_value"), (v_nodes - 1, "optimal_value")]:
+            s = FiniteHorizonSolver(model, horizon, k, max_states=cap)
+            with pytest.raises(ResourceLimitError):
+                getattr(s, query)(b, 1)
+
+
 # Outputs of the full-enumeration solver, before the aged-entry table, the
 # duplicate-selection skip and the (h, entries) memo key, as float.hex.  Every
 # instance is solved from t=1 on a fresh solver in this order: optimal_value,
-# action_values, w_value, greedy_value; "stats" is cache_stats() afterwards.
+# action_values, w_value, greedy_value.  Afterwards "stats" is the library
+# solver's cache_stats() (V graph nodes; nodes of the W graph of (n, k, T-1))
+# and "memo_stats" is RecursiveVSolver's (V and W memo entries).
 _B1 = tau_iterate(0.3, TransitionModel(0.3, 0.8), 1)
 PINNED_INSTANCES = {
     # name: (p01, p11, T, beta, k, omega, tags)
@@ -373,7 +437,8 @@ PINNED_OUTPUTS = {
         "W": "0x1.4b8c8c941c24fp+1",
         "G": "0x1.9cf0bc1f71f37p+1",
         "best": [(4,)],
-        "stats": {"v_states": 680, "w_states": 60},
+        "stats": {"v_states": 680, "w_states": 53},
+        "memo_stats": {"v_states": 680, "w_states": 60},
         "Q": {
             (1,): "0x1.3c5f72e4fe78ep+1",
             (2,): "0x1.7c9130e3aa6c4p+1",
@@ -387,7 +452,8 @@ PINNED_OUTPUTS = {
         "W": "0x1.5b0208e106320p+2",
         "G": "0x1.76c2ecced6da7p+2",
         "best": [(2, 4)],
-        "stats": {"v_states": 501, "w_states": 56},
+        "stats": {"v_states": 501, "w_states": 52},
+        "memo_stats": {"v_states": 501, "w_states": 56},
         "Q": {
             (1, 2): "0x1.48c5352312f8cp+2",
             (1, 3): "0x1.3af0ee8c22285p+2",
@@ -406,7 +472,8 @@ PINNED_OUTPUTS = {
         "W": "0x1.54dd3e2708296p+2",
         "G": "0x1.733270c4569acp+2",
         "best": [(3, 5, 6)],
-        "stats": {"v_states": 368, "w_states": 38},
+        "stats": {"v_states": 368, "w_states": 25},
+        "memo_stats": {"v_states": 368, "w_states": 38},
         "Q": {
             (1, 2, 3): "0x1.35a40d183cbc8p+2",
             (1, 2, 4): "0x1.19c7c8fe1d702p+2",
@@ -435,7 +502,8 @@ PINNED_OUTPUTS = {
         "W": "0x1.a0f95328453c9p+1",
         "G": "0x1.c0c44afc6191fp+1",
         "best": [(2, 4)],
-        "stats": {"v_states": 501, "w_states": 56},
+        "stats": {"v_states": 501, "w_states": 52},
+        "memo_stats": {"v_states": 501, "w_states": 56},
         "Q": {
             (1, 2): "0x1.0bb64920c9525p+2",
             (1, 3): "0x1.fd8d119a40c4ep+1",
@@ -454,7 +522,8 @@ PINNED_OUTPUTS = {
         "W": "0x1.570a3d70a3d71p-1",
         "G": "0x1.051eb851eb852p+0",
         "best": [(2, 3)],
-        "stats": {"v_states": 0, "w_states": 2},
+        "stats": {"v_states": 0, "w_states": 16},
+        "memo_stats": {"v_states": 0, "w_states": 2},
         "Q": {
             (1, 2): "0x1.8a3d70a3d70a4p-1",
             (1, 3): "0x1.199999999999ap-1",
@@ -469,7 +538,8 @@ PINNED_OUTPUTS = {
         "W": "0x1.49fe55627d294p+2",
         "G": "0x1.49fe55627d294p+2",
         "best": [(1, 5), (2, 5), (3, 5), (4, 5), (5, 6)],
-        "stats": {"v_states": 483, "w_states": 77},
+        "stats": {"v_states": 483, "w_states": 55},
+        "memo_stats": {"v_states": 483, "w_states": 77},
         "Q": {
             (1, 2): "0x1.37706aacf74a8p+2",
             (1, 3): "0x1.37706aacf74a8p+2",
@@ -500,11 +570,11 @@ def _memo_digest(solver):
 
 
 class TestPinnedOutputs:
-    @pytest.mark.parametrize("name", sorted(PINNED_INSTANCES))
-    def test_bit_identical(self, name):
+    @staticmethod
+    def _solve_pinned(solver_cls, name):
         p01, p11, T, beta, k, omega, tags = PINNED_INSTANCES[name]
         want = PINNED_OUTPUTS[name]
-        s = make_solver(p01, p11, T, beta, k)
+        s = solver_cls(TransitionModel(p01, p11), HorizonSpec(T, beta), k)
         b = BeliefVector(omega, tags)
         res = s.optimal_value(b, 1)
         qs = s.action_values(b, 1)
@@ -513,8 +583,20 @@ class TestPinnedOutputs:
         assert {a.indices: q.hex() for a, q in qs.items()} == want["Q"]
         assert s.w_value(b, 1).hex() == want["W"]
         assert s.greedy_value(b, 1).hex() == want["G"]
-        assert s.cache_stats() == want["stats"]
         assert s.verify_cached_bellman() <= 1e-12
+        return s
+
+    @pytest.mark.parametrize("name", sorted(PINNED_INSTANCES))
+    def test_bit_identical(self, name):
+        s = self._solve_pinned(FiniteHorizonSolver, name)
+        assert s.cache_stats() == PINNED_OUTPUTS[name]["stats"]
+
+    @pytest.mark.parametrize("name", sorted(PINNED_INSTANCES))
+    def test_memo_oracle_bit_identical(self, name):
+        # The recursions the graphs replaced give the same values; their
+        # state counts are memo entries.
+        s = self._solve_pinned(RecursiveVSolver, name)
+        assert s.cache_stats() == PINNED_OUTPUTS[name]["memo_stats"]
 
     def test_resource_cap_trips_at_same_state(self):
         # The depth-first recursion, now the oracle, keeps its trip point and

@@ -13,6 +13,7 @@ from oppaccess import (
     summary_table,
     violations_to_json,
 )
+from oppaccess import verify
 from oppaccess.verify import Instance, ViolationReport
 
 
@@ -105,6 +106,19 @@ class TestChecks:
         assert [v.instance.index for v in viols] == [0, 1, 2]
         assert all("exceeded cap 5" in v.error for v in viols)
         assert all(v.lhs is None and v.rhs is None for v in viols)
+
+    def test_lemma2_cap_applies_before_any_vector_is_built(self, monkeypatch):
+        # n 16-20 has up to C(20, 10) + 1 = 184,757 vectors per instance; one
+        # over the cap is reported without building or evaluating them.
+        def refuse(*args, **kwargs):
+            raise AssertionError("w_table called for an instance over the cap")
+
+        monkeypatch.setattr(verify, "w_table", refuse)
+        s = sampler(sorted_beliefs=True, n_range=(16, 20), T_range=(3, 3))
+        error = "ResourceLimitError: W state graph node count exceeded cap 5"
+        assert check_lemma2_reduction(s, 4, max_states=5) == [
+            ViolationReport("lemma2/resource", inst, error=error) for inst in s.instances(4)
+        ]
 
 
 class TestNegativeScan:
