@@ -19,7 +19,6 @@ from .policies import (
     Policy,
     RoundRobinPolicy,
     UniformRandomPolicy,
-    all_greedy_actions,
     greedy_action,
     optimal_action,
     ordered_list_policy_step,

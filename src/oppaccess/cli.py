@@ -2,7 +2,7 @@
 
 Experiment kinds:
 
-* ``solve``    -- exact DP and greedy values for one instance.
+* ``solve``    -- the exact optimal value and greedy's exact value for one instance.
 * ``simulate`` -- Monte Carlo estimate of one or more policies.
 * ``compare``  -- common-random-numbers comparison of two policies.
 * ``verify``   -- run the verification suites; nonzero exit on violations.
@@ -268,7 +268,7 @@ def _run_solve(exp: _Experiment, max_states: int) -> List[dict]:
     solver = FiniteHorizonSolver(c.model, c.horizon, c.k, max_states)
     t0 = time.perf_counter()
     result = solver.optimal_value(c.initial_belief, 1)
-    gv = solver.greedy_value(c.initial_belief, 1)
+    gv = solver.greedy_audit(c.initial_belief, 1).value
     runtime = time.perf_counter() - t0
     return [
         {

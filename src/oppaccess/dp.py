@@ -11,8 +11,9 @@ Two recursions are implemented:
   sense the *last* k entries of the argument vector, then recurse on
   [p01-block, tau(unsensed entries in order), p11-block] where the block
   lengths are the number of bad/good observations.  Applied to an
-  ascending-sorted vector this equals the expected discounted reward of the
-  greedy policy (``greedy_value``).
+  ascending-sorted vector (``greedy_value``) this is the value of the
+  ordered list started in ascending order, which is the greedy policy's
+  value when p11 >= p01 but not otherwise.
 
 Every reachable belief entry is tau^m applied to p01, p11, or one of the
 root entries, so V carries each entry as a (value, key) pair whose key
@@ -37,6 +38,12 @@ over its queries, count against ``max_states`` before any value is computed.
 A solver keeps the Q rows it answered, keyed on (t, root entries), and the
 solved levels, which ``verify_cached_bellman`` audits.
 
+The same backward pass audits greedy at every state below the roots, from
+the pass's own arrays: the regret of greedy's tied choices against the best
+Q, and G, greedy's own value in every regime, which reads one pair per
+state.  The regret is kept with each level and G with the states one step
+below the roots, and ``greedy_audit`` finishes a root's audit from them.
+
 W has one engine, ``w_table``, which evaluates many vectors for every t at
 once; ``FiniteHorizonSolver.w_value`` and ``greedy_value`` read one row of
 it.  W's state graph depends only on (n, k, H = T-1): each entry of a
@@ -55,7 +62,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,6 +83,11 @@ from .model import (
 
 class ResourceLimitError(RuntimeError):
     """Raised when a state graph's node count would exceed its cap."""
+
+
+#: Selections whose one-step rewards differ by at most this much are tied,
+#: so each of them is a greedy choice.
+TIE_TOL = 1e-12
 
 
 # Internal state keys: ("B", m) = tau^m(p01); ("G", m) = tau^m(p11);
@@ -164,6 +176,24 @@ def _sensing_pairs(rows: np.ndarray, masks: np.ndarray) -> Tuple[np.ndarray, np.
     return np.nonzero(keep)
 
 
+def _least_tied_q(
+    q: np.ndarray, reward: np.ndarray, starts: np.ndarray, last: np.ndarray, best: np.ndarray
+) -> np.ndarray:
+    """Per state, the least Q among its selections whose reward ties its best.
+
+    Pairs are grouped by state, each group running from its entry of
+    `starts` to its entry of `last`, whose reward is the state's `best`; a
+    reward within ``TIE_TOL`` of `best` ties it.  Ties other than the last
+    pair are rare, so they are folded in one by one.
+    """
+    tied = reward >= np.repeat(best - TIE_TOL, last + 1 - starts)
+    tied[last] = False
+    least = q.take(last)
+    other = np.flatnonzero(tied)
+    np.minimum.at(least, np.searchsorted(starts, other, side="right") - 1, q.take(other))
+    return least
+
+
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -188,11 +218,13 @@ def _fold_keys(rows: np.ndarray, base: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _VLevel:
-    """One level of a solved V graph: its states as sorted rank rows, and their values."""
+    """One level of a solved V graph: its states as sorted rank rows, their values,
+    and, above the last step, greedy's regret at each (``GreedyAudit``)."""
 
     h: int  # steps remaining after the current one
     rows: np.ndarray
     values: np.ndarray
+    regret: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -200,7 +232,29 @@ class _VGraph:
     """The levels below the roots of one solved V graph, and what its ranks stand for."""
 
     entries: Tuple[Tuple[float, Tuple], ...]  # rank -> (value, key)
-    levels: Tuple[_VLevel, ...]
+    levels: Tuple[_VLevel, ...]  # levels[j] has j steps left
+    # Root i's selection c has its child for s good outcomes at level 1 in
+    # column i * C(n, k) + c, row s; ``greedy`` is G at each level-1 state.
+    root_children: np.ndarray
+    greedy: np.ndarray
+
+
+@dataclass(frozen=True)
+class GreedyAudit:
+    """Greedy's own value from a root, and its worst regret in the root's V graph.
+
+    The regret at a node is its largest Q minus the least Q among the
+    selections whose one-step reward ties the node's best within
+    ``TIE_TOL``, every Q taking V as the continuation: 0 where every greedy
+    choice is optimal.  The graph is the root's own: every state reachable
+    from it, and no other.  At the last step Q is the reward, so the regret
+    there is at most ``TIE_TOL``; it is computed there only at a root.
+    """
+
+    value: float  # G: greedy's expected discounted reward, in every regime
+    regret: float  # the largest regret over the graph's nodes
+    t: int  # the time step of the node where it occurs
+    omega: Tuple[float, ...]  # that node's belief (sorted, below the root)
 
 
 @dataclass(frozen=True)
@@ -216,7 +270,8 @@ class FiniteHorizonSolver:
     """Exact solver for a fixed (model, horizon, k).
 
     One instance owns private tables (the aged entries, the solved V levels
-    and the V answers) and is meant to be used from a single thread;
+    and the V answers with their greedy audits) and is meant to be used from
+    a single thread;
     independent instances can run concurrently.  The tables are shared
     across queries, so asking again is free.  ``max_states`` caps the V graph
     nodes over all of an instance's queries, and, on its own, the node count
@@ -239,10 +294,11 @@ class FiniteHorizonSolver:
         # W: the node count of the graph read for each belief length n.
         self._w_nodes: Dict[int, int] = {}
         # V: the level graphs solved so far, their node count, and the Q row
-        # of every root answered, keyed on (t, root entries).
+        # of every root answered with the graph it was solved in, keyed on
+        # (t, root entries).
         self._v_graphs: List[_VGraph] = []
         self._v_nodes = 0
-        self._answers: Dict[Tuple, np.ndarray] = {}
+        self._answers: Dict[Tuple, Tuple[np.ndarray, Optional[_VGraph]]] = {}
         # Entry (value, key) -> the same entry one unobserved step on.
         self._aged_table: Dict[Tuple, Tuple] = {}
         self._bad = (model.p01, _B0)
@@ -311,16 +367,69 @@ class FiniteHorizonSolver:
         actions = tuple(a for a, v in qs.items() if v >= best - tol)
         return SolveResult(best, actions, self.cache_stats())
 
+    def greedy_audit(self, belief: BeliefVector, t: int) -> GreedyAudit:
+        """Greedy's own value from time t, and its worst regret in the belief's V graph.
+
+        Answered from the same cache as the Q rows, so after ``optimal_value``
+        or ``action_values`` on the belief it solves nothing.  A root whose
+        Q row came from a batch (``action_value_table`` on several beliefs)
+        shares its graph with the other roots, so it is solved once more on
+        its own, against ``max_states`` like any solve.
+        """
+        h = self._check_t(belief, t)
+        root = tuple(self._root_entries(belief))
+        self._q_table(h, [root])
+        row, graph = self._answers[(t, root)]
+        omega, k = belief.omega, self.k
+        selections = _selections(belief.n, k)
+        if graph is not None and graph.root_children.shape[1] > len(selections):
+            graph = self._solve_roots(h, [root])[1]
+            self._answers[(t, root)] = (row, graph)
+        rewards = [_left_sum(omega[j] for j in sel) for sel, _, _ in selections]
+        best = max(rewards)
+        regret = float(row.max()) - min(
+            q for q, r in zip(row.tolist(), rewards) if r >= best - TIE_TOL
+        )
+        # Greedy's set, as ``greedy_action`` picks it; G folds its sensed
+        # entries in ascending order, as W does.
+        top = sorted(range(belief.n), key=lambda j: (-omega[j], j))[:k]
+        sensed = sorted(omega[j] for j in top)
+        value = _left_sum(sensed)
+        if graph is None:
+            return GreedyAudit(value, regret, t, omega)
+        masks = _selection_arrays(belief.n, k)[2]
+        pick = int(np.flatnonzero(masks == sum(1 << j for j in top))[0])
+        children = graph.root_children[:, pick].tolist()
+        total = _left_sum(
+            p * float(graph.greedy[c]) for p, c in zip(_poisson_binomial(sensed), children)
+        )
+        value += self.horizon.beta * total
+        # The root's own node, unless a node below it is worse: the largest
+        # regret, then the shallowest level, then the first state.
+        for level in reversed(graph.levels[1:]):
+            j = int(level.regret.argmax())
+            if level.regret[j] > regret:
+                regret, t = float(level.regret[j]), self.horizon.T - level.h
+                omega = tuple(graph.entries[r][0] for r in level.rows[j].tolist())
+        return GreedyAudit(value, regret, t, omega)
+
     def _q_table(self, h: int, roots: Sequence[Tuple[Tuple[float, Tuple], ...]]) -> np.ndarray:
-        """Q rows of root entry tuples with h steps remaining, through the answer cache."""
+        """Q rows of root entry tuples with h steps remaining, through the answer cache.
+
+        Each answer keeps the graph its root was solved in (None when no
+        graph was needed).
+        """
         t = self.horizon.T - h
         new = list(dict.fromkeys(r for r in roots if (t, r) not in self._answers))
         if new:
-            for root, row in zip(new, self._solve_roots(h, new)):
-                self._answers[(t, root)] = row
-        return np.array([self._answers[(t, r)] for r in roots])
+            q, graph = self._solve_roots(h, new)
+            for root, row in zip(new, q):
+                self._answers[(t, root)] = (row, graph)
+        return np.array([self._answers[(t, r)][0] for r in roots])
 
-    def _solve_roots(self, h: int, roots: Sequence[Tuple[Tuple[float, Tuple], ...]]) -> np.ndarray:
+    def _solve_roots(
+        self, h: int, roots: Sequence[Tuple[Tuple[float, Tuple], ...]]
+    ) -> Tuple[np.ndarray, Optional[_VGraph]]:
         """Q-values of every selection at each root, by backward induction over a level graph.
 
         Level d of the graph holds the sorted states reachable from the roots
@@ -331,12 +440,20 @@ class FiniteHorizonSolver:
         a state can hold is ranked once, so a state is a sorted row of ranks.
         The graph is complete, and counted against ``max_states``, before any
         value is computed; a graph stopped by the cap is not kept.
+
+        The same pass audits greedy at every state below the roots: its
+        regret (``GreedyAudit``), kept with each level, and its own value G,
+        kept for the states one step below the roots.  Greedy's pair is a
+        state's last kept pair, which senses its top k ranks; G is that
+        pair's reward plus the discounted G of its children, and at the last
+        step G is V.  Returns the Q rows, shape (len(roots), C(n, k)), and
+        the kept graph (None when h = 0 or beta = 0, which need none).
         """
         n, k, beta = len(roots[0]), self.k, self.horizon.beta
         sel_pos, comp_pos, masks = _selection_arrays(n, k)
         if h == 0 or beta == 0.0:
             values = np.array([[v for v, _ in root] for root in roots])
-            return _left_sum(np.moveaxis(values[:, sel_pos], 2, 0))
+            return _left_sum(np.moveaxis(values[:, sel_pos], 2, 0)), None
         entries, vals, aged_rank, rows, bad, good = self._rank_entries(h, roots)
         nodes = 0
         expanded = []  # level d < h: (sensed ranks, child index by s, first pair of each state)
@@ -379,19 +496,29 @@ class FiniteHorizonSolver:
             expanded.append((sensed, child, starts))
             levels.append(rows)
         value = _left_sum(vals[rows[:, n - k :]].T)
+        greedy = value
         kept = [_VLevel(0, rows, value)]
         for d in range(h - 1, -1, -1):
             sensed, child, starts = expanded.pop()
             sensed = vals[sensed].T
-            total = _left_sum(_poisson_binomial_rows(sensed) * value[child])
-            q = _left_sum(sensed) + beta * total
+            law = _poisson_binomial_rows(sensed)
+            reward = _left_sum(sensed)
+            q = reward + beta * _left_sum(law * value[child])
             if d == 0:
                 break
             value = np.maximum.reduceat(q, starts)
-            kept.append(_VLevel(h - d, levels[d], value))
-        self._v_graphs.append(_VGraph(tuple(entries), tuple(kept)))
+            # Greedy's pair senses the top k ranks, so its reward is the best.
+            last = np.append(starts[1:], len(q)) - 1
+            best = reward.take(last)
+            regret = value - _least_tied_q(q, reward, starts, last, best)
+            greedy = best + beta * _left_sum(
+                law.take(last, axis=1) * greedy.take(child.take(last, axis=1))
+            )
+            kept.append(_VLevel(h - d, levels[d], value, regret))
+        graph = _VGraph(tuple(entries), tuple(kept), child, greedy)
+        self._v_graphs.append(graph)
         self._v_nodes += nodes
-        return q.reshape(len(roots), len(masks))
+        return q.reshape(len(roots), len(masks)), graph
 
     def _rank_entries(self, h: int, roots: Sequence[Tuple[Tuple[float, Tuple], ...]]):
         """Rank every entry a state below these roots can hold, in (value, key) order.
@@ -439,7 +566,12 @@ class FiniteHorizonSolver:
         return self._w_at(belief.omega, t)
 
     def greedy_value(self, belief: BeliefVector, t: int) -> float:
-        """Expected discounted reward of the greedy policy: W on the sorted vector."""
+        """W on the sorted vector: the ordered list's value, started in ascending order.
+
+        That is the greedy policy's expected discounted reward when
+        p11 >= p01, and not in general otherwise; ``greedy_audit(belief,
+        t).value`` is greedy's value in every regime.
+        """
         self._check_t(belief, t)
         return self._w_at(sorted(belief.omega), t)
 

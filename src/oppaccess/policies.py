@@ -14,8 +14,7 @@ policies that keep per-run state.
 
 from __future__ import annotations
 
-import itertools
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,16 +36,6 @@ def greedy_action(omega: Sequence[float], k: int) -> ActionSet:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     order = sorted(range(n), key=lambda i: (-omega[i], i))
     return ActionSet(tuple(i + 1 for i in order[:k]))
-
-
-def all_greedy_actions(omega: Sequence[float], k: int, tol: float = 1e-12) -> List[ActionSet]:
-    """Every k-subset whose one-step expected reward ties the greedy maximum."""
-    best = sum(sorted(omega, reverse=True)[:k])
-    out = []
-    for combo in itertools.combinations(range(len(omega)), k):
-        if sum(omega[i] for i in combo) >= best - tol:
-            out.append(ActionSet(tuple(i + 1 for i in combo)))
-    return out
 
 
 def optimal_action(

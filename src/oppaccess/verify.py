@@ -3,8 +3,8 @@
 Each check turns one of the proved statements into an executable property
 over randomly sampled problem instances:
 
-* greedy/optimal equivalence (value level and first-action level) when
-  p11 >= p01,
+* greedy/optimal equivalence when p11 >= p01: in value at the root, and in
+  action at every node of the root's V graph,
 * the cyclic-shift bound  1 + W(w2..wn, w1) >= W(w1..wn),
 * the adjacent-swap inequality  W(..y,x..) >= W(..x,y..) for x >= y,
 * the reduction from arbitrary first actions to sorted order,
@@ -17,7 +17,10 @@ return machine-readable violation reports.  The W-based checks (shift, swap,
 reduction) evaluate all of an instance's vectors, for every t, in one
 ``dp.w_table`` call; the affinity check, which needs one t, makes its call over
 the slots left from that t.  The theorem-1 check and the negative-regime scan
-use ``FiniteHorizonSolver``, whose greedy value reads the same W tables.
+make one V solve per instance with ``FiniteHorizonSolver``, whose greedy
+audit comes from the same solve: greedy's regret at every node of the root's
+V graph (theorem 1, action level) and greedy's own value (the scan).  The
+theorem-1 value check also reads W on the sorted belief.
 
 ``max_states`` caps each state graph's node count: the W graph of an
 instance's (n, k, T-1), and a solver's V graph.  An instance over the cap is
@@ -33,9 +36,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import BeliefVector, HorizonSpec, TransitionModel, enumerate_actions, tau_iterate
+from .model import BeliefVector, HorizonSpec, TransitionModel, tau_iterate
 from .dp import FiniteHorizonSolver, ResourceLimitError, _w_graph, w_table
-from .policies import all_greedy_actions, greedy_action
+from .policies import greedy_action  # noqa: F401  (perfbench's tracer patches it here)
 
 VALUE_TOL = 1e-9
 IDENTITY_TOL = 1e-12
@@ -182,32 +185,18 @@ def _resource_report(property_id: str, inst: Instance, exc: Exception) -> Violat
     return ViolationReport(property_id, inst, error=f"{type(exc).__name__}: {exc}")
 
 
-def _greedy_reachable_states(inst: Instance) -> Dict[int, set]:
-    """t -> the beliefs reachable at time t from the initial belief under greedy play."""
-    states = {1: {inst.omega}}
-    model = inst.model
-    for t in range(1, inst.T):
-        nxt = set()
-        for omega in states[t]:
-            action = greedy_action(omega, inst.k)
-            for bits in np.ndindex(*([2] * inst.k)):
-                bit = dict(zip(action.indices, bits))
-                child = tuple(
-                    (model.p11 if bit[i] else model.p01)
-                    if i in bit
-                    else float(w * model.p11 + (1.0 - w) * model.p01)
-                    for i, w in enumerate(omega, start=1)
-                )
-                nxt.add(child)
-        states[t + 1] = nxt
-    return states
-
-
 def check_theorem1(
     sampler: InstanceSampler, count: int, max_states: int = 10_000_000
 ) -> List[ViolationReport]:
-    """Greedy equals optimal in value, and the greedy set attains the DP max
-    at every state reachable under greedy play (p11 >= p01)."""
+    """Theorem 1 (p11 >= p01) from one V solve per instance.
+
+    ``theorem1/value``: W on the sorted belief equals V at the root.
+    ``theorem1/action``: at every node of the root's V graph, every greedy
+    choice (each selection whose one-step reward ties the best within 1e-12)
+    attains the largest Q within ``VALUE_TOL``.  The solver's greedy audit
+    gives the worst node's regret, so an instance gets at most one report,
+    at that node.
+    """
     if sampler.regime == "negative":
         raise ValueError("theorem-1 check requires p11 >= p01 (positive or boundary regime)")
     out: List[ViolationReport] = []
@@ -223,26 +212,17 @@ def check_theorem1(
                         "theorem1/value", inst, gv, ov, abs(gv - ov), VALUE_TOL
                     )
                 )
-            actions = enumerate_actions(inst.n, inst.k)
-            for t, omegas in _greedy_reachable_states(inst).items():
-                omegas = list(omegas)
-                table = solver.action_value_table([BeliefVector(o) for o in omegas], t)
-                for omega, row in zip(omegas, table.tolist()):
-                    qs = dict(zip(actions, row))
-                    best = max(row)
-                    for ga in all_greedy_actions(omega, inst.k):
-                        if qs[ga] < best - VALUE_TOL:
-                            out.append(
-                                ViolationReport(
-                                    "theorem1/action",
-                                    inst,
-                                    qs[ga],
-                                    best,
-                                    best - qs[ga],
-                                    VALUE_TOL,
-                                    detail=f"t={t} omega={omega} action={ga.indices}",
-                                )
-                            )
+            audit = solver.greedy_audit(belief, 1)
+            if audit.regret > VALUE_TOL:
+                out.append(
+                    ViolationReport(
+                        "theorem1/action",
+                        inst,
+                        gap=audit.regret,
+                        tolerance=VALUE_TOL,
+                        detail=f"t={audit.t} omega={audit.omega}",
+                    )
+                )
         except ResourceLimitError as exc:
             out.append(_resource_report("theorem1/resource", inst, exc))
     return out
@@ -415,7 +395,11 @@ class NegativeScanReport:
 def scan_negative_regime(
     sampler: InstanceSampler, count: int, max_states: int = 10_000_000
 ) -> NegativeScanReport:
-    """Report instances where greedy is strictly suboptimal under p11 < p01."""
+    """Report instances where greedy is strictly suboptimal under p11 < p01.
+
+    A finding's lhs is greedy's own value (the solver's greedy audit), its
+    rhs V, and its gap V minus that value.
+    """
     if sampler.regime != "negative":
         raise ValueError("negative-regime scan requires the negative regime")
     findings: List[ViolationReport] = []
@@ -424,8 +408,8 @@ def scan_negative_regime(
         try:
             solver = inst.solver(max_states)
             belief = BeliefVector(inst.omega)
-            gv = solver.greedy_value(belief, 1)
             ov = solver.optimal_value(belief, 1).value
+            gv = solver.greedy_audit(belief, 1).value
             if gv < ov - VALUE_TOL:
                 findings.append(
                     ViolationReport(

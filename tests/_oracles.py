@@ -5,7 +5,8 @@ tricks.  Only usable at tiny sizes, which is the point -- they share no code
 path with the package's recursions.  The exception is ``RecursiveVSolver``:
 the memoised Bellman and greedy-value recursions that the level-graph V
 engine and ``dp.w_table`` replaced, kept as they were so the engines can be
-compared with them bit for bit.
+compared with them bit for bit.  ``GREEDY_LOSSES`` lists instances where
+greedy is strictly suboptimal, checked against ``exact_policy_value``.
 """
 
 import itertools
@@ -267,6 +268,36 @@ class RecursiveVSolver(FiniteHorizonSolver):
         h = self._check_t(belief, t)
         entries = sorted(self._root_entries(belief))
         return self._w(h, tuple(entries))
+
+
+# Negative-regime instances (n, k, beta = 1) where greedy loses, as
+# (p01, p11, T, omega), each confirmed with ``exact_policy_value``.  In the
+# first, greedy's first action is suboptimal (V - greedy = 0.0035107); in the
+# second, only a node at t = 2 (V - greedy = 0.00033504); the third
+# (V - greedy = 0.056008) has 15 such nodes below its root.
+GREEDY_LOSSES = [
+    (0.8642042158322776, 0.016322952904415877, 6,
+     (0.8364063168229026, 0.8199228695810893, 0.9486247093009833, 0.8834619041015644)),
+    (0.9415418655706292, 0.05928018655546663, 5,
+     (0.04542590814757563, 0.8263348977270208, 0.15301920939127223, 0.17898289471867868)),
+    (0.9922919302877053, 0.003301760590063452, 6,
+     (0.9268044018334561, 0.7646359785600961, 0.928851564047273, 0.7952438281144091,
+      0.9874475945100075)),
+]
+
+
+def all_greedy_actions(omega: Sequence[float], k: int, tol: float = 1e-12):
+    """Every k-subset whose one-step expected reward ties the greedy maximum.
+
+    The tie rule of ``dp.GreedyAudit``'s regret, written out over all C(n, k)
+    subsets.
+    """
+    best = sum(sorted(omega, reverse=True)[:k])
+    out = []
+    for combo in itertools.combinations(range(len(omega)), k):
+        if sum(omega[i] for i in combo) >= best - tol:
+            out.append(ActionSet(tuple(i + 1 for i in combo)))
+    return out
 
 
 def brute_force_optimal(omega, t, model: TransitionModel, horizon: HorizonSpec, k: int):

@@ -413,7 +413,10 @@ class TestSweep:
         assert all(r["grid.verify.count"] == r["count"] for r in rows)
 
     # Merged results.csv of two negative-regime sweeps, less the wall-clock
-    # runtime_s column, as written before the gap was computed once per point.
+    # runtime_s column, as written before the gap was computed once per point,
+    # except the negative rows' greedy_value, greedy_gap and negative_scan_gap:
+    # they hold greedy's own value, which test_negative_rows_hold_greedys_value
+    # checks against the exact rollout.
     SOLVE_SWEEP = (
         {"kind": "solve", "model": {"p01": 0.2, "p11": 0.8}, "horizon": {"T": 4, "beta": 0.9},
          "n": 4, "k": 2, "initial_belief": [0.9, 0.2, 0.5, 0.4],
@@ -421,9 +424,9 @@ class TestSweep:
         4,
         "analytic_value,best_action,greedy_gap,greedy_value,grid.k,grid.model.p11,grid_point,instance,negative_scan_gap,policy,regime\n"
         "2.7047873894400003,1,0,2.7047873894400003,1,0.80000000000000004,0,0,,optimal,positive\n"
-        "1.3676013086400001,1,0.10862781238800001,1.2589734962520001,1,0.10000000000000001,1,0,0.10862781238800001,optimal,negative\n"
+        "1.3676013086400001,1,0,1.3676013086400001,1,0.10000000000000001,1,0,0,optimal,negative\n"
         "4.7089186439936004,1+3,0,4.7089186439936004,2,0.80000000000000004,2,0,,optimal,positive\n"
-        "2.3345135791167202,1+3,0.19947217560228037,2.1350414035144398,2,0.10000000000000001,3,0,0.19947217560228037,optimal,negative\n",
+        "2.3345135791167202,1+3,0,2.3345135791167202,2,0.10000000000000001,3,0,0,optimal,negative\n",
     )
     SIMULATE_SWEEP = (
         {"kind": "simulate", "model": {"p01": 0.2, "p11": 0.8}, "horizon": {"T": 4, "beta": 0.9},
@@ -435,9 +438,9 @@ class TestSweep:
         "0.80000000000000004,0,0,,greedy,positive,300,4.7068566666666669,0.086644458532491864\n"
         "0.80000000000000004,0,0,,round-robin,positive,300,3.5207866666666661,0.073892983447347058\n"
         "0.80000000000000004,0,0,,random,positive,300,3.4256099999999998,0.089528160487579861\n"
-        "0.10000000000000001,1,0,0.19947217560228037,greedy,negative,300,2.3436366666666668,0.055667955852267234\n"
-        "0.10000000000000001,1,0,0.19947217560228037,round-robin,negative,300,1.9555366666666669,0.050799773368803661\n"
-        "0.10000000000000001,1,0,0.19947217560228037,random,negative,300,1.8450299999999999,0.057643714128114906\n",
+        "0.10000000000000001,1,0,0,greedy,negative,300,2.3436366666666668,0.055667955852267234\n"
+        "0.10000000000000001,1,0,0,round-robin,negative,300,1.9555366666666669,0.050799773368803661\n"
+        "0.10000000000000001,1,0,0,random,negative,300,1.8450299999999999,0.057643714128114906\n",
     )
 
     @pytest.mark.parametrize("case", [SOLVE_SWEEP, SIMULATE_SWEEP], ids=["solve", "simulate"])
@@ -468,6 +471,35 @@ class TestSweep:
         text = io.StringIO()
         csv.writer(text, lineterminator="\n").writerows(rows)
         assert text.getvalue() == expected_csv
+
+    @pytest.mark.parametrize("case", [SOLVE_SWEEP, SIMULATE_SWEEP], ids=["solve", "simulate"])
+    def test_negative_rows_hold_greedys_value(self, case):
+        import csv
+        import io
+
+        from _oracles import exact_policy_value
+
+        cfg_data, _, expected_csv = case
+        base = {key: value for key, value in cfg_data.items() if key != "grid"}
+        negative = 0
+        for row in csv.DictReader(io.StringIO(expected_csv)):
+            if row["regime"] != "negative":
+                continue
+            negative += 1
+            cfg = json.loads(json.dumps(base))
+            cfg["model"]["p11"] = float(row["grid.model.p11"])
+            cfg["k"] = int(row.get("grid.k") or cfg["k"])
+            c = load_config(cfg).instance
+            rollout = exact_policy_value(
+                c.initial_belief.omega, 1, c.model, c.horizon, c.k,
+                lambda w, t: oppaccess.greedy_action(w, c.k),
+            )
+            v = FiniteHorizonSolver(c.model, c.horizon, c.k).optimal_value(c.initial_belief, 1)
+            assert abs(float(row["negative_scan_gap"]) - (v.value - rollout)) <= 1e-12
+            if "greedy_value" in row:
+                assert abs(float(row["greedy_value"]) - rollout) <= 1e-12
+                assert abs(float(row["greedy_gap"]) - (v.value - rollout)) <= 1e-12
+        assert negative == (2 if "greedy_value" in expected_csv else 3)
 
     @pytest.mark.parametrize(
         "grid",

@@ -29,6 +29,8 @@ from oppaccess.verify import (
 from _oracles import (
     RecursiveVSolver,
     _distinct_selections,
+    GREEDY_LOSSES,
+    all_greedy_actions,
     affine_swap_delta,
     brute_force_optimal,
     exact_policy_value,
@@ -823,3 +825,121 @@ class TestVGraph:
         tagged = BeliefVector((0.0, 0.2), (("B", -1), None))
         with pytest.raises(ValueError, match="tag ages"):
             solver.action_value_table([tagged], 1)
+
+
+def _audit_case(case):
+    """A sampled V instance and a t; past the 48 sampled, one of GREEDY_LOSSES
+    at t = 1, then a near tie: two beliefs 4e-13 apart, whose aged copies
+    tie below the root with unequal Q."""
+    if case == 48 + len(GREEDY_LOSSES):
+        belief = BeliefVector((0.5, 0.5 + 4e-13, 0.2))
+        return TransitionModel(0.3, 0.8), HorizonSpec(4, 1.0), 1, belief, 1
+    if case >= 48:
+        p01, p11, T, omega = GREEDY_LOSSES[case - 48]
+        return TransitionModel(p01, p11), HorizonSpec(T, 1.0), 1, BeliefVector(omega), 1
+    rng = np.random.default_rng(900 + case)
+    model, horizon, k, belief = _sample_v_instance(rng, case)
+    return model, horizon, k, belief, int(rng.integers(1, horizon.T + 1))
+
+
+class TestGreedyAudit:
+    """Greedy's regret at every node and its own value, from the V solve."""
+
+    CASES = range(48 + len(GREEDY_LOSSES) + 1)
+
+    def test_all_greedy_actions_ties(self):
+        acts = all_greedy_actions((0.5, 0.5, 0.2), 1)
+        assert [a.indices for a in acts] == [(1,), (2,)]
+
+    @staticmethod
+    def _oracle_regret(oracle, omega, t, k):
+        qs = oracle.action_values(BeliefVector(omega), t)
+        return max(qs.values()) - min(qs[a] for a in all_greedy_actions(omega, k))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_regret_matches_recursion_at_every_node(self, case):
+        # _sample_v_instance cycles positive, negative and boundary models,
+        # beta in {0, 1, random}, tied, tagged and 0/1 roots.
+        model, horizon, k, belief, t = _audit_case(case)
+        solver = FiniteHorizonSolver(model, horizon, k)
+        solver.optimal_value(belief, t)
+        audit = solver.greedy_audit(belief, t)
+        oracle = RecursiveVSolver(model, horizon, k)
+        nodes = [(self._oracle_regret(oracle, belief.omega, t, k), t, belief.omega)]
+        for graph in solver._v_graphs:
+            for level in graph.levels:
+                if level.regret is None:
+                    continue
+                u = horizon.T - level.h
+                for row, got in zip(level.rows.tolist(), level.regret.tolist()):
+                    omega = tuple(graph.entries[r][0] for r in row)
+                    want = self._oracle_regret(oracle, omega, u, k)
+                    assert got == pytest.approx(want, abs=1e-15)
+                    nodes.append((want, u, omega))
+        assert audit.regret == pytest.approx(max(r for r, _, _ in nodes), abs=1e-15)
+        assert (audit.t, audit.omega) in [(u, w) for r, u, w in nodes if r == audit.regret]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_greedy_value_matches_exact_rollout(self, case):
+        model, horizon, k, belief, t = _audit_case(case)
+        solver = FiniteHorizonSolver(model, horizon, k)
+        got = solver.greedy_audit(belief, t).value
+        rollout = exact_policy_value(
+            belief.omega, t, model, horizon, k, lambda w, u: greedy_action(w, k)
+        )
+        assert got == pytest.approx(rollout, abs=1e-12)
+        if model.p11 > model.p01:
+            # W on the sorted vector is greedy's value here, to the bit.
+            assert got.hex() == solver.greedy_value(belief, t).hex()
+
+    def test_cases_cover_every_regime_and_losses_below_the_root(self):
+        regimes, losses = set(), []
+        for case in self.CASES:
+            model, horizon, k, belief, t = _audit_case(case)
+            regimes.add((model.p11 > model.p01) - (model.p11 < model.p01))
+            solver = FiniteHorizonSolver(model, horizon, k)
+            solver.optimal_value(belief, t)
+            losses.append(sum(
+                int((level.regret > 1e-9).sum())
+                for graph in solver._v_graphs
+                for level in graph.levels
+                if level.regret is not None
+            ))
+        assert regimes == {-1, 0, 1}
+        assert losses[48:] == [0, 1, 15, 0]
+
+    def test_answered_from_the_q_row_cache(self):
+        solver = make_solver(0.7, 0.2, 5, 0.9, 2)
+        b = BeliefVector((0.15, 0.62, 0.4, 0.88))
+        solver.optimal_value(b, 1)
+        stats, graphs = solver.cache_stats(), len(solver._v_graphs)
+        audit = solver.greedy_audit(b, 1)
+        assert solver.cache_stats() == stats and len(solver._v_graphs) == graphs
+        # the other order: the audit solves, the Q rows are then free
+        other = make_solver(0.7, 0.2, 5, 0.9, 2)
+        assert other.greedy_audit(b, 1) == audit
+        other.action_values(b, 1)
+        assert other.cache_stats() == stats
+
+    def test_batched_roots_are_audited_in_their_own_graphs(self):
+        # One batch solves both roots over one graph; the loss below
+        # GREEDY_LOSSES[0] must not show in the other root's audit.
+        p01, p11, T, omega = GREEDY_LOSSES[0]
+        model, horizon = TransitionModel(p01, p11), HorizonSpec(T, 1.0)
+        beliefs = [BeliefVector(omega), BeliefVector((0.1, 0.2, 0.3, 0.4))]
+        solver = FiniteHorizonSolver(model, horizon, 1)
+        solver.action_value_table(beliefs, 1)
+        audits = [solver.greedy_audit(b, 1) for b in beliefs]
+        assert [a.regret > 1e-9 for a in audits] == [True, False]
+        for b, audit in zip(beliefs, audits):
+            assert audit == FiniteHorizonSolver(model, horizon, 1).greedy_audit(b, 1)
+        # each root is solved on its own once, then answered from the cache
+        stats = solver.cache_stats()
+        assert [solver.greedy_audit(b, 1) for b in beliefs] == audits
+        assert solver.cache_stats() == stats
+
+    def test_positive_regime_greedy_value_is_w_on_the_sorted_vector(self):
+        sampler = InstanceSampler(seed=31, regime="positive", n_range=(2, 6), T_range=(1, 6))
+        for inst in sampler.instances(200):
+            solver, b = inst.solver(), BeliefVector(inst.omega)
+            assert solver.greedy_audit(b, 1).value.hex() == solver.greedy_value(b, 1).hex()

@@ -14,7 +14,6 @@ from oppaccess import (
     RoundRobinPolicy,
     TransitionModel,
     UniformRandomPolicy,
-    all_greedy_actions,
     greedy_action,
     optimal_action,
     ordered_list_policy_step,
@@ -42,10 +41,6 @@ class TestGreedyAction:
         transformed = [w / 2.0 + 0.25 for w in omega]
         assume(len(set(transformed)) == len(set(omega)))
         assert greedy_action(omega, k) == greedy_action(transformed, k)
-
-    def test_all_greedy_actions_ties(self):
-        acts = all_greedy_actions((0.5, 0.5, 0.2), 1)
-        assert [a.indices for a in acts] == [(1,), (2,)]
 
 
 class TestOptimalAction:

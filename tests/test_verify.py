@@ -13,12 +13,38 @@ from oppaccess import (
     summary_table,
     violations_to_json,
 )
-from oppaccess import verify
+from oppaccess import BeliefVector, FiniteHorizonSolver, greedy_action, verify
 from oppaccess.verify import Instance, ViolationReport
+
+from _oracles import GREEDY_LOSSES, exact_policy_value
 
 
 def sampler(regime="positive", seed=1234, **kw):
     return InstanceSampler(seed=seed, regime=regime, **kw)
+
+
+class FixedSampler:
+    """Yields the given instances, whatever the sampler's regime says."""
+
+    def __init__(self, regime, instances):
+        self.regime = regime
+        self._instances = instances
+
+    def instances(self, count):
+        return iter(self._instances[:count])
+
+
+# The first two GREEDY_LOSSES as verify instances, with V - greedy rounded.
+LOSSES = [
+    (Instance(i, len(omega), 1, T, 1.0, p01, p11, omega), gap)
+    for i, ((p01, p11, T, omega), gap) in enumerate(zip(GREEDY_LOSSES, (0.0035107, 0.00033504)))
+]
+
+
+def greedy_rollout(inst):
+    return exact_policy_value(
+        inst.omega, 1, inst.model, inst.horizon, inst.k, lambda w, t: greedy_action(w, inst.k)
+    )
 
 
 class TestSampler:
@@ -82,6 +108,30 @@ class TestChecks:
         assert check_affinity(sampler("positive"), 40) == []
         assert check_affinity(sampler("negative"), 40) == []
 
+    def test_theorem1_one_v_solve_per_instance(self, monkeypatch):
+        calls = []
+        solve = FiniteHorizonSolver._solve_roots
+        monkeypatch.setattr(
+            FiniteHorizonSolver,
+            "_solve_roots",
+            lambda self, h, roots: calls.append(len(roots)) or solve(self, h, roots),
+        )
+        assert check_theorem1(sampler(n_range=(2, 5), T_range=(1, 5)), 30) == []
+        assert calls == [1] * 30
+
+    def test_theorem1_action_report_names_the_worst_node(self):
+        # Run on negative-regime instances, where greedy loses: one action
+        # report per instance, at the node of largest regret.
+        insts = [inst for inst, _ in LOSSES]
+        viols = check_theorem1(FixedSampler("positive", insts), 2)
+        actions = [v for v in viols if v.property_id == "theorem1/action"]
+        assert [v.instance for v in actions] == insts
+        for v in actions:
+            audit = v.instance.solver().greedy_audit(BeliefVector(v.instance.omega), 1)
+            assert v.gap == audit.regret > 1e-9
+            assert v.detail == f"t={audit.t} omega={audit.omega}"
+        assert actions[0].detail.startswith("t=1 ") and actions[1].detail.startswith("t=2 ")
+
     def test_resource_error_not_fatal(self):
         s = sampler(n_range=(4, 5), T_range=(5, 5))
         viols = check_theorem1(s, 3, max_states=5)
@@ -143,6 +193,24 @@ class TestNegativeScan:
     def test_requires_negative(self):
         with pytest.raises(ValueError):
             scan_negative_regime(sampler("positive"), 1)
+
+    def test_reports_greedys_own_gap(self):
+        report = scan_negative_regime(FixedSampler("negative", [i for i, _ in LOSSES]), 2)
+        assert [f.instance for f in report.findings] == [inst for inst, _ in LOSSES]
+        for finding, (inst, gap) in zip(report.findings, LOSSES):
+            v = inst.solver().optimal_value(BeliefVector(inst.omega), 1).value
+            assert finding.rhs == v
+            assert finding.lhs == pytest.approx(greedy_rollout(inst), abs=1e-12)
+            assert finding.gap == pytest.approx(v - greedy_rollout(inst), abs=1e-12)
+            assert finding.gap == pytest.approx(gap, rel=1e-4)
+            audit = inst.solver().greedy_audit(BeliefVector(inst.omega), 1)
+            assert audit.regret > 1e-9
+        # In the second, greedy's first action is optimal; it loses deeper.
+        inst = LOSSES[1][0]
+        solver = inst.solver()
+        best = solver.optimal_value(BeliefVector(inst.omega), 1).best_actions
+        assert greedy_action(inst.omega, 1) in best
+        assert solver.greedy_audit(BeliefVector(inst.omega), 1).t == 2
 
 
 class TestReporting:
