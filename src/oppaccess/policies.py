@@ -258,6 +258,8 @@ class UniformRandomPolicy(Policy):
         self.n = n
         self.k = k
         self._subsets = enumerate_actions(n, k)
+        # Row j holds subset j's 0-based channel indices.
+        self._table = np.array([[i - 1 for i in a.indices] for a in self._subsets])
         self._u: Optional[float] = None
 
     def set_uniform(self, u: float) -> None:
@@ -272,5 +274,4 @@ class UniformRandomPolicy(Policy):
 
     def batch_actions(self, beliefs: np.ndarray, t: int, u: np.ndarray) -> np.ndarray:
         idx = np.minimum((u * len(self._subsets)).astype(int), len(self._subsets) - 1)
-        table = np.array([[i - 1 for i in a.indices] for a in self._subsets])
-        return table[idx]
+        return self._table[idx]

@@ -10,7 +10,12 @@ policies evaluated on the same seed see identical channel sample paths.
 The substreams of all replications are generated together in one vectorised
 Philox4x64-10 pass.  Its key/counter layout is the one numpy's
 ``np.random.Philox(key=[seed, (stream_id << 48) + r])`` uses, so the draws, and
-every seeded result computed from them earlier, reproduce exactly.
+every seeded result computed from them earlier, reproduce exactly.  The pass
+works through chunks of lanes; each round multiplies the two words it
+transforms as one stacked array, in place, over buffers allocated once per
+chunk, so numpy's per-call overhead is paid about twenty times per round and
+chunk.  The chunk size trades that overhead against peak memory.
+``common_random_numbers_compare`` draws the streams once for both policies.
 
 Every policy runs on one vectorised path that steps all replications together:
 at each slot it asks the policy for an (R, k) action array
@@ -169,20 +174,12 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _LO32 = np.uint64(0xFFFFFFFF)
 _U32 = np.uint64(32)
-_CHUNK_LANES = 4096
+# Word 0 is multiplied by M0 and word 2 by M1; row i of a stacked pair meets _M[i].
+_M = np.array(_PHILOX_M, dtype=np.uint64).reshape(2, 1, 1)
+_M_LO, _M_HI = _M & _LO32, _M >> _U32
+_CHUNK_LANES = 8192
 #: Trace lines formatted at a time by ``write_traces``.
 _TRACE_BLOCK_LINES = 8192
-
-
-def _mulhilo(m: int, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit product m * x, from 32-bit halves."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & _LO32, x >> _U32
-    # Neither sum overflows: (2**32 - 1)**2 + (2**32 - 1) < 2**64.
-    cross = m_hi * x_lo + ((m_lo * x_lo) >> _U32)
-    carry = m_lo * x_hi + (cross & _LO32)
-    hi = m_hi * x_hi + (cross >> _U32) + (carry >> _U32)
-    return hi, x * np.uint64(m)
 
 
 def _substream_uniforms(seed: int, stream_id: int, replications: int, count: int) -> np.ndarray:
@@ -190,7 +187,15 @@ def _substream_uniforms(seed: int, stream_id: int, replications: int, count: int
     ``Generator(Philox(key=[seed, (stream_id << 48) + r])).random()``.
 
     All (replication, counter-block) lanes run through the rounds together, in
-    chunks of about ``_CHUNK_LANES`` lanes to keep the temporaries small.
+    chunks of about ``_CHUNK_LANES`` lanes.  A chunk keeps words 0 and 2, the
+    two a round multiplies, stacked as one (2, rows, blocks) array ``x``, and
+    words 1 and 3 as another, ``y``.  Each round forms both 128-bit products
+    from 32-bit halves in place, over buffers allocated once per chunk, so a
+    round is about twenty numpy calls whatever the chunk size.  Larger chunks
+    spread that per-call cost over more lanes but hold more memory at once:
+    8192 lanes left peak RSS flat, 16384 raised it.  The round scratch is
+    dropped before the output words are stacked, so it is not held twice.
+
     Block j of a substream has counter (j + 1, 0, 0, 0), because numpy bumps
     the counter before its first block; each 64-bit word w becomes the double
     (w >> 11) * 2**-53, in C order.
@@ -199,10 +204,7 @@ def _substream_uniforms(seed: int, stream_id: int, replications: int, count: int
     rows = max(1, _CHUNK_LANES // blocks)
     # Round i runs with the key bumped i times; r is added to the second word per chunk.
     round_keys = [
-        (
-            np.uint64((seed + i * _PHILOX_W[0]) & _MASK64),
-            np.uint64(((stream_id << 48) + i * _PHILOX_W[1]) & _MASK64),
-        )
+        ((seed + i * _PHILOX_W[0]) & _MASK64, ((stream_id << 48) + i * _PHILOX_W[1]) & _MASK64)
         for i in range(_PHILOX_ROUNDS)
     ]
     counter = np.arange(1, blocks + 1, dtype=np.uint64)
@@ -210,14 +212,40 @@ def _substream_uniforms(seed: int, stream_id: int, replications: int, count: int
     for start in range(0, replications, rows):
         stop = min(start + rows, replications)
         reps = np.arange(start, stop, dtype=np.uint64)[:, None]
-        x0 = np.broadcast_to(counter, (stop - start, blocks))
-        x1 = x2 = x3 = np.zeros_like(x0)
+        shape = (2, stop - start, blocks)
+        x = np.zeros(shape, dtype=np.uint64)
+        x[0] = counter
+        y = np.zeros(shape, dtype=np.uint64)
+        a, hi, lo = (np.empty(shape, dtype=np.uint64) for _ in range(3))
         for k0, k1 in round_keys:
-            hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
-            hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
-            x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ (reps + k1), lo0
-        words = np.stack((x0, x1, x2, x3), axis=-1).reshape(stop - start, 4 * blocks)
-        np.multiply(words[:, :count] >> np.uint64(11), 2.0**-53, out=out[start:stop])
+            # hi:lo = x * M.  No sum overflows: (2**32 - 1)**2 + (2**32 - 1) < 2**64.
+            # x_hi is taken twice rather than kept, to hold one buffer fewer.
+            np.bitwise_and(x, _LO32, out=a)
+            np.multiply(a, _M_LO, out=hi)
+            hi >>= _U32
+            a *= _M_HI
+            a += hi  # cross = m_hi * x_lo + (m_lo * x_lo >> 32)
+            np.bitwise_and(a, _LO32, out=lo)
+            a >>= _U32
+            np.right_shift(x, _U32, out=hi)
+            hi *= _M_LO
+            lo += hi  # carry = m_lo * x_hi + (cross & LO32)
+            lo >>= _U32
+            a += lo
+            np.right_shift(x, _U32, out=hi)
+            hi *= _M_HI
+            hi += a
+            np.multiply(x, _M, out=lo)
+            # Words 0, 2 <- hi1 ^ x1 ^ k0, hi0 ^ x3 ^ (r + k1); words 1, 3 <- lo1, lo0.
+            np.bitwise_xor(hi[::-1], y, out=x)
+            x[0] ^= k0
+            x[1] ^= reps + k1
+            y, lo = lo[::-1], y
+        del a, hi, lo
+        words = np.stack((x[0], y[0], x[1], y[1]), axis=-1).reshape(stop - start, 4 * blocks)
+        del x, y
+        words >>= np.uint64(11)
+        np.multiply(words[:, :count], 2.0**-53, out=out[start:stop])
     return out
 
 
@@ -277,26 +305,42 @@ def _simulate_batch(config: SimConfig, policy: Policy, nat: np.ndarray, pol: np.
     return totals, (Traces(*columns) if columns is not None else None)
 
 
-def simulate(config: SimConfig, policy: Policy) -> SimSummary:
-    """Estimate a policy's expected discounted reward by seeded Monte Carlo.
-
-    Identical (config, policy) inputs produce bit-identical output.
-    """
-    nat = _nature_uniforms(config)
-    pol = _policy_uniforms(config) if getattr(policy, "uses_randomness", False) else np.zeros(
-        (config.replications, config.horizon.T)
-    )
+def _run(
+    config: SimConfig, policy: Policy, nat: np.ndarray, pol: Optional[np.ndarray]
+) -> SimSummary:
+    """One policy on drawn streams; a policy that draws no randomness sees zeros."""
+    if pol is None or not getattr(policy, "uses_randomness", False):
+        pol = np.zeros((config.replications, config.horizon.T))
     policy.reset(config.n, config.k, config.initial_belief.omega)
     totals, traces = _simulate_batch(config, policy, nat, pol)
     return _summary(config, totals, traces)
 
 
+def _draw(config: SimConfig, *policies: Policy) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The nature uniforms, and the policy uniforms if any of ``policies`` uses them."""
+    uses = any(getattr(p, "uses_randomness", False) for p in policies)
+    return _nature_uniforms(config), (_policy_uniforms(config) if uses else None)
+
+
+def simulate(config: SimConfig, policy: Policy) -> SimSummary:
+    """Estimate a policy's expected discounted reward by seeded Monte Carlo.
+
+    Identical (config, policy) inputs produce bit-identical output.
+    """
+    return _run(config, policy, *_draw(config, policy))
+
+
 def common_random_numbers_compare(
     config: SimConfig, policy_a: Policy, policy_b: Policy
 ) -> PairedSummary:
-    """Run both policies against identical channel sample paths and pair the totals."""
-    sa = simulate(config, policy_a)
-    sb = simulate(config, policy_b)
+    """Run both policies against identical channel sample paths and pair the totals.
+
+    The streams are drawn once and shared; each policy's totals equal those of
+    its own ``simulate`` call bit for bit.
+    """
+    nat, pol = _draw(config, policy_a, policy_b)
+    sa = _run(config, policy_a, nat, pol)
+    sb = _run(config, policy_b, nat, pol)
     diffs = sa.totals - sb.totals
     var = float(diffs.var(ddof=1)) if len(diffs) > 1 else 0.0
     se = float(np.sqrt(var / len(diffs)))

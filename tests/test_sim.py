@@ -80,8 +80,12 @@ class TestStreamLayout:
 
     @pytest.mark.parametrize("T,n", [(1, 1), (5, 5)])
     def test_matches_across_several_chunks(self, T, n):
-        # A 4096-lane chunk holds 4096 replications at T * n = 1 and 585 at T * n = 25.
-        self.assert_matches_oracle(2**64 - 1, T, n, 3 * 4096 + 5)
+        # Three chunks at T * n = 1, the last one 5 replications long; at
+        # T * n = 25 a chunk holds _CHUNK_LANES // 7 replications.
+        reps = 2 * sim._CHUNK_LANES + 5
+        rows = sim._CHUNK_LANES // -(-T * n // 4)
+        assert -(-reps // rows) >= 3 and reps % rows
+        self.assert_matches_oracle(2**64 - 1, T, n, reps)
 
 
 class TestDeterminism:
@@ -143,6 +147,35 @@ class TestCommonRandomNumbers:
             cfg, GreedyPolicy(2), FixedSetPolicy((1, 2))
         )
         assert np.all(paired.diffs == 0.0)
+
+    PAIRS = {
+        "greedy-random": (lambda: GreedyPolicy(2), lambda: UniformRandomPolicy(4, 2)),
+        "round-robin-random": (lambda: RoundRobinPolicy(4, 2), lambda: UniformRandomPolicy(4, 2)),
+        "random-greedy": (lambda: UniformRandomPolicy(4, 2), lambda: GreedyPolicy(2)),
+        "greedy-round-robin": (lambda: GreedyPolicy(2), lambda: RoundRobinPolicy(4, 2)),
+    }
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_equals_two_simulate_calls(self, pair):
+        make_a, make_b = self.PAIRS[pair]
+        cfg = make_config(0.3, 0.7, 4, 2, 5, 0.9, (0.2, 0.5, 0.8, 0.4), 700, 41)
+        paired = common_random_numbers_compare(cfg, make_a(), make_b())
+        sa, sb = simulate(cfg, make_a()), simulate(cfg, make_b())
+        assert paired.diffs.tobytes() == (sa.totals - sb.totals).tobytes()
+        assert paired.mean_a.hex() == sa.mean.hex()
+        assert paired.mean_b.hex() == sb.mean.hex()
+
+    @pytest.mark.parametrize("pair,draws", [("greedy-random", 2), ("greedy-round-robin", 1)])
+    def test_draws_each_stream_once(self, monkeypatch, pair, draws):
+        calls = []
+        real = sim._substream_uniforms
+        monkeypatch.setattr(
+            sim, "_substream_uniforms", lambda *args: calls.append(args) or real(*args)
+        )
+        make_a, make_b = self.PAIRS[pair]
+        cfg = make_config(0.3, 0.7, 4, 2, 5, 0.9, (0.2, 0.5, 0.8, 0.4), 50, 42)
+        common_random_numbers_compare(cfg, make_a(), make_b())
+        assert len(calls) == draws
 
     def test_greedy_no_worse_than_fixed_positive_regime(self):
         cfg = make_config(0.2, 0.8, 4, 1, 5, 1.0, (0.9, 0.2, 0.5, 0.4), 20_000, 23)
