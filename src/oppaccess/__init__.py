@@ -20,8 +20,6 @@ from .policies import (
     RoundRobinPolicy,
     UniformRandomPolicy,
     greedy_action,
-    optimal_action,
-    ordered_list_policy_step,
 )
 from .sim import (
     PairedSummary,

@@ -38,7 +38,7 @@ import yaml
 
 from . import __version__
 from .model import ActionSet, BeliefVector, HorizonSpec, TransitionModel
-from .dp import FiniteHorizonSolver, ResourceLimitError
+from .dp import FiniteHorizonSolver, ResourceLimitError, selection_count
 from .policies import (
     FixedSetPolicy,
     GreedyPolicy,
@@ -90,12 +90,19 @@ _PROPERTIES = [*_CHECKS, "negative-scan"]
 # The lemma 3 and lemma 2 statements are about sorted belief vectors.
 _SORTED_BELIEFS = ("lemma3A", "lemma3B", "lemma2")
 
+
+def _random_policy(c: SimConfig, max_states: int) -> UniformRandomPolicy:
+    # The policy keeps a table of all C(n, k) sensing sets.
+    selection_count(c.n, c.k, max_states)
+    return UniformRandomPolicy(c.n, c.k)
+
+
 _POLICIES = {
     "greedy": lambda c, max_states: GreedyPolicy(c.k),
     "optimal": lambda c, max_states: OptimalPolicy(c.model, c.horizon, c.k, max_states),
     "ordered-list": lambda c, max_states: OrderedListPolicy(c.k),
     "round-robin": lambda c, max_states: RoundRobinPolicy(c.n, c.k),
-    "random": lambda c, max_states: UniformRandomPolicy(c.n, c.k),
+    "random": _random_policy,
 }
 
 # Allowed keys of each mapping, with their defaults; _REQUIRED keys have none.
@@ -474,7 +481,9 @@ def _command(body):
                             show_default=True,
                             help="Cap on the node count of each DP state graph: "
                                  "a solver's V graph and each W graph, capped "
-                                 "separately.")(callback)
+                                 "separately.  It also caps C(n, k), the number "
+                                 "of sensing sets that the optimal and random "
+                                 "policies, V solves and the lemma2 check list.")(callback)
     callback = click.option("--traces/--no-traces", default=False,
                             help="Export per-step simulation traces (JSONL).")(callback)
     callback = click.argument("config", type=click.Path())(callback)

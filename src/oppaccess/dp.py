@@ -34,7 +34,9 @@ sorted state, and below the roots only the first selection of each sensed
 multiset is expanded: the others have bit-identical Q-values and reach the
 same states.  Zero-probability children are pruned, so a single root's node
 count equals the recursion's memo size.  A solver's V graph nodes, summed
-over its queries, count against ``max_states`` before any value is computed.
+over its queries, count against ``max_states`` before any value is computed,
+and so does C(n, k), before any of a V, Q or audit query's sensing sets is
+listed (``selection_count``).
 A solver keeps the Q rows it answered, keyed on (t, root entries), and the
 solved levels, which ``verify_cached_bellman`` audits.
 
@@ -53,14 +55,17 @@ symbols and child indices, then evaluated depth by depth with numpy over a
 (nodes x vectors) array; the root is node 0 of every depth, so one pass
 yields W_t for t = 1..T.  Its values are float.hex-identical to the scalar
 memoised recursion, and its node count, summed over depths, counts against
-``max_states`` on its own.  Every sum in this module folds left to right
-from 0.0, so values do not depend on the Python version.
+``max_states`` on its own.  When beta = 0, W_t is the sum of the last k
+entries for every t and no child is read, so no graph is built and the
+evaluation counts as one node (``w_graph_nodes``).  Every sum in this module
+folds left to right from 0.0, so values do not depend on the Python version.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -82,7 +87,7 @@ from .model import (
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when a state graph's node count would exceed its cap."""
+    """Raised when a state graph's node count, or C(n, k), would exceed its cap."""
 
 
 #: Selections whose one-step rewards differ by at most this much are tied,
@@ -126,6 +131,18 @@ def _poisson_binomial(values: Sequence[float]) -> List[float]:
     return probs
 
 
+def selection_count(n: int, k: int, max_states: int) -> int:
+    """C(n, k), the number of sensing sets; raises ResourceLimitError over ``max_states``.
+
+    Checked before any enumeration of the sets, whose lists and tables
+    below are C(n, k) long.
+    """
+    count = math.comb(n, k)
+    if count > max_states:
+        raise ResourceLimitError(f"C({n}, {k}) = {count} sensing sets exceed cap {max_states}")
+    return count
+
+
 @functools.lru_cache(maxsize=None)
 def _selections(n: int, k: int) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], int], ...]:
     """Every k-subset of positions 0..n-1 in lexicographic order.
@@ -142,6 +159,20 @@ def _selections(n: int, k: int) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...],
 
 
 @functools.lru_cache(maxsize=None)
+def _selected_positions(n: int, k: int) -> np.ndarray:
+    """The selected positions of ``_selections(n, k)``, as a read-only (C, k) array.
+
+    Built straight from the combinations, so it serves any n, and policies
+    read it as their table of sensing sets.
+    """
+    count = math.comb(n, k)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+    out = np.fromiter(flat, dtype=np.intp, count=count * k).reshape(count, k)
+    out.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
 def _selection_arrays(n: int, k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_selections(n, k)`` as read-only arrays.
 
@@ -150,7 +181,7 @@ def _selection_arrays(n: int, k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarra
     """
     sels = _selections(n, k)
     out = (
-        np.array([sel for sel, _, _ in sels], dtype=np.intp).reshape(len(sels), k),
+        _selected_positions(n, k),
         np.array([comp for _, comp, _ in sels], dtype=np.intp).reshape(len(sels), n - k),
         np.array([mask for _, _, mask in sels], dtype=np.int64),
     )
@@ -313,6 +344,12 @@ class FiniteHorizonSolver:
             raise ValueError(f"belief has {belief.n} channels but k={self.k}")
         return self.horizon.T - t  # remaining steps after the current one
 
+    def _check_v(self, belief: BeliefVector, t: int) -> int:
+        """``_check_t`` for the queries that list the C(n, k) sensing sets."""
+        h = self._check_t(belief, t)
+        selection_count(belief.n, self.k, self.max_states)
+        return h
+
     def _root_entries(self, belief: BeliefVector) -> List[Tuple[float, Tuple]]:
         """Entries as (value, key) pairs, reusing observation provenance when present."""
         entries = []
@@ -352,7 +389,7 @@ class FiniteHorizonSolver:
             raise ValueError("need at least one belief")
         if len({b.n for b in beliefs}) != 1:
             raise ValueError("beliefs must all have the same number of channels")
-        h = self._check_t(beliefs[0], t)
+        h = self._check_v(beliefs[0], t)
         return self._q_table(h, [tuple(self._root_entries(b)) for b in beliefs])
 
     def action_values(self, belief: BeliefVector, t: int) -> Dict[ActionSet, float]:
@@ -376,7 +413,7 @@ class FiniteHorizonSolver:
         shares its graph with the other roots, so it is solved once more on
         its own, against ``max_states`` like any solve.
         """
-        h = self._check_t(belief, t)
+        h = self._check_v(belief, t)
         root = tuple(self._root_entries(belief))
         self._q_table(h, [root])
         row, graph = self._answers[(t, root)]
@@ -555,9 +592,9 @@ class FiniteHorizonSolver:
 
     def _w_at(self, omega: Sequence[float], t: int) -> float:
         """W_t^k of `omega` in its given order: one entry of ``w_table``'s row t-1."""
-        n, H = len(omega), self.horizon.T - 1
+        n = len(omega)
         value = w_table(self.model, self.horizon, self.k, [omega], self.max_states)[t - 1, 0]
-        self._w_nodes[n] = _w_graph(n, self.k, H, self.max_states).nodes
+        self._w_nodes[n] = w_graph_nodes(n, self.k, self.horizon, self.max_states)
         return float(value)
 
     def w_value(self, belief: BeliefVector, t: int) -> float:
@@ -682,6 +719,20 @@ def _w_graph(n: int, k: int, H: int, max_states: int) -> _WGraph:
     return graph
 
 
+def w_graph_nodes(n: int, k: int, horizon: HorizonSpec, max_states: int) -> int:
+    """The W nodes that ``w_table`` reads for length-n vectors, checked against ``max_states``.
+
+    With beta = 0 that is the root alone, and no graph is built; otherwise it
+    is every node of the (n, k, T-1) graph, built here if it is not cached.
+    Raises ResourceLimitError over the cap.
+    """
+    if horizon.beta != 0.0:
+        return _w_graph(n, k, horizon.T - 1, max_states).nodes
+    if max_states < 1:
+        raise _node_cap_error(max_states)
+    return 1
+
+
 def _build_w_graph(n: int, k: int, H: int, max_states: int) -> _WGraph:
     stride = n + 2
     root = tuple(range(2, n + 2))
@@ -727,7 +778,8 @@ def w_table(
     tau is iterated one step at a time, and the outcome law and the
     continuation sum keep the recursion's operation order.  A zero-probability
     child is evaluated too; it adds an exact 0.0.  The graph's node count,
-    summed over depths, counts against ``max_states``.
+    summed over depths, counts against ``max_states``; with beta = 0 every
+    row is the sum of the last k entries, and no graph is built.
     """
     omega = np.array(vectors, dtype=float)
     if omega.ndim != 2 or omega.shape[0] == 0:
@@ -737,6 +789,9 @@ def w_table(
     if k < 1 or omega.shape[1] < k:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={omega.shape[1]}")
     V, n = omega.shape
+    w_graph_nodes(n, k, horizon, max_states)
+    if horizon.beta == 0.0:
+        return np.tile(_left_sum(omega.T[n - k :]), (horizon.T, 1))
     H = horizon.T - 1
     graph = _w_graph(n, k, H, max_states)
     # values[m, b]: base b aged m, for every vector.
@@ -752,7 +807,7 @@ def w_table(
     for d in range(H, -1, -1):
         sensed = values[graph.sensed[d]]
         reward = _left_sum(sensed)
-        if d == H or horizon.beta == 0.0:
+        if d == H:
             w = reward
         else:
             total = _left_sum(_poisson_binomial_rows(sensed) * w[graph.children[d]])

@@ -2,14 +2,16 @@
 
 A policy maps (belief, t) to a set of k channels to sense.  All policies here
 are deterministic given their construction arguments (the random baseline is
-deterministic given its seed), so simulation runs are reproducible.
+deterministic given the simulator's policy stream), so simulation runs are
+reproducible.
 
-Each policy has two forms that make the same choices.  The scalar form,
-``action``/``observe``, serves one run at a time (exact policy evaluation in
-``dp`` uses it).  The batch form serves all R replications of a simulation at
-once: ``batch_actions(beliefs, t, u)`` returns an (R, k) array of 0-based
-indices, and ``batch_observe(acts, obs)`` feeds back the sensed bits, for the
-policies that keep per-run state.
+Every policy has one interface, which serves all R replications of a
+simulation at once: ``reset`` before a run, ``batch_actions(beliefs, t, u)``
+returning an (R, k) array of sorted 0-based indices, and ``batch_observe(acts,
+obs)`` feeding back the sensed bits, for the policies that keep per-run state.
+The per-replication twins of these policies, which the loop simulator in
+``tests/_oracles.py`` steps one run at a time, live there and share no code
+with this module.
 """
 
 from __future__ import annotations
@@ -18,15 +20,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import (
-    VALUE_TOL,
-    ActionSet,
-    BeliefVector,
-    HorizonSpec,
-    TransitionModel,
-    enumerate_actions,
-)
-from .dp import FiniteHorizonSolver
+from .model import VALUE_TOL, ActionSet, BeliefVector, HorizonSpec, TransitionModel
+from .dp import FiniteHorizonSolver, _selected_positions
 
 
 def greedy_action(omega: Sequence[float], k: int) -> ActionSet:
@@ -38,64 +33,13 @@ def greedy_action(omega: Sequence[float], k: int) -> ActionSet:
     return ActionSet(tuple(i + 1 for i in order[:k]))
 
 
-def optimal_action(
-    belief: BeliefVector,
-    t: int,
-    model: TransitionModel,
-    horizon: HorizonSpec,
-    k: int,
-    solver: Optional[FiniteHorizonSolver] = None,
-    max_states: int = 10_000_000,
-) -> ActionSet:
-    """Lexicographically smallest maximiser of the DP action values."""
-    if solver is None:
-        solver = FiniteHorizonSolver(model, horizon, k, max_states)
-    return solver.optimal_value(belief, t).best_actions[0]
-
-
-def ordered_list_policy_step(
-    list_state: Sequence[int],
-    k: int,
-    last_outcome: Optional[Sequence[int]] = None,
-) -> Tuple[ActionSet, Tuple[int, ...]]:
-    """One step of the ordered-list policy.
-
-    ``list_state`` is a permutation of {1..n} ordered worst-first (the last k
-    entries are the ones that were just sensed).  ``last_outcome`` gives the
-    observed bits for those last k entries in list order; channels observed
-    bad move to the front of the list, channels observed good stay at the
-    back, and unobserved channels keep their relative order.  Returns the next
-    action (the new last k entries as a set) and the updated list.
-    """
-    order = tuple(list_state)
-    n = len(order)
-    if sorted(order) != list(range(1, n + 1)):
-        raise ValueError(f"list_state must be a permutation of 1..{n}: {list_state}")
-    if not (1 <= k <= n):
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if last_outcome is not None:
-        if len(last_outcome) != k:
-            raise ValueError(f"outcome must have {k} bits, got {len(last_outcome)}")
-        sensed = order[-k:]
-        bad = tuple(c for c, b in zip(sensed, last_outcome) if not b)
-        good = tuple(c for c, b in zip(sensed, last_outcome) if b)
-        order = bad + order[:-k] + good
-    return ActionSet(order[-k:]), order
-
-
 class Policy:
-    """Base policy: override ``action`` and ``batch_actions``; hooks for per-run state."""
+    """Base policy: override ``batch_actions``; hooks for per-run state."""
 
     name = "policy"
 
     def reset(self, n: int, k: int, initial_omega: Sequence[float]) -> None:
         """Called once before each simulation run."""
-
-    def action(self, omega: Tuple[float, ...], t: int) -> ActionSet:
-        raise NotImplementedError
-
-    def observe(self, action: ActionSet, bits: Sequence[int]) -> None:
-        """Observation feedback; bits aligned with the sorted action indices."""
 
     def batch_actions(self, beliefs: np.ndarray, t: int, u: np.ndarray) -> np.ndarray:
         """(R, k) sorted 0-based indices for beliefs (R, n) at time t; ``u`` (R,)
@@ -117,9 +61,6 @@ class GreedyPolicy(Policy):
     def __init__(self, k: int) -> None:
         self.k = k
 
-    def action(self, omega: Tuple[float, ...], t: int) -> ActionSet:
-        return greedy_action(omega, self.k)
-
     def batch_actions(self, beliefs: np.ndarray, t: int, u: np.ndarray) -> np.ndarray:
         # Stable argsort of the negated beliefs gives the lowest-index tie rule.
         order = np.argsort(-beliefs, axis=1, kind="stable")
@@ -140,9 +81,6 @@ class OptimalPolicy(Policy):
     ) -> None:
         self.solver = FiniteHorizonSolver(model, horizon, k, max_states)
 
-    def action(self, omega: Tuple[float, ...], t: int) -> ActionSet:
-        return self.solver.optimal_value(BeliefVector(tuple(omega)), t).best_actions[0]
-
     def batch_actions(self, beliefs: np.ndarray, t: int, u: np.ndarray) -> np.ndarray:
         # One solver query per step, over the distinct belief rows; replications
         # share the answer.  The first sensing set within VALUE_TOL of the row
@@ -151,8 +89,9 @@ class OptimalPolicy(Policy):
         rows = [BeliefVector(tuple(row)) for row in uniq.tolist()]
         qs = self.solver.action_value_table(rows, t)
         best = np.argmax(qs >= qs.max(axis=1, keepdims=True) - VALUE_TOL, axis=1)
-        actions = enumerate_actions(beliefs.shape[1], self.solver.k)
-        return np.array([a.indices for a in actions])[best[inverse.reshape(-1)]] - 1
+        # The Q columns follow the selections' lexicographic order.
+        selected = _selected_positions(beliefs.shape[1], self.solver.k)
+        return selected[best[inverse.reshape(-1)]]
 
 
 class OrderedListPolicy(Policy):
@@ -186,15 +125,6 @@ class OrderedListPolicy(Policy):
                 for i in sorted(range(n), key=lambda i: (initial_omega[i], -i))
             )
 
-    def action(self, omega: Tuple[float, ...], t: int) -> ActionSet:
-        act, self._order = ordered_list_policy_step(self._order, self.k, None)
-        return act
-
-    def observe(self, action: ActionSet, bits: Sequence[int]) -> None:
-        bit_by_channel = dict(zip(action.indices, bits))
-        list_bits = [bit_by_channel[c] for c in self._order[-self.k :]]
-        _, self._order = ordered_list_policy_step(self._order, self.k, list_bits)
-
     def batch_actions(self, beliefs: np.ndarray, t: int, u: np.ndarray) -> np.ndarray:
         if t == 1:
             # One 0-based list per replication, worst-first, all from the reset order.
@@ -219,6 +149,7 @@ class RoundRobinPolicy(Policy):
         self.n = n
         self.k = k
 
+    # perfbench/workloads.py computes sim-greedy's exact round-robin reference from this.
     def action(self, omega: Tuple[float, ...], t: int) -> ActionSet:
         start = ((t - 1) * self.k) % self.n
         return ActionSet(tuple((start + j) % self.n + 1 for j in range(self.k)))
@@ -240,9 +171,6 @@ class FixedSetPolicy(Policy):
     def reset(self, n: int, k: int, initial_omega: Sequence[float]) -> None:
         self.action_set.validate_for(n, k)
 
-    def action(self, omega: Tuple[float, ...], t: int) -> ActionSet:
-        return self.action_set
-
     def batch_actions(self, beliefs: np.ndarray, t: int, u: np.ndarray) -> np.ndarray:
         row = np.array(self.action_set.indices) - 1
         return np.tile(row, (beliefs.shape[0], 1))
@@ -255,23 +183,14 @@ class UniformRandomPolicy(Policy):
     uses_randomness = True
 
     def __init__(self, n: int, k: int) -> None:
+        if not (1 <= k <= n):
+            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
         self.n = n
         self.k = k
-        self._subsets = enumerate_actions(n, k)
-        # Row j holds subset j's 0-based channel indices.
-        self._table = np.array([[i - 1 for i in a.indices] for a in self._subsets])
-        self._u: Optional[float] = None
-
-    def set_uniform(self, u: float) -> None:
-        """Per-step policy randomness, supplied by the simulator's policy stream."""
-        self._u = u
-
-    def action(self, omega: Tuple[float, ...], t: int) -> ActionSet:
-        if self._u is None:
-            raise RuntimeError("random policy needs a uniform; use it via the simulator")
-        idx = min(int(self._u * len(self._subsets)), len(self._subsets) - 1)
-        return self._subsets[idx]
+        # Row j holds the j-th k-subset's 0-based channel indices, in
+        # lexicographic order; one read-only table per (n, k) in the process.
+        self._table = _selected_positions(n, k)
 
     def batch_actions(self, beliefs: np.ndarray, t: int, u: np.ndarray) -> np.ndarray:
-        idx = np.minimum((u * len(self._subsets)).astype(int), len(self._subsets) - 1)
-        return self._table[idx]
+        count = len(self._table)
+        return self._table[np.minimum((u * count).astype(int), count - 1)]

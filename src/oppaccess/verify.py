@@ -23,8 +23,11 @@ V graph (theorem 1, action level) and greedy's own value (the scan).  The
 theorem-1 value check also reads W on the sorted belief.
 
 ``max_states`` caps each state graph's node count: the W graph of an
-instance's (n, k, T-1), and a solver's V graph.  An instance over the cap is
-reported as one ``<property>/resource`` error, and the run goes on.
+instance's (n, k, T-1), and a solver's V graph.  When beta = 0, W reads no
+child, so a W check counts one node and builds no graph.  The same cap
+bounds C(n, k), checked before a V solve or the lemma-2 check lists the
+sensing sets.  An instance over a cap is reported as one
+``<property>/resource`` error, and the run goes on.
 """
 
 from __future__ import annotations
@@ -37,7 +40,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .model import BeliefVector, HorizonSpec, TransitionModel, tau_iterate
-from .dp import FiniteHorizonSolver, ResourceLimitError, _w_graph, w_table
+from .dp import (
+    FiniteHorizonSolver,
+    ResourceLimitError,
+    selection_count,
+    w_graph_nodes,
+    w_table,
+)
 from .policies import greedy_action  # noqa: F401  (perfbench's tracer patches it here)
 
 VALUE_TOL = 1e-9
@@ -293,8 +302,9 @@ def check_lemma2_reduction(
     out: List[ViolationReport] = []
     for inst in sampler.instances(count):
         try:
-            # The cap applies before the C(n, k) + 1 vectors are built.
-            _w_graph(inst.n, inst.k, inst.T - 1, max_states)
+            # The caps apply before the C(n, k) + 1 vectors are built.
+            w_graph_nodes(inst.n, inst.k, inst.horizon, max_states)
+            selection_count(inst.n, inst.k, max_states)
         except ResourceLimitError as exc:
             out.append(_resource_report("lemma2/resource", inst, exc))
             continue
@@ -346,7 +356,7 @@ def check_affinity(
         try:
             # The cap counts the whole (n, k, T) graph, as in the other W checks,
             # but W_t is the first row of the table over the T - t + 1 slots left.
-            _w_graph(inst.n, inst.k, inst.T - 1, max_states)
+            w_graph_nodes(inst.n, inst.k, inst.horizon, max_states)
             horizon = HorizonSpec(inst.T - t + 1, inst.beta)
             row = w_table(inst.model, horizon, inst.k, vectors, max_states)[0].tolist()
         except ResourceLimitError as exc:

@@ -7,6 +7,10 @@ the memoised Bellman and greedy-value recursions that the level-graph V
 engine and ``dp.w_table`` replaced, kept as they were so the engines can be
 compared with them bit for bit.  ``GREEDY_LOSSES`` lists instances where
 greedy is strictly suboptimal, checked against ``exact_policy_value``.
+
+The loop simulator ``simulate_loop`` steps scalar twins of the library's
+policies, one run at a time; they import nothing from ``oppaccess.policies``
+and share no code with its batch forms.
 """
 
 import itertools
@@ -407,6 +411,116 @@ def philox_substream_uniforms(seed, stream_id, replications, shape):
     return out
 
 
+# -- scalar policies for the loop simulator ------------------------------------
+#
+# Each maps one run's belief tuple and time t (and its policy-stream uniform u)
+# to an ActionSet; ``observe`` gets the bits aligned with the sorted action.
+
+
+def ordered_list_step(order: Tuple[int, ...], k: int, bits: Sequence[int]) -> Tuple[int, ...]:
+    """The list after sensing its last k entries (worst-first, 1-based channels).
+
+    ``bits`` are the observations of those entries in list order: the channels
+    observed bad move to the front, those observed good stay at the back, and
+    the rest keep their relative order.
+    """
+    sensed = order[-k:]
+    bad = tuple(c for c, b in zip(sensed, bits) if not b)
+    good = tuple(c for c, b in zip(sensed, bits) if b)
+    return bad + order[:-k] + good
+
+
+class LoopPolicy:
+    uses_randomness = False
+
+    def reset(self, n: int, omega: Sequence[float]) -> None:
+        pass
+
+    def observe(self, action: ActionSet, bits: Sequence[int]) -> None:
+        pass
+
+
+class LoopGreedy(LoopPolicy):
+    def __init__(self, k: int) -> None:
+        self.k = k
+
+    def action(self, omega, t, u) -> ActionSet:
+        ranked = sorted(range(len(omega)), key=lambda i: (-omega[i], i))
+        return ActionSet(tuple(i + 1 for i in ranked[: self.k]))
+
+
+class LoopOptimal(LoopPolicy):
+    """The first of the solver's maximisers, ``best_actions[0]``."""
+
+    def __init__(self, model, horizon, k, max_states) -> None:
+        self.solver = FiniteHorizonSolver(model, horizon, k, max_states)
+
+    def action(self, omega, t, u) -> ActionSet:
+        return self.solver.optimal_value(BeliefVector(tuple(omega)), t).best_actions[0]
+
+
+class LoopOrderedList(LoopPolicy):
+    def __init__(self, k: int, initial_order: Optional[Tuple[int, ...]]) -> None:
+        self.k = k
+        self.initial_order = initial_order
+
+    def reset(self, n, omega) -> None:
+        if self.initial_order is not None:
+            self.order = tuple(self.initial_order)
+        else:
+            # Ascending belief, and on ties the lower channel nearer the end.
+            self.order = tuple(sorted(range(1, n + 1), key=lambda c: (omega[c - 1], -c)))
+
+    def action(self, omega, t, u) -> ActionSet:
+        return ActionSet(self.order[-self.k :])
+
+    def observe(self, action, bits) -> None:
+        bit = dict(zip(action.indices, bits))
+        self.order = ordered_list_step(self.order, self.k, [bit[c] for c in self.order[-self.k :]])
+
+
+class LoopRoundRobin(LoopPolicy):
+    def __init__(self, n: int, k: int) -> None:
+        self.n, self.k = n, k
+
+    def action(self, omega, t, u) -> ActionSet:
+        return ActionSet(tuple(((t - 1) * self.k + j) % self.n + 1 for j in range(self.k)))
+
+
+class LoopFixed(LoopPolicy):
+    def __init__(self, indices: Sequence[int]) -> None:
+        self.fixed = ActionSet(tuple(indices))
+
+    def action(self, omega, t, u) -> ActionSet:
+        return self.fixed
+
+
+class LoopRandom(LoopPolicy):
+    """Subset number floor(u * C(n, k)) of the k-subsets in lexicographic order."""
+
+    uses_randomness = True
+
+    def __init__(self, n: int, k: int) -> None:
+        self.subsets = list(itertools.combinations(range(1, n + 1), k))
+
+    def action(self, omega, t, u) -> ActionSet:
+        return ActionSet(self.subsets[min(int(u * len(self.subsets)), len(self.subsets) - 1)])
+
+
+# Library policy class name -> its scalar twin, built from the policy's
+# constructor data.
+_TWINS = {
+    "GreedyPolicy": lambda p: LoopGreedy(p.k),
+    "OptimalPolicy": lambda p: LoopOptimal(
+        p.solver.model, p.solver.horizon, p.solver.k, p.solver.max_states
+    ),
+    "OrderedListPolicy": lambda p: LoopOrderedList(p.k, p.initial_order),
+    "RoundRobinPolicy": lambda p: LoopRoundRobin(p.n, p.k),
+    "FixedSetPolicy": lambda p: LoopFixed(p.action_set.indices),
+    "UniformRandomPolicy": lambda p: LoopRandom(p.n, p.k),
+}
+
+
 class LoopRun(NamedTuple):
     totals: np.ndarray
     traces: Optional[Tuple[RunRecord, ...]]
@@ -414,14 +528,15 @@ class LoopRun(NamedTuple):
 
 def simulate_loop(config, policy) -> LoopRun:
     """Per-replication reference simulator: one Python step at a time, through
-    the scalar ``reset``/``action``/``observe`` policy interface, on the same
-    Philox substreams (nature on stream 1, policy on stream 2) as ``simulate``."""
+    the scalar twin of the library policy `policy`, on the same Philox
+    substreams (nature on stream 1, policy on stream 2) as ``simulate``."""
+    policy = _TWINS[type(policy).__name__](policy)
     m, beta, T = config.model, config.horizon.beta, config.horizon.T
     R, n, k = config.replications, config.n, config.k
     nat = philox_substream_uniforms(config.seed, 1, R, (T, n))
     pol = (
         philox_substream_uniforms(config.seed, 2, R, (T,))
-        if getattr(policy, "uses_randomness", False)
+        if policy.uses_randomness
         else np.zeros((R, T))
     )
     omega0 = config.initial_belief.omega
@@ -430,14 +545,12 @@ def simulate_loop(config, policy) -> LoopRun:
     for r in range(R):
         states = tuple(int(nat[r, 0, i] < omega0[i]) for i in range(n))
         beliefs = omega0
-        policy.reset(n, k, omega0)
+        policy.reset(n, omega0)
         total = 0.0
         disc = 1.0
         steps = [] if traces is not None else None
         for t in range(1, T + 1):
-            if hasattr(policy, "set_uniform"):
-                policy.set_uniform(pol[r, t - 1])
-            action = policy.action(beliefs, t)
+            action = policy.action(beliefs, t, pol[r, t - 1])
             obs = tuple(states[i - 1] for i in action.indices)
             reward = sum(obs)
             total += disc * reward

@@ -646,6 +646,37 @@ def test_python_m_entry_point(tmp_path):
     assert not (tmp_path / "bad").exists()
 
 
+PROBES = Path(__file__).parent / "data" / "probes"
+
+
+@pytest.mark.parametrize(
+    "name", ["solve", "simulate_optimal", "simulate_random", "verify_lemma2"]
+)
+def test_resource_probe_ends_at_once(tmp_path, name):
+    # Each probe's C(n, k) is far over the cap: the run must end with exit 4,
+    # or, for verify, exit 0 and one lemma2/resource record, instead of
+    # listing the sensing sets.  A subprocess with a timeout turns a
+    # regression into a failure rather than a hung suite; the runs take about
+    # 0.35 s, most of it interpreter start-up.
+    src = str(Path(oppaccess.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "out"
+    command = [
+        sys.executable, "-m", "oppaccess.cli", "run", str(PROBES / f"{name}.yaml"),
+        "--out-dir", str(out), "--max-memo", "100000",
+    ]
+    result = subprocess.run(command, env=env, capture_output=True, text=True, timeout=5)
+    if name == "verify_lemma2":
+        assert result.returncode == 0, result.stderr
+        records = [json.loads(line) for line in (out / "violations.json").read_text().splitlines()]
+        assert [r["property_id"] for r in records] == ["lemma2/resource"]
+        assert "C(35, 23) = 834451800 sensing sets exceed cap 100000" in records[0]["error"]
+    else:
+        assert result.returncode == 4, result.stderr
+        assert "resource cap: C(40, 20) = 137846528820 sensing sets exceed cap" in result.stderr
+        assert not (out / "results.csv").exists()
+
+
 # Fuzzing: random mappings and grids over known and junk keys.  Integers stay
 # small and --max-memo is tiny, so no example does real work; a verify section
 # always carries a count for the same reason (the default is 100 instances).

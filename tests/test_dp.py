@@ -9,6 +9,7 @@ from oppaccess import (
     BeliefVector,
     FiniteHorizonSolver,
     HorizonSpec,
+    OptimalPolicy,
     ResourceLimitError,
     TransitionModel,
     greedy_action,
@@ -293,6 +294,8 @@ class TestWTable:
             reports = check_affinity(sampler, 80, max_states=cap)
             tripped = [v.instance.index for v in reports if v.property_id == "affinity/resource"]
             assert all(v.property_id == "affinity/resource" for v in reports)
+            # W reads only the root when beta = 0, so no such instance trips.
+            assert all(v.instance.beta != 0.0 for v in reports)
             evaluated = []
             for inst in sampler.instances(80):
                 try:
@@ -309,7 +312,7 @@ class TestWTable:
                 compared += len(vectors)
                 short += t > 1
         assert compared > 300 and short > 5
-        assert (tripped_total > 90) == (cap < 10_000_000)
+        assert (tripped_total > 80) == (cap < 10_000_000)
 
     def test_one_graph_per_shape_answers_every_t(self):
         model, horizon = TransitionModel(0.3, 0.8), HorizonSpec(5, 0.9)
@@ -342,6 +345,25 @@ class TestWTable:
         assert dp._W_GRAPHS[key].nodes == nodes
         with pytest.raises(ResourceLimitError):
             w_table(model, horizon, k, vectors, max_states=nodes - 1)
+
+    def test_beta0_reads_no_graph(self):
+        # W_t is the left-folded sum of the last k entries for every t.
+        model, horizon = TransitionModel(0.3, 0.8), HorizonSpec(6, 0.0)
+        vectors = [(0.1, 0.5, 0.7, 0.9), (0.9, 0.7, 0.5, 0.1), (1.0 + 1e-13, 0.2, 0.3, -1e-13)]
+        dp._W_GRAPHS.pop((4, 3, 5), None)
+        table = w_table(model, horizon, 3, vectors, max_states=1)
+        assert (4, 3, 5) not in dp._W_GRAPHS
+        oracle = RecursiveVSolver(model, horizon, 3)
+        for t in range(1, 7):
+            for vec, got in zip(vectors, table[t - 1].tolist()):
+                assert got.hex() == dp._left_sum(vec[1:]).hex()
+                assert got.hex() == oracle.w_value(BeliefVector(vec), t).hex()
+        assert dp.w_graph_nodes(4, 3, horizon, 1) == 1
+        nodes = dp._w_graph(4, 3, 5, 10_000).nodes
+        assert dp.w_graph_nodes(4, 3, HorizonSpec(6, 0.5), 10_000) == nodes
+        for beta in (0.0, 0.5):
+            with pytest.raises(ResourceLimitError):
+                w_table(model, HorizonSpec(6, beta), 3, vectors, max_states=0)
 
     @pytest.mark.parametrize(
         "vectors, k",
@@ -383,8 +405,10 @@ class TestSolverWReadsTheTable:
                         want = getattr(oracle, method)(b, t)
                         assert got.hex() == want.hex(), (inst, b, t, method)
                         compared += 1
-                # w_states counts the one graph every query read
-                nodes = dp._W_GRAPHS[(inst.n, inst.k, inst.T - 1)].nodes
+                # w_states counts the one graph every query read; with beta = 0
+                # that is its root alone, and no graph is built
+                key = (inst.n, inst.k, inst.T - 1)
+                nodes = 1 if inst.beta == 0.0 else dp._W_GRAPHS[key].nodes
                 assert solver.cache_stats() == {"v_states": 0, "w_states": nodes}
                 tagged += b.tags is not None
                 tied += len(set(omega)) < inst.n
@@ -413,11 +437,45 @@ class TestSolverWReadsTheTable:
                 getattr(s, query)(b, 1)
 
 
+class TestSelectionCap:
+    """C(n, k) counts against ``max_states`` before any sensing set is listed."""
+
+    def test_selection_count(self):
+        assert dp.selection_count(5, 2, 10) == 10
+        with pytest.raises(ResourceLimitError, match=r"C\(5, 2\) = 10 sensing sets exceed cap 9"):
+            dp.selection_count(5, 2, 9)
+
+    def test_v_queries_trip_before_listing_and_w_queries_do_not(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sensing sets listed for a query over the cap")
+
+        monkeypatch.setattr(dp.itertools, "combinations", refuse)
+        model, horizon = TransitionModel(0.3, 0.8), HorizonSpec(2, 0.9)
+        s = FiniteHorizonSolver(model, horizon, 20, max_states=100_000)
+        b = BeliefVector(tuple(i / 50 for i in range(40)))
+        queries = [
+            lambda: s.optimal_value(b, 1),
+            lambda: s.action_values(b, 2),
+            lambda: s.action_value_table([b, b], 1),
+            lambda: s.greedy_audit(b, 1),
+            lambda: OptimalPolicy(model, horizon, 20, 100_000).batch_actions(
+                np.array([b.omega]), 1, np.zeros(1)
+            ),
+        ]
+        for query in queries:
+            with pytest.raises(ResourceLimitError, match="sensing sets exceed cap"):
+                query()
+        # W reads no sensing set: its graph here has k + 2 nodes.
+        assert s.greedy_value(b, 1) == pytest.approx(s.w_value(b, 1))
+        assert s.cache_stats() == {"v_states": 0, "w_states": 22}
+
+
 # Outputs of the full-enumeration solver, before the aged-entry table, the
 # duplicate-selection skip and the (h, entries) memo key, as float.hex.  Every
 # instance is solved from t=1 on a fresh solver in this order: optimal_value,
 # action_values, w_value, greedy_value.  Afterwards "stats" is the library
-# solver's cache_stats() (V graph nodes; nodes of the W graph of (n, k, T-1))
+# solver's cache_stats() (V graph nodes; nodes of the W graph of (n, k, T-1), or
+# its root alone when beta = 0)
 # and "memo_stats" is RecursiveVSolver's (V and W memo entries).
 _B1 = tau_iterate(0.3, TransitionModel(0.3, 0.8), 1)
 PINNED_INSTANCES = {
@@ -524,7 +582,7 @@ PINNED_OUTPUTS = {
         "W": "0x1.570a3d70a3d71p-1",
         "G": "0x1.051eb851eb852p+0",
         "best": [(2, 3)],
-        "stats": {"v_states": 0, "w_states": 16},
+        "stats": {"v_states": 0, "w_states": 1},
         "memo_stats": {"v_states": 0, "w_states": 2},
         "Q": {
             (1, 2): "0x1.8a3d70a3d70a4p-1",

@@ -335,13 +335,12 @@ class TestBatchAgainstLoopOracle:
                 simulate(cfg, OrderedListPolicy(2, order))
 
     def test_policy_without_batch_form_names_the_method(self):
-        class ScalarOnly(Policy):
-            def action(self, omega, t):
-                return GreedyPolicy(1).action(omega, t)
+        class NoBatchForm(Policy):
+            name = "no-batch-form"
 
         cfg = make_config(0.2, 0.8, 3, 1, 3, 1.0, (0.5,) * 3, 10, 1)
-        with pytest.raises(NotImplementedError, match="batch_actions"):
-            simulate(cfg, ScalarOnly())
+        with pytest.raises(NotImplementedError, match="NoBatchForm does not .* batch_actions"):
+            simulate(cfg, NoBatchForm())
 
     @pytest.mark.parametrize(
         "name,p01,p11,seed,digest",

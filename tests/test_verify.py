@@ -26,6 +26,8 @@ def sampler(regime="positive", seed=1234, **kw):
 class FixedSampler:
     """Yields the given instances, whatever the sampler's regime says."""
 
+    seed = 0
+
     def __init__(self, regime, instances):
         self.regime = regime
         self._instances = instances
@@ -169,6 +171,37 @@ class TestChecks:
         assert check_lemma2_reduction(s, 4, max_states=5) == [
             ViolationReport("lemma2/resource", inst, error=error) for inst in s.instances(4)
         ]
+
+    def test_beta0_instance_gets_no_resource_report_under_a_small_cap(self):
+        # With beta = 0 W reads only the root, so no W graph is built or
+        # capped, and C(4, 1) = 4 sensing sets fit the cap too.  The same
+        # instance with beta > 0 has a W graph of more than 5 nodes.
+        omega = (0.1, 0.35, 0.6, 0.85)
+        zero = Instance(0, 4, 1, 5, 0.0, 0.3, 0.8, omega)
+        some = Instance(0, 4, 1, 5, 0.9, 0.3, 0.8, omega)
+        checks = [
+            check_theorem1, check_lemma3_A, check_lemma3_B, check_lemma2_reduction,
+            check_affinity,
+        ]
+        for check in checks:
+            assert check(FixedSampler("positive", [zero]), 1, max_states=5) == []
+            tripped = check(FixedSampler("positive", [some]), 1, max_states=5)
+            assert [v.property_id.endswith("/resource") for v in tripped] == [True]
+        negative = Instance(0, 4, 1, 5, 0.0, 0.8, 0.3, omega)
+        report = scan_negative_regime(FixedSampler("negative", [negative]), 1, max_states=5)
+        assert report.errors == ()
+
+    def test_lemma2_caps_the_sensing_sets_before_listing_them(self, monkeypatch):
+        # n = 35, k = 23, T = 2: the W graph has k + 2 = 25 nodes, far below
+        # the cap, but C(35, 23) is about 8.3e8 sensing sets.
+        def refuse(*args, **kwargs):
+            raise AssertionError("sensing sets listed for an instance over the cap")
+
+        monkeypatch.setattr(verify.itertools, "combinations", refuse)
+        inst = Instance(0, 35, 23, 2, 0.9, 0.3, 0.8, tuple(i / 40 for i in range(35)))
+        viols = check_lemma2_reduction(FixedSampler("positive", [inst]), 1, max_states=100_000)
+        error = "ResourceLimitError: C(35, 23) = 834451800 sensing sets exceed cap 100000"
+        assert viols == [ViolationReport("lemma2/resource", inst, error=error)]
 
 
 class TestNegativeScan:
