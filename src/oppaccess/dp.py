@@ -31,12 +31,17 @@ distinct states reachable from the roots in d steps, found with one
 numpy gathers in the scalar Bellman recursion's operation order, so the
 Q-values are float.hex-identical to it.  Equal entries are contiguous in a
 sorted state, and below the roots only the first selection of each sensed
-multiset is expanded: the others have bit-identical Q-values and reach the
-same states.  Zero-probability children are pruned, so a single root's node
-count equals the recursion's memo size.  A solver's V graph nodes, summed
-over its queries, count against ``max_states`` before any value is computed,
-and so does C(n, k), before any of a V, Q or audit query's sensing sets is
-listed (``selection_count``).
+multiset is expanded: a selection is skipped when it senses position q + 1
+and not q of a state whose entries q and q + 1 are equal.  The skipped ones
+have bit-identical Q-values and reach the same states.  The sensing sets
+come from one cached read-only table per (n, k), ``_selection_arrays``: the
+selected and the other positions of every set, in lexicographic order.  It
+holds positions, not bit patterns, so it serves any n; the greedy audit,
+the lemma 2 check and the policies read the same table.  Zero-probability
+children are pruned, so a single root's node count equals the recursion's
+memo size.  A solver's V graph nodes, summed over its queries, count against
+``max_states`` before any value is computed, and so does C(n, k), before any
+of a V, Q or audit query's sensing sets is listed (``selection_count``).
 A solver keeps the Q rows it answered, keyed on (t, root entries), and the
 solved levels, which ``verify_cached_bellman`` audits.
 
@@ -143,68 +148,48 @@ def selection_count(n: int, k: int, max_states: int) -> int:
     return count
 
 
-@functools.lru_cache(maxsize=None)
-def _selections(n: int, k: int) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], int], ...]:
-    """Every k-subset of positions 0..n-1 in lexicographic order.
-
-    Each item is (selected positions, the other positions, bitmask of the
-    selected positions).
-    """
-    out = []
-    for sel in itertools.combinations(range(n), k):
-        mask = sum(1 << i for i in sel)
-        comp = tuple(i for i in range(n) if not mask >> i & 1)
-        out.append((sel, comp, mask))
-    return tuple(out)
+def _membership(sel_pos: np.ndarray, n: int) -> np.ndarray:
+    """(C, n) booleans: row c is True at the positions that selection c senses."""
+    member = np.zeros((len(sel_pos), n), dtype=bool)
+    member[np.arange(len(sel_pos))[:, None], sel_pos] = True
+    return member
 
 
 @functools.lru_cache(maxsize=None)
-def _selected_positions(n: int, k: int) -> np.ndarray:
-    """The selected positions of ``_selections(n, k)``, as a read-only (C, k) array.
+def _selection_arrays(n: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Every k-subset of positions 0..n-1 in lexicographic order, as read-only arrays.
 
-    Built straight from the combinations, so it serves any n, and policies
-    read it as their table of sensing sets.
+    Returns the selected positions (C, k) and the other positions (C, n-k),
+    each row ascending: the one table of sensing sets that V, the greedy
+    audit, lemma 2 and the policies read.
     """
     count = math.comb(n, k)
     flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
-    out = np.fromiter(flat, dtype=np.intp, count=count * k).reshape(count, k)
-    out.setflags(write=False)
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _selection_arrays(n: int, k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_selections(n, k)`` as read-only arrays.
-
-    Returns the selected positions (C, k), the other positions (C, n-k) and
-    the bitmasks (C,).
-    """
-    sels = _selections(n, k)
-    out = (
-        _selected_positions(n, k),
-        np.array([comp for _, comp, _ in sels], dtype=np.intp).reshape(len(sels), n - k),
-        np.array([mask for _, _, mask in sels], dtype=np.int64),
-    )
-    for a in out:
+    sel_pos = np.fromiter(flat, dtype=np.intp, count=count * k).reshape(count, k)
+    comp_pos = np.nonzero(~_membership(sel_pos, n))[1].reshape(count, n - k)
+    for a in (sel_pos, comp_pos):
         a.setflags(write=False)
-    return out
+    return sel_pos, comp_pos
 
 
-def _sensing_pairs(rows: np.ndarray, masks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _sensing_pairs(rows: np.ndarray, sel_pos: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(state, selection) index pairs of sorted states, one per multiset of sensed entries.
 
     Equal entries are contiguous in a sorted state.  A selection is kept only
     if, within each run of equal entries, it takes the leftmost positions:
-    that is the lexicographically first selection sensing its multiset.  A
-    skipped selection has a Q-value bit-identical to the kept one's and
-    reaches only the states the kept one reaches.  Pairs are grouped by
-    state, selections in order.
+    it is dropped when, for some position q equal to q + 1 in the state, it
+    senses q + 1 and not q.  That is the lexicographically first selection
+    sensing its multiset.  A skipped selection has a Q-value bit-identical
+    to the kept one's and reaches only the states the kept one reaches.
+    Pairs are grouped by state, selections in order.
     """
-    shifts = np.arange(1, rows.shape[1], dtype=np.int64)
-    # bit i set: entry i equals entry i-1
-    repeats = ((rows[:, 1:] == rows[:, :-1]).astype(np.int64) << shifts).sum(axis=1)
-    keep = (((masks & repeats[:, None]) >> 1) & ~masks) == 0
-    return np.nonzero(keep)
+    member = _membership(sel_pos, rows.shape[1])
+    enters = member[:, 1:] & ~member[:, :-1]  # column q: senses q + 1 and not q
+    equal = rows[:, 1:] == rows[:, :-1]  # column q: entry q equals entry q + 1
+    drop = np.zeros((len(rows), len(sel_pos)), dtype=bool)
+    for q in np.flatnonzero(enters.any(axis=0) & equal.any(axis=0)):
+        drop |= equal[:, q, None] & enters[:, q]
+    return np.nonzero(~drop)
 
 
 def _least_tied_q(
@@ -418,24 +403,20 @@ class FiniteHorizonSolver:
         self._q_table(h, [root])
         row, graph = self._answers[(t, root)]
         omega, k = belief.omega, self.k
-        selections = _selections(belief.n, k)
-        if graph is not None and graph.root_children.shape[1] > len(selections):
+        sel_pos = _selection_arrays(belief.n, k)[0]
+        if graph is not None and graph.root_children.shape[1] > len(sel_pos):
             graph = self._solve_roots(h, [root])[1]
             self._answers[(t, root)] = (row, graph)
-        rewards = [_left_sum(omega[j] for j in sel) for sel, _, _ in selections]
-        best = max(rewards)
-        regret = float(row.max()) - min(
-            q for q, r in zip(row.tolist(), rewards) if r >= best - TIE_TOL
-        )
+        rewards = _left_sum(np.array(omega)[sel_pos].T)
+        regret = float(row.max()) - float(row[rewards >= rewards.max() - TIE_TOL].min())
         # Greedy's set, as ``greedy_action`` picks it; G folds its sensed
         # entries in ascending order, as W does.
-        top = sorted(range(belief.n), key=lambda j: (-omega[j], j))[:k]
+        top = sorted(sorted(range(belief.n), key=lambda j: (-omega[j], j))[:k])
         sensed = sorted(omega[j] for j in top)
         value = _left_sum(sensed)
         if graph is None:
             return GreedyAudit(value, regret, t, omega)
-        masks = _selection_arrays(belief.n, k)[2]
-        pick = int(np.flatnonzero(masks == sum(1 << j for j in top))[0])
+        pick = int(np.flatnonzero((sel_pos == top).all(axis=1))[0])
         children = graph.root_children[:, pick].tolist()
         total = _left_sum(
             p * float(graph.greedy[c]) for p, c in zip(_poisson_binomial(sensed), children)
@@ -487,7 +468,7 @@ class FiniteHorizonSolver:
         the kept graph (None when h = 0 or beta = 0, which need none).
         """
         n, k, beta = len(roots[0]), self.k, self.horizon.beta
-        sel_pos, comp_pos, masks = _selection_arrays(n, k)
+        sel_pos, comp_pos = _selection_arrays(n, k)
         if h == 0 or beta == 0.0:
             values = np.array([[v for v, _ in root] for root in roots])
             return _left_sum(np.moveaxis(values[:, sel_pos], 2, 0)), None
@@ -497,10 +478,10 @@ class FiniteHorizonSolver:
         levels = [rows]
         for d in range(h):
             if d == 0:
-                state = np.repeat(np.arange(len(rows)), len(masks))
-                sel = np.tile(np.arange(len(masks)), len(rows))
+                state = np.repeat(np.arange(len(rows)), len(sel_pos))
+                sel = np.tile(np.arange(len(sel_pos)), len(rows))
             else:
-                state, sel = _sensing_pairs(rows, masks)
+                state, sel = _sensing_pairs(rows, sel_pos)
             sensed = rows[state[:, None], sel_pos[sel]]
             live = _poisson_binomial_rows(vals[sensed].T) != 0.0
             # A child is the aged unsensed entries plus k-s copies of p01 and s of
@@ -555,7 +536,7 @@ class FiniteHorizonSolver:
         graph = _VGraph(tuple(entries), tuple(kept), child, greedy)
         self._v_graphs.append(graph)
         self._v_nodes += nodes
-        return q.reshape(len(roots), len(masks)), graph
+        return q.reshape(len(roots), len(sel_pos)), graph
 
     def _rank_entries(self, h: int, roots: Sequence[Tuple[Tuple[float, Tuple], ...]]):
         """Rank every entry a state below these roots can hold, in (value, key) order.
@@ -635,9 +616,10 @@ class FiniteHorizonSolver:
                 continue
             rebuilt = tuple(sorted((self._key_value(kk), kk) for _, kk in entries))
             aged = self._aged(rebuilt)
+            table = _selection_arrays(len(rebuilt), self.k)
             rhs = max(
                 self._audit_q(h, rebuilt, aged, sel, comp, states)
-                for sel, comp, _ in _selections(len(rebuilt), self.k)
+                for sel, comp in zip(*(a.tolist() for a in table))
             )
             worst = max(worst, abs(cached - rhs))
         return worst

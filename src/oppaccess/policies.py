@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .model import VALUE_TOL, ActionSet, BeliefVector, HorizonSpec, TransitionModel
-from .dp import FiniteHorizonSolver, _selected_positions
+from .dp import FiniteHorizonSolver, _selection_arrays
 
 
 def greedy_action(omega: Sequence[float], k: int) -> ActionSet:
@@ -90,7 +90,7 @@ class OptimalPolicy(Policy):
         qs = self.solver.action_value_table(rows, t)
         best = np.argmax(qs >= qs.max(axis=1, keepdims=True) - VALUE_TOL, axis=1)
         # The Q columns follow the selections' lexicographic order.
-        selected = _selected_positions(beliefs.shape[1], self.solver.k)
+        selected = _selection_arrays(beliefs.shape[1], self.solver.k)[0]
         return selected[best[inverse.reshape(-1)]]
 
 
@@ -189,7 +189,7 @@ class UniformRandomPolicy(Policy):
         self.k = k
         # Row j holds the j-th k-subset's 0-based channel indices, in
         # lexicographic order; one read-only table per (n, k) in the process.
-        self._table = _selected_positions(n, k)
+        self._table = _selection_arrays(n, k)[0]
 
     def batch_actions(self, beliefs: np.ndarray, t: int, u: np.ndarray) -> np.ndarray:
         count = len(self._table)

@@ -32,7 +32,6 @@ sensing sets.  An instance over a cap is reported as one
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field, asdict
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -43,6 +42,7 @@ from .model import BeliefVector, HorizonSpec, TransitionModel, tau_iterate
 from .dp import (
     FiniteHorizonSolver,
     ResourceLimitError,
+    _selection_arrays,
     selection_count,
     w_graph_nodes,
     w_table,
@@ -308,17 +308,17 @@ def check_lemma2_reduction(
         except ResourceLimitError as exc:
             out.append(_resource_report("lemma2/resource", inst, exc))
             continue
-        omega = tuple(sorted(inst.omega))
-        selections = list(itertools.combinations(range(inst.n), inst.k))
-        vectors = [omega]
-        for sel in selections:
-            sel_set = set(sel)
-            rest = tuple(omega[i] for i in range(inst.n) if i not in sel_set)
-            vectors.append(rest + tuple(omega[i] for i in sel))
+        om = np.array(sorted(inst.omega))
+        sel_pos, comp_pos = _selection_arrays(inst.n, inst.k)
+        # Row 0 is the sorted vector; row 1 + c senses selection c first.
+        vectors = np.concatenate(
+            (om[None, :], np.concatenate((om[comp_pos], om[sel_pos]), axis=1))
+        )
         table = inst.w_table(vectors, max_states)
         for t, (rhs, *firsts) in enumerate(table, start=1):
-            for sel, lhs in zip(selections, firsts):
+            for c, lhs in enumerate(firsts):
                 if lhs > rhs + VALUE_TOL:
+                    sel = tuple(sel_pos[c].tolist())
                     out.append(
                         ViolationReport(
                             "lemma2", inst, lhs, rhs, lhs - rhs, VALUE_TOL,

@@ -13,6 +13,7 @@ policies, one run at a time; they import nothing from ``oppaccess.policies``
 and share no code with its batch forms.
 """
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -35,7 +36,6 @@ from oppaccess.dp import (
     SolveResult,
     _left_sum,
     _poisson_binomial,
-    _selections,
 )
 from oppaccess.model import OBSERVED_BAD, OBSERVED_GOOD, _check_prob
 
@@ -105,6 +105,20 @@ def immediate_reward(belief: BeliefVector, action: ActionSet) -> float:
     return sum(belief.omega[i - 1] for i in action.indices)
 
 
+@functools.lru_cache(maxsize=None)
+def _subsets(n: int, k: int) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], int], ...]:
+    """(sel, complement, mask) of every k-subset of 0..n-1, in lexicographic order.
+
+    Listed here, not read from ``dp``'s table, so the oracles stay
+    independent of it; the masks are Python ints, which do not overflow.
+    """
+    out = []
+    for sel in itertools.combinations(range(n), k):
+        mask = sum(1 << i for i in sel)
+        out.append((sel, tuple(i for i in range(n) if not mask >> i & 1), mask))
+    return tuple(out)
+
+
 def _distinct_selections(
     entries: Sequence[Tuple[float, Tuple]], k: int
 ) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
@@ -120,7 +134,7 @@ def _distinct_selections(
     for i in range(1, len(entries)):
         if entries[i] == entries[i - 1]:
             repeats |= 1 << i
-    for sel, comp, mask in _selections(len(entries), k):
+    for sel, comp, mask in _subsets(len(entries), k):
         if not (mask & repeats) >> 1 & ~mask:
             yield sel, comp
 
@@ -205,7 +219,7 @@ class RecursiveVSolver(FiniteHorizonSolver):
         aged = self._aged(entries) if h > 0 and self.horizon.beta != 0.0 else ()
         return {
             ActionSet(tuple(i + 1 for i in sel)): self._q(h, entries, aged, sel, comp)
-            for sel, comp, _ in _selections(belief.n, self.k)
+            for sel, comp, _ in _subsets(belief.n, self.k)
         }
 
     def optimal_value(self, belief: BeliefVector, t: int, tol: float = 1e-9) -> SolveResult:
@@ -233,7 +247,7 @@ class RecursiveVSolver(FiniteHorizonSolver):
             aged = self._aged(rebuilt)
             rhs = max(
                 self._q(h, rebuilt, aged, sel, comp)
-                for sel, comp, _ in _selections(len(rebuilt), self.k)
+                for sel, comp, _ in _subsets(len(rebuilt), self.k)
             )
             worst = max(worst, abs(cached - rhs))
         return worst

@@ -227,6 +227,18 @@ class TestSimulateAndCompare:
         assert result.exit_code == 4, result.output
         assert not (out / "results.csv").exists()
 
+    def test_optimal_policy_past_64_channels_exit_0(self, runner, tmp_path):
+        # n = 70: positions past the width of an int64 bit pattern.
+        cfg_data = dict(
+            SOLVE_CFG, kind="simulate", policy="optimal", n=70,
+            initial_belief="stationary", replications=20,
+        )
+        cfg = write_config(tmp_path, cfg_data)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["run", cfg, "--out-dir", str(out)])
+        assert result.exit_code == 0, result.output
+        assert len(read_rows(out)) == 1
+
     def test_simulate_greedy(self, runner, tmp_path):
         cfg_data = dict(SOLVE_CFG, kind="simulate", policy="greedy", replications=2000)
         cfg = write_config(tmp_path, cfg_data)
@@ -650,12 +662,13 @@ PROBES = Path(__file__).parent / "data" / "probes"
 
 
 @pytest.mark.parametrize(
-    "name", ["solve", "simulate_optimal", "simulate_random", "verify_lemma2"]
+    "name", ["solve", "simulate_optimal", "simulate_random", "verify_lemma2", "solve_wide"]
 )
 def test_resource_probe_ends_at_once(tmp_path, name):
-    # Each probe's C(n, k) is far over the cap: the run must end with exit 4,
-    # or, for verify, exit 0 and one lemma2/resource record, instead of
-    # listing the sensing sets.  A subprocess with a timeout turns a
+    # Each probe's C(n, k) but solve_wide's is far over the cap: the run must
+    # end with exit 4, or, for verify, exit 0 and one lemma2/resource record,
+    # instead of listing the sensing sets.  solve_wide (n = 70, k = 1) is
+    # under it and must solve.  A subprocess with a timeout turns a
     # regression into a failure rather than a hung suite; the runs take about
     # 0.35 s, most of it interpreter start-up.
     src = str(Path(oppaccess.__file__).resolve().parents[1])
@@ -666,7 +679,10 @@ def test_resource_probe_ends_at_once(tmp_path, name):
         "--out-dir", str(out), "--max-memo", "100000",
     ]
     result = subprocess.run(command, env=env, capture_output=True, text=True, timeout=5)
-    if name == "verify_lemma2":
+    if name == "solve_wide":
+        assert result.returncode == 0, result.stderr
+        assert (out / "results.csv").exists()
+    elif name == "verify_lemma2":
         assert result.returncode == 0, result.stderr
         records = [json.loads(line) for line in (out / "violations.json").read_text().splitlines()]
         assert [r["property_id"] for r in records] == ["lemma2/resource"]
@@ -678,8 +694,10 @@ def test_resource_probe_ends_at_once(tmp_path, name):
 
 
 # Fuzzing: random mappings and grids over known and junk keys.  Integers stay
-# small and --max-memo is tiny, so no example does real work; a verify section
-# always carries a count for the same reason (the default is 100 instances).
+# small and --max-memo is 5 or 500, so no example does real work; a verify
+# section always carries a count for the same reason (the default is 100
+# instances).  n is sometimes 64..70, wider than an int64 bit pattern: at the
+# cap of 500 a k = 1 example lists its sensing sets.
 _ints = st.integers(1, 3)
 _numbers = st.floats(0, 1) | st.sampled_from([0, 1, 0.2, 0.8])
 _POLICY_NAMES = ["greedy", "optimal", "ordered-list", "round-robin", "random", "fixed", "junk"]
@@ -708,7 +726,7 @@ _FIELDS = {
     "seed": st.integers(0, 4),
     "model": _mapping({"p01": _numbers, "p11": _numbers}, ["p01", "p11"]),
     "horizon": _mapping({"T": _ints, "beta": _numbers}, ["T"]),
-    "n": _ints,
+    "n": _ints | st.integers(64, 70),
     "k": st.integers(1, 2),
     "initial_belief": st.just("stationary") | st.lists(_numbers, max_size=4),
     "policy": _policy,
@@ -772,13 +790,15 @@ def _configs(draw, with_grid):
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data(), command=st.sampled_from(["run", "sweep"]))
-def test_fuzzed_configs_end_in_a_documented_exit_code(data, command):
+@given(
+    data=st.data(), command=st.sampled_from(["run", "sweep"]), cap=st.sampled_from(["5", "500"])
+)
+def test_fuzzed_configs_end_in_a_documented_exit_code(data, command, cap):
     cfg = data.draw(_configs(with_grid=command == "sweep"))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.yaml"
         path.write_text(yaml.safe_dump(cfg))
-        args = [command, str(path), "--out-dir", str(Path(tmp) / "out"), "--max-memo", "5"]
+        args = [command, str(path), "--out-dir", str(Path(tmp) / "out"), "--max-memo", cap]
         result = CliRunner().invoke(main, args)
     assert result.exit_code in (0, 2, 3, 4), result.output
     assert result.exception is None or isinstance(result.exception, SystemExit), result.exception

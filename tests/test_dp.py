@@ -715,19 +715,26 @@ class TestDistinctSelections:
         for sel, comp in got:
             assert sorted(sel + comp) == list(range(n))
 
-    @pytest.mark.parametrize("seed", range(40))
+    # Seeds from 40 on draw n in 64..70, wider than an int64 bit pattern.
+    @pytest.mark.parametrize(
+        "seed", [*range(40), *(pytest.param(s, id=f"wide{s}") for s in range(40, 44))]
+    )
     def test_graph_pairs_follow_the_leftmost_rule(self, seed):
         rng = np.random.default_rng(400 + seed)
-        n = int(rng.integers(1, 8))
-        k = int(rng.integers(1, n + 1))
+        n = int(rng.integers(1, 8) if seed < 40 else rng.integers(64, 71))
+        k = int(rng.integers(1, n + 1) if seed < 40 else rng.integers(1, 3))
         rows = np.sort(rng.integers(0, 3, (5, n)), axis=1).astype(np.int16)
-        _, _, masks = dp._selection_arrays(n, k)
-        state, sel = dp._sensing_pairs(rows, masks)
-        selections = dp._selections(n, k)
+        sel_pos, comp_pos = dp._selection_arrays(n, k)
+        # The table against the oracle's own enumeration of the k-subsets.
+        subsets = list(itertools.combinations(range(n), k))
+        assert list(map(tuple, sel_pos.tolist())) == subsets
+        for sel_row, comp_row in zip(sel_pos.tolist(), comp_pos.tolist()):
+            assert sorted(sel_row + comp_row) == list(range(n))
+        state, sel = dp._sensing_pairs(rows, sel_pos)
         for i, row in enumerate(rows.tolist()):
             entries = tuple((0.1 * key, ("B", key)) for key in row)
             want = [s for s, _ in _distinct_selections(entries, k)]
-            assert [selections[j][0] for j in sel[state == i]] == want
+            assert [subsets[j] for j in sel[state == i]] == want
 
 
 def _sample_v_instance(rng, case):
@@ -822,6 +829,22 @@ class TestVGraph:
         assert graph.cache_stats()["v_states"] == len(oracle._v_memo)
         # a plain base-E fold of 12 ranks would not fit in an int64
         assert len(graph._v_graphs[0].entries) ** 12 > np.iinfo(np.int64).max
+
+    @pytest.mark.parametrize("n, k, T", [(70, 1, 3), (66, 2, 2)])
+    def test_rows_wider_than_an_int64_bit_pattern_match_recursion(self, n, k, T):
+        # n >= 64 positions, with runs of equal entries at the root and below.
+        model, horizon = TransitionModel(0.3, 0.8), HorizonSpec(T, 0.9)
+        belief = BeliefVector(tuple(np.random.default_rng(n).integers(1, 10, n) / 10))
+        graph = FiniteHorizonSolver(model, horizon, k)
+        oracle = RecursiveVSolver(model, horizon, k)
+        got = graph.action_value_table([belief], 1)[0].tolist()
+        want = oracle.action_values(belief, 1)
+        assert [q.hex() for q in got] == [q.hex() for q in want.values()]
+        assert graph.cache_stats()["v_states"] == len(oracle._v_memo)
+        assert graph.verify_cached_bellman() <= 1e-12
+        audit = graph.greedy_audit(belief, 1)
+        assert audit.value.hex() == graph.greedy_value(belief, 1).hex()
+        assert audit.regret <= 1e-12
 
     def test_fold_keys_order_rows_lexicographically(self):
         rng = np.random.default_rng(9)

@@ -13,7 +13,7 @@ from oppaccess import (
     summary_table,
     violations_to_json,
 )
-from oppaccess import BeliefVector, FiniteHorizonSolver, greedy_action, verify
+from oppaccess import BeliefVector, FiniteHorizonSolver, dp, greedy_action, verify
 from oppaccess.verify import Instance, ViolationReport
 
 from _oracles import GREEDY_LOSSES, exact_policy_value
@@ -106,6 +106,16 @@ class TestChecks:
         s = sampler(sorted_beliefs=True, n_range=(2, 5), T_range=(1, 5))
         assert check_lemma2_reduction(s, 30) == []
 
+    def test_lemma2_violation_names_its_first_action(self):
+        # Strongly anticorrelated, so sensing positions 1 and 4 first, then
+        # list play, beats sorted order at t = 1.  The detail prints the
+        # selection as a tuple of Python ints, whatever numpy's repr.
+        inst = Instance(0, 5, 2, 3, 1.0, 0.97, 0.01, (0.2, 0.41, 0.39, 0.98, 0.09))
+        viols = check_lemma2_reduction(FixedSampler("negative", [inst]), 1)
+        assert [(v.detail, v.lhs.hex(), v.rhs.hex()) for v in viols] == [
+            ("t=1 first_action=(1, 4)", "0x1.17370483e13c0p+1", "0x1.1719a3f96820ep+1")
+        ]
+
     def test_affinity_clean_both_regimes(self):
         assert check_affinity(sampler("positive"), 40) == []
         assert check_affinity(sampler("negative"), 40) == []
@@ -197,7 +207,7 @@ class TestChecks:
         def refuse(*args, **kwargs):
             raise AssertionError("sensing sets listed for an instance over the cap")
 
-        monkeypatch.setattr(verify.itertools, "combinations", refuse)
+        monkeypatch.setattr(dp.itertools, "combinations", refuse)
         inst = Instance(0, 35, 23, 2, 0.9, 0.3, 0.8, tuple(i / 40 for i in range(35)))
         viols = check_lemma2_reduction(FixedSampler("positive", [inst]), 1, max_states=100_000)
         error = "ResourceLimitError: C(35, 23) = 834451800 sensing sets exceed cap 100000"
