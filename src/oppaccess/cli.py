@@ -392,7 +392,8 @@ def _write_sidecar(path: Path, cfg: dict, seed: int, wall: float) -> None:
     path.write_text(json.dumps(sidecar, sort_keys=True, indent=2, default=str) + "\n")
 
 
-def _execute(exp: _Experiment, max_states: int, out_dir: Path, traces: bool) -> int:
+def _execute(exp: _Experiment, max_states: int, out_dir: Path, traces: bool) -> tuple:
+    """Run one experiment and write its artifacts; returns (exit status, result rows)."""
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     status = EXIT_OK
@@ -408,7 +409,7 @@ def _execute(exp: _Experiment, max_states: int, out_dir: Path, traces: bool) -> 
             status = EXIT_VIOLATIONS
     _write_csv(out_dir / "results.csv", rows)
     _write_sidecar(out_dir / "meta.json", exp.mapping, exp.seed, time.perf_counter() - t0)
-    return status
+    return status, rows
 
 
 def _read_mapping(path: str) -> dict:
@@ -493,7 +494,7 @@ def _command(body):
 @_command
 def run(config, seed, out_dir, max_memo, traces):
     """Execute the experiment described by CONFIG."""
-    return _execute(load_config(_read_mapping(config), seed), max_memo, Path(out_dir), traces)
+    return _execute(load_config(_read_mapping(config), seed), max_memo, Path(out_dir), traces)[0]
 
 
 @_command
@@ -515,16 +516,14 @@ def sweep(config, seed, out_dir, max_memo, traces):
     status = EXIT_OK
     t0 = time.perf_counter()
     for point_id, (overrides, exp) in enumerate(points):
-        point_dir = out / f"point_{point_id:04d}"
-        status = max(status, _execute(exp, max_memo, point_dir, traces))
-        with open(point_dir / "results.csv", newline="") as f:
-            point_rows = list(csv.DictReader(f))
+        point_status, point_rows = _execute(exp, max_memo, out / f"point_{point_id:04d}", traces)
+        status = max(status, point_status)
         annotations = {}
         if exp.instance is not None:
             positive = exp.instance.model.positively_correlated
             annotations["regime"] = "positive" if positive else "negative"
             if not positive:
-                # A solve point has the gap already; its CSV text round-trips.
+                # A solve point has the gap already.
                 annotations["negative_scan_gap"] = (
                     point_rows[0] if exp.kind == "solve" else _run_solve(exp, max_memo)[0]
                 )["greedy_gap"]

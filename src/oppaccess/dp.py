@@ -16,11 +16,11 @@ Two recursions are implemented:
   value when p11 >= p01 but not otherwise.
 
 Every reachable belief entry is tau^m applied to p01, p11, or one of the
-root entries, so V carries each entry as a (value, key) pair whose key
-(origin, age) identifies it exactly, and states are recognised without
-float-equality fragility.  Each solver keeps one aged-entry table that maps an
-entry to the same entry one unobserved step on, so tau runs once per distinct
-entry.
+root entries, so V carries each entry as a (value, key) pair whose key,
+("B", m), ("G", m) or ("V", w, m) for a root entry w, identifies it exactly,
+and states are recognised without float-equality fragility.  Each solver
+keeps one aged-entry table that maps an entry to the same entry one
+unobserved step on, so tau runs once per distinct entry.
 
 V is solved over a level graph, for a batch of root beliefs at one t at a
 time (``FiniteHorizonSolver.action_value_table``).  Every entry a reachable
@@ -80,8 +80,6 @@ from .model import (
     ActionSet,
     BeliefVector,
     HorizonSpec,
-    OBSERVED_BAD,
-    OBSERVED_GOOD,
     PROB_TOL,
     VALUE_TOL,
     TransitionModel,
@@ -102,8 +100,8 @@ TIE_TOL = 1e-12
 
 # Internal state keys: ("B", m) = tau^m(p01); ("G", m) = tau^m(p11);
 # ("V", base, m) = tau^m(base) for a root belief entry `base`.
-_B0 = (OBSERVED_BAD, 0)
-_G0 = (OBSERVED_GOOD, 0)
+_B0 = ("B", 0)
+_G0 = ("G", 0)
 
 
 def _age_key(key: Tuple) -> Tuple:
@@ -336,15 +334,8 @@ class FiniteHorizonSolver:
         return h
 
     def _root_entries(self, belief: BeliefVector) -> List[Tuple[float, Tuple]]:
-        """Entries as (value, key) pairs, reusing observation provenance when present."""
-        entries = []
-        for i, w in enumerate(belief.omega):
-            tag = belief.tags[i] if belief.tags is not None else None
-            if tag is not None and tag[0] in (OBSERVED_GOOD, OBSERVED_BAD):
-                entries.append((w, (tag[0], tag[1])))
-            else:
-                entries.append((w, ("V", w, 0)))
-        return entries
+        """Entries as (value, key) pairs: each root entry w is ("V", w, 0)."""
+        return [(w, ("V", w, 0)) for w in belief.omega]
 
     def _aged(self, entries: Sequence[Tuple[float, Tuple]]) -> List[Tuple[float, Tuple]]:
         """Every entry one unobserved step on, through the aged-entry table."""
@@ -382,11 +373,11 @@ class FiniteHorizonSolver:
         row = self.action_value_table([belief], t)[0]
         return dict(zip(enumerate_actions(belief.n, self.k), row.tolist()))
 
-    def optimal_value(self, belief: BeliefVector, t: int, tol: float = VALUE_TOL) -> SolveResult:
-        """Optimal value from time t plus every action within `tol` of the maximum."""
+    def optimal_value(self, belief: BeliefVector, t: int) -> SolveResult:
+        """Optimal value from time t plus every action within VALUE_TOL of the maximum."""
         qs = self.action_values(belief, t)
         best = max(qs.values())
-        actions = tuple(a for a, v in qs.items() if v >= best - tol)
+        actions = tuple(a for a, v in qs.items() if v >= best - VALUE_TOL)
         return SolveResult(best, actions, self.cache_stats())
 
     def greedy_audit(self, belief: BeliefVector, t: int) -> GreedyAudit:
@@ -561,10 +552,6 @@ class FiniteHorizonSolver:
         dtype = np.int16 if len(entries) <= np.iinfo(np.int16).max else np.int32
         table = self._aged_table
         aged_rank = np.array([rank.get(table.get(e), -1) for e in entries], dtype=dtype)
-        if np.isin([rank[self._bad], rank[self._good]], aged_rank).any():
-            raise ValueError(
-                "an aged root entry equals p01 or p11 observed now: tag ages must be >= 0"
-            )
         rows = np.array([[rank[e] for e in root] for root in roots], dtype=dtype)
         values = np.array([v for v, _ in entries])
         return entries, values, aged_rank, rows, rank[self._bad], rank[self._good]
@@ -653,9 +640,9 @@ class FiniteHorizonSolver:
         return _left_sum(sensed) + self.horizon.beta * total
 
     def _key_value(self, key: Tuple) -> float:
-        if key[0] == OBSERVED_BAD:
+        if key[0] == "B":
             return tau_iterate(self.model.p01, self.model, key[1])
-        if key[0] == OBSERVED_GOOD:
+        if key[0] == "G":
             return tau_iterate(self.model.p11, self.model, key[1])
         return tau_iterate(key[1], self.model, key[2])
 

@@ -72,29 +72,17 @@ class HorizonSpec:
             raise ValueError(f"discount beta must lie in [0, 1], got {self.beta}")
 
 
-# Optional provenance tags: each belief entry is ("G", m), tau^m(p11), or
-# ("B", m), tau^m(p01), for a channel observed good or bad m steps ago.
-# Exact solvers memoise tagged entries on these discrete keys instead of floats.
-Tag = Tuple
-
-OBSERVED_GOOD = "G"
-OBSERVED_BAD = "B"
-
-
 @dataclass(frozen=True)
 class BeliefVector:
-    """Information state: per-channel probability of being good, with optional provenance."""
+    """Information state: per-channel probability of being good."""
 
     omega: Tuple[float, ...]
-    tags: Optional[Tuple[Tag, ...]] = None
 
     def __post_init__(self) -> None:
         if len(self.omega) < 1:
             raise ValueError("belief vector must have at least one entry")
         for i, w in enumerate(self.omega):
             _check_prob(w, f"omega[{i}]")
-        if self.tags is not None and len(self.tags) != len(self.omega):
-            raise ValueError("provenance tags must align with omega")
 
     @property
     def n(self) -> int:

@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import BeliefVector, HorizonSpec, TransitionModel, tau_iterate
+from .model import VALUE_TOL, BeliefVector, HorizonSpec, TransitionModel, tau_iterate
 from .dp import (
     FiniteHorizonSolver,
     ResourceLimitError,
@@ -49,7 +49,6 @@ from .dp import (
 )
 from .policies import greedy_action  # noqa: F401  (perfbench's tracer patches it here)
 
-VALUE_TOL = 1e-9
 IDENTITY_TOL = 1e-12
 
 #: Correlation regimes an InstanceSampler can draw models from.

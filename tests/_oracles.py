@@ -37,7 +37,7 @@ from oppaccess.dp import (
     _left_sum,
     _poisson_binomial,
 )
-from oppaccess.model import OBSERVED_BAD, OBSERVED_GOOD, _check_prob
+from oppaccess.model import _check_prob
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ def update_belief(
     model: TransitionModel,
 ) -> BeliefVector:
     """Next-step belief: observed channels collapse to p11/p01, the rest propagate
-    by tau; G/B provenance tags are reset on observation and aged otherwise."""
+    by tau."""
     action.validate_for(belief.n)
     if len(outcome.bits) != action.k:
         raise ValueError(
@@ -84,19 +84,12 @@ def update_belief(
         )
     bit_by_channel = dict(zip(action.indices, outcome.bits))
     values = []
-    tags: Optional[list] = [] if belief.tags is not None else None
     for i, w in enumerate(belief.omega, start=1):
         if i in bit_by_channel:
-            good = bit_by_channel[i]
-            values.append(model.p11 if good else model.p01)
-            if tags is not None:
-                tags.append((OBSERVED_GOOD, 0) if good else (OBSERVED_BAD, 0))
+            values.append(model.p11 if bit_by_channel[i] else model.p01)
         else:
             values.append(tau(w, model))
-            if tags is not None:
-                tag = belief.tags[i - 1]
-                tags.append((tag[0], tag[1] + 1))
-    return BeliefVector(tuple(values), tuple(tags) if tags is not None else None)
+    return BeliefVector(tuple(values))
 
 
 def immediate_reward(belief: BeliefVector, action: ActionSet) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -326,6 +327,71 @@ class TestReadmeExamples:
         assert result.exit_code == 0, result.output
         (shown,) = readme_blocks("json")
         assert (out / "traces_greedy.jsonl").read_text() == shown
+
+
+# sha256 of results.csv, violations.json and negative_scan.json for three
+# verify configs, each at the default cap and at --max-memo 40, where
+# resource reports come out in instance order.  A refactor must keep these
+# bytes; the digests are never re-recorded to let a change through.
+VERIFY_ARTIFACT_CONFIGS = {
+    "criterion9": {
+        "kind": "verify", "seed": 77,
+        "verify": {"properties": ["theorem1", "lemma3A", "affinity", "negative-scan"],
+                   "count": 25, "n_max": 4, "T_max": 4},
+    },
+    "negative-w": {
+        "kind": "verify", "seed": 21,
+        "verify": {"properties": ["lemma3A", "lemma3B", "lemma2", "affinity", "negative-scan"],
+                   "regime": "negative", "count": 60, "n_max": 6, "T_max": 6},
+    },
+}
+VERIFY_ARTIFACT_DIGESTS = {
+    ("readme", None): (0, {
+        "results.csv": "21f4dc07c96eae8438c39fa94fbb65ec3d53d9f8d9a6643321bcc37c43874e35",
+        "violations.json": "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+        "negative_scan.json": "3c1640640522613238e2d554debf8e6cedd9741284b917b7cc94ebb1610c870c",
+    }),
+    ("readme", "40"): (0, {
+        "results.csv": "ccdc04397781ea6aa74350e70c228e74a46bf5251a57d677a0259103bc7190ae",
+        "violations.json": "25ea3828c1226ae781f60e55f0d2f9dc400b46e792274f2b4dbbdc7e7559b55c",
+        "negative_scan.json": "e5d87e938a5c818cb0cbdda229fe9f0e624248043cd18ee6b1bed2a965fed289",
+    }),
+    ("criterion9", None): (0, {
+        "results.csv": "60aa3ab397aa8e879aeeb21cbaac4ab95240799ee9ddd09de6143f5f2b7b2163",
+        "violations.json": "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+        "negative_scan.json": "de4586ffb39437f8a8a91c396ef107d3d03ba135d0cb34b738abc422d158ee52",
+    }),
+    ("criterion9", "40"): (0, {
+        "results.csv": "15732b618617ad0f2ca88a101e31101061061a75b0363658fb89e6689713cafd",
+        "violations.json": "d1aad6ff94b562f0a78e061aafab7d7d350117ef477393c89a4f96a9c5d5d6fc",
+        "negative_scan.json": "6166b7e5853fe57f2d54b1bba92f78268ffbe6024018f6e39f00c0440cf22c8d",
+    }),
+    ("negative-w", None): (3, {
+        "results.csv": "d9622f0716d28ac172a3ff7e6ac3c118ff51175156d9a9c4ee5ba8fe74f0e189",
+        "violations.json": "03b20e2fd5e42d7b311f2976d540768e137c418cee784f67872502ba6a7c7500",
+        "negative_scan.json": "8db7caaa5e3f5258067cbd5f4a041883333a399281603e3faa4a6ee6de4abf3a",
+    }),
+    ("negative-w", "40"): (3, {
+        "results.csv": "d5b768714bc47ba629b2d591091c6d5c74bfcc98471b930334c6ad07471605ea",
+        "violations.json": "5878d25970d3d47f32ba8360afcdc4e93c4d05b40fe2762612b97915bf2bcb88",
+        "negative_scan.json": "920a2c14d05e8935c6e8096b607e1cbbc68148bc920670ec96e835f14e2793de",
+    }),
+}
+
+
+@pytest.mark.parametrize("name,cap", list(VERIFY_ARTIFACT_DIGESTS))
+def test_verify_artifacts_are_pinned(runner, tmp_path, name, cap):
+    if name == "readme":
+        (cfg,) = [c for c in readme_configs() if c["kind"] == "verify"]
+    else:
+        cfg = VERIFY_ARTIFACT_CONFIGS[name]
+    out = tmp_path / "out"
+    args = ["run", write_config(tmp_path, cfg), "--out-dir", str(out)]
+    result = runner.invoke(main, args + (["--max-memo", cap] if cap else []))
+    status, digests = VERIFY_ARTIFACT_DIGESTS[name, cap]
+    assert result.exit_code == status, result.output
+    got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in digests}
+    assert got == digests
 
 
 class TestVerifyKind:

@@ -17,7 +17,6 @@ from oppaccess import (
 )
 from oppaccess import dp, verify
 from oppaccess.dp import w_table
-from oppaccess.model import OBSERVED_BAD, OBSERVED_GOOD
 from oppaccess.verify import (
     REGIMES,
     InstanceSampler,
@@ -379,7 +378,7 @@ class TestSolverWReadsTheTable:
     """``w_value``/``greedy_value`` read ``w_table``; the memoised recursion is the reference."""
 
     def test_values_match_the_recursion(self):
-        compared = tagged = tied = 0
+        compared = tied = 0
         betas = set()
         for seed, regime in enumerate(REGIMES):
             sampler = InstanceSampler(
@@ -387,16 +386,15 @@ class TestSolverWReadsTheTable:
             )
             for inst in sampler.instances(100):
                 rng = np.random.default_rng([800 + seed, inst.index])
-                omega, tags = list(inst.omega), [None] * inst.n
-                # Observed entries carry G/B tags and their exact values.
+                omega = list(inst.omega)
+                # Some entries are p01 or p11 aged m steps, as observed entries are.
                 for i in np.flatnonzero(rng.random(inst.n) < 0.4):
                     good, m = bool(rng.integers(2)), int(rng.integers(3))
                     omega[i] = tau_iterate(inst.p11 if good else inst.p01, inst.model, m)
-                    tags[i] = (OBSERVED_GOOD if good else OBSERVED_BAD, m)
                 if rng.random() < 0.5:
                     i, j = rng.choice(inst.n, 2, replace=False)
-                    omega[j], tags[j] = omega[i], tags[i]
-                b = BeliefVector(tuple(omega), tuple(tags) if any(tags) else None)
+                    omega[j] = omega[i]
+                b = BeliefVector(tuple(omega))
                 solver = inst.solver()
                 oracle = RecursiveVSolver(inst.model, inst.horizon, inst.k)
                 for t in range(1, inst.T + 1):
@@ -410,10 +408,9 @@ class TestSolverWReadsTheTable:
                 key = (inst.n, inst.k, inst.T - 1)
                 nodes = 1 if inst.beta == 0.0 else dp._W_GRAPHS[key].nodes
                 assert solver.cache_stats() == {"v_states": 0, "w_states": nodes}
-                tagged += b.tags is not None
                 tied += len(set(omega)) < inst.n
                 betas.add(inst.beta if inst.beta in (0.0, 1.0) else "random")
-        assert compared > 2500 and tagged > 150 and tied > 150
+        assert compared > 2500 and tied > 150
         assert betas == {0.0, 1.0, "random"}
 
     def test_each_graph_is_capped_on_its_own(self):
@@ -479,17 +476,14 @@ class TestSelectionCap:
 # and "memo_stats" is RecursiveVSolver's (V and W memo entries).
 _B1 = tau_iterate(0.3, TransitionModel(0.3, 0.8), 1)
 PINNED_INSTANCES = {
-    # name: (p01, p11, T, beta, k, omega, tags)
-    "pos-k1": (0.3, 0.8, 5, 0.9, 1, (0.15, 0.62, 0.4, 0.88, 0.27), None),
-    "pos-k2-beta1": (0.3, 0.8, 4, 1.0, 2, (0.15, 0.62, 0.4, 0.88, 0.27), None),
-    "pos-k3": (0.25, 0.7, 3, 0.95, 3, (0.5, 0.12, 0.73, 0.31, 0.94, 0.66), None),
-    "neg-k2": (0.8, 0.3, 4, 0.9, 2, (0.15, 0.62, 0.4, 0.88, 0.27), None),
-    "beta0-k2": (0.3, 0.8, 3, 0.0, 2, (0.15, 0.62, 0.4, 0.27), None),
-    "repeated-tagged-k2": (
-        0.3, 0.8, 4, 0.95, 2,
-        (0.45, 0.45, _B1, _B1, 0.8, 0.45),
-        (("I", 1, 0), ("I", 2, 0), ("B", 1), ("B", 1), ("G", 0), None),
-    ),
+    # name: (p01, p11, T, beta, k, omega)
+    "pos-k1": (0.3, 0.8, 5, 0.9, 1, (0.15, 0.62, 0.4, 0.88, 0.27)),
+    "pos-k2-beta1": (0.3, 0.8, 4, 1.0, 2, (0.15, 0.62, 0.4, 0.88, 0.27)),
+    "pos-k3": (0.25, 0.7, 3, 0.95, 3, (0.5, 0.12, 0.73, 0.31, 0.94, 0.66)),
+    "neg-k2": (0.8, 0.3, 4, 0.9, 2, (0.15, 0.62, 0.4, 0.88, 0.27)),
+    "beta0-k2": (0.3, 0.8, 3, 0.0, 2, (0.15, 0.62, 0.4, 0.27)),
+    # repeated entries, two of them p01 aged once and one equal to p11
+    "repeated-k2": (0.3, 0.8, 4, 0.95, 2, (0.45, 0.45, _B1, _B1, 0.8, 0.45)),
 }
 PINNED_OUTPUTS = {
     "pos-k1": {
@@ -593,7 +587,7 @@ PINNED_OUTPUTS = {
             (3, 4): "0x1.570a3d70a3d71p-1",
         },
     },
-    "repeated-tagged-k2": {
+    "repeated-k2": {
         "V": "0x1.49fe55627d294p+2",
         "W": "0x1.49fe55627d294p+2",
         "G": "0x1.49fe55627d294p+2",
@@ -632,10 +626,10 @@ def _memo_digest(solver):
 class TestPinnedOutputs:
     @staticmethod
     def _solve_pinned(solver_cls, name):
-        p01, p11, T, beta, k, omega, tags = PINNED_INSTANCES[name]
+        p01, p11, T, beta, k, omega = PINNED_INSTANCES[name]
         want = PINNED_OUTPUTS[name]
         s = solver_cls(TransitionModel(p01, p11), HorizonSpec(T, beta), k)
-        b = BeliefVector(omega, tags)
+        b = BeliefVector(omega)
         res = s.optimal_value(b, 1)
         qs = s.action_values(b, 1)
         assert res.value.hex() == want["V"]
@@ -661,7 +655,7 @@ class TestPinnedOutputs:
     def test_resource_cap_trips_at_same_state(self):
         # The depth-first recursion, now the oracle, keeps its trip point and
         # the states it visited before the cap tripped.
-        p01, p11, T, beta, k, omega, _ = PINNED_INSTANCES["pos-k2-beta1"]
+        p01, p11, T, beta, k, omega = PINNED_INSTANCES["pos-k2-beta1"]
         model, horizon = TransitionModel(p01, p11), HorizonSpec(T, beta)
         b = BeliefVector(omega)
         # 501 V states in all: a cap of 501 suffices, 500 trips on the last one.
@@ -678,7 +672,7 @@ class TestPinnedOutputs:
             assert _memo_digest(s) == digest
 
     def test_graph_cap_trips_at_the_recursions_threshold(self):
-        p01, p11, T, beta, k, omega, _ = PINNED_INSTANCES["pos-k2-beta1"]
+        p01, p11, T, beta, k, omega = PINNED_INSTANCES["pos-k2-beta1"]
         b = BeliefVector(omega)
         s = make_solver(p01, p11, T, beta, k, max_states=501)
         s.optimal_value(b, 1)
@@ -752,24 +746,18 @@ def _sample_v_instance(rng, case):
     beta = (0.0, 1.0, float(rng.random()))[case % 3]
     model = TransitionModel(p01, p11)
     omega = [float(x) for x in rng.random(n)]
-    tags = None
     if case % 5 == 0:
         # exact 0.0 and 1.0 entries: some outcomes have probability 0
         omega[0], omega[-1] = 0.0, 1.0
     elif case % 5 == 1:
         omega[-1] = omega[0]  # tied roots
     elif case % 5 == 2:
-        # tagged roots, each value consistent with its tag
-        tags = [None] * n
-        tags[0] = ("G", 1)
+        # roots equal to p11 aged once and to p01
         omega[0] = tau_iterate(p11, model, 1)
-        tags[-1] = ("B", 0)
         omega[-1] = p01
         if n > 2:
-            tags[1] = ("B", 0)
-            omega[1] = p01  # a tie between tagged entries
-        tags = tuple(tags)
-    return model, HorizonSpec(T, beta), k, BeliefVector(tuple(omega), tags)
+            omega[1] = p01  # a tie between two entries equal to p01
+    return model, HorizonSpec(T, beta), k, BeliefVector(tuple(omega))
 
 
 class TestVGraph:
@@ -787,11 +775,10 @@ class TestVGraph:
         assert got == want
         assert graph.cache_stats()["v_states"] == len(oracle._v_memo)
         assert graph.verify_cached_bellman() <= 1e-12
-        if belief.tags is None:
-            value = graph.optimal_value(belief, t).value
-            assert value == pytest.approx(
-                brute_force_optimal(belief.omega, t, model, horizon, k), abs=1e-10
-            )
+        value = graph.optimal_value(belief, t).value
+        assert value == pytest.approx(
+            brute_force_optimal(belief.omega, t, model, horizon, k), abs=1e-10
+        )
 
     def test_sampled_cases_cover_every_edge(self):
         models, betas, ks, pruned = set(), set(), set(), 0
@@ -882,16 +869,20 @@ class TestVGraph:
         assert solver.cache_stats() == stats
         assert again[0, 0] != -1.0 and np.array_equal(again[0], again[1])
 
-    def test_audit_flags_a_tag_inconsistent_with_its_value(self):
-        # 0.31 tagged as p01 observed now (p01 = 0.3): the rebuilt states are
-        # not in the graph, so the audit solves them and reports the gap.
+    def test_audit_flags_a_corrupted_value(self):
+        # One kept node off by 0.01, and the same state off by 0.01 in the
+        # recursion's memo: both audits report that gap.
         model, horizon = TransitionModel(0.3, 0.8), HorizonSpec(4, 0.9)
-        b = BeliefVector((0.31, 0.5, 0.7), (("B", 0), None, None))
+        b = BeliefVector((0.31, 0.5, 0.7))
         graph, oracle = FiniteHorizonSolver(model, horizon, 1), RecursiveVSolver(model, horizon, 1)
         graph.optimal_value(b, 1)
         oracle.optimal_value(b, 1)
+        (solved,) = graph._v_graphs
+        level = next(level for level in solved.levels if level.h == 2)
+        level.values[0] += 0.01
+        oracle._v_memo[(2, tuple(solved.entries[r] for r in level.rows[0].tolist()))] += 0.01
         residual = graph.verify_cached_bellman()
-        assert residual > 1e-3
+        assert residual == pytest.approx(0.01, abs=1e-12)
         assert residual == pytest.approx(oracle.verify_cached_bellman(), abs=1e-15)
 
     def test_rejects_bad_queries(self):
@@ -902,10 +893,6 @@ class TestVGraph:
             solver.action_value_table([BeliefVector((0.1, 0.2)), BeliefVector((0.3,))], 1)
         with pytest.raises(ValueError):
             solver.action_value_table([BeliefVector((0.1, 0.2))], 4)
-        # tau(0.0) is p01 exactly, so this entry aged once is p01 observed now
-        tagged = BeliefVector((0.0, 0.2), (("B", -1), None))
-        with pytest.raises(ValueError, match="tag ages"):
-            solver.action_value_table([tagged], 1)
 
 
 def _audit_case(case):
@@ -940,7 +927,7 @@ class TestGreedyAudit:
     @pytest.mark.parametrize("case", CASES)
     def test_regret_matches_recursion_at_every_node(self, case):
         # _sample_v_instance cycles positive, negative and boundary models,
-        # beta in {0, 1, random}, tied, tagged and 0/1 roots.
+        # beta in {0, 1, random}, tied, p01- and p11-valued and 0/1 roots.
         model, horizon, k, belief, t = _audit_case(case)
         solver = FiniteHorizonSolver(model, horizon, k)
         solver.optimal_value(belief, t)

@@ -131,15 +131,6 @@ class TestUpdateBelief:
                 m,
             )
 
-    def test_provenance_tags(self):
-        m = TransitionModel(0.2, 0.8)
-        omega = (tau_iterate(m.p01, m, 2), m.p11, tau(m.p11, m))
-        b = BeliefVector(omega, (("B", 2), ("G", 0), ("G", 1)))
-        out = update_belief(b, ActionSet((1, 3)), OutcomeRealization((1, 0), 0.15), m)
-        assert out.tags == (("G", 0), ("G", 1), ("B", 0))
-        out2 = update_belief(out, ActionSet((2,)), OutcomeRealization((1,), 0.5), m)
-        assert out2.tags == (("G", 1), ("G", 0), ("B", 1))
-
     @given(
         omega=st.lists(probs, min_size=2, max_size=5),
         p01=probs,
