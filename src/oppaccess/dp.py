@@ -26,8 +26,11 @@ V is solved over a level graph, for a batch of root beliefs at one t at a
 time (``FiniteHorizonSolver.action_value_table``).  Every entry a reachable
 state can hold is ranked once by (value, key), so a state, sorted since
 channels are exchangeable, is a row of small ints.  Level d holds the
-distinct states reachable from the roots in d steps, found with one
-``np.unique`` per level; backward induction then runs level by level with
+distinct states reachable from the roots in d steps.  A child is its
+parent's unsensed entries, aged, plus the observed ones, so a level's
+(state, selection) pairs are grouped by their unsensed multisets with one
+``np.unique``, and only one row per group is aged, sorted and keyed
+(``_child_parts``); backward induction then runs level by level with
 numpy gathers in the scalar Bellman recursion's operation order, so the
 Q-values are float.hex-identical to it.  Equal entries are contiguous in a
 sorted state, and below the roots only the first selection of each sensed
@@ -228,6 +231,44 @@ def _fold_keys(rows: np.ndarray, base: int) -> np.ndarray:
         key = key * base + rows[:, j]
         top = top * base + base - 1
     return key
+
+
+def _groups(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Dense ids of int64 keys, numbered in ascending key order, and one member per id.
+
+    Returns each key's id and, for each id, the index of some key holding it.
+    ``np.unique`` without ``return_index`` argsorts with its default quicksort
+    rather than a stable mergesort, so which member stands for an id is not
+    fixed; callers read only what all members share.
+    """
+    uniq, ids = np.unique(keys, return_inverse=True)
+    member = np.empty(len(uniq), dtype=np.intp)
+    member[ids] = np.arange(len(ids))
+    return ids, member
+
+
+def _child_parts(
+    unsensed: np.ndarray, aged_rank: np.ndarray, base: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct sorted aged parts of a level's children, and each pair's part.
+
+    `unsensed` holds each (state, selection) pair's unsensed ranks, every
+    row ascending, and `aged_rank` maps a rank below `base` to its rank one
+    unobserved step on.  Returns the distinct rows of ``aged_rank[unsensed]``,
+    each sorted, in lexicographic order, and for each pair the index of its
+    row there.  Equal rows are grouped first, so only one row per distinct
+    unsensed multiset is aged and sorted.  Aging maps distinct entries to
+    distinct entries, so distinct groups keep distinct aged parts; it need
+    not keep their order (it reverses it when p11 < p01), so the groups are
+    then renumbered by their aged parts' keys.
+    """
+    group, member = _groups(_fold_keys(unsensed, base))
+    aged = aged_rank[unsensed[member]]
+    aged.sort(axis=1)
+    order = np.argsort(_fold_keys(aged, base))
+    renumber = np.empty_like(order)
+    renumber[order] = np.arange(len(order))
+    return aged[order], renumber[group]
 
 
 @dataclass(frozen=True)
@@ -447,6 +488,9 @@ class FiniteHorizonSolver:
         selection of each sensed multiset (see ``_sensing_pairs``), and only
         the children of nonzero outcome probability.  Every (value, key) entry
         a state can hold is ranked once, so a state is a sorted row of ranks.
+        A level's pairs are grouped by their sorted unsensed rows, and one
+        row per group is aged (``_child_parts``), so that work follows the
+        distinct unsensed multisets, not the pairs.
         The graph is complete, and counted against ``max_states``, before any
         value is computed; a graph stopped by the cap is not kept.
 
@@ -478,13 +522,15 @@ class FiniteHorizonSolver:
             # A child is the aged unsensed entries plus k-s copies of p01 and s of
             # p11.  No aged entry is p01 or p11 itself, so a child is identified
             # by (its sorted aged part, s), and only new nodes need a full sort.
-            aged = aged_rank[rows[state[:, None], comp_pos[sel]]]
-            aged.sort(axis=1)
-            _, first, part = np.unique(
-                _fold_keys(aged, len(entries)), return_index=True, return_inverse=True
-            )
+            # Below the roots a state is sorted, so its unsensed entries are too;
+            # the roots keep their entry order.
+            unsensed = rows[state[:, None], comp_pos[sel]]
+            if d == 0:
+                unsensed.sort(axis=1)
+            aged, part = _child_parts(unsensed, aged_rank, len(entries))
+            del unsensed
             slot = part.reshape(1, -1) * (k + 1) + np.arange(k + 1).reshape(-1, 1)
-            found = np.zeros(len(first) * (k + 1), dtype=bool)
+            found = np.zeros(len(aged) * (k + 1), dtype=bool)
             found[slot[live]] = True
             made = np.flatnonzero(found)
             nodes += len(made)
@@ -496,11 +542,11 @@ class FiniteHorizonSolver:
             child = np.where(live, ids[slot], 0)  # a pruned slot reads node 0, weight 0
             goods = (made % (k + 1)).reshape(-1, 1)
             rows = np.concatenate(
-                [aged[first[made // (k + 1)]], np.where(np.arange(k) < k - goods, bad, good)],
+                [aged[made // (k + 1)], np.where(np.arange(k) < k - goods, bad, good)],
                 axis=1,
             ).astype(rows.dtype)
             rows.sort(axis=1)
-            del aged, first, part, slot, found, made, ids
+            del aged, part, slot, found, made, ids
             starts = np.flatnonzero(np.diff(state, prepend=-1))
             expanded.append((sensed, child, starts))
             levels.append(rows)

@@ -36,7 +36,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .dp import _fold_keys
+from .dp import _fold_keys, _groups
 from .model import BeliefVector, HorizonSpec, TransitionModel
 from .policies import Policy
 
@@ -376,14 +376,12 @@ def write_traces(path: str, traces: Traces) -> None:
                 [c[:, start:stop].swapaxes(0, 1).reshape((stop - start) * T, -1) for c in columns],
                 axis=1,
             )
-            _, first, ids = np.unique(
-                _fold_keys(rows, int(rows.max()) + 1), return_index=True, return_inverse=True
-            )
+            ids, member = _groups(_fold_keys(rows, int(rows.max()) + 1))
             tails = [
                 f',"t":{row[0]},"states":[{",".join(map(str, row[1 : n + 1]))}],'
                 f'"action":[{",".join(map(str, row[n + 1 : n + k + 1]))}],'
                 f'"obs":[{",".join(map(str, row[n + k + 1 : -1]))}],"reward":{row[-1]}}}\n'
-                for row in rows[first].tolist()
+                for row in rows[member].tolist()
             ]
             f.write(
                 "".join(

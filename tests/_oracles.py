@@ -2,11 +2,13 @@
 
 Deliberately naive: no memoisation, no outcome grouping, no reordering
 tricks.  Only usable at tiny sizes, which is the point -- they share no code
-path with the package's recursions.  The exception is ``RecursiveVSolver``:
+path with the package's recursions.  The exceptions are ``RecursiveVSolver``,
 the memoised Bellman and greedy-value recursions that the level-graph V
-engine and ``dp.w_table`` replaced, kept as they were so the engines can be
-compared with them bit for bit.  ``GREEDY_LOSSES`` lists instances where
-greedy is strictly suboptimal, checked against ``exact_policy_value``.
+engine and ``dp.w_table`` replaced, and ``child_parts_per_pair``, the
+per-pair child numbering that ``dp._child_parts`` replaced: kept as they
+were so the engines can be compared with them bit for bit.
+``GREEDY_LOSSES`` lists instances where greedy is strictly suboptimal,
+checked against ``exact_policy_value``.
 
 The loop simulator ``simulate_loop`` steps scalar twins of the library's
 policies, one run at a time; they import nothing from ``oppaccess.policies``
@@ -34,6 +36,7 @@ from oppaccess import (
 from oppaccess.dp import (
     ResourceLimitError,
     SolveResult,
+    _fold_keys,
     _left_sum,
     _poisson_binomial,
 )
@@ -130,6 +133,22 @@ def _distinct_selections(
     for sel, comp, mask in _subsets(len(entries), k):
         if not (mask & repeats) >> 1 & ~mask:
             yield sel, comp
+
+
+def child_parts_per_pair(
+    unsensed: np.ndarray, aged_rank: np.ndarray, base: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The V level build's children found pair by pair, as before ``dp._child_parts``.
+
+    Every (state, selection) pair's unsensed ranks are aged, sorted and
+    keyed, and one ``np.unique`` over all pairs numbers the distinct aged
+    parts in lexicographic order.  Returns those parts and each pair's
+    number.  The rows need not be sorted.
+    """
+    aged = aged_rank[unsensed]
+    aged.sort(axis=1)
+    _, first, part = np.unique(_fold_keys(aged, base), return_index=True, return_inverse=True)
+    return aged[first], part
 
 
 class RecursiveVSolver(FiniteHorizonSolver):

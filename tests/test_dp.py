@@ -31,6 +31,7 @@ from _oracles import (
     _distinct_selections,
     GREEDY_LOSSES,
     all_greedy_actions,
+    child_parts_per_pair,
     affine_swap_delta,
     brute_force_optimal,
     exact_policy_value,
@@ -729,6 +730,69 @@ class TestDistinctSelections:
             entries = tuple((0.1 * key, ("B", key)) for key in row)
             want = [s for s, _ in _distinct_selections(entries, k)]
             assert [subsets[j] for j in sel[state == i]] == want
+
+
+def _rank_table(p01, p11, omega, h):
+    """A V solve's rank table for one root: entry values, the aged-rank map,
+    the ranks that age within the table, and the root as a row of ranks."""
+    solver = make_solver(p01, p11, h + 1, 0.9, 1)
+    root = tuple(solver._root_entries(BeliefVector(omega)))
+    _, vals, aged_rank, rows, _, _ = solver._rank_entries(h, [root])
+    return vals, aged_rank, np.flatnonzero(aged_rank >= 0), rows[0]
+
+
+class TestChildParts:
+    """``dp._child_parts`` against the per-pair numbering it replaced."""
+
+    OMEGA = (0.15, 0.62, 0.4, 0.88, 0.27, 0.51)
+
+    @staticmethod
+    def _assert_matches(unsensed, aged_rank, given=None):
+        # `given`: the rows as gathered, before the caller's sort
+        got = dp._child_parts(unsensed, aged_rank, len(aged_rank))
+        want = child_parts_per_pair(
+            unsensed if given is None else given, aged_rank, len(aged_rank)
+        )
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("p01, p11", [(0.3, 0.8), (0.8, 0.3), (0.4, 0.4)])
+    def test_sorted_rows(self, p01, p11):
+        vals, aged_rank, ageable, _ = _rank_table(p01, p11, self.OMEGA, 3)
+        rng = np.random.default_rng(31)
+        rows = np.sort(rng.choice(ageable, (3000, 4)), axis=1).astype(aged_rank.dtype)
+        rows[2000:] = rows[rng.integers(0, 2000, 1000)]  # repeated multisets
+        self._assert_matches(rows, aged_rank)
+        if p11 < p01:
+            # aging reverses the order of ranks, so the parts need renumbering
+            assert np.any(np.diff(aged_rank[ageable]) < 0)
+        elif p11 == p01:
+            # every aged entry has the same value, p01; keys alone order them
+            assert len(set(vals[aged_rank[ageable]].tolist())) == 1
+
+    @pytest.mark.parametrize("p01, p11", [(0.3, 0.8), (0.8, 0.3), (0.4, 0.4)])
+    def test_root_rows_in_their_given_order(self, p01, p11):
+        # The roots keep their entry order, so the solver sorts their
+        # unsensed rows before grouping them; repeated entries make some
+        # distinct selections leave equal multisets.
+        omega = (0.45, 0.62, 0.45, 0.2, 0.62, 0.45)
+        _, aged_rank, _, root = _rank_table(p01, p11, omega, 2)
+        sel_pos, comp_pos = dp._selection_arrays(len(omega), 2)
+        given = root[comp_pos]
+        assert not np.array_equal(given, np.sort(given, axis=1))
+        rows = np.sort(given, axis=1)
+        assert len(np.unique(rows, axis=0)) < len(rows)
+        self._assert_matches(rows, aged_rank, given)
+
+    def test_rows_wide_enough_to_redensify(self):
+        omega = tuple(float(w) for w in np.random.default_rng(5).random(12))
+        _, aged_rank, ageable, _ = _rank_table(0.8, 0.3, omega, 3)
+        rng = np.random.default_rng(32)
+        rows = np.sort(rng.choice(ageable, (2000, 12)), axis=1).astype(aged_rank.dtype)
+        rows[1500:] = rows[:500]
+        # a plain fold of 12 ranks in this base would not fit in an int64
+        assert len(aged_rank) ** 12 > np.iinfo(np.int64).max
+        self._assert_matches(rows, aged_rank)
 
 
 def _sample_v_instance(rng, case):
