@@ -58,15 +58,17 @@ W has one engine, ``w_table``, which evaluates many vectors for every t at
 once; ``FiniteHorizonSolver.w_value`` and ``greedy_value`` read one row of
 it.  W's state graph depends only on (n, k, H = T-1): each entry of a
 reachable state is p01, p11 or a root position, aged m steps.  The graph is
-built once per (n, k, H) and kept as per-depth int32 arrays of sensed
-symbols and child indices, then evaluated depth by depth with numpy over a
-(nodes x vectors) array; the root is node 0 of every depth, so one pass
-yields W_t for t = 1..T.  Its values are float.hex-identical to the scalar
-memoised recursion, and its node count, summed over depths, counts against
-``max_states`` on its own.  When beta = 0, W_t is the sum of the last k
-entries for every t and no child is read, so no graph is built and the
-evaluation counts as one node (``w_graph_nodes``).  Every sum in this module
-folds left to right from 0.0, so values do not depend on the Python version.
+built once per (n, k, H) and kept as int32 arrays: the sensed symbols of all
+depths concatenated, and each depth's child indices.  Every reward and
+outcome law is computed at once over a (nodes x vectors) array, and only the
+continuation sum runs depth by depth; the root is node 0 of every depth, so
+one pass yields W_t for t = 1..T.  Its values are float.hex-identical to the
+scalar memoised recursion, and its node count, summed over depths, counts
+against ``max_states`` on its own.  When beta = 0, W_t is the sum of the last
+k entries for every t and no child is read, so no graph is built and the
+evaluation counts as one node (``w_graph_nodes``); with T = 1 the one-node
+graph is counted but not read.  Every sum in this module folds left to right
+from 0.0, so values do not depend on the Python version.
 """
 
 from __future__ import annotations
@@ -704,14 +706,16 @@ class FiniteHorizonSolver:
 
 @dataclass(frozen=True)
 class _WGraph:
-    """Per-depth int32 arrays of the W state graph of one (n, k, H).
+    """The W state graph of one (n, k, H), its depths concatenated in int32 arrays.
 
     Depth d holds every state reachable from the root in at most d steps and
-    is evaluated with h = H - d steps remaining; node 0 of every depth is
-    the root itself, so one pass answers W_t for t = 1..H+1.
+    is evaluated with h = H - d steps remaining; it is columns
+    starts[d]:starts[d+1] of `sensed`.  Node 0 of every depth is the root
+    itself, so one pass answers W_t for t = 1..H+1.
     """
 
-    sensed: Tuple[np.ndarray, ...]  # depth d: (k, N_d) symbols of the last k entries
+    sensed: np.ndarray  # (k, starts[H+1]): symbols of the last k entries, depth by depth
+    starts: Tuple[int, ...]  # depth d is columns starts[d]:starts[d+1]
     children: Tuple[np.ndarray, ...]  # depth d < H: (k+1, N_d) child at depth d+1, by s
     nodes: int
 
@@ -754,9 +758,10 @@ def _build_w_graph(n: int, k: int, H: int, max_states: int) -> _WGraph:
     blocks = [((0,) * (k - s), (1,) * s) for s in range(k + 1)]
     level = [root]
     nodes = 1
-    sensed, children = [], []
+    sensed, starts, children = [], [0], []
     for d in range(H + 1):
-        sensed.append(np.array([node[n - k :] for node in level], dtype=np.int32).T.copy())
+        sensed.extend(node[n - k :] for node in level)
+        starts.append(len(sensed))
         if d == H:
             break
         index = {root: 0}
@@ -776,7 +781,8 @@ def _build_w_graph(n: int, k: int, H: int, max_states: int) -> _WGraph:
             rows.append(row)
         children.append(np.array(rows, dtype=np.int32).T.copy())
         level = list(index)
-    return _WGraph(tuple(sensed), tuple(children), nodes)
+    sensed = np.array(sensed, dtype=np.int32).T.copy()
+    return _WGraph(sensed, tuple(starts), tuple(children), nodes)
 
 
 def w_table(
@@ -805,9 +811,9 @@ def w_table(
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={omega.shape[1]}")
     V, n = omega.shape
     w_graph_nodes(n, k, horizon, max_states)
-    if horizon.beta == 0.0:
-        return np.tile(_left_sum(omega.T[n - k :]), (horizon.T, 1))
     H = horizon.T - 1
+    if horizon.beta == 0.0 or H == 0:
+        return np.tile(_left_sum(omega.T[n - k :]), (horizon.T, 1))
     graph = _w_graph(n, k, H, max_states)
     # values[m, b]: base b aged m, for every vector.
     values = np.empty((H + 1, n + 2, V))
@@ -817,16 +823,17 @@ def w_table(
     for m in range(H):
         x = np.minimum(1.0, np.maximum(0.0, values[m]))
         values[m + 1] = x * model.p11 + (1.0 - x) * model.p01
-    values = values.reshape(-1, V)
+    sensed = values.reshape(-1, V)[graph.sensed]
+    reward = _left_sum(sensed)
+    starts = graph.starts
+    law = _poisson_binomial_rows(sensed[:, : starts[H]])  # the last depth reads no child
+    del values, sensed
     out = np.empty((horizon.T, V))
-    for d in range(H, -1, -1):
-        sensed = values[graph.sensed[d]]
-        reward = _left_sum(sensed)
-        if d == H:
-            w = reward
-        else:
-            total = _left_sum(_poisson_binomial_rows(sensed) * w[graph.children[d]])
-            w = reward + horizon.beta * total
+    w = reward[starts[H] :]
+    out[H] = w[0]
+    for d in range(H - 1, -1, -1):
+        lo, hi = starts[d], starts[d + 1]
+        w = reward[lo:hi] + horizon.beta * _left_sum(law[:, lo:hi] * w[graph.children[d]])
         out[d] = w[0]
     return out
 

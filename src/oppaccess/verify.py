@@ -267,6 +267,8 @@ def check_lemma3_B(
     """W(..y,x..) >= W(..x,y..) for x >= y at every position j and every t."""
     out: List[ViolationReport] = []
     for inst in sampler.instances(count):
+        if inst.n < 2:  # no adjacent pair: vacuous
+            continue
         omega = tuple(sorted(inst.omega))
         rng = np.random.default_rng([sampler.seed, inst.index, 3])
         a, b = rng.random(), rng.random()

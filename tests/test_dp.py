@@ -365,6 +365,81 @@ class TestWTable:
             with pytest.raises(ResourceLimitError):
                 w_table(model, HorizonSpec(6, beta), 3, vectors, max_states=0)
 
+    def test_stacked_call_equals_each_vectors_own_call(self):
+        # A vector's values do not depend on the others evaluated with it.
+        rng = np.random.default_rng(1717)
+        compared = 0
+        for n in range(1, 9):
+            for k, T in itertools.product(sorted({1, n}), range(1, 9)):
+                for beta in (0.0, 1.0, float(rng.random())):
+                    p01, p11 = rng.random(2)
+                    model, horizon = TransitionModel(p01, p11), HorizonSpec(T, beta)
+                    vectors = rng.random((4, n))
+                    vectors[0, 0] = -1e-13
+                    vectors[1, -1] = 1.0 + 1e-13
+                    vectors[2, rng.integers(n)] = 1.0 + 1e-13
+                    vectors[3, rng.integers(n)] = -1e-13
+                    stacked = w_table(model, horizon, k, vectors.tolist())
+                    for j, vec in enumerate(vectors.tolist()):
+                        own = w_table(model, horizon, k, [vec])[:, 0]
+                        assert [x.hex() for x in stacked[:, j].tolist()] == [
+                            x.hex() for x in own.tolist()
+                        ], (n, k, T, beta, vec)
+                        compared += T
+        assert compared > 5000
+
+    @pytest.mark.parametrize(
+        "key, nodes, depths",
+        [
+            ((8, 4, 3), 136, [1, 6, 31, 101]),
+            ((8, 2, 5), 520, [1, 4, 13, 40, 121, 346]),
+            ((6, 3, 5), 421, [1, 5, 21, 57, 121, 221]),
+        ],
+        ids=["n8-k4-H3", "n8-k2-H5", "n6-k3-H5"],
+    )
+    def test_graph_sizes_are_pinned(self, key, nodes, depths):
+        # Every depth holds the root, which counts as one node.
+        n, k, H = key
+        graph = dp._build_w_graph(n, k, H, 10_000)
+        assert graph.nodes == nodes == sum(depths) - H
+        assert np.diff(graph.starts).tolist() == depths
+        assert graph.sensed.shape == (k, sum(depths))
+        assert [c.shape for c in graph.children] == [(k + 1, m) for m in depths[:-1]]
+        horizon = HorizonSpec(H + 1, 0.9)
+        assert dp.w_graph_nodes(n, k, horizon, graph.nodes) == graph.nodes
+        with pytest.raises(ResourceLimitError):
+            dp.w_graph_nodes(n, k, horizon, graph.nodes - 1)
+        s = FiniteHorizonSolver(TransitionModel(0.3, 0.8), horizon, k)
+        s.greedy_value(BeliefVector(tuple(np.linspace(0.1, 0.9, n))), 1)
+        assert s.cache_stats()["w_states"] == graph.nodes
+
+    def test_one_outcome_law_per_call(self, monkeypatch):
+        # The law is computed once over every depth but the last, so a call
+        # makes one _poisson_binomial_rows call, and none when T = 1 or
+        # beta = 0, where no child is read.
+        calls = []
+        law = dp._poisson_binomial_rows
+
+        def counting(sensed):
+            calls.append(sensed.shape)
+            return law(sensed)
+
+        monkeypatch.setattr(dp, "_poisson_binomial_rows", counting)
+        model, vectors = TransitionModel(0.3, 0.8), [(0.1, 0.5, 0.7, 0.9), (0.9, 0.7, 0.5, 0.1)]
+        for T, beta in itertools.product(range(1, 9), (0.0, 0.9)):
+            del calls[:]
+            w_table(model, HorizonSpec(T, beta), 2, vectors)
+            assert len(calls) == (T > 1 and beta != 0.0)
+            if calls:
+                graph = dp._W_GRAPHS[(4, 2, T - 1)]
+                assert calls[0] == (2, graph.starts[T - 1], len(vectors))
+        # A T = 1 evaluation still counts, and caps, its one-node graph.
+        s = FiniteHorizonSolver(model, HorizonSpec(1, 0.9), 2)
+        s.w_value(BeliefVector(vectors[0]), 1)
+        assert s.cache_stats()["w_states"] == 1
+        with pytest.raises(ResourceLimitError):
+            w_table(model, HorizonSpec(1, 0.9), 2, vectors, max_states=0)
+
     @pytest.mark.parametrize(
         "vectors, k",
         [([], 1), ([(0.1, 0.2), (0.3,)], 1), ([(0.1, 1.5)], 1), ([(0.1, 0.2)], 3), ([(0.1,)], 0)],

@@ -144,6 +144,27 @@ class TestChecks:
             assert v.detail == f"t={audit.t} omega={audit.omega}"
         assert actions[0].detail.startswith("t=1 ") and actions[1].detail.startswith("t=2 ")
 
+    def test_every_check_runs_at_n_1(self, monkeypatch):
+        # n = 1 has no adjacent pair, so lemma 3B is vacuous there: it makes
+        # no w_table call and reports nothing, like the other five checks.
+        calls = []
+        real = verify.w_table
+
+        def recording(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(verify, "w_table", recording)
+        one = sampler(sorted_beliefs=True, n_range=(1, 1), T_range=(1, 5))
+        for check in (check_theorem1, check_lemma3_A, check_lemma2_reduction, check_affinity):
+            assert check(one, 20) == []
+        assert calls
+        del calls[:]
+        assert check_lemma3_B(one, 20) == []
+        assert calls == []
+        report = scan_negative_regime(sampler("negative", n_range=(1, 1), T_range=(1, 5)), 20)
+        assert (report.scanned, report.findings, report.errors) == (20, (), ())
+
     def test_resource_error_not_fatal(self):
         s = sampler(n_range=(4, 5), T_range=(5, 5))
         viols = check_theorem1(s, 3, max_states=5)
