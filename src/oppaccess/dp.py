@@ -45,8 +45,8 @@ children are pruned, so a single root's node count equals the recursion's
 memo size.  A solver's V graph nodes, summed over its queries, count against
 ``max_states`` before any value is computed, and so does C(n, k), before any
 of a V, Q or audit query's sensing sets is listed (``selection_count``).
-A solver keeps the Q rows it answered, keyed on (t, root entries), and the
-solved levels, which ``verify_cached_bellman`` audits.
+A solver keeps the Q rows it answered, keyed on (t, root entries), each with
+the graph it was solved in.
 
 The same backward pass audits greedy at every state below the roots, from
 the pass's own arrays: the regret of greedy's tied choices against the best
@@ -90,7 +90,6 @@ from .model import (
     TransitionModel,
     enumerate_actions,
     tau,
-    tau_iterate,
 )
 
 
@@ -125,18 +124,6 @@ def _left_sum(values: Iterable) -> float | np.ndarray:
     for v in values:
         total += v
     return total
-
-
-def _poisson_binomial(values: Sequence[float]) -> List[float]:
-    """P(sum of independent Bernoulli(values) = s) for s = 0..len(values)."""
-    probs = [1.0]
-    for w in values:
-        nxt = [0.0] * (len(probs) + 1)
-        for s, p in enumerate(probs):
-            nxt[s] += p * (1.0 - w)
-            nxt[s + 1] += p * w
-        probs = nxt
-    return probs
 
 
 def selection_count(n: int, k: int, max_states: int) -> int:
@@ -276,20 +263,21 @@ def _child_parts(
 @dataclass(frozen=True)
 class _VLevel:
     """One level of a solved V graph: its states as sorted rank rows, their values,
-    and, above the last step, greedy's regret at each (``GreedyAudit``)."""
+    and greedy's regret at each (``GreedyAudit``)."""
 
-    h: int  # steps remaining after the current one
+    h: int  # steps remaining after the current one, at least 1
     rows: np.ndarray
     values: np.ndarray
-    regret: Optional[np.ndarray] = None
+    regret: np.ndarray
 
 
 @dataclass(frozen=True)
 class _VGraph:
-    """The levels below the roots of one solved V graph, and what its ranks stand for."""
+    """The levels between the roots and the last step of one solved V graph, and
+    what its ranks stand for."""
 
     entries: Tuple[Tuple[float, Tuple], ...]  # rank -> (value, key)
-    levels: Tuple[_VLevel, ...]  # levels[j] has j steps left
+    levels: Tuple[_VLevel, ...]  # levels[j] has j + 1 steps left
     # Root i's selection c has its child for s good outcomes at level 1 in
     # column i * C(n, k) + c, row s; ``greedy`` is G at each level-1 state.
     root_children: np.ndarray
@@ -326,10 +314,10 @@ class SolveResult:
 class FiniteHorizonSolver:
     """Exact solver for a fixed (model, horizon, k).
 
-    One instance owns private tables (the aged entries, the solved V levels
-    and the V answers with their greedy audits) and is meant to be used from
-    a single thread;
-    independent instances can run concurrently.  The tables are shared
+    One instance owns private tables (the aged entries and the V answers,
+    each with the graph it was solved in, whose levels carry the greedy
+    audits) and is meant to be used from a single thread; independent
+    instances can run concurrently.  The tables are shared
     across queries, so asking again is free.  ``max_states`` caps the V graph
     nodes over all of an instance's queries, and, on its own, the node count
     of each W graph a query reads (see ``w_table``).
@@ -350,10 +338,9 @@ class FiniteHorizonSolver:
         self.max_states = max_states
         # W: the node count of the graph read for each belief length n.
         self._w_nodes: Dict[int, int] = {}
-        # V: the level graphs solved so far, their node count, and the Q row
+        # V: the node count of the level graphs solved so far, and the Q row
         # of every root answered with the graph it was solved in, keyed on
         # (t, root entries).
-        self._v_graphs: List[_VGraph] = []
         self._v_nodes = 0
         self._answers: Dict[Tuple, Tuple[np.ndarray, Optional[_VGraph]]] = {}
         # Entry (value, key) -> the same entry one unobserved step on.
@@ -452,13 +439,12 @@ class FiniteHorizonSolver:
             return GreedyAudit(value, regret, t, omega)
         pick = int(np.flatnonzero((sel_pos == top).all(axis=1))[0])
         children = graph.root_children[:, pick].tolist()
-        total = _left_sum(
-            p * float(graph.greedy[c]) for p, c in zip(_poisson_binomial(sensed), children)
-        )
+        law = _poisson_binomial_rows(np.array(sensed)).tolist()
+        total = _left_sum(p * float(graph.greedy[c]) for p, c in zip(law, children))
         value += self.horizon.beta * total
         # The root's own node, unless a node below it is worse: the largest
         # regret, then the shallowest level, then the first state.
-        for level in reversed(graph.levels[1:]):
+        for level in reversed(graph.levels):
             j = int(level.regret.argmax())
             if level.regret[j] > regret:
                 regret, t = float(level.regret[j]), self.horizon.T - level.h
@@ -554,13 +540,13 @@ class FiniteHorizonSolver:
             levels.append(rows)
         value = _left_sum(vals[rows[:, n - k :]].T)
         greedy = value
-        kept = [_VLevel(0, rows, value)]
+        kept = []
         for d in range(h - 1, -1, -1):
             sensed, child, starts = expanded.pop()
             sensed = vals[sensed].T
             law = _poisson_binomial_rows(sensed)
             reward = _left_sum(sensed)
-            q = reward + beta * _left_sum(law * value[child])
+            q = reward + beta * _left_sum(law[s] * value.take(child[s]) for s in range(k + 1))
             if d == 0:
                 break
             value = np.maximum.reduceat(q, starts)
@@ -573,7 +559,6 @@ class FiniteHorizonSolver:
             )
             kept.append(_VLevel(h - d, levels[d], value, regret))
         graph = _VGraph(tuple(entries), tuple(kept), child, greedy)
-        self._v_graphs.append(graph)
         self._v_nodes += nodes
         return q.reshape(len(roots), len(sel_pos)), graph
 
@@ -627,72 +612,6 @@ class FiniteHorizonSolver:
         """
         self._check_t(belief, t)
         return self._w_at(sorted(belief.omega), t)
-
-    # -- post-hoc audit ----------------------------------------------------
-
-    def verify_cached_bellman(self) -> float:
-        """Recompute every non-terminal kept V graph node from its children.
-
-        State keys encode each entry as tau^m of a known base, so the belief
-        values are reconstructible from the key alone.  Each node is rebuilt
-        that way and its right-hand side taken over all C(n, k) selections,
-        in scalar code, with the children's values read from the kept levels
-        (a child missing from them is solved).  Returns the largest absolute
-        residual between the kept value and the recomputed right-hand side.
-        """
-        states: Dict[Tuple, float] = {}
-        for graph in list(self._v_graphs):
-            for level in graph.levels:
-                for row, v in zip(level.rows.tolist(), level.values.tolist()):
-                    states[(level.h, tuple(graph.entries[r] for r in row))] = v
-        worst = 0.0
-        for (h, entries), cached in states.items():
-            if h == 0:
-                continue
-            rebuilt = tuple(sorted((self._key_value(kk), kk) for _, kk in entries))
-            aged = self._aged(rebuilt)
-            table = _selection_arrays(len(rebuilt), self.k)
-            rhs = max(
-                self._audit_q(h, rebuilt, aged, sel, comp, states)
-                for sel, comp in zip(*(a.tolist() for a in table))
-            )
-            worst = max(worst, abs(cached - rhs))
-        return worst
-
-    def _audit_q(
-        self,
-        h: int,
-        entries: Sequence[Tuple[float, Tuple]],
-        aged: Sequence[Tuple[float, Tuple]],
-        sel: Sequence[int],
-        comp: Sequence[int],
-        states: Dict[Tuple, float],
-    ) -> float:
-        """Q-value of sensing positions `sel` of a sorted state, children read from `states`.
-
-        The updated belief depends on the outcome only through the number of
-        good observations, so the 2^k outcome sum collapses to k+1 terms
-        weighted by the Poisson-binomial law of the sensed beliefs.
-        """
-        sensed = [entries[i][0] for i in sel]
-        unsensed = [aged[i] for i in comp]
-        total = 0.0
-        for s, p in enumerate(_poisson_binomial(sensed)):
-            if p == 0.0:
-                continue
-            child = tuple(sorted([self._bad] * (self.k - s) + unsensed + [self._good] * s))
-            v = states.get((h - 1, child))
-            if v is None:
-                v = float(self._q_table(h - 1, [child])[0].max())
-            total += p * v
-        return _left_sum(sensed) + self.horizon.beta * total
-
-    def _key_value(self, key: Tuple) -> float:
-        if key[0] == "B":
-            return tau_iterate(self.model.p01, self.model, key[1])
-        if key[0] == "G":
-            return tau_iterate(self.model.p11, self.model, key[1])
-        return tau_iterate(key[1], self.model, key[2])
 
 
 # -- greedy-value recursion as a position-keyed state graph ---------------------
@@ -839,10 +758,11 @@ def w_table(
 
 
 def _poisson_binomial_rows(sensed: np.ndarray) -> np.ndarray:
-    """``_poisson_binomial`` elementwise over axis 0 of `sensed`, in its operation order.
+    """P(s successes) of independent Bernoulli trials, elementwise over axis 0 of `sensed`.
 
     Row s of the result holds P(s successes); each row is built as
-    (0.0 + p[s-1]*w) + p[s]*(1.0 - w), as the scalar loop builds it.
+    (0.0 + p[s-1]*w) + p[s]*(1.0 - w), as the scalar loop over the trials
+    builds it, so a 1-D `sensed` gives the scalar law bit for bit.
     """
     probs = np.ones((1,) + sensed.shape[1:])
     for w in sensed:

@@ -7,6 +7,9 @@ the memoised Bellman and greedy-value recursions that the level-graph V
 engine and ``dp.w_table`` replaced, and ``child_parts_per_pair``, the
 per-pair child numbering that ``dp._child_parts`` replaced: kept as they
 were so the engines can be compared with them bit for bit.
+``RecursiveVSolver`` also audits the engine's graphs: ``bellman_residual``
+loads every level a ``FiniteHorizonSolver`` keeps into its memo and
+recomputes each node from its children.
 ``GREEDY_LOSSES`` lists instances where greedy is strictly suboptimal,
 checked against ``exact_policy_value``.
 
@@ -19,7 +22,7 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,15 +35,10 @@ from oppaccess import (
     StepRecord,
     TransitionModel,
     tau,
+    tau_iterate,
 )
-from oppaccess.dp import (
-    ResourceLimitError,
-    SolveResult,
-    _fold_keys,
-    _left_sum,
-    _poisson_binomial,
-)
-from oppaccess.model import _check_prob
+from oppaccess.dp import ResourceLimitError, SolveResult, _fold_keys, _left_sum
+from oppaccess.model import VALUE_TOL, _check_prob
 
 
 @dataclass(frozen=True)
@@ -99,6 +97,18 @@ def immediate_reward(belief: BeliefVector, action: ActionSet) -> float:
     """One-step expected reward of sensing `action`: sum of the selected beliefs."""
     action.validate_for(belief.n)
     return sum(belief.omega[i - 1] for i in action.indices)
+
+
+def _poisson_binomial(values: Sequence[float]) -> List[float]:
+    """P(sum of independent Bernoulli(values) = s) for s = 0..len(values)."""
+    probs = [1.0]
+    for w in values:
+        nxt = [0.0] * (len(probs) + 1)
+        for s, p in enumerate(probs):
+            nxt[s] += p * (1.0 - w)
+            nxt[s + 1] += p * w
+        probs = nxt
+    return probs
 
 
 @functools.lru_cache(maxsize=None)
@@ -234,12 +244,12 @@ class RecursiveVSolver(FiniteHorizonSolver):
             for sel, comp, _ in _subsets(belief.n, self.k)
         }
 
-    def optimal_value(self, belief: BeliefVector, t: int, tol: float = 1e-9) -> SolveResult:
-        """Optimal value from time t plus every action within `tol` of the maximum."""
+    def optimal_value(self, belief: BeliefVector, t: int) -> SolveResult:
+        """Optimal value from time t plus every action within VALUE_TOL of the maximum."""
         qs = self.action_values(belief, t)
         best = max(qs.values())
         actions = tuple(
-            sorted((a for a, v in qs.items() if v >= best - tol), key=lambda a: a.indices)
+            sorted((a for a, v in qs.items() if v >= best - VALUE_TOL), key=lambda a: a.indices)
         )
         return SolveResult(best, actions, self.cache_stats())
 
@@ -263,6 +273,13 @@ class RecursiveVSolver(FiniteHorizonSolver):
             )
             worst = max(worst, abs(cached - rhs))
         return worst
+
+    def _key_value(self, key: Tuple) -> float:
+        if key[0] == "B":
+            return tau_iterate(self.model.p01, self.model, key[1])
+        if key[0] == "G":
+            return tau_iterate(self.model.p11, self.model, key[1])
+        return tau_iterate(key[1], self.model, key[2])
 
     def _w(self, h: int, entries: Tuple[Tuple[float, Tuple], ...]) -> float:
         """Order-sensitive recursion: sense the last k entries, reorder, recurse."""
@@ -298,6 +315,28 @@ class RecursiveVSolver(FiniteHorizonSolver):
         h = self._check_t(belief, t)
         entries = sorted(self._root_entries(belief))
         return self._w(h, tuple(entries))
+
+
+def v_graphs(solver: FiniteHorizonSolver) -> List:
+    """The distinct V graphs a solver keeps: those its answers hold."""
+    graphs = {id(g): g for _, g in solver._answers.values() if g is not None}
+    return list(graphs.values())
+
+
+def bellman_residual(solver: FiniteHorizonSolver) -> float:
+    """The largest Bellman residual over every node of a solver's kept V graphs.
+
+    Every kept level is loaded into a fresh ``RecursiveVSolver``'s memo,
+    keyed as the recursion keys its states, and that solver's audit
+    recomputes each node from its children in scalar code.  A child not in
+    the memo, such as a state at the last step, is solved by the recursion.
+    """
+    ref = RecursiveVSolver(solver.model, solver.horizon, solver.k)
+    for graph in v_graphs(solver):
+        for level in graph.levels:
+            for row, value in zip(level.rows.tolist(), level.values.tolist()):
+                ref._v_memo[(level.h, tuple(graph.entries[r] for r in row))] = value
+    return ref.verify_cached_bellman()
 
 
 # Negative-regime instances (n, k, beta = 1) where greedy loses, as

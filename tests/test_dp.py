@@ -29,13 +29,16 @@ from oppaccess.verify import (
 from _oracles import (
     RecursiveVSolver,
     _distinct_selections,
+    _poisson_binomial,
     GREEDY_LOSSES,
     all_greedy_actions,
+    bellman_residual,
     child_parts_per_pair,
     affine_swap_delta,
     brute_force_optimal,
     exact_policy_value,
     full_observation_value,
+    v_graphs,
 )
 
 probs = st.floats(min_value=0.0, max_value=1.0)
@@ -109,7 +112,7 @@ class TestOptimalValue:
     def test_bellman_cache_audit(self):
         s = make_solver(0.25, 0.75, 4, 0.9, 2)
         s.optimal_value(BeliefVector((0.1, 0.5, 0.8, 0.33)), 1)
-        assert s.verify_cached_bellman() <= 1e-12
+        assert bellman_residual(s) <= 1e-12
 
     def test_resource_cap(self):
         s = make_solver(0.21, 0.77, 5, 1.0, 2, max_states=10)
@@ -224,6 +227,25 @@ class TestLeftToRightSums:
         assert RecursiveVSolver(s.model, s.horizon, 3).w_value(b, 1).hex() == want
         table = w_table(s.model, s.horizon, 3, [b.omega])
         assert float(table[0, 0]).hex() == want
+
+
+class TestOutcomeLaw:
+    def test_rows_of_one_vector_equal_the_scalar_law(self):
+        # V's backward pass, G's root step and W all read dp's vectorised
+        # law; on one vector it must be the scalar loop's law, to the bit,
+        # exact 0.0 and 1.0 entries (zero-probability outcomes) included.
+        rng = np.random.default_rng(18)
+        for k in range(1, 7):
+            for case in range(300):
+                sensed = rng.random(k)
+                if case % 3 == 0:
+                    sensed[rng.integers(k)] = 0.0
+                    sensed[rng.integers(k)] = 1.0
+                elif case % 3 == 1:
+                    sensed = rng.integers(0, 2, k).astype(float)
+                got = dp._poisson_binomial_rows(sensed).tolist()
+                want = _poisson_binomial(sensed.tolist())
+                assert [p.hex() for p in got] == [p.hex() for p in want]
 
 
 _W_CHECKS = (check_lemma3_A, check_lemma3_B, check_lemma2_reduction, check_affinity)
@@ -713,7 +735,7 @@ class TestPinnedOutputs:
         assert {a.indices: q.hex() for a, q in qs.items()} == want["Q"]
         assert s.w_value(b, 1).hex() == want["W"]
         assert s.greedy_value(b, 1).hex() == want["G"]
-        assert s.verify_cached_bellman() <= 1e-12
+        assert bellman_residual(s) <= 1e-12
         return s
 
     @pytest.mark.parametrize("name", sorted(PINNED_INSTANCES))
@@ -759,8 +781,8 @@ class TestPinnedOutputs:
                 s.optimal_value(b, 1)
             # a graph stopped by the cap is not kept, and no answer is cached
             assert s.cache_stats() == {"v_states": 0, "w_states": 0}
-            assert s._v_graphs == [] and s._answers == {}
-            assert s.verify_cached_bellman() == 0.0
+            assert s._answers == {}
+            assert bellman_residual(s) == 0.0
             with pytest.raises(ResourceLimitError):
                 s.optimal_value(b, 1)
 
@@ -913,7 +935,7 @@ class TestVGraph:
         want = {a.indices: q.hex() for a, q in oracle.action_values(belief, t).items()}
         assert got == want
         assert graph.cache_stats()["v_states"] == len(oracle._v_memo)
-        assert graph.verify_cached_bellman() <= 1e-12
+        assert bellman_residual(graph) <= 1e-12
         value = graph.optimal_value(belief, t).value
         assert value == pytest.approx(
             brute_force_optimal(belief.omega, t, model, horizon, k), abs=1e-10
@@ -954,7 +976,7 @@ class TestVGraph:
         }
         assert graph.cache_stats()["v_states"] == len(oracle._v_memo)
         # a plain base-E fold of 12 ranks would not fit in an int64
-        assert len(graph._v_graphs[0].entries) ** 12 > np.iinfo(np.int64).max
+        assert len(v_graphs(graph)[0].entries) ** 12 > np.iinfo(np.int64).max
 
     @pytest.mark.parametrize("n, k, T", [(70, 1, 3), (66, 2, 2)])
     def test_rows_wider_than_an_int64_bit_pattern_match_recursion(self, n, k, T):
@@ -967,7 +989,7 @@ class TestVGraph:
         want = oracle.action_values(belief, 1)
         assert [q.hex() for q in got] == [q.hex() for q in want.values()]
         assert graph.cache_stats()["v_states"] == len(oracle._v_memo)
-        assert graph.verify_cached_bellman() <= 1e-12
+        assert bellman_residual(graph) <= 1e-12
         audit = graph.greedy_audit(belief, 1)
         assert audit.value.hex() == graph.greedy_value(belief, 1).hex()
         assert audit.regret <= 1e-12
@@ -996,7 +1018,7 @@ class TestVGraph:
             for b, row in zip(beliefs, table.tolist()):
                 want = RecursiveVSolver(model, horizon, k).action_values(b, t)
                 assert [q.hex() for q in row] == [q.hex() for q in want.values()]
-        assert solver.verify_cached_bellman() <= 1e-12
+        assert bellman_residual(solver) <= 1e-12
 
     def test_answers_are_cached_and_copied(self):
         solver = make_solver(0.3, 0.8, 4, 0.9, 2)
@@ -1016,11 +1038,11 @@ class TestVGraph:
         graph, oracle = FiniteHorizonSolver(model, horizon, 1), RecursiveVSolver(model, horizon, 1)
         graph.optimal_value(b, 1)
         oracle.optimal_value(b, 1)
-        (solved,) = graph._v_graphs
+        (solved,) = v_graphs(graph)
         level = next(level for level in solved.levels if level.h == 2)
         level.values[0] += 0.01
         oracle._v_memo[(2, tuple(solved.entries[r] for r in level.rows[0].tolist()))] += 0.01
-        residual = graph.verify_cached_bellman()
+        residual = bellman_residual(graph)
         assert residual == pytest.approx(0.01, abs=1e-12)
         assert residual == pytest.approx(oracle.verify_cached_bellman(), abs=1e-15)
 
@@ -1073,10 +1095,8 @@ class TestGreedyAudit:
         audit = solver.greedy_audit(belief, t)
         oracle = RecursiveVSolver(model, horizon, k)
         nodes = [(self._oracle_regret(oracle, belief.omega, t, k), t, belief.omega)]
-        for graph in solver._v_graphs:
+        for graph in v_graphs(solver):
             for level in graph.levels:
-                if level.regret is None:
-                    continue
                 u = horizon.T - level.h
                 for row, got in zip(level.rows.tolist(), level.regret.tolist()):
                     omega = tuple(graph.entries[r][0] for r in row)
@@ -1108,9 +1128,8 @@ class TestGreedyAudit:
             solver.optimal_value(belief, t)
             losses.append(sum(
                 int((level.regret > 1e-9).sum())
-                for graph in solver._v_graphs
+                for graph in v_graphs(solver)
                 for level in graph.levels
-                if level.regret is not None
             ))
         assert regimes == {-1, 0, 1}
         assert losses[48:] == [0, 1, 15, 0]
@@ -1119,9 +1138,9 @@ class TestGreedyAudit:
         solver = make_solver(0.7, 0.2, 5, 0.9, 2)
         b = BeliefVector((0.15, 0.62, 0.4, 0.88))
         solver.optimal_value(b, 1)
-        stats, graphs = solver.cache_stats(), len(solver._v_graphs)
+        stats = solver.cache_stats()
         audit = solver.greedy_audit(b, 1)
-        assert solver.cache_stats() == stats and len(solver._v_graphs) == graphs
+        assert solver.cache_stats() == stats
         # the other order: the audit solves, the Q rows are then free
         other = make_solver(0.7, 0.2, 5, 0.9, 2)
         assert other.greedy_audit(b, 1) == audit
