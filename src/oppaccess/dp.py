@@ -16,16 +16,16 @@ Two recursions are implemented:
   value when p11 >= p01 but not otherwise.
 
 Every reachable belief entry is tau^m applied to p01, p11, or one of the
-root entries, so V carries each entry as a (value, key) pair whose key,
-("B", m), ("G", m) or ("V", w, m) for a root entry w, identifies it exactly,
-and states are recognised without float-equality fragility.  Each solver
-keeps one aged-entry table that maps an entry to the same entry one
-unobserved step on, so tau runs once per distinct entry.
+root entries, so V and W carry each entry as one integer symbol b + m*B,
+base b aged m steps, into a table values[m, b] = tau^m(bases[b])
+(``_aged_values``), and states are recognised without float-equality
+fragility.  Bases 0 and 1 are p01 and p11, then V's distinct root values in
+ascending order or W's root positions; aging a symbol adds B.
 
 V is solved over a level graph, for a batch of root beliefs at one t at a
 time (``FiniteHorizonSolver.action_value_table``).  Every entry a reachable
-state can hold is ranked once by (value, key), so a state, sorted since
-channels are exchangeable, is a row of small ints.  Level d holds the
+state can hold is ranked once by (value, base, age), so a state, sorted
+since channels are exchangeable, is a row of small ints.  Level d holds the
 distinct states reachable from the roots in d steps.  A child is its
 parent's unsensed entries, aged, plus the observed ones, so a level's
 (state, selection) pairs are grouped by their unsensed multisets with one
@@ -45,7 +45,7 @@ children are pruned, so a single root's node count equals the recursion's
 memo size.  A solver's V graph nodes, summed over its queries, count against
 ``max_states`` before any value is computed, and so does C(n, k), before any
 of a V, Q or audit query's sensing sets is listed (``selection_count``).
-A solver keeps the Q rows it answered, keyed on (t, root entries), each with
+A solver keeps the Q rows it answered, keyed on (t, root belief), each with
 the graph it was solved in.
 
 The same backward pass audits greedy at every state below the roots, from
@@ -77,7 +77,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,8 +89,8 @@ from .model import (
     VALUE_TOL,
     TransitionModel,
     enumerate_actions,
-    tau,
 )
+from .model import tau  # noqa: F401  (perfbench's tracer patches it here)
 
 
 class ResourceLimitError(RuntimeError):
@@ -100,18 +100,6 @@ class ResourceLimitError(RuntimeError):
 #: Selections whose one-step rewards differ by at most this much are tied,
 #: so each of them is a greedy choice.
 TIE_TOL = 1e-12
-
-
-# Internal state keys: ("B", m) = tau^m(p01); ("G", m) = tau^m(p11);
-# ("V", base, m) = tau^m(base) for a root belief entry `base`.
-_B0 = ("B", 0)
-_G0 = ("G", 0)
-
-
-def _age_key(key: Tuple) -> Tuple:
-    if key[0] == "V":
-        return ("V", key[1], key[2] + 1)
-    return (key[0], key[1] + 1)
 
 
 def _left_sum(values: Iterable) -> float | np.ndarray:
@@ -124,6 +112,19 @@ def _left_sum(values: Iterable) -> float | np.ndarray:
     for v in values:
         total += v
     return total
+
+
+def _aged_values(model: TransitionModel, bases: np.ndarray, H: int) -> np.ndarray:
+    """values[m] = tau^m(bases) for m = 0..H, elementwise over any shape of `bases`.
+
+    Each step clamps and mixes as ``model.tau`` does, so each entry is
+    float.hex-equal to ``model.tau_iterate``."""
+    values = np.empty((H + 1,) + np.shape(bases))
+    values[0] = bases
+    for m in range(H):
+        x = np.minimum(1.0, np.maximum(0.0, values[m]))
+        values[m + 1] = x * model.p11 + (1.0 - x) * model.p01
+    return values
 
 
 def selection_count(n: int, k: int, max_states: int) -> int:
@@ -274,9 +275,14 @@ class _VLevel:
 @dataclass(frozen=True)
 class _VGraph:
     """The levels between the roots and the last step of one solved V graph, and
-    what its ranks stand for."""
+    what its ranks stand for: rank r is base b aged m steps, for ``symbols[r]``
+    = b + m * len(bases).  The bases are kept here, since the greedy audit
+    points a re-solved root's answer at a new graph, so the answers do not
+    tell a graph's roots."""
 
-    entries: Tuple[Tuple[float, Tuple], ...]  # rank -> (value, key)
+    values: np.ndarray  # rank -> value
+    symbols: np.ndarray  # rank -> b + m * len(bases)
+    bases: np.ndarray  # p01, p11, then the roots' distinct values in ascending order
     levels: Tuple[_VLevel, ...]  # levels[j] has j + 1 steps left
     # Root i's selection c has its child for s good outcomes at level 1 in
     # column i * C(n, k) + c, row s; ``greedy`` is G at each level-1 state.
@@ -314,13 +320,13 @@ class SolveResult:
 class FiniteHorizonSolver:
     """Exact solver for a fixed (model, horizon, k).
 
-    One instance owns private tables (the aged entries and the V answers,
-    each with the graph it was solved in, whose levels carry the greedy
-    audits) and is meant to be used from a single thread; independent
-    instances can run concurrently.  The tables are shared
-    across queries, so asking again is free.  ``max_states`` caps the V graph
-    nodes over all of an instance's queries, and, on its own, the node count
-    of each W graph a query reads (see ``w_table``).
+    One instance owns a private table of V answers, each with the graph it
+    was solved in, whose levels carry the greedy audits, and is meant to be
+    used from a single thread; independent instances can run concurrently.
+    The table is shared across queries, so asking again is free.
+    ``max_states`` caps the V graph nodes over all of an instance's queries,
+    and, on its own, the node count of each W graph a query reads (see
+    ``w_table``).
     """
 
     def __init__(
@@ -340,13 +346,9 @@ class FiniteHorizonSolver:
         self._w_nodes: Dict[int, int] = {}
         # V: the node count of the level graphs solved so far, and the Q row
         # of every root answered with the graph it was solved in, keyed on
-        # (t, root entries).
+        # (t, root belief).
         self._v_nodes = 0
         self._answers: Dict[Tuple, Tuple[np.ndarray, Optional[_VGraph]]] = {}
-        # Entry (value, key) -> the same entry one unobserved step on.
-        self._aged_table: Dict[Tuple, Tuple] = {}
-        self._bad = (model.p01, _B0)
-        self._good = (model.p11, _G0)
 
     # -- shared plumbing ---------------------------------------------------
 
@@ -362,21 +364,6 @@ class FiniteHorizonSolver:
         h = self._check_t(belief, t)
         selection_count(belief.n, self.k, self.max_states)
         return h
-
-    def _root_entries(self, belief: BeliefVector) -> List[Tuple[float, Tuple]]:
-        """Entries as (value, key) pairs: each root entry w is ("V", w, 0)."""
-        return [(w, ("V", w, 0)) for w in belief.omega]
-
-    def _aged(self, entries: Sequence[Tuple[float, Tuple]]) -> List[Tuple[float, Tuple]]:
-        """Every entry one unobserved step on, through the aged-entry table."""
-        table = self._aged_table
-        out = []
-        for e in entries:
-            aged = table.get(e)
-            if aged is None:
-                aged = table[e] = (tau(e[0], self.model), _age_key(e[1]))
-            out.append(aged)
-        return out
 
     def cache_stats(self) -> Dict[str, int]:
         return {"v_states": self._v_nodes, "w_states": sum(self._w_nodes.values())}
@@ -396,7 +383,7 @@ class FiniteHorizonSolver:
         if len({b.n for b in beliefs}) != 1:
             raise ValueError("beliefs must all have the same number of channels")
         h = self._check_v(beliefs[0], t)
-        return self._q_table(h, [tuple(self._root_entries(b)) for b in beliefs])
+        return self._q_table(h, [tuple(b.omega) for b in beliefs])
 
     def action_values(self, belief: BeliefVector, t: int) -> Dict[ActionSet, float]:
         """Q-value of every first action: immediate reward + discounted optimal continuation."""
@@ -420,7 +407,7 @@ class FiniteHorizonSolver:
         its own, against ``max_states`` like any solve.
         """
         h = self._check_v(belief, t)
-        root = tuple(self._root_entries(belief))
+        root = tuple(belief.omega)
         self._q_table(h, [root])
         row, graph = self._answers[(t, root)]
         omega, k = belief.omega, self.k
@@ -448,11 +435,11 @@ class FiniteHorizonSolver:
             j = int(level.regret.argmax())
             if level.regret[j] > regret:
                 regret, t = float(level.regret[j]), self.horizon.T - level.h
-                omega = tuple(graph.entries[r][0] for r in level.rows[j].tolist())
+                omega = tuple(graph.values[level.rows[j]].tolist())
         return GreedyAudit(value, regret, t, omega)
 
-    def _q_table(self, h: int, roots: Sequence[Tuple[Tuple[float, Tuple], ...]]) -> np.ndarray:
-        """Q rows of root entry tuples with h steps remaining, through the answer cache.
+    def _q_table(self, h: int, roots: Sequence[Tuple[float, ...]]) -> np.ndarray:
+        """Q rows of root beliefs with h steps remaining, through the answer cache.
 
         Each answer keeps the graph its root was solved in (None when no
         graph was needed).
@@ -466,7 +453,7 @@ class FiniteHorizonSolver:
         return np.array([self._answers[(t, r)][0] for r in roots])
 
     def _solve_roots(
-        self, h: int, roots: Sequence[Tuple[Tuple[float, Tuple], ...]]
+        self, h: int, roots: Sequence[Tuple[float, ...]]
     ) -> Tuple[np.ndarray, Optional[_VGraph]]:
         """Q-values of every selection at each root, by backward induction over a level graph.
 
@@ -474,8 +461,8 @@ class FiniteHorizonSolver:
         in d steps, with h - d steps remaining.  At the roots every selection
         is evaluated, in the given entry order; below them only the leftmost
         selection of each sensed multiset (see ``_sensing_pairs``), and only
-        the children of nonzero outcome probability.  Every (value, key) entry
-        a state can hold is ranked once, so a state is a sorted row of ranks.
+        the children of nonzero outcome probability.  Every entry a state can
+        hold is ranked once, so a state is a sorted row of ranks.
         A level's pairs are grouped by their sorted unsensed rows, and one
         row per group is aged (``_child_parts``), so that work follows the
         distinct unsensed multisets, not the pairs.
@@ -493,9 +480,8 @@ class FiniteHorizonSolver:
         n, k, beta = len(roots[0]), self.k, self.horizon.beta
         sel_pos, comp_pos = _selection_arrays(n, k)
         if h == 0 or beta == 0.0:
-            values = np.array([[v for v, _ in root] for root in roots])
-            return _left_sum(np.moveaxis(values[:, sel_pos], 2, 0)), None
-        entries, vals, aged_rank, rows, bad, good = self._rank_entries(h, roots)
+            return _left_sum(np.moveaxis(np.array(roots)[:, sel_pos], 2, 0)), None
+        vals, symbols, bases, aged_rank, rows, bad, good = self._rank_entries(h, roots)
         nodes = 0
         expanded = []  # level d < h: (sensed ranks, child index by s, first pair of each state)
         levels = [rows]
@@ -515,7 +501,7 @@ class FiniteHorizonSolver:
             unsensed = rows[state[:, None], comp_pos[sel]]
             if d == 0:
                 unsensed.sort(axis=1)
-            aged, part = _child_parts(unsensed, aged_rank, len(entries))
+            aged, part = _child_parts(unsensed, aged_rank, len(vals))
             del unsensed
             slot = part.reshape(1, -1) * (k + 1) + np.arange(k + 1).reshape(-1, 1)
             found = np.zeros(len(aged) * (k + 1), dtype=bool)
@@ -558,36 +544,35 @@ class FiniteHorizonSolver:
                 law.take(last, axis=1) * greedy.take(child.take(last, axis=1))
             )
             kept.append(_VLevel(h - d, levels[d], value, regret))
-        graph = _VGraph(tuple(entries), tuple(kept), child, greedy)
+        graph = _VGraph(vals, symbols, bases, tuple(kept), child, greedy)
         self._v_nodes += nodes
         return q.reshape(len(roots), len(sel_pos)), graph
 
-    def _rank_entries(self, h: int, roots: Sequence[Tuple[Tuple[float, Tuple], ...]]):
-        """Rank every entry a state below these roots can hold, in (value, key) order.
+    def _rank_entries(self, h: int, roots: Sequence[Tuple[float, ...]]):
+        """Rank every entry a state below these roots can hold, in (value, base, age) order.
 
-        Those are p01 and p11 aged up to h-1 steps and each root entry aged up
-        to h steps.  Returns the ranked entries, their values, the rank of
-        each entry one unobserved step on (-1 past the last age needed) and
-        the roots as rows of ranks, then the ranks of p01 and p11 themselves.
+        The B bases are p01, p11 and the roots' distinct values, ascending.
+        Symbol b + m * B, base b aged m, is kept up to m = h-1 for p01 and p11
+        and m = h for the roots; equal values keep distinct ranks.  Returns the
+        ranked values and symbols, the bases, each rank's rank one unobserved
+        step on (-1 past the kept ages), the roots as rows of ranks, and the
+        ranks of p01 and p11.
         """
-        found = {self._bad, self._good}
-        observed = [self._bad, self._good]
-        for _ in range(h - 1):
-            observed = self._aged(observed)
-            found.update(observed)
-        chain = list({e for root in roots for e in root})
-        found.update(chain)
-        for _ in range(h):
-            chain = self._aged(chain)
-            found.update(chain)
-        entries = sorted(found)
-        rank = {e: i for i, e in enumerate(entries)}
-        dtype = np.int16 if len(entries) <= np.iinfo(np.int16).max else np.int32
-        table = self._aged_table
-        aged_rank = np.array([rank.get(table.get(e), -1) for e in entries], dtype=dtype)
-        rows = np.array([[rank[e] for e in root] for root in roots], dtype=dtype)
-        values = np.array([v for v, _ in entries])
-        return entries, values, aged_rank, rows, rank[self._bad], rank[self._good]
+        root_values = sorted({w for root in roots for w in root})
+        base_of = {w: b for b, w in enumerate(root_values, 2)}
+        bases = np.array([self.model.p01, self.model.p11, *root_values])
+        B = len(bases)
+        symbols = np.arange((h + 1) * B - 2)
+        symbols[h * B :] += 2  # skips p01 and p11 aged h, which no state holds
+        age, base = np.divmod(symbols, B)
+        values = _aged_values(self.model, bases, h).reshape(-1)[symbols]
+        order = np.lexsort((age, base, values))
+        symbols, values = symbols[order], values[order]
+        dtype = np.int16 if len(symbols) <= np.iinfo(np.int16).max else np.int32
+        rank = np.full((h + 2) * B, -1, dtype=dtype)  # symbol -> rank, -1 where not kept
+        rank[symbols] = np.arange(len(symbols))
+        rows = rank[[[base_of[w] for w in root] for root in roots]]
+        return values, symbols, bases, rank[symbols + B], rows, rank[0], rank[1]
 
     # -- greedy value ------------------------------------------------------
 
@@ -616,11 +601,10 @@ class FiniteHorizonSolver:
 
 # -- greedy-value recursion as a position-keyed state graph ---------------------
 #
-# W's state graph depends only on (n, k, H): every entry of a reachable state
-# is a symbol "B aged m", "G aged m" or "root position i aged m", and the child
-# for s good outcomes is [B0]*(k-s) + aged(unsensed) + [G0]*s.  Symbol
-# b + m*(n+2) stands for base b aged m, with base 0 = p01, 1 = p11 and 2 + i =
-# root position i, so aging a symbol adds n+2.
+# W's state graph depends only on (n, k, H): its bases are p01, p11 and the
+# root positions, so symbol b + m*(n+2) is p01 (b = 0), p11 (b = 1) or root
+# position b - 2, aged m.  The child for s good outcomes is
+# [p01]*(k-s) + aged(unsensed) + [p11]*s.
 
 
 @dataclass(frozen=True)
@@ -734,19 +718,14 @@ def w_table(
     if horizon.beta == 0.0 or H == 0:
         return np.tile(_left_sum(omega.T[n - k :]), (horizon.T, 1))
     graph = _w_graph(n, k, H, max_states)
-    # values[m, b]: base b aged m, for every vector.
-    values = np.empty((H + 1, n + 2, V))
-    values[0, 0] = model.p01
-    values[0, 1] = model.p11
-    values[0, 2:] = omega.T
-    for m in range(H):
-        x = np.minimum(1.0, np.maximum(0.0, values[m]))
-        values[m + 1] = x * model.p11 + (1.0 - x) * model.p01
-    sensed = values.reshape(-1, V)[graph.sensed]
+    # Base b aged m, for every vector, is row b + m*(n+2).
+    bases = np.empty((n + 2, V))
+    bases[0], bases[1], bases[2:] = model.p01, model.p11, omega.T
+    sensed = _aged_values(model, bases, H).reshape(-1, V)[graph.sensed]
     reward = _left_sum(sensed)
     starts = graph.starts
     law = _poisson_binomial_rows(sensed[:, : starts[H]])  # the last depth reads no child
-    del values, sensed
+    del sensed
     out = np.empty((horizon.T, V))
     w = reward[starts[H] :]
     out[H] = w[0]

@@ -309,7 +309,7 @@ def _run(
     config: SimConfig, policy: Policy, nat: np.ndarray, pol: Optional[np.ndarray]
 ) -> SimSummary:
     """One policy on drawn streams; a policy that draws no randomness sees zeros."""
-    if pol is None or not getattr(policy, "uses_randomness", False):
+    if pol is None or not policy.uses_randomness:
         pol = np.zeros((config.replications, config.horizon.T))
     policy.reset(config.n, config.k, config.initial_belief.omega)
     totals, traces = _simulate_batch(config, policy, nat, pol)
@@ -318,7 +318,7 @@ def _run(
 
 def _draw(config: SimConfig, *policies: Policy) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """The nature uniforms, and the policy uniforms if any of ``policies`` uses them."""
-    uses = any(getattr(p, "uses_randomness", False) for p in policies)
+    uses = any(p.uses_randomness for p in policies)
     return _nature_uniforms(config), (_policy_uniforms(config) if uses else None)
 
 

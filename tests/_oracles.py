@@ -7,9 +7,11 @@ the memoised Bellman and greedy-value recursions that the level-graph V
 engine and ``dp.w_table`` replaced, and ``child_parts_per_pair``, the
 per-pair child numbering that ``dp._child_parts`` replaced: kept as they
 were so the engines can be compared with them bit for bit.
-``RecursiveVSolver`` also audits the engine's graphs: ``bellman_residual``
-loads every level a ``FiniteHorizonSolver`` keeps into its memo and
-recomputes each node from its children.
+``RecursiveVSolver`` keys each entry as a (value, key) pair, with its own
+aged-entry table, and also audits the engine's graphs: ``graph_entries``
+rebuilds those pairs from a graph's integer symbols, and
+``bellman_residual`` loads every level a ``FiniteHorizonSolver`` keeps into
+its memo and recomputes each node from its children.
 ``GREEDY_LOSSES`` lists instances where greedy is strictly suboptimal,
 checked against ``exact_policy_value``.
 
@@ -161,6 +163,12 @@ def child_parts_per_pair(
     return aged[first], part
 
 
+def _age_key(key: Tuple) -> Tuple:
+    if key[0] == "V":
+        return ("V", key[1], key[2] + 1)
+    return (key[0], key[1] + 1)
+
+
 class RecursiveVSolver(FiniteHorizonSolver):
     """The memoised Bellman recursion that the level-graph V engine replaced.
 
@@ -169,13 +177,36 @@ class RecursiveVSolver(FiniteHorizonSolver):
     trips part-way through, with the states visited so far left in the
     memo.  The greedy-value recursion W that ``dp.w_table`` replaced is kept
     the same way, memoised on (h, entries); V and W memo entries count
-    against one cap together.  The aged-entry table is the library's.
+    against one cap together.
+
+    An entry is a (value, key) pair whose key, ("B", m), ("G", m) or
+    ("V", w, m) for a root entry w, is tau^m of p01, p11 or w; an aged-entry
+    table maps an entry to the same entry one unobserved step on, so scalar
+    ``tau`` runs once per distinct entry.
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._v_memo: Dict[Tuple, float] = {}
         self._w_memo: Dict[Tuple, float] = {}
+        self._aged_table: Dict[Tuple, Tuple] = {}
+        self._bad = (self.model.p01, ("B", 0))
+        self._good = (self.model.p11, ("G", 0))
+
+    def _root_entries(self, belief: BeliefVector) -> List[Tuple[float, Tuple]]:
+        """Entries as (value, key) pairs: each root entry w is ("V", w, 0)."""
+        return [(w, ("V", w, 0)) for w in belief.omega]
+
+    def _aged(self, entries: Sequence[Tuple[float, Tuple]]) -> List[Tuple[float, Tuple]]:
+        """Every entry one unobserved step on, through the aged-entry table."""
+        table = self._aged_table
+        out = []
+        for e in entries:
+            aged = table.get(e)
+            if aged is None:
+                aged = table[e] = (tau(e[0], self.model), _age_key(e[1]))
+            out.append(aged)
+        return out
 
     def _bump(self) -> None:
         if len(self._v_memo) + len(self._w_memo) > self.max_states:
@@ -323,6 +354,21 @@ def v_graphs(solver: FiniteHorizonSolver) -> List:
     return list(graphs.values())
 
 
+def graph_entries(graph) -> List[Tuple[float, Tuple]]:
+    """Each rank of a kept V graph as the recursion's (value, key) entry.
+
+    Rebuilt from the graph's symbols and bases: symbol b + m*B is ("B", m)
+    for b = 0, ("G", m) for b = 1 and ("V", bases[b], m) otherwise.
+    """
+    bases = graph.bases.tolist()
+    out = []
+    for value, symbol in zip(graph.values.tolist(), graph.symbols.tolist()):
+        m, b = divmod(symbol, len(bases))
+        key = ("B", m) if b == 0 else ("G", m) if b == 1 else ("V", bases[b], m)
+        out.append((value, key))
+    return out
+
+
 def bellman_residual(solver: FiniteHorizonSolver) -> float:
     """The largest Bellman residual over every node of a solver's kept V graphs.
 
@@ -333,9 +379,10 @@ def bellman_residual(solver: FiniteHorizonSolver) -> float:
     """
     ref = RecursiveVSolver(solver.model, solver.horizon, solver.k)
     for graph in v_graphs(solver):
+        entries = graph_entries(graph)
         for level in graph.levels:
             for row, value in zip(level.rows.tolist(), level.values.tolist()):
-                ref._v_memo[(level.h, tuple(graph.entries[r] for r in row))] = value
+                ref._v_memo[(level.h, tuple(entries[r] for r in row))] = value
     return ref.verify_cached_bellman()
 
 

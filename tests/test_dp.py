@@ -34,6 +34,7 @@ from _oracles import (
     all_greedy_actions,
     bellman_residual,
     child_parts_per_pair,
+    graph_entries,
     affine_swap_delta,
     brute_force_optimal,
     exact_policy_value,
@@ -829,12 +830,56 @@ class TestDistinctSelections:
             assert [subsets[j] for j in sel[state == i]] == want
 
 
+class TestEntryTable:
+    """V's and W's entries: integer symbols into one table of tau-iterates."""
+
+    REGIMES = [(0.3, 0.8), (0.8, 0.3), (0.4, 0.4)]
+
+    @pytest.mark.parametrize("p01, p11", REGIMES)
+    def test_aged_values_match_tau_iterate(self, p01, p11):
+        # Any shape, and entries on and just outside the edges of [0, 1].
+        model, H = TransitionModel(p01, p11), 6
+        bases = np.array([
+            [p01, p11, 0.0, 1.0],
+            [-1e-13, 1.0 + 1e-13, 1e-13, 1.0 - 1e-13],
+            [0.37, 0.5, 0.95, 0.05],
+        ])
+        got = dp._aged_values(model, bases, H)
+        assert got.shape == (H + 1,) + bases.shape
+        for m in range(H + 1):
+            for idx in np.ndindex(bases.shape):
+                want = tau_iterate(float(bases[idx]), model, m)
+                assert float(got[(m,) + idx]).hex() == want.hex()
+
+    @pytest.mark.parametrize("p01, p11", REGIMES)
+    def test_ranks_follow_the_recursions_entry_order(self, p01, p11):
+        # Roots that tie p01, p11 and each other, with 0.0, 1.0 and entries
+        # 1e-13 outside [0, 1], solved as one batch over one graph.
+        model, horizon, k = TransitionModel(p01, p11), HorizonSpec(4, 0.9), 2
+        beliefs = [
+            BeliefVector((p01, p11, 0.0, 1.0)),
+            BeliefVector((p11, 0.5, 0.5, -1e-13)),
+            BeliefVector((1.0 + 1e-13, p01, 1e-13, 0.5)),
+        ]
+        solver = FiniteHorizonSolver(model, horizon, k)
+        solver.action_value_table(beliefs, 1)
+        (graph,) = v_graphs(solver)
+        entries = graph_entries(graph)
+        assert all(a < b for a, b in zip(entries, entries[1:]))
+        oracle = RecursiveVSolver(model, horizon, k)
+        held = set()
+        for b in beliefs:
+            oracle.action_values(b, 1)
+            held.update(oracle._root_entries(b))
+        held.update(e for _, state in oracle._v_memo for e in state)
+        assert held <= set(entries)
+
+
 def _rank_table(p01, p11, omega, h):
     """A V solve's rank table for one root: entry values, the aged-rank map,
     the ranks that age within the table, and the root as a row of ranks."""
     solver = make_solver(p01, p11, h + 1, 0.9, 1)
-    root = tuple(solver._root_entries(BeliefVector(omega)))
-    _, vals, aged_rank, rows, _, _ = solver._rank_entries(h, [root])
+    vals, _, _, aged_rank, rows, _, _ = solver._rank_entries(h, [omega])
     return vals, aged_rank, np.flatnonzero(aged_rank >= 0), rows[0]
 
 
@@ -976,7 +1021,7 @@ class TestVGraph:
         }
         assert graph.cache_stats()["v_states"] == len(oracle._v_memo)
         # a plain base-E fold of 12 ranks would not fit in an int64
-        assert len(v_graphs(graph)[0].entries) ** 12 > np.iinfo(np.int64).max
+        assert len(v_graphs(graph)[0].values) ** 12 > np.iinfo(np.int64).max
 
     @pytest.mark.parametrize("n, k, T", [(70, 1, 3), (66, 2, 2)])
     def test_rows_wider_than_an_int64_bit_pattern_match_recursion(self, n, k, T):
@@ -1041,7 +1086,8 @@ class TestVGraph:
         (solved,) = v_graphs(graph)
         level = next(level for level in solved.levels if level.h == 2)
         level.values[0] += 0.01
-        oracle._v_memo[(2, tuple(solved.entries[r] for r in level.rows[0].tolist()))] += 0.01
+        entries = graph_entries(solved)
+        oracle._v_memo[(2, tuple(entries[r] for r in level.rows[0].tolist()))] += 0.01
         residual = bellman_residual(graph)
         assert residual == pytest.approx(0.01, abs=1e-12)
         assert residual == pytest.approx(oracle.verify_cached_bellman(), abs=1e-15)
@@ -1099,7 +1145,7 @@ class TestGreedyAudit:
             for level in graph.levels:
                 u = horizon.T - level.h
                 for row, got in zip(level.rows.tolist(), level.regret.tolist()):
-                    omega = tuple(graph.entries[r][0] for r in row)
+                    omega = tuple(graph.values[row].tolist())
                     want = self._oracle_regret(oracle, omega, u, k)
                     assert got == pytest.approx(want, abs=1e-15)
                     nodes.append((want, u, omega))
