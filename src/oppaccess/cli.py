@@ -25,7 +25,6 @@ import csv
 import functools
 import itertools
 import json
-import math
 import sys
 import time
 import warnings
@@ -87,8 +86,6 @@ _CHECKS = {
     "affinity": check_affinity,
 }
 _PROPERTIES = [*_CHECKS, "negative-scan"]
-# The lemma 3 and lemma 2 statements are about sorted belief vectors.
-_SORTED_BELIEFS = ("lemma3A", "lemma3B", "lemma2")
 
 
 def _random_policy(c: SimConfig, max_states: int) -> UniformRandomPolicy:
@@ -125,6 +122,8 @@ _VERIFY_KEYS = {
 }
 # sim keys its Philox streams by the seed modulo 2**64.
 _SEED_MAX = 2**64 - 1
+# Every other integer: numpy sizes arrays and draws integers in int64.
+_INT_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,7 @@ def _fields(value: Any, table: dict, where: str) -> dict:
     return {key: value.get(key, default) for key, default in table.items()}
 
 
-def _int(value: Any, where: str, low: float = -math.inf, high: float = math.inf) -> int:
+def _int(value: Any, where: str, low: int = -_INT_MAX - 1, high: int = _INT_MAX) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
     if not low <= value <= high:
@@ -347,8 +346,7 @@ def _run_verify(exp: _Experiment, max_states: int, out_dir: Path) -> tuple:
             )
             found, errors = len(report.findings), len(report.errors)
         else:
-            sampler = replace(exp.sampler, sorted_beliefs=prop in _SORTED_BELIEFS)
-            viols = _CHECKS[prop](sampler, exp.count, max_states)
+            viols = _CHECKS[prop](exp.sampler, exp.count, max_states)
             found = sum(v.error is None for v in viols)
             errors = len(viols) - found
             results[prop] = viols
@@ -522,11 +520,6 @@ def sweep(config, seed, out_dir, max_memo, traces):
         if exp.instance is not None:
             positive = exp.instance.model.positively_correlated
             annotations["regime"] = "positive" if positive else "negative"
-            if not positive:
-                # A solve point has the gap already.
-                annotations["negative_scan_gap"] = (
-                    point_rows[0] if exp.kind == "solve" else _run_solve(exp, max_memo)[0]
-                )["greedy_gap"]
         for row in point_rows:
             row["grid_point"] = point_id
             for dotted, value in overrides.items():

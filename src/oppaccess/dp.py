@@ -481,6 +481,10 @@ class FiniteHorizonSolver:
         sel_pos, comp_pos = _selection_arrays(n, k)
         if h == 0 or beta == 0.0:
             return _left_sum(np.moveaxis(np.array(roots)[:, sel_pos], 2, 0)), None
+        if self._v_nodes + h > self.max_states:
+            # Each of the h levels below the roots holds a node, so the build
+            # would trip the cap; this stops it before any level is sized.
+            raise _node_cap_error(self.max_states, "V")
         vals, symbols, bases, aged_rank, rows, bad, good = self._rank_entries(h, roots)
         nodes = 0
         expanded = []  # level d < h: (sensed ranks, child index by s, first pair of each state)
@@ -509,9 +513,7 @@ class FiniteHorizonSolver:
             made = np.flatnonzero(found)
             nodes += len(made)
             if self._v_nodes + nodes > self.max_states:
-                raise ResourceLimitError(
-                    f"V state graph node count exceeded cap {self.max_states}"
-                )
+                raise _node_cap_error(self.max_states, "V")
             ids = np.cumsum(found, dtype=np.int32) - 1
             child = np.where(live, ids[slot], 0)  # a pruned slot reads node 0, weight 0
             goods = (made % (k + 1)).reshape(-1, 1)
@@ -628,8 +630,8 @@ class _WGraph:
 _W_GRAPHS: Dict[Tuple[int, int, int], _WGraph] = {}
 
 
-def _node_cap_error(max_states: int) -> ResourceLimitError:
-    return ResourceLimitError(f"W state graph node count exceeded cap {max_states}")
+def _node_cap_error(max_states: int, graph: str = "W") -> ResourceLimitError:
+    return ResourceLimitError(f"{graph} state graph node count exceeded cap {max_states}")
 
 
 def _w_graph(n: int, k: int, H: int, max_states: int) -> _WGraph:
@@ -656,6 +658,9 @@ def w_graph_nodes(n: int, k: int, horizon: HorizonSpec, max_states: int) -> int:
 
 
 def _build_w_graph(n: int, k: int, H: int, max_states: int) -> _WGraph:
+    if H + 1 > max_states:
+        # Each depth below the root holds a new node, so the build would trip the cap.
+        raise _node_cap_error(max_states)
     stride = n + 2
     root = tuple(range(2, n + 2))
     blocks = [((0,) * (k - s), (1,) * s) for s in range(k + 1)]
@@ -716,6 +721,9 @@ def w_table(
     w_graph_nodes(n, k, horizon, max_states)
     H = horizon.T - 1
     if horizon.beta == 0.0 or H == 0:
+        if horizon.T * V > np.iinfo(np.intp).max // 8:
+            # Past numpy's array size limit: report it as the failed allocation it is.
+            raise MemoryError(f"({horizon.T}, {V}) float64 table cannot be addressed")
         return np.tile(_left_sum(omega.T[n - k :]), (horizon.T, 1))
     graph = _w_graph(n, k, H, max_states)
     # Base b aged m, for every vector, is row b + m*(n+2).

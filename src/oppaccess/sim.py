@@ -200,6 +200,9 @@ def _substream_uniforms(seed: int, stream_id: int, replications: int, count: int
     the counter before its first block; each 64-bit word w becomes the double
     (w >> 11) * 2**-53, in C order.
     """
+    if replications * count > np.iinfo(np.intp).max // 8:
+        # Past numpy's array size limit: report it as the failed allocation it is.
+        raise MemoryError(f"({replications}, {count}) float64 uniforms cannot be addressed")
     blocks = -(-count // 4)
     rows = max(1, _CHUNK_LANES // blocks)
     # Round i runs with the key bumped i times; r is added to the second word per chunk.

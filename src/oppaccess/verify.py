@@ -13,28 +13,35 @@ over randomly sampled problem instances:
   proved and findings are reported without interpretation.
 
 Every instance is reproducible from (sampler seed, instance index); checks
-return machine-readable violation reports.  The W-based checks (shift, swap,
-reduction) evaluate all of an instance's vectors, for every t, in one
-``dp.w_table`` call; the affinity check, which needs one t, makes its call over
-the slots left from that t.  The theorem-1 check and the negative-regime scan
-make one V solve per instance with ``FiniteHorizonSolver``, whose greedy
-audit comes from the same solve: greedy's regret at every node of the root's
-V graph (theorem 1, action level) and greedy's own value (the scan).  The
-theorem-1 value check also reads W on the sorted belief.
+return machine-readable violation reports.  Every check runs the same loop:
+a per-instance body returns that instance's reports, and the reports are
+concatenated in instance order.  The shift, swap and reduction statements are
+about sorted vectors, so those three checks sort each instance's beliefs
+themselves and report the sorted instance; a sampler's ``sorted_beliefs``
+matters only to the theorem-1, affinity and negative-regime checks.  The
+W-based checks (shift, swap, reduction) evaluate all of an instance's
+vectors, for every t, in one ``dp.w_table`` call; the affinity check, which
+needs one t, makes its call over the slots left from that t.  The theorem-1
+check and the negative-regime scan make one V solve per instance with
+``FiniteHorizonSolver``, whose greedy audit comes from the same solve:
+greedy's regret at every node of the root's V graph (theorem 1, action
+level) and greedy's own value (the scan).  The theorem-1 value check also
+reads W on the sorted belief.
 
 ``max_states`` caps each state graph's node count: the W graph of an
 instance's (n, k, T-1), and a solver's V graph.  When beta = 0, W reads no
 child, so a W check counts one node and builds no graph.  The same cap
 bounds C(n, k), checked before a V solve or the lemma-2 check lists the
 sensing sets.  An instance over a cap is reported as one
-``<property>/resource`` error, and the run goes on.
+``<property>/resource`` error in place of its body's reports, and the run
+goes on.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, asdict, replace
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,12 +85,6 @@ class Instance:
 
     def solver(self, max_states: int = 10_000_000) -> FiniteHorizonSolver:
         return FiniteHorizonSolver(self.model, self.horizon, self.k, max_states)
-
-    def w_table(
-        self, vectors: Sequence[Sequence[float]], max_states: int = 10_000_000
-    ) -> List[List[float]]:
-        """W_t of every vector under this instance's model; row t-1 holds W_t."""
-        return w_table(self.model, self.horizon, self.k, vectors, max_states).tolist()
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -189,8 +190,31 @@ class InstanceSampler:
             yield self.instance(i)
 
 
-def _resource_report(property_id: str, inst: Instance, exc: Exception) -> ViolationReport:
-    return ViolationReport(property_id, inst, error=f"{type(exc).__name__}: {exc}")
+def _reports(
+    prop: str,
+    instances: Iterable[Instance],
+    body: Callable[[Instance], List[ViolationReport]],
+) -> List[ViolationReport]:
+    """`body`'s reports for each instance, concatenated in instance order.
+
+    An instance over a cap gets the single report ``<prop>/resource`` instead.
+    """
+    out: List[ViolationReport] = []
+    for inst in instances:
+        try:
+            out += body(inst)
+        except ResourceLimitError as exc:
+            out.append(
+                ViolationReport(f"{prop}/resource", inst, error=f"{type(exc).__name__}: {exc}")
+            )
+    return out
+
+
+def _sorted_instances(sampler: InstanceSampler, count: int):
+    """The sampler's instances with their beliefs sorted ascending."""
+    for inst in sampler.instances(count):
+        omega = tuple(sorted(inst.omega))
+        yield inst if omega == inst.omega else replace(inst, omega=omega)
 
 
 def check_theorem1(
@@ -207,69 +231,64 @@ def check_theorem1(
     """
     if sampler.regime == "negative":
         raise ValueError("theorem-1 check requires p11 >= p01 (positive or boundary regime)")
-    out: List[ViolationReport] = []
-    for inst in sampler.instances(count):
-        try:
-            solver = inst.solver(max_states)
-            belief = BeliefVector(inst.omega)
-            gv = solver.greedy_value(belief, 1)
-            ov = solver.optimal_value(belief, 1).value
-            if abs(gv - ov) > VALUE_TOL:
-                out.append(
-                    ViolationReport(
-                        "theorem1/value", inst, gv, ov, abs(gv - ov), VALUE_TOL
-                    )
+
+    def body(inst: Instance) -> List[ViolationReport]:
+        out = []
+        solver = inst.solver(max_states)
+        belief = BeliefVector(inst.omega)
+        gv = solver.greedy_value(belief, 1)
+        ov = solver.optimal_value(belief, 1).value
+        if abs(gv - ov) > VALUE_TOL:
+            out.append(ViolationReport("theorem1/value", inst, gv, ov, abs(gv - ov), VALUE_TOL))
+        audit = solver.greedy_audit(belief, 1)
+        if audit.regret > VALUE_TOL:
+            out.append(
+                ViolationReport(
+                    "theorem1/action",
+                    inst,
+                    gap=audit.regret,
+                    tolerance=VALUE_TOL,
+                    detail=f"t={audit.t} omega={audit.omega}",
                 )
-            audit = solver.greedy_audit(belief, 1)
-            if audit.regret > VALUE_TOL:
-                out.append(
-                    ViolationReport(
-                        "theorem1/action",
-                        inst,
-                        gap=audit.regret,
-                        tolerance=VALUE_TOL,
-                        detail=f"t={audit.t} omega={audit.omega}",
-                    )
-                )
-        except ResourceLimitError as exc:
-            out.append(_resource_report("theorem1/resource", inst, exc))
-    return out
+            )
+        return out
+
+    return _reports("theorem1", sampler.instances(count), body)
 
 
 def check_lemma3_A(
     sampler: InstanceSampler, count: int, max_states: int = 10_000_000
 ) -> List[ViolationReport]:
     """1 + W(w2..wn, w1) >= W(w1..wn) on ascending-sorted beliefs, all t."""
-    out: List[ViolationReport] = []
-    for inst in sampler.instances(count):
-        omega = tuple(sorted(inst.omega))
+
+    def body(inst: Instance) -> List[ViolationReport]:
+        omega = inst.omega
         rotated = omega[1:] + omega[:1]
-        try:
-            table = inst.w_table([rotated, omega], max_states)
-        except ResourceLimitError as exc:
-            out.append(_resource_report("lemma3A/resource", inst, exc))
-            continue
-        for t, (w_rotated, rhs) in enumerate(table, start=1):
+        table = w_table(inst.model, inst.horizon, inst.k, [rotated, omega], max_states)
+        out = []
+        for t, (w_rotated, rhs) in enumerate(table.tolist(), start=1):
             lhs = 1.0 + w_rotated
             if lhs < rhs - VALUE_TOL:
                 out.append(
                     ViolationReport(
-                        "lemma3A", inst, lhs, rhs, rhs - lhs, VALUE_TOL,
-                        detail=f"t={t}",
+                        "lemma3A", inst, lhs, rhs, rhs - lhs, VALUE_TOL, detail=f"t={t}"
                     )
                 )
-    return out
+        return out
+
+    return _reports("lemma3A", _sorted_instances(sampler, count), body)
 
 
 def check_lemma3_B(
     sampler: InstanceSampler, count: int, max_states: int = 10_000_000
 ) -> List[ViolationReport]:
-    """W(..y,x..) >= W(..x,y..) for x >= y at every position j and every t."""
-    out: List[ViolationReport] = []
-    for inst in sampler.instances(count):
+    """W(..y,x..) >= W(..x,y..) for x >= y at every position j and every t,
+    on ascending-sorted beliefs."""
+
+    def body(inst: Instance) -> List[ViolationReport]:
         if inst.n < 2:  # no adjacent pair: vacuous
-            continue
-        omega = tuple(sorted(inst.omega))
+            return []
+        omega = inst.omega
         rng = np.random.default_rng([sampler.seed, inst.index, 3])
         a, b = rng.random(), rng.random()
         x, y = max(a, b), min(a, b)
@@ -277,11 +296,8 @@ def check_lemma3_B(
         for j in range(inst.n - 1):
             vectors.append(omega[:j] + (y, x) + omega[j + 2 :])
             vectors.append(omega[:j] + (x, y) + omega[j + 2 :])
-        try:
-            table = inst.w_table(vectors, max_states)
-        except ResourceLimitError as exc:
-            out.append(_resource_report("lemma3B/resource", inst, exc))
-            continue
+        table = w_table(inst.model, inst.horizon, inst.k, vectors, max_states).tolist()
+        out = []
         for j in range(inst.n - 1):
             for t, row in enumerate(table, start=1):
                 lhs, rhs = row[2 * j], row[2 * j + 1]
@@ -292,7 +308,9 @@ def check_lemma3_B(
                             detail=f"t={t} j={j} x={x} y={y}",
                         )
                     )
-    return out
+        return out
+
+    return _reports("lemma3B", _sorted_instances(sampler, count), body)
 
 
 def check_lemma2_reduction(
@@ -300,23 +318,20 @@ def check_lemma2_reduction(
 ) -> List[ViolationReport]:
     """Any first action followed by list play is dominated by sorted order:
     W(complement-sorted, a) <= W(sorted), with equality for the greedy set."""
-    out: List[ViolationReport] = []
-    for inst in sampler.instances(count):
-        try:
-            # The caps apply before the C(n, k) + 1 vectors are built.
-            w_graph_nodes(inst.n, inst.k, inst.horizon, max_states)
-            selection_count(inst.n, inst.k, max_states)
-        except ResourceLimitError as exc:
-            out.append(_resource_report("lemma2/resource", inst, exc))
-            continue
-        om = np.array(sorted(inst.omega))
+
+    def body(inst: Instance) -> List[ViolationReport]:
+        # The caps apply before the C(n, k) + 1 vectors are built.
+        w_graph_nodes(inst.n, inst.k, inst.horizon, max_states)
+        selection_count(inst.n, inst.k, max_states)
+        om = np.array(inst.omega)
         sel_pos, comp_pos = _selection_arrays(inst.n, inst.k)
         # Row 0 is the sorted vector; row 1 + c senses selection c first.
         vectors = np.concatenate(
             (om[None, :], np.concatenate((om[comp_pos], om[sel_pos]), axis=1))
         )
-        table = inst.w_table(vectors, max_states)
-        for t, (rhs, *firsts) in enumerate(table, start=1):
+        table = w_table(inst.model, inst.horizon, inst.k, vectors, max_states)
+        out = []
+        for t, (rhs, *firsts) in enumerate(table.tolist(), start=1):
             for c, lhs in enumerate(firsts):
                 if lhs > rhs + VALUE_TOL:
                     sel = tuple(sel_pos[c].tolist())
@@ -326,7 +341,9 @@ def check_lemma2_reduction(
                             detail=f"t={t} first_action={sel}",
                         )
                     )
-    return out
+        return out
+
+    return _reports("lemma2", _sorted_instances(sampler, count), body)
 
 
 def check_affinity(
@@ -338,8 +355,8 @@ def check_affinity(
     W(..1,0..)] follows from W being affine in each entry.  Holds in every
     correlation regime; checked at tolerance 1e-12.
     """
-    out: List[ViolationReport] = []
-    for inst in sampler.instances(count):
+
+    def body(inst: Instance) -> List[ViolationReport]:
         rng = np.random.default_rng([sampler.seed, inst.index, 5])
         omega = inst.omega
         t = int(rng.integers(1, inst.T + 1))
@@ -354,15 +371,12 @@ def check_affinity(
         v0, v1 = float(rng.random()), float(rng.random())
         for v in (v0, v1, 0.5 * (v0 + v1)):
             vectors.append(omega[:i] + (v,) + omega[i + 1 :])
-        try:
-            # The cap counts the whole (n, k, T) graph, as in the other W checks,
-            # but W_t is the first row of the table over the T - t + 1 slots left.
-            w_graph_nodes(inst.n, inst.k, inst.horizon, max_states)
-            horizon = HorizonSpec(inst.T - t + 1, inst.beta)
-            row = w_table(inst.model, horizon, inst.k, vectors, max_states)[0].tolist()
-        except ResourceLimitError as exc:
-            out.append(_resource_report("affinity/resource", inst, exc))
-            continue
+        # The cap counts the whole (n, k, T) graph, as in the other W checks,
+        # but W_t is the first row of the table over the T - t + 1 slots left.
+        w_graph_nodes(inst.n, inst.k, inst.horizon, max_states)
+        horizon = HorizonSpec(inst.T - t + 1, inst.beta)
+        row = w_table(inst.model, horizon, inst.k, vectors, max_states)[0].tolist()
+        out = []
         if inst.n >= 2:
             w_yx, w_xy, w_01, w_10 = row[:4]
             lhs = w_yx - w_xy
@@ -384,7 +398,9 @@ def check_affinity(
                     detail=f"t={t} coord={i} v0={v0} v1={v1}",
                 )
             )
-    return out
+        return out
+
+    return _reports("affinity", sampler.instances(count), body)
 
 
 @dataclass(frozen=True)
@@ -413,23 +429,22 @@ def scan_negative_regime(
     """
     if sampler.regime != "negative":
         raise ValueError("negative-regime scan requires the negative regime")
-    findings: List[ViolationReport] = []
-    errors: List[ViolationReport] = []
-    for inst in sampler.instances(count):
-        try:
-            solver = inst.solver(max_states)
-            belief = BeliefVector(inst.omega)
-            ov = solver.optimal_value(belief, 1).value
-            gv = solver.greedy_audit(belief, 1).value
-            if gv < ov - VALUE_TOL:
-                findings.append(
-                    ViolationReport(
-                        "negative-scan/gap", inst, gv, ov, ov - gv, VALUE_TOL
-                    )
-                )
-        except ResourceLimitError as exc:
-            errors.append(_resource_report("negative-scan/resource", inst, exc))
-    return NegativeScanReport(count, tuple(findings), tuple(errors))
+
+    def body(inst: Instance) -> List[ViolationReport]:
+        solver = inst.solver(max_states)
+        belief = BeliefVector(inst.omega)
+        ov = solver.optimal_value(belief, 1).value
+        gv = solver.greedy_audit(belief, 1).value
+        if gv < ov - VALUE_TOL:
+            return [ViolationReport("negative-scan/gap", inst, gv, ov, ov - gv, VALUE_TOL)]
+        return []
+
+    reports = _reports("negative-scan", sampler.instances(count), body)
+    return NegativeScanReport(
+        count,
+        tuple(r for r in reports if r.error is None),
+        tuple(r for r in reports if r.error is not None),
+    )
 
 
 def violations_to_json(violations: Sequence[ViolationReport]) -> str:

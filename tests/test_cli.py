@@ -470,7 +470,6 @@ class TestSweep:
         rows = {float(row["grid.model.p11"]): row for row in read_rows(out)}
         assert rows[0.8]["regime"] == "positive"
         assert rows[0.1]["regime"] == "negative"
-        assert rows[0.1]["negative_scan_gap"] != ""
 
     def test_verify_sweep_over_count(self, runner, tmp_path):
         cfg_data = {
@@ -491,34 +490,33 @@ class TestSweep:
         assert all(r["grid.verify.count"] == r["count"] for r in rows)
 
     # Merged results.csv of two negative-regime sweeps, less the wall-clock
-    # runtime_s column, as written before the gap was computed once per point,
-    # except the negative rows' greedy_value, greedy_gap and negative_scan_gap:
-    # they hold greedy's own value, which test_negative_rows_hold_greedys_value
-    # checks against the exact rollout.
+    # runtime_s column.  The negative rows' greedy_value and greedy_gap hold
+    # greedy's own value, which test_negative_rows_hold_greedys_value checks
+    # against the exact rollout.
     SOLVE_SWEEP = (
         {"kind": "solve", "model": {"p01": 0.2, "p11": 0.8}, "horizon": {"T": 4, "beta": 0.9},
          "n": 4, "k": 2, "initial_belief": [0.9, 0.2, 0.5, 0.4],
          "grid": {"model.p11": [0.8, 0.1], "k": [1, 2]}},
         4,
-        "analytic_value,best_action,greedy_gap,greedy_value,grid.k,grid.model.p11,grid_point,instance,negative_scan_gap,policy,regime\n"
-        "2.7047873894400003,1,0,2.7047873894400003,1,0.80000000000000004,0,0,,optimal,positive\n"
-        "1.3676013086400001,1,0,1.3676013086400001,1,0.10000000000000001,1,0,0,optimal,negative\n"
-        "4.7089186439936004,1+3,0,4.7089186439936004,2,0.80000000000000004,2,0,,optimal,positive\n"
-        "2.3345135791167202,1+3,0,2.3345135791167202,2,0.10000000000000001,3,0,0,optimal,negative\n",
+        "analytic_value,best_action,greedy_gap,greedy_value,grid.k,grid.model.p11,grid_point,instance,policy,regime\n"
+        "2.7047873894400003,1,0,2.7047873894400003,1,0.80000000000000004,0,0,optimal,positive\n"
+        "1.3676013086400001,1,0,1.3676013086400001,1,0.10000000000000001,1,0,optimal,negative\n"
+        "4.7089186439936004,1+3,0,4.7089186439936004,2,0.80000000000000004,2,0,optimal,positive\n"
+        "2.3345135791167202,1+3,0,2.3345135791167202,2,0.10000000000000001,3,0,optimal,negative\n",
     )
     SIMULATE_SWEEP = (
         {"kind": "simulate", "model": {"p01": 0.2, "p11": 0.8}, "horizon": {"T": 4, "beta": 0.9},
          "n": 4, "k": 2, "initial_belief": [0.9, 0.2, 0.5, 0.4],
          "policies": ["greedy", "round-robin", "random"], "replications": 300, "seed": 5,
          "grid": {"model.p11": [0.8, 0.1]}},
-        1,
-        "grid.model.p11,grid_point,instance,negative_scan_gap,policy,regime,replications,simulated_mean,std_error\n"
-        "0.80000000000000004,0,0,,greedy,positive,300,4.7068566666666669,0.086644458532491864\n"
-        "0.80000000000000004,0,0,,round-robin,positive,300,3.5207866666666661,0.073892983447347058\n"
-        "0.80000000000000004,0,0,,random,positive,300,3.4256099999999998,0.089528160487579861\n"
-        "0.10000000000000001,1,0,0,greedy,negative,300,2.3436366666666668,0.055667955852267234\n"
-        "0.10000000000000001,1,0,0,round-robin,negative,300,1.9555366666666669,0.050799773368803661\n"
-        "0.10000000000000001,1,0,0,random,negative,300,1.8450299999999999,0.057643714128114906\n",
+        0,
+        "grid.model.p11,grid_point,instance,policy,regime,replications,simulated_mean,std_error\n"
+        "0.80000000000000004,0,0,greedy,positive,300,4.7068566666666669,0.086644458532491864\n"
+        "0.80000000000000004,0,0,round-robin,positive,300,3.5207866666666661,0.073892983447347058\n"
+        "0.80000000000000004,0,0,random,positive,300,3.4256099999999998,0.089528160487579861\n"
+        "0.10000000000000001,1,0,greedy,negative,300,2.3436366666666668,0.055667955852267234\n"
+        "0.10000000000000001,1,0,round-robin,negative,300,1.9555366666666669,0.050799773368803661\n"
+        "0.10000000000000001,1,0,random,negative,300,1.8450299999999999,0.057643714128114906\n",
     )
 
     @pytest.mark.parametrize("case", [SOLVE_SWEEP, SIMULATE_SWEEP], ids=["solve", "simulate"])
@@ -538,8 +536,8 @@ class TestSweep:
         out = tmp_path / "sweep"
         result = runner.invoke(main, ["sweep", cfg, "--out-dir", str(out)])
         assert result.exit_code == 0, result.output
-        # solve: one solve per point and none for the gap; simulate: one gap
-        # solve per negative-regime point, however many policies it runs.
+        # solve: one solve per point; simulate: none, since its rows report no
+        # exact value.
         assert len(calls) == expected_solves
         with open(out / "results.csv", newline="") as f:
             rows = list(csv.reader(f))
@@ -573,7 +571,6 @@ class TestSweep:
                 lambda w, t: oppaccess.greedy_action(w, c.k),
             )
             v = FiniteHorizonSolver(c.model, c.horizon, c.k).optimal_value(c.initial_belief, 1)
-            assert abs(float(row["negative_scan_gap"]) - (v.value - rollout)) <= 1e-12
             if "greedy_value" in row:
                 assert abs(float(row["greedy_value"]) - rollout) <= 1e-12
                 assert abs(float(row["greedy_gap"]) - (v.value - rollout)) <= 1e-12
@@ -681,6 +678,12 @@ class TestRejectedBeforeAnyWork:
         "sweep-invalid-second-point": ("sweep", dict(SOLVE_CFG, grid={"model.p01": [0.3, 7]}), []),
         "sweep-unknown-axis": ("sweep", dict(SOLVE_CFG, grid={"foo.bar": [1]}), []),
         "sweep-unknown-kind": ("sweep", dict(VERIFY_CFG, grid={"kind": ["nope"]}), []),
+        # Integers past int64, which numpy can neither size an array by nor draw.
+        "solve-T-1e20": ("run", dict(SOLVE_CFG, horizon={"T": 10**20}), []),
+        "simulate-T-1e20": ("run", dict(SIM_CFG, horizon={"T": 10**20}), []),
+        "replications-1e20": ("run", dict(SIM_CFG, replications=10**20), []),
+        "simulate-n-1e20": ("run", dict(SIM_CFG, n=10**20, initial_belief="stationary"), []),
+        "verify-T_max-1e20": ("run", dict(VERIFY_CFG, verify={"count": 1, "T_max": 10**20}), []),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -693,6 +696,32 @@ class TestRejectedBeforeAnyWork:
         assert "config error:" in result.output
         # No results.csv, meta.json or point_* directory: the out dir is never made.
         assert not out.exists()
+
+
+INT64_MAX = 2**63 - 1
+
+
+@pytest.mark.parametrize(
+    "cfg_data",
+    [
+        dict(SOLVE_CFG, horizon={"T": INT64_MAX, "beta": 0.9}),
+        dict(SIM_CFG, horizon={"T": INT64_MAX}),
+        dict(SIM_CFG, replications=INT64_MAX),
+        # Instances 0-4 get affinity/resource reports; instance 5 has beta = 0.
+        dict(VERIFY_CFG, verify={"count": 6, "T_max": INT64_MAX}),
+    ],
+    ids=["solve-T", "simulate-T", "replications", "verify-T_max"],
+)
+def test_largest_int64_ends_at_once_in_exit_4(runner, tmp_path, cfg_data):
+    # At the bound the config is accepted, and the run stops before sizing any
+    # array: a V or W graph needs a node per step, so one over the cap is
+    # refused before it is built, and the simulation's uniforms and a beta = 0
+    # W table exceed numpy's size limit, which is reported as out of memory.
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["run", write_config(tmp_path, cfg_data), "--out-dir", str(out)])
+    assert result.exit_code == 4, result.output
+    assert "resource cap:" in result.output
+    assert not (out / "results.csv").exists()
 
 
 def test_sweep_seed_axis_sets_each_point_seed(runner, tmp_path):
@@ -728,15 +757,16 @@ PROBES = Path(__file__).parent / "data" / "probes"
 
 
 @pytest.mark.parametrize(
-    "name", ["solve", "simulate_optimal", "simulate_random", "verify_lemma2", "solve_wide"]
+    "name",
+    ["solve", "simulate_optimal", "simulate_random", "verify_lemma2", "solve_wide", "solve_long"],
 )
 def test_resource_probe_ends_at_once(tmp_path, name):
     # Each probe's C(n, k) but solve_wide's is far over the cap: the run must
     # end with exit 4, or, for verify, exit 0 and one lemma2/resource record,
     # instead of listing the sensing sets.  solve_wide (n = 70, k = 1) is
-    # under it and must solve.  A subprocess with a timeout turns a
-    # regression into a failure rather than a hung suite; the runs take about
-    # 0.35 s, most of it interpreter start-up.
+    # under it and must solve.  solve_long's T is past int64: exit 2.  A
+    # subprocess with a timeout turns a regression into a failure rather than
+    # a hung suite; the runs take about 0.35 s, most of it interpreter start-up.
     src = str(Path(oppaccess.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = tmp_path / "out"
@@ -748,6 +778,10 @@ def test_resource_probe_ends_at_once(tmp_path, name):
     if name == "solve_wide":
         assert result.returncode == 0, result.stderr
         assert (out / "results.csv").exists()
+    elif name == "solve_long":
+        assert result.returncode == 2, result.stderr
+        assert "config error: horizon.T must lie in" in result.stderr
+        assert not out.exists()
     elif name == "verify_lemma2":
         assert result.returncode == 0, result.stderr
         records = [json.loads(line) for line in (out / "violations.json").read_text().splitlines()]
@@ -757,6 +791,19 @@ def test_resource_probe_ends_at_once(tmp_path, name):
         assert result.returncode == 4, result.stderr
         assert "resource cap: C(40, 20) = 137846528820 sensing sets exceed cap" in result.stderr
         assert not (out / "results.csv").exists()
+
+
+def test_negative_sweep_point_runs_no_v_solve(runner, tmp_path):
+    # The negative point's simulate needs no exact value, so C(30, 15) sensing
+    # sets over the cap do not stop the sweep.
+    out = tmp_path / "sweep"
+    result = runner.invoke(main, ["sweep", str(PROBES / "sweep_negative_wide.yaml"),
+                                  "--out-dir", str(out), "--max-memo", "100000"])
+    assert result.exit_code == 0, result.output
+    rows = read_rows(out)
+    assert [(r["grid.model.p11"], r["regime"]) for r in rows] == [
+        ("0.90000000000000002", "positive"), ("0.29999999999999999", "negative")
+    ]
 
 
 # Fuzzing: random mappings and grids over known and junk keys.  Integers stay

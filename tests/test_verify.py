@@ -178,17 +178,45 @@ class TestChecks:
             (check_lemma3_B, "lemma3B"),
             (check_lemma2_reduction, "lemma2"),
             (check_affinity, "affinity"),
+            (check_theorem1, "theorem1"),
+            (scan_negative_regime, "negative-scan"),
         ],
-        ids=["lemma3A", "lemma3B", "lemma2", "affinity"],
+        ids=["lemma3A", "lemma3B", "lemma2", "affinity", "theorem1", "negative-scan"],
     )
     def test_w_property_resource_error_one_per_instance(self, check, prop):
-        # Every W state graph with n >= 4 and T = 5 has more than 5 nodes.
-        s = sampler(sorted_beliefs=True, n_range=(4, 5), T_range=(5, 5))
+        # Every W state graph with n >= 4 and T = 5 has more than 5 nodes, and
+        # so does the V graph of each of the scan's three instances.
+        regime = "negative" if check is scan_negative_regime else "positive"
+        s = sampler(regime, sorted_beliefs=True, n_range=(4, 5), T_range=(5, 5))
         viols = check(s, 3, max_states=5)
+        if check is scan_negative_regime:
+            assert viols.findings == ()
+            viols = list(viols.errors)
         assert [v.property_id for v in viols] == [f"{prop}/resource"] * 3
         assert [v.instance.index for v in viols] == [0, 1, 2]
         assert all("exceeded cap 5" in v.error for v in viols)
         assert all(v.lhs is None and v.rhs is None for v in viols)
+
+    @pytest.mark.parametrize(
+        "check, regime",
+        [
+            (check_lemma3_A, "positive"),
+            (check_lemma3_B, "negative"),
+            (check_lemma2_reduction, "positive"),
+        ],
+        ids=["lemma3A", "lemma3B", "lemma2"],
+    )
+    def test_lemma_checks_sort_their_own_instances(self, check, regime):
+        # Lemmas 3A, 3B and 2 are statements about sorted vectors, so each
+        # check sorts an instance's beliefs and reports the sorted instance,
+        # whatever the sampler draws.  The cap trips on some instances, and
+        # lemma 3B is violated in the negative regime.
+        kw = dict(n_range=(2, 6), T_range=(1, 6))
+        reports = check(sampler(regime, **kw), 60, max_states=40)
+        assert reports == check(sampler(regime, sorted_beliefs=True, **kw), 60, max_states=40)
+        assert any(v.error is not None for v in reports)
+        assert any(v.error is None for v in reports) == (check is check_lemma3_B)
+        assert all(list(v.instance.omega) == sorted(v.instance.omega) for v in reports)
 
     def test_lemma2_cap_applies_before_any_vector_is_built(self, monkeypatch):
         # n 16-20 has up to C(20, 10) + 1 = 184,757 vectors per instance; one
