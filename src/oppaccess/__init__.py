@@ -6,11 +6,10 @@ from .model import (
     BeliefVector,
     HorizonSpec,
     TransitionModel,
-    enumerate_actions,
     tau,
     tau_iterate,
 )
-from .dp import FiniteHorizonSolver, ResourceLimitError, SolveResult
+from .dp import FiniteHorizonSolver, ResourceLimitError, SolveResult, enumerate_actions
 from .policies import (
     FixedSetPolicy,
     GreedyPolicy,

@@ -37,7 +37,7 @@ import yaml
 
 from . import __version__
 from .model import ActionSet, BeliefVector, HorizonSpec, TransitionModel
-from .dp import FiniteHorizonSolver, ResourceLimitError, selection_count
+from .dp import DEFAULT_MAX_STATES, FiniteHorizonSolver, ResourceLimitError, selection_count
 from .policies import (
     FixedSetPolicy,
     GreedyPolicy,
@@ -333,6 +333,10 @@ def _run_compare(exp: _Experiment, max_states: int) -> List[dict]:
 
 def _run_verify(exp: _Experiment, max_states: int, out_dir: Path) -> tuple:
     """Returns (rows, total violations)."""
+    n_max = exp.sampler.n_range[1]
+    if n_max > max_states:
+        # Each instance draws up to n_max belief entries, before any cap is read.
+        raise ResourceLimitError(f"verify.n_max = {n_max} exceeds cap {max_states}")
     results = {}
     rows = []
     n_violations = 0
@@ -476,13 +480,14 @@ def _command(body):
                             help="Override the config seed.")(callback)
     callback = click.option("--out-dir", type=click.Path(), default="results",
                             show_default=True)(callback)
-    callback = click.option("--max-memo", type=click.IntRange(min=1), default=10_000_000,
-                            show_default=True,
+    callback = click.option("--max-memo", type=click.IntRange(min=1),
+                            default=DEFAULT_MAX_STATES, show_default=True,
                             help="Cap on the node count of each DP state graph: "
                                  "a solver's V graph and each W graph, capped "
                                  "separately.  It also caps C(n, k), the number "
                                  "of sensing sets that the optimal and random "
-                                 "policies, V solves and the lemma2 check list.")(callback)
+                                 "policies, V solves and the lemma2 check list, "
+                                 "and a verify run's verify.n_max.")(callback)
     callback = click.option("--traces/--no-traces", default=False,
                             help="Export per-step simulation traces (JSONL).")(callback)
     callback = click.argument("config", type=click.Path())(callback)

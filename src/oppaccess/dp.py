@@ -40,11 +40,12 @@ have bit-identical Q-values and reach the same states.  The sensing sets
 come from one cached read-only table per (n, k), ``_selection_arrays``: the
 selected and the other positions of every set, in lexicographic order.  It
 holds positions, not bit patterns, so it serves any n; the greedy audit,
-the lemma 2 check and the policies read the same table.  Zero-probability
-children are pruned, so a single root's node count equals the recursion's
-memo size.  A solver's V graph nodes, summed over its queries, count against
-``max_states`` before any value is computed, and so does C(n, k), before any
-of a V, Q or audit query's sensing sets is listed (``selection_count``).
+the lemma 2 check, the policies and ``enumerate_actions``, its 1-based view,
+read it.  Zero-probability children are pruned, so a single root's node
+count equals the recursion's memo size.  A solver's V graph nodes, summed
+over its queries, count against ``max_states`` before any value is computed,
+and so does C(n, k), before any of a V, Q or audit query's sensing sets is
+listed (``selection_count``).
 A solver keeps the Q rows it answered, keyed on (t, root belief), each with
 the graph it was solved in.
 
@@ -56,19 +57,18 @@ below the roots, and ``greedy_audit`` finishes a root's audit from them.
 
 W has one engine, ``w_table``, which evaluates many vectors for every t at
 once; ``FiniteHorizonSolver.w_value`` and ``greedy_value`` read one row of
-it.  W's state graph depends only on (n, k, H = T-1): each entry of a
-reachable state is p01, p11 or a root position, aged m steps.  The graph is
-built once per (n, k, H) and kept as int32 arrays: the sensed symbols of all
-depths concatenated, and each depth's child indices.  Every reward and
-outcome law is computed at once over a (nodes x vectors) array, and only the
+it.  W's state graph depends only on (n, k, H), where H is T - 1, or 0 when
+beta = 0 and no child is read (``_w_depth``): each entry of a reachable
+state is p01, p11 or a root position, aged m steps.  The graph is built once
+per (n, k, H) and kept as int32 arrays: the sensed symbols of all depths
+concatenated, and each depth's child indices.  Every reward and outcome law
+is computed at once over a (nodes x vectors) array, and only the
 continuation sum runs depth by depth; the root is node 0 of every depth, so
 one pass yields W_t for t = 1..T.  Its values are float.hex-identical to the
 scalar memoised recursion, and its node count, summed over depths, counts
-against ``max_states`` on its own.  When beta = 0, W_t is the sum of the last
-k entries for every t and no child is read, so no graph is built and the
-evaluation counts as one node (``w_graph_nodes``); with T = 1 the one-node
-graph is counted but not read.  Every sum in this module folds left to right
-from 0.0, so values do not depend on the Python version.
+against ``max_states`` on its own (``w_graph_nodes``); the one-node graph
+of H = 0 is counted but not read.  Every sum in this module folds left to
+right from 0.0, so values do not depend on the Python version.
 """
 
 from __future__ import annotations
@@ -88,13 +88,16 @@ from .model import (
     PROB_TOL,
     VALUE_TOL,
     TransitionModel,
-    enumerate_actions,
 )
 from .model import tau  # noqa: F401  (perfbench's tracer patches it here)
 
 
 class ResourceLimitError(RuntimeError):
     """Raised when a state graph's node count, or C(n, k), would exceed its cap."""
+
+
+#: The default ``max_states``: the cap on each state graph's node count and on C(n, k).
+DEFAULT_MAX_STATES = 10_000_000
 
 
 #: Selections whose one-step rewards differ by at most this much are tied,
@@ -161,6 +164,23 @@ def _selection_arrays(n: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
     for a in (sel_pos, comp_pos):
         a.setflags(write=False)
     return sel_pos, comp_pos
+
+
+def enumerate_actions(n: int, k: int) -> list[ActionSet]:
+    """All C(n, k) sensing sets in lexicographic order: ``_selection_arrays``, 1-based."""
+    if not (1 <= k <= n):
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    return [ActionSet(tuple(row)) for row in (_selection_arrays(n, k)[0] + 1).tolist()]
+
+
+def _greedy_order(beliefs: np.ndarray) -> np.ndarray:
+    """Positions by descending belief along the last axis, ties toward the lower index."""
+    return np.argsort(-beliefs, axis=-1, kind="stable")
+
+
+def _optimal_mask(qs: np.ndarray) -> np.ndarray:
+    """The selections whose Q-value lies within ``VALUE_TOL`` of their row's maximum."""
+    return qs >= qs.max(axis=-1, keepdims=True) - VALUE_TOL
 
 
 def _sensing_pairs(rows: np.ndarray, sel_pos: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -334,7 +354,7 @@ class FiniteHorizonSolver:
         model: TransitionModel,
         horizon: HorizonSpec,
         k: int,
-        max_states: int = 10_000_000,
+        max_states: int = DEFAULT_MAX_STATES,
     ) -> None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -374,7 +394,7 @@ class FiniteHorizonSolver:
         """Q-values of every first action for each belief, all at time t.
 
         Returns a (len(beliefs), C(n, k)) array whose columns follow the
-        lexicographic order of the sensing sets (``model.enumerate_actions``).
+        lexicographic order of the sensing sets (``enumerate_actions``).
         The beliefs not answered before are solved together over one level
         graph; the answers are kept, so asking again is free.
         """
@@ -392,10 +412,10 @@ class FiniteHorizonSolver:
 
     def optimal_value(self, belief: BeliefVector, t: int) -> SolveResult:
         """Optimal value from time t plus every action within VALUE_TOL of the maximum."""
-        qs = self.action_values(belief, t)
-        best = max(qs.values())
-        actions = tuple(a for a, v in qs.items() if v >= best - VALUE_TOL)
-        return SolveResult(best, actions, self.cache_stats())
+        row = self.action_value_table([belief], t)[0]
+        picks = _selection_arrays(belief.n, self.k)[0][_optimal_mask(row)] + 1
+        actions = tuple(ActionSet(tuple(a)) for a in picks.tolist())
+        return SolveResult(float(row.max()), actions, self.cache_stats())
 
     def greedy_audit(self, belief: BeliefVector, t: int) -> GreedyAudit:
         """Greedy's own value from time t, and its worst regret in the belief's V graph.
@@ -417,9 +437,8 @@ class FiniteHorizonSolver:
             self._answers[(t, root)] = (row, graph)
         rewards = _left_sum(np.array(omega)[sel_pos].T)
         regret = float(row.max()) - float(row[rewards >= rewards.max() - TIE_TOL].min())
-        # Greedy's set, as ``greedy_action`` picks it; G folds its sensed
-        # entries in ascending order, as W does.
-        top = sorted(sorted(range(belief.n), key=lambda j: (-omega[j], j))[:k])
+        # Greedy's set; G folds its sensed entries in ascending order, as W does.
+        top = np.sort(_greedy_order(np.array(omega))[:k])
         sensed = sorted(omega[j] for j in top)
         value = _left_sum(sensed)
         if graph is None:
@@ -621,12 +640,14 @@ class _WGraph:
 
     sensed: np.ndarray  # (k, starts[H+1]): symbols of the last k entries, depth by depth
     starts: Tuple[int, ...]  # depth d is columns starts[d]:starts[d+1]
-    children: Tuple[np.ndarray, ...]  # depth d < H: (k+1, N_d) child at depth d+1, by s
-    nodes: int
+    # depth d < H: (k+1, N_d) child at depth d+1, by s; None for a build the cap stopped
+    children: Optional[Tuple[np.ndarray, ...]]
+    nodes: int  # for a stopped build, a lower bound: the cap it exceeded plus one
 
 
 # (n, k, H) -> its graph.  Every graph is a pure function of its key, so the
-# cache is shared by all callers; a build stopped by a cap is not stored.
+# cache is shared by all callers.  A build stopped by a cap is kept as a
+# lower bound on its node count, so it is tried again only under a larger cap.
 _W_GRAPHS: Dict[Tuple[int, int, int], _WGraph] = {}
 
 
@@ -636,25 +657,29 @@ def _node_cap_error(max_states: int, graph: str = "W") -> ResourceLimitError:
 
 def _w_graph(n: int, k: int, H: int, max_states: int) -> _WGraph:
     graph = _W_GRAPHS.get((n, k, H))
-    if graph is None:
-        graph = _W_GRAPHS[(n, k, H)] = _build_w_graph(n, k, H, max_states)
+    if graph is None or graph.children is None and graph.nodes <= max_states:
+        try:
+            graph = _build_w_graph(n, k, H, max_states)
+        except ResourceLimitError:
+            graph = _WGraph(None, (), None, max_states + 1)
+        _W_GRAPHS[(n, k, H)] = graph
     if graph.nodes > max_states:
         raise _node_cap_error(max_states)
     return graph
 
 
+def _w_depth(horizon: HorizonSpec) -> int:
+    """H, the depth of W's graph: T - 1, or 0 when beta = 0, where no child is read."""
+    return 0 if horizon.beta == 0.0 else horizon.T - 1
+
+
 def w_graph_nodes(n: int, k: int, horizon: HorizonSpec, max_states: int) -> int:
     """The W nodes that ``w_table`` reads for length-n vectors, checked against ``max_states``.
 
-    With beta = 0 that is the root alone, and no graph is built; otherwise it
-    is every node of the (n, k, T-1) graph, built here if it is not cached.
-    Raises ResourceLimitError over the cap.
+    That is every node of the (n, k, H) graph (``_w_depth``), built here if it
+    is not cached.  Raises ResourceLimitError over the cap.
     """
-    if horizon.beta != 0.0:
-        return _w_graph(n, k, horizon.T - 1, max_states).nodes
-    if max_states < 1:
-        raise _node_cap_error(max_states)
-    return 1
+    return _w_graph(n, k, _w_depth(horizon), max_states).nodes
 
 
 def _build_w_graph(n: int, k: int, H: int, max_states: int) -> _WGraph:
@@ -698,7 +723,7 @@ def w_table(
     horizon: HorizonSpec,
     k: int,
     vectors: Sequence[Sequence[float]],
-    max_states: int = 10_000_000,
+    max_states: int = DEFAULT_MAX_STATES,
 ) -> np.ndarray:
     """W_t^k of every vector (each taken in its given order) for every t.
 
@@ -706,9 +731,9 @@ def w_table(
     bit-identical to the scalar memoised recursion: sums fold left to right,
     tau is iterated one step at a time, and the outcome law and the
     continuation sum keep the recursion's operation order.  A zero-probability
-    child is evaluated too; it adds an exact 0.0.  The graph's node count,
-    summed over depths, counts against ``max_states``; with beta = 0 every
-    row is the sum of the last k entries, and no graph is built.
+    child is evaluated too; it adds an exact 0.0.  The (n, k, H) graph's
+    node count (``w_graph_nodes``), summed over depths, counts against
+    ``max_states``; with H = 0 every row is the sum of the last k entries.
     """
     omega = np.array(vectors, dtype=float)
     if omega.ndim != 2 or omega.shape[0] == 0:
@@ -718,14 +743,13 @@ def w_table(
     if k < 1 or omega.shape[1] < k:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={omega.shape[1]}")
     V, n = omega.shape
-    w_graph_nodes(n, k, horizon, max_states)
-    H = horizon.T - 1
-    if horizon.beta == 0.0 or H == 0:
+    H = _w_depth(horizon)
+    graph = _w_graph(n, k, H, max_states)
+    if H == 0:
         if horizon.T * V > np.iinfo(np.intp).max // 8:
             # Past numpy's array size limit: report it as the failed allocation it is.
             raise MemoryError(f"({horizon.T}, {V}) float64 table cannot be addressed")
         return np.tile(_left_sum(omega.T[n - k :]), (horizon.T, 1))
-    graph = _w_graph(n, k, H, max_states)
     # Base b aged m, for every vector, is row b + m*(n+2).
     bases = np.empty((n + 2, V))
     bases[0], bases[1], bases[2:] = model.p01, model.p11, omega.T

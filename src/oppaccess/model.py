@@ -12,7 +12,6 @@ Channel indices are 1-based throughout the public API.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -127,10 +126,3 @@ def tau_iterate(omega: float, model: TransitionModel, steps: int) -> float:
     for _ in range(steps):
         omega = tau(omega, model)
     return omega
-
-
-def enumerate_actions(n: int, k: int) -> list[ActionSet]:
-    """All C(n, k) sensing sets in lexicographic order of sorted indices."""
-    if not (1 <= k <= n):
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return [ActionSet(c) for c in itertools.combinations(range(1, n + 1), k)]

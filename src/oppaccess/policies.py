@@ -20,8 +20,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import VALUE_TOL, ActionSet, BeliefVector, HorizonSpec, TransitionModel
-from .dp import FiniteHorizonSolver, _selection_arrays
+from .model import ActionSet, BeliefVector, HorizonSpec, TransitionModel
+from .dp import DEFAULT_MAX_STATES, FiniteHorizonSolver
+from .dp import _greedy_order, _optimal_mask, _selection_arrays
 
 
 def greedy_action(omega: Sequence[float], k: int) -> ActionSet:
@@ -62,9 +63,7 @@ class GreedyPolicy(Policy):
         self.k = k
 
     def batch_actions(self, beliefs: np.ndarray, t: int, u: np.ndarray) -> np.ndarray:
-        # Stable argsort of the negated beliefs gives the lowest-index tie rule.
-        order = np.argsort(-beliefs, axis=1, kind="stable")
-        return np.sort(order[:, : self.k], axis=1)
+        return np.sort(_greedy_order(beliefs)[:, : self.k], axis=1)
 
 
 class OptimalPolicy(Policy):
@@ -77,7 +76,7 @@ class OptimalPolicy(Policy):
         model: TransitionModel,
         horizon: HorizonSpec,
         k: int,
-        max_states: int = 10_000_000,
+        max_states: int = DEFAULT_MAX_STATES,
     ) -> None:
         self.solver = FiniteHorizonSolver(model, horizon, k, max_states)
 
@@ -87,8 +86,7 @@ class OptimalPolicy(Policy):
         # maximum is optimal_value(...).best_actions[0].
         uniq, inverse = np.unique(beliefs, axis=0, return_inverse=True)
         rows = [BeliefVector(tuple(row)) for row in uniq.tolist()]
-        qs = self.solver.action_value_table(rows, t)
-        best = np.argmax(qs >= qs.max(axis=1, keepdims=True) - VALUE_TOL, axis=1)
+        best = np.argmax(_optimal_mask(self.solver.action_value_table(rows, t)), axis=1)
         # The Q columns follow the selections' lexicographic order.
         selected = _selection_arrays(beliefs.shape[1], self.solver.k)[0]
         return selected[best[inverse.reshape(-1)]]
@@ -118,12 +116,9 @@ class OrderedListPolicy(Policy):
                 )
             self._order = self.initial_order
         else:
-            # Ascending by belief; among ties the lower index sits closer to the
-            # top (end) of the list, matching greedy's tie rule.
-            self._order = tuple(
-                i + 1
-                for i in sorted(range(n), key=lambda i: (initial_omega[i], -i))
-            )
+            # Greedy's ranking reversed: among ties the lower index sits nearer the top (end).
+            order = _greedy_order(np.array(initial_omega, dtype=float))[::-1]
+            self._order = tuple((order + 1).tolist())
 
     def batch_actions(self, beliefs: np.ndarray, t: int, u: np.ndarray) -> np.ndarray:
         if t == 1:

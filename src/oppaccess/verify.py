@@ -29,12 +29,12 @@ level) and greedy's own value (the scan).  The theorem-1 value check also
 reads W on the sorted belief.
 
 ``max_states`` caps each state graph's node count: the W graph of an
-instance's (n, k, T-1), and a solver's V graph.  When beta = 0, W reads no
-child, so a W check counts one node and builds no graph.  The same cap
-bounds C(n, k), checked before a V solve or the lemma-2 check lists the
-sensing sets.  An instance over a cap is reported as one
-``<property>/resource`` error in place of its body's reports, and the run
-goes on.
+instance's (n, k, H), where H is T-1, or 0 when beta = 0 and W reads no
+child, and a solver's V graph.  The same cap bounds C(n, k), checked before
+a V solve or the lemma-2 check lists the sensing sets.  An instance over a
+cap, or one whose arrays numpy refuses to allocate (``MemoryError``), is
+reported as one ``<property>/resource`` error in place of its body's
+reports, and the run goes on.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ import numpy as np
 
 from .model import VALUE_TOL, BeliefVector, HorizonSpec, TransitionModel, tau_iterate
 from .dp import (
+    DEFAULT_MAX_STATES,
     FiniteHorizonSolver,
     ResourceLimitError,
     _selection_arrays,
@@ -83,7 +84,7 @@ class Instance:
     def horizon(self) -> HorizonSpec:
         return HorizonSpec(self.T, self.beta)
 
-    def solver(self, max_states: int = 10_000_000) -> FiniteHorizonSolver:
+    def solver(self, max_states: int = DEFAULT_MAX_STATES) -> FiniteHorizonSolver:
         return FiniteHorizonSolver(self.model, self.horizon, self.k, max_states)
 
     def to_dict(self) -> dict:
@@ -197,13 +198,14 @@ def _reports(
 ) -> List[ViolationReport]:
     """`body`'s reports for each instance, concatenated in instance order.
 
-    An instance over a cap gets the single report ``<prop>/resource`` instead.
+    An instance over a cap, or whose arrays numpy cannot allocate, gets the
+    single report ``<prop>/resource`` instead.
     """
     out: List[ViolationReport] = []
     for inst in instances:
         try:
             out += body(inst)
-        except ResourceLimitError as exc:
+        except (ResourceLimitError, MemoryError) as exc:
             out.append(
                 ViolationReport(f"{prop}/resource", inst, error=f"{type(exc).__name__}: {exc}")
             )
@@ -218,7 +220,7 @@ def _sorted_instances(sampler: InstanceSampler, count: int):
 
 
 def check_theorem1(
-    sampler: InstanceSampler, count: int, max_states: int = 10_000_000
+    sampler: InstanceSampler, count: int, max_states: int = DEFAULT_MAX_STATES
 ) -> List[ViolationReport]:
     """Theorem 1 (p11 >= p01) from one V solve per instance.
 
@@ -257,7 +259,7 @@ def check_theorem1(
 
 
 def check_lemma3_A(
-    sampler: InstanceSampler, count: int, max_states: int = 10_000_000
+    sampler: InstanceSampler, count: int, max_states: int = DEFAULT_MAX_STATES
 ) -> List[ViolationReport]:
     """1 + W(w2..wn, w1) >= W(w1..wn) on ascending-sorted beliefs, all t."""
 
@@ -280,7 +282,7 @@ def check_lemma3_A(
 
 
 def check_lemma3_B(
-    sampler: InstanceSampler, count: int, max_states: int = 10_000_000
+    sampler: InstanceSampler, count: int, max_states: int = DEFAULT_MAX_STATES
 ) -> List[ViolationReport]:
     """W(..y,x..) >= W(..x,y..) for x >= y at every position j and every t,
     on ascending-sorted beliefs."""
@@ -314,7 +316,7 @@ def check_lemma3_B(
 
 
 def check_lemma2_reduction(
-    sampler: InstanceSampler, count: int, max_states: int = 10_000_000
+    sampler: InstanceSampler, count: int, max_states: int = DEFAULT_MAX_STATES
 ) -> List[ViolationReport]:
     """Any first action followed by list play is dominated by sorted order:
     W(complement-sorted, a) <= W(sorted), with equality for the greedy set."""
@@ -347,7 +349,7 @@ def check_lemma2_reduction(
 
 
 def check_affinity(
-    sampler: InstanceSampler, count: int, max_states: int = 10_000_000
+    sampler: InstanceSampler, count: int, max_states: int = DEFAULT_MAX_STATES
 ) -> List[ViolationReport]:
     """Per-variable affinity of W: swap identity plus three-point collinearity.
 
@@ -420,7 +422,7 @@ class NegativeScanReport:
 
 
 def scan_negative_regime(
-    sampler: InstanceSampler, count: int, max_states: int = 10_000_000
+    sampler: InstanceSampler, count: int, max_states: int = DEFAULT_MAX_STATES
 ) -> NegativeScanReport:
     """Report instances where greedy is strictly suboptimal under p11 < p01.
 

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -707,21 +708,40 @@ INT64_MAX = 2**63 - 1
         dict(SOLVE_CFG, horizon={"T": INT64_MAX, "beta": 0.9}),
         dict(SIM_CFG, horizon={"T": INT64_MAX}),
         dict(SIM_CFG, replications=INT64_MAX),
-        # Instances 0-4 get affinity/resource reports; instance 5 has beta = 0.
-        dict(VERIFY_CFG, verify={"count": 6, "T_max": INT64_MAX}),
     ],
-    ids=["solve-T", "simulate-T", "replications", "verify-T_max"],
+    ids=["solve-T", "simulate-T", "replications"],
 )
 def test_largest_int64_ends_at_once_in_exit_4(runner, tmp_path, cfg_data):
     # At the bound the config is accepted, and the run stops before sizing any
-    # array: a V or W graph needs a node per step, so one over the cap is
-    # refused before it is built, and the simulation's uniforms and a beta = 0
-    # W table exceed numpy's size limit, which is reported as out of memory.
+    # array: a V graph needs a node per step, so one over the cap is refused
+    # before it is built, and the simulation's uniforms exceed numpy's size
+    # limit, which is reported as out of memory.
     out = tmp_path / "out"
     result = runner.invoke(main, ["run", write_config(tmp_path, cfg_data), "--out-dir", str(out)])
     assert result.exit_code == 4, result.output
     assert "resource cap:" in result.output
     assert not (out / "results.csv").exists()
+
+
+def test_largest_int64_T_max_gives_each_verify_instance_a_resource_report(runner, tmp_path):
+    # Instances 0-4 need a W graph with a node per step, refused before it is
+    # built.  Instance 5 has beta = 0, and its W table exceeds numpy's size
+    # limit: that instance's MemoryError is its own resource report in each
+    # W property, and the run goes on to exit 0.
+    cfg_data = dict(VERIFY_CFG, verify={"count": 6, "T_max": INT64_MAX})
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["run", write_config(tmp_path, cfg_data), "--out-dir", str(out)])
+    assert result.exit_code == 0, result.output
+    records = [json.loads(line) for line in (out / "violations.json").read_text().splitlines()]
+    props = ["theorem1", "lemma3A", "lemma3B", "lemma2", "affinity"]
+    assert [(r["property_id"], r["instance"]["index"]) for r in records] == [
+        (f"{prop}/resource", i) for prop in props for i in range(6)
+    ]
+    for r in records:
+        memory = r["instance"]["index"] == 5
+        assert (r["instance"]["beta"] == 0.0) == memory
+        assert r["error"].startswith("MemoryError: " if memory else "ResourceLimitError: W state")
+    assert read_rows(out)[-1]["errors"] == "5"  # negative-scan: V answers beta = 0 at once
 
 
 def test_sweep_seed_axis_sets_each_point_seed(runner, tmp_path):
@@ -756,41 +776,62 @@ def test_python_m_entry_point(tmp_path):
 PROBES = Path(__file__).parent / "data" / "probes"
 
 
+def _console_command():
+    """The installed ``oppaccess`` script when it is on PATH, else the module."""
+    script = shutil.which("oppaccess")
+    return [script] if script else [sys.executable, "-m", "oppaccess.cli"]
+
+
 @pytest.mark.parametrize(
     "name",
-    ["solve", "simulate_optimal", "simulate_random", "verify_lemma2", "solve_wide", "solve_long"],
+    [
+        "solve", "simulate_optimal", "simulate_random", "verify_lemma2", "solve_wide",
+        "solve_long", "sweep_negative_wide", "verify_n_max", "verify_w_over_cap",
+    ],
 )
 def test_resource_probe_ends_at_once(tmp_path, name):
     # Each probe's C(n, k) but solve_wide's is far over the cap: the run must
     # end with exit 4, or, for verify, exit 0 and one lemma2/resource record,
     # instead of listing the sensing sets.  solve_wide (n = 70, k = 1) is
-    # under it and must solve.  solve_long's T is past int64: exit 2.  A
-    # subprocess with a timeout turns a regression into a failure rather than
-    # a hung suite; the runs take about 0.35 s, most of it interpreter start-up.
+    # under it and must solve.  solve_long's T is past int64: exit 2.  The
+    # sweep's negative point runs no V solve, so it exits 0 with a merged
+    # results.csv.  verify_n_max's n_max is over the cap: exit 4 before any
+    # instance is drawn.  verify_w_over_cap's over-cap W shapes each give
+    # lemma3A/resource records.  A subprocess with a timeout turns a
+    # regression into a failure rather than a hung suite; the runs take about
+    # 0.35 s, most of it interpreter start-up, and verify_w_over_cap 0.75 s.
     src = str(Path(oppaccess.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = tmp_path / "out"
-    command = [
-        sys.executable, "-m", "oppaccess.cli", "run", str(PROBES / f"{name}.yaml"),
-        "--out-dir", str(out), "--max-memo", "100000",
-    ]
-    result = subprocess.run(command, env=env, capture_output=True, text=True, timeout=5)
-    if name == "solve_wide":
-        assert result.returncode == 0, result.stderr
-        assert (out / "results.csv").exists()
-    elif name == "solve_long":
+    command = "sweep" if name.startswith("sweep") else "run"
+    cap = "4000" if name == "verify_w_over_cap" else "100000"
+    args = [command, str(PROBES / f"{name}.yaml"), "--out-dir", str(out), "--max-memo", cap]
+    result = subprocess.run(
+        _console_command() + args, env=env, capture_output=True, text=True, timeout=5
+    )
+    if name == "solve_long":
         assert result.returncode == 2, result.stderr
         assert "config error: horizon.T must lie in" in result.stderr
         assert not out.exists()
-    elif name == "verify_lemma2":
+    elif name in ("solve", "simulate_optimal", "simulate_random", "verify_n_max"):
+        assert result.returncode == 4, result.stderr
+        if name == "verify_n_max":
+            message = "verify.n_max = 9223372036854775807 exceeds cap 100000"
+        else:
+            message = "C(40, 20) = 137846528820 sensing sets exceed cap"
+        assert f"resource cap: {message}" in result.stderr
+        assert not (out / "results.csv").exists()
+    else:
         assert result.returncode == 0, result.stderr
+        assert (out / "results.csv").read_text()
+    if name == "verify_lemma2":
         records = [json.loads(line) for line in (out / "violations.json").read_text().splitlines()]
         assert [r["property_id"] for r in records] == ["lemma2/resource"]
         assert "C(35, 23) = 834451800 sensing sets exceed cap 100000" in records[0]["error"]
-    else:
-        assert result.returncode == 4, result.stderr
-        assert "resource cap: C(40, 20) = 137846528820 sensing sets exceed cap" in result.stderr
-        assert not (out / "results.csv").exists()
+    if name == "verify_w_over_cap":
+        records = [json.loads(line) for line in (out / "violations.json").read_text().splitlines()]
+        assert [r["property_id"] for r in records] == ["lemma3A/resource"] * 112
+        assert all("node count exceeded cap 4000" in r["error"] for r in records)
 
 
 def test_negative_sweep_point_runs_no_v_solve(runner, tmp_path):

@@ -353,18 +353,30 @@ class TestWTable:
             for vec, got in zip(vectors, table[t - 1].tolist()):
                 assert got.hex() == oracle.w_value(BeliefVector(vec), t).hex()
 
-    def test_node_cap_while_building_and_when_cached(self):
+    def test_node_cap_while_building_and_when_cached(self, monkeypatch):
         model, horizon, k = TransitionModel(0.3, 0.8), HorizonSpec(4, 0.9), 2
         vectors = [(0.1, 0.5, 0.7, 0.9)]
         key = (4, k, 3)
         nodes = dp._w_graph(4, k, 3, 10_000).nodes
         assert nodes > 5
+        builds = []
+        build = dp._build_w_graph
+
+        def counting(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(dp, "_build_w_graph", counting)
         for cap in (5, nodes - 1):
             dp._W_GRAPHS.pop(key, None)
-            with pytest.raises(ResourceLimitError):
-                w_table(model, horizon, k, vectors, max_states=cap)
-            assert key not in dp._W_GRAPHS  # a build stopped by the cap is not kept
+            del builds[:]
+            for _ in range(2):
+                with pytest.raises(ResourceLimitError):
+                    w_table(model, horizon, k, vectors, max_states=cap)
+            # a build stopped by the cap is not tried again under the same cap
+            assert builds == [(4, k, 3, cap)]
         w_table(model, horizon, k, vectors, max_states=nodes)
+        assert builds == [(4, k, 3, nodes - 1), (4, k, 3, nodes)]
         assert dp._W_GRAPHS[key].nodes == nodes
         with pytest.raises(ResourceLimitError):
             w_table(model, horizon, k, vectors, max_states=nodes - 1)

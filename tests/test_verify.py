@@ -231,9 +231,61 @@ class TestChecks:
             ViolationReport("lemma2/resource", inst, error=error) for inst in s.instances(4)
         ]
 
+    @pytest.mark.parametrize(
+        "check, regime, prop",
+        [(check_lemma2_reduction, "positive", "lemma2"), (check_lemma3_B, "negative", "lemma3B")],
+        ids=["lemma2", "lemma3B"],
+    )
+    def test_memory_error_is_that_instances_resource_report(self, monkeypatch, check, regime, prop):
+        # numpy raises MemoryError before it allocates, so the run goes on.
+        # Instance 5's one w_table call fails; it gets one resource report in
+        # place of its reports (two lemma3B violations), and every other
+        # instance keeps its own.
+        s = sampler(regime, n_range=(2, 6), T_range=(1, 6))
+        want = check(s, 12)
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 6:
+                raise MemoryError("Unable to allocate 128. MiB")
+            return dp.w_table(*args)
+
+        monkeypatch.setattr(verify, "w_table", failing)
+        got = check(s, 12)
+        assert len(calls) == 12
+        inst = list(verify._sorted_instances(s, 12))[5]
+        error = "MemoryError: Unable to allocate 128. MiB"
+        assert [v for v in got if v.instance.index == 5] == [
+            ViolationReport(f"{prop}/resource", inst, error=error)
+        ]
+        assert [v for v in got if v.instance.index != 5] == [
+            v for v in want if v.instance.index != 5
+        ]
+        assert (len(want) > 2) == (check is check_lemma3_B)
+
+    def test_over_cap_w_shape_is_built_once(self, monkeypatch):
+        # Five instances share one (n, k, T) whose W graph is over the cap.
+        # The build stops at the cap once; the other four are refused from
+        # the cache, which keeps the stopped build as a lower bound.
+        builds = []
+        build = dp._build_w_graph
+
+        def counting(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(dp, "_build_w_graph", counting)
+        monkeypatch.setattr(dp, "_W_GRAPHS", {})
+        s = InstanceSampler(seed=4, n_range=(8, 8), T_range=(17, 17), k_range=(3, 3))
+        reports = check_lemma3_A(s, 5, max_states=300_000)
+        assert [v.property_id for v in reports] == ["lemma3A/resource"] * 5
+        assert all(v.instance.beta != 0.0 for v in reports)
+        assert builds == [(8, 3, 16, 300_000)]
+
     def test_beta0_instance_gets_no_resource_report_under_a_small_cap(self):
-        # With beta = 0 W reads only the root, so no W graph is built or
-        # capped, and C(4, 1) = 4 sensing sets fit the cap too.  The same
+        # With beta = 0 W reads only its one-node graph, which fits the cap,
+        # and C(4, 1) = 4 sensing sets fit the cap too.  The same
         # instance with beta > 0 has a W graph of more than 5 nodes.
         omega = (0.1, 0.35, 0.6, 0.85)
         zero = Instance(0, 4, 1, 5, 0.0, 0.3, 0.8, omega)
