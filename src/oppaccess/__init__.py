@@ -22,10 +22,8 @@ from .policies import (
 )
 from .sim import (
     PairedSummary,
-    RunRecord,
     SimConfig,
     SimSummary,
-    StepRecord,
     Traces,
     common_random_numbers_compare,
     simulate,

@@ -156,12 +156,11 @@ class RoundRobinPolicy(Policy):
 
 
 class FixedSetPolicy(Policy):
-    """Always sense the same fixed set of channels."""
-
-    name = "fixed"
+    """Always sense the same fixed set of channels, named by them: ``fixed-1+2``."""
 
     def __init__(self, indices: Sequence[int]) -> None:
         self.action_set = ActionSet(tuple(indices))
+        self.name = "fixed-" + "+".join(map(str, self.action_set.indices))
 
     def reset(self, n: int, k: int, initial_omega: Sequence[float]) -> None:
         self.action_set.validate_for(n, k)

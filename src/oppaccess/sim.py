@@ -22,15 +22,12 @@ at each slot it asks the policy for an (R, k) action array
 (``Policy.batch_actions``), reads the sensed states, and hands the
 observations back through ``Policy.batch_observe``, which stateful policies
 such as the ordered list use to update their per-replication state.  A traced
-run keeps each step's arrays as the columns of one read-only ``Traces``;
-``RunRecord``s are built only when a replication is read, and
-``write_traces`` writes the JSONL from the columns.
+run keeps each step's arrays as the four read-only columns of one ``Traces``,
+and ``write_traces`` writes the JSONL from them.
 """
 
 from __future__ import annotations
 
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -74,76 +71,23 @@ class SimConfig:
             raise ValueError("replications must be >= 1")
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    t: int
-    states: Tuple[int, ...]
-    action: Tuple[int, ...]
-    observations: Tuple[int, ...]
-    reward: int
-    discounted_cum: float
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    replication: int
-    steps: Tuple[StepRecord, ...]
-    total: float
-
-
 @dataclass(frozen=True, eq=False)
-class Traces(Sequence):
+class Traces:
     """Every replication's sample path, kept as read-only per-step columns.
 
     Each array has shape (T, R) or (T, R, width): ``states`` holds the hidden
     channel states, ``actions`` the 1-based sensed channel indices,
-    ``observations`` the sensed bits, ``rewards`` the slot rewards and
-    ``discounted_cum`` the discounted reward accumulated through each slot.
-    The arrays are made read-only.  Item r builds replication r's
-    ``RunRecord`` on demand, with Python ints, floats and tuples, and a
-    ``Traces`` equals any sequence of the same ``RunRecord``s.
+    ``observations`` the sensed bits and ``rewards`` the slot rewards.
     """
 
     states: np.ndarray
     actions: np.ndarray
     observations: np.ndarray
     rewards: np.ndarray
-    discounted_cum: np.ndarray
-
-    __hash__ = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        for column in (
-            self.states, self.actions, self.observations, self.rewards, self.discounted_cum
-        ):
+        for column in (self.states, self.actions, self.observations, self.rewards):
             column.flags.writeable = False
-
-    def __len__(self) -> int:
-        return self.rewards.shape[1]
-
-    def __getitem__(self, r) -> RunRecord:
-        r = operator.index(r)
-        if not -len(self) <= r < len(self):
-            raise IndexError(f"replication {r} out of range for {len(self)} replications")
-        r %= len(self)
-        cum = self.discounted_cum[:, r].tolist()
-        steps = tuple(
-            StepRecord(t, tuple(st), tuple(act), tuple(ob), rw, c)
-            for t, st, act, ob, rw, c in zip(
-                range(1, len(cum) + 1),
-                self.states[:, r].tolist(),
-                self.actions[:, r].tolist(),
-                self.observations[:, r].tolist(),
-                self.rewards[:, r].tolist(),
-                cum,
-            )
-        )
-        return RunRecord(r, steps, cum[-1])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 @dataclass(frozen=True)
@@ -262,7 +206,7 @@ def _policy_uniforms(config: SimConfig) -> np.ndarray:
     return _substream_uniforms(config.seed, _STREAM_POLICY, config.replications, config.horizon.T)
 
 
-def _summary(config: SimConfig, totals: np.ndarray, traces) -> SimSummary:
+def _summary(totals: np.ndarray, traces=None) -> SimSummary:
     mean = float(totals.mean())
     var = float(totals.var(ddof=1)) if len(totals) > 1 else 0.0
     se = float(np.sqrt(var / len(totals)))
@@ -285,7 +229,6 @@ def _simulate_batch(config: SimConfig, policy: Policy, nat: np.ndarray, pol: np.
             np.empty((T, R, k), dtype=np.int64),
             np.empty((T, R, k), dtype=np.int8),
             np.empty((T, R), dtype=np.int64),
-            np.empty((T, R)),
         )
     for t in range(1, T + 1):
         acts = policy.batch_actions(beliefs, t, pol[:, t - 1])
@@ -294,7 +237,7 @@ def _simulate_batch(config: SimConfig, policy: Policy, nat: np.ndarray, pol: np.
         rewards = obs.sum(axis=1)
         totals += disc * rewards
         if columns is not None:
-            for column, step in zip(columns, (states, acts + 1, obs, rewards, totals)):
+            for column, step in zip(columns, (states, acts + 1, obs, rewards)):
                 column[t - 1] = step
         if t < T:
             # model.tau's arithmetic, clamp included, so beliefs stay bit-equal
@@ -315,8 +258,7 @@ def _run(
     if pol is None or not policy.uses_randomness:
         pol = np.zeros((config.replications, config.horizon.T))
     policy.reset(config.n, config.k, config.initial_belief.omega)
-    totals, traces = _simulate_batch(config, policy, nat, pol)
-    return _summary(config, totals, traces)
+    return _summary(*_simulate_batch(config, policy, nat, pol))
 
 
 def _draw(config: SimConfig, *policies: Policy) -> Tuple[np.ndarray, Optional[np.ndarray]]:
@@ -344,10 +286,10 @@ def common_random_numbers_compare(
     nat, pol = _draw(config, policy_a, policy_b)
     sa = _run(config, policy_a, nat, pol)
     sb = _run(config, policy_b, nat, pol)
-    diffs = sa.totals - sb.totals
-    var = float(diffs.var(ddof=1)) if len(diffs) > 1 else 0.0
-    se = float(np.sqrt(var / len(diffs)))
-    return PairedSummary(sa.mean, sb.mean, float(diffs.mean()), se, len(diffs), diffs)
+    diff = _summary(sa.totals - sb.totals)
+    return PairedSummary(
+        sa.mean, sb.mean, diff.mean, diff.std_error, diff.replications, diff.totals
+    )
 
 
 def write_traces(path: str, traces: Traces) -> None:

@@ -17,7 +17,9 @@ checked against ``exact_policy_value``.
 
 The loop simulator ``simulate_loop`` steps scalar twins of the library's
 policies, one run at a time; they import nothing from ``oppaccess.policies``
-and share no code with its batch forms.
+and share no code with its batch forms.  It records each run as a
+``RunRecord`` of ``StepRecord``s, which ``write_traces_json`` writes and
+``columns`` turns into the four columns of a ``sim.Traces``.
 """
 
 import functools
@@ -33,8 +35,6 @@ from oppaccess import (
     BeliefVector,
     FiniteHorizonSolver,
     HorizonSpec,
-    RunRecord,
-    StepRecord,
     TransitionModel,
     tau,
     tau_iterate,
@@ -633,9 +633,32 @@ _TWINS = {
 }
 
 
+class StepRecord(NamedTuple):
+    t: int
+    states: Tuple[int, ...]
+    action: Tuple[int, ...]
+    observations: Tuple[int, ...]
+    reward: int
+
+
+class RunRecord(NamedTuple):
+    replication: int
+    steps: Tuple[StepRecord, ...]
+    total: float
+
+
 class LoopRun(NamedTuple):
     totals: np.ndarray
     traces: Optional[Tuple[RunRecord, ...]]
+
+
+def columns(runs) -> Tuple[np.ndarray, ...]:
+    """The (states, actions, observations, rewards) columns of ``runs``, each
+    of shape (T, R) or (T, R, width), as ``sim.Traces`` keeps them."""
+    return tuple(
+        np.array([[getattr(step, field) for step in run.steps] for run in runs]).swapaxes(0, 1)
+        for field in ("states", "action", "observations", "reward")
+    )
 
 
 def simulate_loop(config, policy) -> LoopRun:
@@ -668,9 +691,7 @@ def simulate_loop(config, policy) -> LoopRun:
             total += disc * reward
             policy.observe(action, obs)
             if steps is not None:
-                steps.append(
-                    StepRecord(t, states, action.indices, obs, reward, total)
-                )
+                steps.append(StepRecord(t, states, action.indices, obs, reward))
             if t < T:
                 bit = dict(zip(action.indices, obs))
                 beliefs = tuple(

@@ -272,6 +272,23 @@ class TestSimulateAndCompare:
         result = runner.invoke(main, ["run", cfg, "--out-dir", str(tmp_path / "o")])
         assert result.exit_code == 0, result.output
 
+    def test_two_fixed_policies_keep_their_own_traces(self, runner, tmp_path):
+        cfg_data = dict(SOLVE_CFG, kind="simulate", replications=5)
+        specs = [{"name": "fixed", "indices": [i]} for i in (1, 2)]
+        out = tmp_path / "both"
+        cfg = write_config(tmp_path, dict(cfg_data, policies=specs), "both.yaml")
+        result = runner.invoke(main, ["run", cfg, "--out-dir", str(out), "--traces"])
+        assert result.exit_code == 0, result.output
+        assert [row["policy"] for row in read_rows(out)] == ["fixed-1", "fixed-2"]
+        names = sorted(p.name for p in out.glob("traces_*"))
+        assert names == ["traces_fixed-1.jsonl", "traces_fixed-2.jsonl"]
+        for spec, name in zip(specs, names):
+            alone = tmp_path / name
+            cfg = write_config(tmp_path, dict(cfg_data, policy=spec), "alone.yaml")
+            result = runner.invoke(main, ["run", cfg, "--out-dir", str(alone), "--traces"])
+            assert result.exit_code == 0, result.output
+            assert (out / name).read_bytes() == (alone / name).read_bytes()
+
     def test_compare(self, runner, tmp_path):
         cfg_data = dict(
             SOLVE_CFG,
@@ -317,6 +334,14 @@ class TestReadmeExamples:
         assert [c["kind"] for c in configs] == ["solve", "simulate", "compare", "verify"]
         for cfg in configs:
             load_config(cfg)
+
+    @pytest.mark.parametrize("kind", ["solve", "simulate", "compare"])
+    def test_config_runs_in_full(self, runner, tmp_path, kind):
+        (cfg,) = [c for c in readme_configs() if c["kind"] == kind]
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["run", write_config(tmp_path, cfg), "--out-dir", str(out)])
+        assert result.exit_code == 0, result.output
+        assert read_rows(out)
 
     def test_simulate_trace_lines(self, runner, tmp_path):
         (cfg,) = [c for c in readme_configs() if c["kind"] == "simulate"]

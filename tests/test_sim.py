@@ -26,7 +26,14 @@ from oppaccess import (
 from oppaccess import sim
 from oppaccess.sim import _nature_uniforms, _policy_uniforms
 
-from _oracles import philox_substream_uniforms, simulate_loop, write_traces_json
+from _oracles import (
+    RunRecord,
+    StepRecord,
+    columns,
+    philox_substream_uniforms,
+    simulate_loop,
+    write_traces_json,
+)
 
 
 def make_config(p01, p11, n, k, T, beta, omega, reps, seed, traces=False):
@@ -177,26 +184,51 @@ class TestCommonRandomNumbers:
         common_random_numbers_compare(cfg, make_a(), make_b())
         assert len(calls) == draws
 
+    @pytest.mark.parametrize("reps", [1, 700])
+    def test_paired_statistics_pinned(self, reps):
+        cfg = make_config(0.3, 0.7, 4, 2, 5, 0.9, (0.2, 0.5, 0.8, 0.4), reps, 41)
+        a, b = GreedyPolicy(2), UniformRandomPolicy(4, 2)
+        paired = common_random_numbers_compare(cfg, a, b)
+        diffs = simulate(cfg, a).totals - simulate(cfg, b).totals
+        se = float(np.sqrt(diffs.var(ddof=1) / reps)) if reps > 1 else 0.0
+        assert paired.mean_diff.hex() == float(diffs.mean()).hex()
+        assert paired.se_diff.hex() == se.hex()
+        assert (se > 0) == (reps > 1)
+
     def test_greedy_no_worse_than_fixed_positive_regime(self):
         cfg = make_config(0.2, 0.8, 4, 1, 5, 1.0, (0.9, 0.2, 0.5, 0.4), 20_000, 23)
         paired = common_random_numbers_compare(cfg, GreedyPolicy(1), FixedSetPolicy((2,)))
         assert paired.mean_diff >= -3 * paired.se_diff
 
 
+REGIMES = {"positive": (0.2, 0.8), "negative": (0.8, 0.3), "boundary": (0.4, 0.4)}
+
+POLICIES = {
+    "ordered-list": lambda m, h, n, k: OrderedListPolicy(k),
+    "ordered-list-custom": lambda m, h, n, k: OrderedListPolicy(k, (3, 1, 4, 2)),
+    "optimal": lambda m, h, n, k: OptimalPolicy(m, h, k),
+    "greedy": lambda m, h, n, k: GreedyPolicy(k),
+    "round-robin": lambda m, h, n, k: RoundRobinPolicy(n, k),
+    "fixed": lambda m, h, n, k: FixedSetPolicy(range(n - k + 1, n + 1)),
+    "random": lambda m, h, n, k: UniformRandomPolicy(n, k),
+}
+
+
 class TestTracesAndRecords:
-    def test_trace_contents(self):
-        cfg = make_config(0.2, 0.8, 2, 1, 3, 1.0, (0.5, 0.5), 5, 31, traces=True)
-        s = simulate(cfg, GreedyPolicy(1))
-        assert s.traces is not None and len(s.traces) == 5
-        for run in s.traces:
-            assert len(run.steps) == 3
-            for step in run.steps:
-                assert step.reward == sum(step.observations)
-                assert 0 <= step.reward <= 1
-                # perfect sensing: observations match hidden states on sensed channels
-                for idx, bit in zip(step.action, step.observations):
-                    assert step.states[idx - 1] == bit
-            assert run.total == pytest.approx(run.steps[-1].discounted_cum)
+    @pytest.mark.parametrize("name", list(POLICIES))
+    def test_trace_contents(self, name):
+        n, k, T, R = 4, 2, 3, 25
+        cfg = make_config(0.2, 0.8, n, k, T, 1.0, (0.5, 0.3, 0.5, 0.9), R, 31, traces=True)
+        traces = simulate(cfg, POLICIES[name](cfg.model, cfg.horizon, n, k)).traces
+        assert traces.states.shape == (T, R, n) and traces.rewards.shape == (T, R)
+        assert np.array_equal(traces.rewards, traces.observations.sum(axis=2))
+        # Perfect sensing: observations are the hidden states on the sensed channels.
+        sensed = np.take_along_axis(traces.states, traces.actions - 1, axis=2)
+        assert np.array_equal(traces.observations, sensed)
+        # k distinct channels in 1..n, ascending.
+        assert traces.actions.shape == (T, R, k)
+        assert np.all(np.diff(traces.actions, axis=2) > 0)
+        assert traces.actions.min() >= 1 and traces.actions.max() <= n
 
     def test_trace_export_schema(self, tmp_path):
         cfg = make_config(0.2, 0.8, 2, 1, 2, 1.0, (0.5, 0.5), 3, 32, traces=True)
@@ -230,19 +262,6 @@ class TestTracesAndRecords:
         assert np.array_equal(greedy.totals, ordered.totals)
 
 
-REGIMES = {"positive": (0.2, 0.8), "negative": (0.8, 0.3), "boundary": (0.4, 0.4)}
-
-POLICIES = {
-    "ordered-list": lambda m, h, n, k: OrderedListPolicy(k),
-    "ordered-list-custom": lambda m, h, n, k: OrderedListPolicy(k, (3, 1, 4, 2)),
-    "optimal": lambda m, h, n, k: OptimalPolicy(m, h, k),
-    "greedy": lambda m, h, n, k: GreedyPolicy(k),
-    "round-robin": lambda m, h, n, k: RoundRobinPolicy(n, k),
-    "fixed": lambda m, h, n, k: FixedSetPolicy(range(n - k + 1, n + 1)),
-    "random": lambda m, h, n, k: UniformRandomPolicy(n, k),
-}
-
-
 class TestBatchAgainstLoopOracle:
     """Every built-in policy's batch form reproduces the per-replication loop."""
 
@@ -257,8 +276,7 @@ class TestBatchAgainstLoopOracle:
         batched = simulate(cfg, make(cfg.model, cfg.horizon, 4, k))
         looped = simulate_loop(cfg, make(cfg.model, cfg.horizon, 4, k))
         assert np.array_equal(batched.totals, looped.totals)
-        assert batched.traces == looped.traces
-        assert tuple(batched.traces) == looped.traces
+        assert_columns_equal(batched.traces, looped.traces)
 
     @pytest.mark.parametrize("regime", sorted(REGIMES))
     def test_stationary_start_many_ties(self, regime):
@@ -270,8 +288,7 @@ class TestBatchAgainstLoopOracle:
             batched = simulate(cfg, make(cfg.model, cfg.horizon, 4, 2))
             looped = simulate_loop(cfg, make(cfg.model, cfg.horizon, 4, 2))
             assert np.array_equal(batched.totals, looped.totals)
-            assert batched.traces == looped.traces
-            assert tuple(batched.traces) == looped.traces
+            assert_columns_equal(batched.traces, looped.traces)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_beliefs_just_above_one(self, k):
@@ -285,8 +302,7 @@ class TestBatchAgainstLoopOracle:
             batched = simulate(cfg, make(cfg.model, cfg.horizon, 4, k))
             looped = simulate_loop(cfg, make(cfg.model, cfg.horizon, 4, k))
             assert np.array_equal(batched.totals, looped.totals)
-            assert batched.traces == looped.traces
-            assert tuple(batched.traces) == looped.traces
+            assert_columns_equal(batched.traces, looped.traces)
 
     def test_ordered_list_differs_from_greedy_in_negative_regime(self):
         # A guard against a vacuous comparison: the ordered list really does
@@ -362,11 +378,28 @@ class TestBatchAgainstLoopOracle:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
-def assert_written_as_reference(tmp_path, traces):
+def assert_columns_equal(traces, runs):
+    """``traces`` holds the loop oracle's records ``runs`` column for column."""
+    got = (traces.states, traces.actions, traces.observations, traces.rewards)
+    for column, expected in zip(got, columns(runs)):
+        assert column.shape == expected.shape and np.array_equal(column, expected)
+
+
+def assert_written_as_reference(tmp_path, traces, runs):
+    """The column writer's bytes for ``traces`` equal the record-by-record
+    reference writer's for the loop oracle's ``runs`` of the same paths."""
+    assert_columns_equal(traces, runs)
     ours, ref = tmp_path / "columns.jsonl", tmp_path / "reference.jsonl"
     write_traces(str(ours), traces)
-    write_traces_json(str(ref), tuple(traces))
+    write_traces_json(str(ref), runs)
     assert ours.read_bytes() == ref.read_bytes()
+
+
+def assert_run_written_as_reference(tmp_path, cfg, make):
+    """``simulate(cfg, make())`` writes the reference bytes of the loop's run."""
+    assert_written_as_reference(
+        tmp_path, simulate(cfg, make()).traces, simulate_loop(cfg, make()).traces
+    )
 
 
 class TestTraceColumns:
@@ -376,28 +409,27 @@ class TestTraceColumns:
     @pytest.mark.parametrize("name", list(POLICIES))
     def test_every_policy_writes_reference_bytes(self, tmp_path, name, k):
         cfg = make_config(0.8, 0.3, 4, k, 4, 0.9, (0.6, 0.3, 0.6, 0.8), 30, 11, traces=True)
-        summary = simulate(cfg, POLICIES[name](cfg.model, cfg.horizon, 4, k))
-        assert_written_as_reference(tmp_path, summary.traces)
+        assert_run_written_as_reference(
+            tmp_path, cfg, lambda: POLICIES[name](cfg.model, cfg.horizon, 4, k)
+        )
 
     @pytest.mark.parametrize("reps,T", [(1, 4), (1, 1), (40, 1)])
     def test_one_replication_and_one_slot(self, tmp_path, reps, T):
         cfg = make_config(0.2, 0.8, 3, 2, T, 0.9, (0.5, 0.3, 0.7), reps, 5, traces=True)
-        traces = simulate(cfg, UniformRandomPolicy(3, 2)).traces
-        assert traces.states.shape == (T, reps, 3)
-        assert_written_as_reference(tmp_path, traces)
+        assert simulate(cfg, UniformRandomPolicy(3, 2)).traces.states.shape == (T, reps, 3)
+        assert_run_written_as_reference(tmp_path, cfg, lambda: UniformRandomPolicy(3, 2))
 
     def test_many_writer_blocks(self, tmp_path, monkeypatch):
         cfg = make_config(0.2, 0.8, 3, 1, 3, 0.9, (0.5, 0.3, 0.7), 23, 6, traces=True)
-        traces = simulate(cfg, GreedyPolicy(1)).traces
         # Blocks of two replications, the last one short.
         monkeypatch.setattr(sim, "_TRACE_BLOCK_LINES", 7)
-        assert_written_as_reference(tmp_path, traces)
+        assert_run_written_as_reference(tmp_path, cfg, lambda: GreedyPolicy(1))
 
     def test_more_replications_than_one_block(self, tmp_path):
         T = 4
         reps = sim._TRACE_BLOCK_LINES // T + 1000
         cfg = make_config(0.2, 0.8, 5, 2, T, 0.9, (0.1, 0.3, 0.5, 0.7, 0.9), reps, 8, traces=True)
-        assert_written_as_reference(tmp_path, simulate(cfg, GreedyPolicy(2)).traces)
+        assert_run_written_as_reference(tmp_path, cfg, lambda: GreedyPolicy(2))
 
     def test_wide_rows_re_rank(self, tmp_path):
         # Rows of 1 + 70 + 3 + 3 + 1 entries below base 71 overflow an int64
@@ -405,9 +437,8 @@ class TestTraceColumns:
         n = 70
         omega = tuple(np.random.default_rng(3).random(n))
         cfg = make_config(0.2, 0.8, n, 3, 3, 0.9, omega, 50, 9, traces=True)
-        traces = simulate(cfg, UniformRandomPolicy(n, 3)).traces
         assert 71 ** 78 > np.iinfo(np.int64).max
-        assert_written_as_reference(tmp_path, traces)
+        assert_run_written_as_reference(tmp_path, cfg, lambda: UniformRandomPolicy(n, 3))
 
     def test_rows_differing_only_in_the_first_channel(self, tmp_path):
         # Base 64 (the largest entry is action 63): a fold that let the code
@@ -419,43 +450,27 @@ class TestTraceColumns:
             np.full((1, 2, 3), [61, 62, 63]),
             np.zeros((1, 2, 3), dtype=np.int8),
             np.zeros((1, 2), dtype=np.int64),
-            np.zeros((1, 2)),
         )
-        assert_written_as_reference(tmp_path, traces)
+        runs = tuple(
+            RunRecord(r, (StepRecord(1, tuple(row), (61, 62, 63), (0, 0, 0), 0),), 0.0)
+            for r, row in enumerate(states[0].tolist())
+        )
+        assert_written_as_reference(tmp_path, traces, runs)
         lines = (tmp_path / "columns.jsonl").read_text().splitlines()
         assert [json.loads(line)["states"][0] for line in lines] == [0, 1]
-
-    def test_sequence_of_run_records(self):
-        cfg = make_config(0.8, 0.3, 4, 2, 3, 0.9, (0.6, 0.3, 0.6, 0.8), 7, 12, traces=True)
-        traces = simulate(cfg, UniformRandomPolicy(4, 2)).traces
-        looped = simulate_loop(cfg, UniformRandomPolicy(4, 2)).traces
-        assert isinstance(traces, Traces) and len(traces) == 7
-        assert traces[-1] == traces[6] == looped[6] and traces[-7] == looped[0]
-        assert traces[-1].replication == 6
-        for bad in (7, -8):
-            with pytest.raises(IndexError):
-                traces[bad]
-        assert traces == looped and looped == traces and tuple(traces) == looped
-        assert traces != looped[:-1] and traces != looped[::-1] and traces != 7
-        assert traces == simulate(cfg, UniformRandomPolicy(4, 2)).traces
-        with pytest.raises(TypeError):
-            hash(traces)
 
     def test_columns_read_only(self):
         cfg = make_config(0.2, 0.8, 3, 2, 2, 0.9, (0.5, 0.3, 0.7), 4, 13, traces=True)
         traces = simulate(cfg, GreedyPolicy(2)).traces
-        columns = (
-            traces.states, traces.actions, traces.observations, traces.rewards,
-            traces.discounted_cum,
-        )
-        assert [c.shape for c in columns] == [(2, 4, 3), (2, 4, 2), (2, 4, 2), (2, 4), (2, 4)]
-        for column in columns:
+        got = (traces.states, traces.actions, traces.observations, traces.rewards)
+        assert [c.shape for c in got] == [(2, 4, 3), (2, 4, 2), (2, 4, 2), (2, 4)]
+        for column in got:
             with pytest.raises(ValueError, match="read-only"):
                 column[0, 0] = 1
 
     def test_writer_takes_only_traces(self, tmp_path):
         cfg = make_config(0.2, 0.8, 3, 2, 2, 0.9, (0.5, 0.3, 0.7), 4, 13, traces=True)
-        runs = tuple(simulate(cfg, GreedyPolicy(2)).traces)
+        runs = simulate_loop(cfg, GreedyPolicy(2)).traces
         with pytest.raises(TypeError, match="Traces"):
             write_traces(str(tmp_path / "t.jsonl"), runs)
 
