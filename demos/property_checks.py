@@ -20,14 +20,12 @@ from oppaccess import (
 )
 
 pos = InstanceSampler(seed=2026, regime="positive", n_range=(2, 4), T_range=(1, 4))
-sorted_pos = InstanceSampler(
-    seed=2026, regime="positive", n_range=(2, 6), T_range=(1, 6), sorted_beliefs=True
-)
+wide_pos = InstanceSampler(seed=2026, regime="positive", n_range=(2, 6), T_range=(1, 6))
 
 results = {
     "greedy==optimal": check_theorem1(pos, 50),  # value, and regret at every node
-    "cyclic-shift bound": check_lemma3_A(sorted_pos, 200),
-    "adjacent-swap bound": check_lemma3_B(sorted_pos, 100),
+    "cyclic-shift bound": check_lemma3_A(wide_pos, 200),
+    "adjacent-swap bound": check_lemma3_B(wide_pos, 100),
     "affinity": check_affinity(pos, 200),
 }
 print(summary_table(results))

@@ -54,6 +54,8 @@ the pass's own arrays: the regret of greedy's tied choices against the best
 Q, and G, greedy's own value in every regime, which reads one pair per
 state.  The regret is kept with each level and G with the states one step
 below the roots, and ``greedy_audit`` finishes a root's audit from them.
+One tie rule, ``_least_tied_q``, gives the least tied Q at the roots and
+below: a selection whose reward is within ``TIE_TOL`` of the best ties.
 
 W has one engine, ``w_table``, which evaluates many vectors for every t at
 once; ``FiniteHorizonSolver.w_value`` and ``greedy_value`` read one row of
@@ -64,11 +66,11 @@ per (n, k, H) and kept as int32 arrays: the sensed symbols of all depths
 concatenated, and each depth's child indices.  Every reward and outcome law
 is computed at once over a (nodes x vectors) array, and only the
 continuation sum runs depth by depth; the root is node 0 of every depth, so
-one pass yields W_t for t = 1..T.  Its values are float.hex-identical to the
-scalar memoised recursion, and its node count, summed over depths, counts
-against ``max_states`` on its own (``w_graph_nodes``); the one-node graph
-of H = 0 is counted but not read.  Every sum in this module folds left to
-right from 0.0, so values do not depend on the Python version.
+one pass yields W_t for t = 1..T, and with H = 0 every t reads the root's
+reward.  Its values are float.hex-identical to the scalar memoised
+recursion, and its node count, summed over depths, counts against
+``max_states`` on its own (``w_graph_nodes``).  Every sum in this module
+folds left to right from 0.0, so values do not depend on the Python version.
 """
 
 from __future__ import annotations
@@ -117,16 +119,26 @@ def _left_sum(values: Iterable) -> float | np.ndarray:
     return total
 
 
+def _tau(model: TransitionModel, x: np.ndarray) -> np.ndarray:
+    """``model.tau`` elementwise: clamp to [0, 1], then mix, so each entry is float.hex-equal."""
+    x = np.minimum(1.0, np.maximum(0.0, x))
+    return x * model.p11 + (1.0 - x) * model.p01
+
+
+def _check_addressable(*shape: int) -> None:
+    """Raise MemoryError, the failed allocation it is, for a float64 `shape` past numpy's limit."""
+    if math.prod(shape) > np.iinfo(np.intp).max // 8:
+        raise MemoryError(f"{shape} float64 array cannot be addressed")
+
+
 def _aged_values(model: TransitionModel, bases: np.ndarray, H: int) -> np.ndarray:
     """values[m] = tau^m(bases) for m = 0..H, elementwise over any shape of `bases`.
 
-    Each step clamps and mixes as ``model.tau`` does, so each entry is
-    float.hex-equal to ``model.tau_iterate``."""
+    Each entry is float.hex-equal to ``model.tau_iterate``."""
     values = np.empty((H + 1,) + np.shape(bases))
     values[0] = bases
     for m in range(H):
-        x = np.minimum(1.0, np.maximum(0.0, values[m]))
-        values[m + 1] = x * model.p11 + (1.0 - x) * model.p01
+        values[m + 1] = _tau(model, values[m])
     return values
 
 
@@ -204,21 +216,17 @@ def _sensing_pairs(rows: np.ndarray, sel_pos: np.ndarray) -> Tuple[np.ndarray, n
 
 
 def _least_tied_q(
-    q: np.ndarray, reward: np.ndarray, starts: np.ndarray, last: np.ndarray, best: np.ndarray
+    q: np.ndarray, reward: np.ndarray, starts: Sequence[int], best: float | np.ndarray
 ) -> np.ndarray:
     """Per state, the least Q among its selections whose reward ties its best.
 
     Pairs are grouped by state, each group running from its entry of
-    `starts` to its entry of `last`, whose reward is the state's `best`; a
-    reward within ``TIE_TOL`` of `best` ties it.  Ties other than the last
-    pair are rare, so they are folded in one by one.
+    `starts` to the next; a reward within ``TIE_TOL`` of the state's `best`
+    ties it.  The one tie rule of greedy's regret, at the roots and below.
     """
-    tied = reward >= np.repeat(best - TIE_TOL, last + 1 - starts)
-    tied[last] = False
-    least = q.take(last)
-    other = np.flatnonzero(tied)
-    np.minimum.at(least, np.searchsorted(starts, other, side="right") - 1, q.take(other))
-    return least
+    starts = np.asarray(starts)
+    tied = reward >= np.repeat(best - TIE_TOL, np.append(starts[1:], len(q)) - starts)
+    return np.minimum.reduceat(np.where(tied, q, np.inf), starts)
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -270,14 +278,12 @@ def _child_parts(
     unsensed multiset is aged and sorted.  Aging maps distinct entries to
     distinct entries, so distinct groups keep distinct aged parts; it need
     not keep their order (it reverses it when p11 < p01), so the groups are
-    then renumbered by their aged parts' keys.
+    then renumbered by their aged parts' keys, which are distinct.
     """
     group, member = _groups(_fold_keys(unsensed, base))
     aged = aged_rank[unsensed[member]]
     aged.sort(axis=1)
-    order = np.argsort(_fold_keys(aged, base))
-    renumber = np.empty_like(order)
-    renumber[order] = np.arange(len(order))
+    renumber, order = _groups(_fold_keys(aged, base))
     return aged[order], renumber[group]
 
 
@@ -436,7 +442,7 @@ class FiniteHorizonSolver:
             graph = self._solve_roots(h, [root])[1]
             self._answers[(t, root)] = (row, graph)
         rewards = _left_sum(np.array(omega)[sel_pos].T)
-        regret = float(row.max()) - float(row[rewards >= rewards.max() - TIE_TOL].min())
+        regret = float(row.max()) - float(_least_tied_q(row, rewards, [0], rewards.max())[0])
         # Greedy's set; G folds its sensed entries in ascending order, as W does.
         top = np.sort(_greedy_order(np.array(omega))[:k])
         sensed = sorted(omega[j] for j in top)
@@ -444,10 +450,9 @@ class FiniteHorizonSolver:
         if graph is None:
             return GreedyAudit(value, regret, t, omega)
         pick = int(np.flatnonzero((sel_pos == top).all(axis=1))[0])
-        children = graph.root_children[:, pick].tolist()
-        law = _poisson_binomial_rows(np.array(sensed)).tolist()
-        total = _left_sum(p * float(graph.greedy[c]) for p, c in zip(law, children))
-        value += self.horizon.beta * total
+        law = _poisson_binomial_rows(np.array(sensed))
+        total = _left_sum(law * graph.greedy.take(graph.root_children[:, pick]))
+        value = float(value + self.horizon.beta * total)
         # The root's own node, unless a node below it is worse: the largest
         # regret, then the shallowest level, then the first state.
         for level in reversed(graph.levels):
@@ -560,7 +565,7 @@ class FiniteHorizonSolver:
             # Greedy's pair senses the top k ranks, so its reward is the best.
             last = np.append(starts[1:], len(q)) - 1
             best = reward.take(last)
-            regret = value - _least_tied_q(q, reward, starts, last, best)
+            regret = value - _least_tied_q(q, reward, starts, best)
             greedy = best + beta * _left_sum(
                 law.take(last, axis=1) * greedy.take(child.take(last, axis=1))
             )
@@ -583,6 +588,7 @@ class FiniteHorizonSolver:
         base_of = {w: b for b, w in enumerate(root_values, 2)}
         bases = np.array([self.model.p01, self.model.p11, *root_values])
         B = len(bases)
+        _check_addressable(h + 2, B)
         symbols = np.arange((h + 1) * B - 2)
         symbols[h * B :] += 2  # skips p01 and p11 aged h, which no state holds
         age, base = np.divmod(symbols, B)
@@ -686,6 +692,7 @@ def _build_w_graph(n: int, k: int, H: int, max_states: int) -> _WGraph:
     if H + 1 > max_states:
         # Each depth below the root holds a new node, so the build would trip the cap.
         raise _node_cap_error(max_states)
+    _check_addressable(H + 1, n + 2)  # the tau table every W evaluation reads
     stride = n + 2
     root = tuple(range(2, n + 2))
     blocks = [((0,) * (k - s), (1,) * s) for s in range(k + 1)]
@@ -745,22 +752,19 @@ def w_table(
     V, n = omega.shape
     H = _w_depth(horizon)
     graph = _w_graph(n, k, H, max_states)
-    if H == 0:
-        if horizon.T * V > np.iinfo(np.intp).max // 8:
-            # Past numpy's array size limit: report it as the failed allocation it is.
-            raise MemoryError(f"({horizon.T}, {V}) float64 table cannot be addressed")
-        return np.tile(_left_sum(omega.T[n - k :]), (horizon.T, 1))
+    _check_addressable(horizon.T, V)
     # Base b aged m, for every vector, is row b + m*(n+2).
     bases = np.empty((n + 2, V))
     bases[0], bases[1], bases[2:] = model.p01, model.p11, omega.T
     sensed = _aged_values(model, bases, H).reshape(-1, V)[graph.sensed]
     reward = _left_sum(sensed)
     starts = graph.starts
-    law = _poisson_binomial_rows(sensed[:, : starts[H]])  # the last depth reads no child
-    del sensed
     out = np.empty((horizon.T, V))
     w = reward[starts[H] :]
-    out[H] = w[0]
+    out[H:] = w[0]  # with H = 0 (beta = 0), every t reads the root's reward
+    if H:
+        law = _poisson_binomial_rows(sensed[:, : starts[H]])  # the last depth reads no child
+    del sensed
     for d in range(H - 1, -1, -1):
         lo, hi = starts[d], starts[d + 1]
         w = reward[lo:hi] + horizon.beta * _left_sum(law[:, lo:hi] * w[graph.children[d]])

@@ -33,7 +33,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .dp import _fold_keys, _groups
+from .dp import _check_addressable, _fold_keys, _groups, _tau
 from .model import BeliefVector, HorizonSpec, TransitionModel
 from .policies import Policy
 
@@ -144,9 +144,7 @@ def _substream_uniforms(seed: int, stream_id: int, replications: int, count: int
     the counter before its first block; each 64-bit word w becomes the double
     (w >> 11) * 2**-53, in C order.
     """
-    if replications * count > np.iinfo(np.intp).max // 8:
-        # Past numpy's array size limit: report it as the failed allocation it is.
-        raise MemoryError(f"({replications}, {count}) float64 uniforms cannot be addressed")
+    _check_addressable(replications, count)
     blocks = -(-count // 4)
     rows = max(1, _CHUNK_LANES // blocks)
     # Round i runs with the key bumped i times; r is added to the second word per chunk.
@@ -240,10 +238,7 @@ def _simulate_batch(config: SimConfig, policy: Policy, nat: np.ndarray, pol: np.
             for column, step in zip(columns, (states, acts + 1, obs, rewards)):
                 column[t - 1] = step
         if t < T:
-            # model.tau's arithmetic, clamp included, so beliefs stay bit-equal
-            # to the scalar recursion's.
-            np.clip(beliefs, 0.0, 1.0, out=beliefs)
-            beliefs = beliefs * m.p11 + (1.0 - beliefs) * m.p01
+            beliefs = _tau(m, beliefs)
             beliefs[rows, acts] = np.where(obs, m.p11, m.p01)
             p_good = np.where(states, m.p11, m.p01)
             states = (nat[:, t, :] < p_good).astype(np.int8)

@@ -18,7 +18,8 @@ a per-instance body returns that instance's reports, and the reports are
 concatenated in instance order.  The shift, swap and reduction statements are
 about sorted vectors, so those three checks sort each instance's beliefs
 themselves and report the sorted instance; a sampler's ``sorted_beliefs``
-matters only to the theorem-1, affinity and negative-regime checks.  The
+sorts through the same rule (``_sorted``) and matters only to the
+theorem-1, affinity and negative-regime checks.  The
 W-based checks (shift, swap, reduction) evaluate all of an instance's
 vectors, for every t, in one ``dp.w_table`` call; the affinity check, which
 needs one t, makes its call over the slots left from that t.  The theorem-1
@@ -167,8 +168,6 @@ class InstanceSampler:
                 star = 0.5
             pool = [0.0, p01, star, p11, 1.0]
             omega = np.array([pool[rng.integers(len(pool))] for _ in range(n)])
-        if self.sorted_beliefs:
-            omega = np.sort(omega)
         return tuple(float(w) for w in omega)
 
     def instance(self, index: int) -> Instance:
@@ -184,7 +183,8 @@ class InstanceSampler:
         beta = 0.0 if u < 0.15 else (1.0 if u < 0.3 else rng.random())
         p01, p11 = self._draw_model(rng)
         omega = self._draw_belief(rng, n, p01, p11)
-        return Instance(index, n, k, T, beta, p01, p11, omega)
+        inst = Instance(index, n, k, T, beta, p01, p11, omega)
+        return _sorted(inst) if self.sorted_beliefs else inst
 
     def instances(self, count: int):
         for i in range(count):
@@ -212,11 +212,10 @@ def _reports(
     return out
 
 
-def _sorted_instances(sampler: InstanceSampler, count: int):
-    """The sampler's instances with their beliefs sorted ascending."""
-    for inst in sampler.instances(count):
-        omega = tuple(sorted(inst.omega))
-        yield inst if omega == inst.omega else replace(inst, omega=omega)
+def _sorted(inst: Instance) -> Instance:
+    """The instance with its beliefs sorted ascending."""
+    omega = tuple(sorted(inst.omega))
+    return inst if omega == inst.omega else replace(inst, omega=omega)
 
 
 def check_theorem1(
@@ -278,7 +277,7 @@ def check_lemma3_A(
                 )
         return out
 
-    return _reports("lemma3A", _sorted_instances(sampler, count), body)
+    return _reports("lemma3A", map(_sorted, sampler.instances(count)), body)
 
 
 def check_lemma3_B(
@@ -312,7 +311,7 @@ def check_lemma3_B(
                     )
         return out
 
-    return _reports("lemma3B", _sorted_instances(sampler, count), body)
+    return _reports("lemma3B", map(_sorted, sampler.instances(count)), body)
 
 
 def check_lemma2_reduction(
@@ -345,7 +344,7 @@ def check_lemma2_reduction(
                     )
         return out
 
-    return _reports("lemma2", _sorted_instances(sampler, count), body)
+    return _reports("lemma2", map(_sorted, sampler.instances(count)), body)
 
 
 def check_affinity(

@@ -812,6 +812,7 @@ def _console_command():
     [
         "solve", "simulate_optimal", "simulate_random", "verify_lemma2", "solve_wide",
         "solve_long", "sweep_negative_wide", "verify_n_max", "verify_w_over_cap",
+        "solve_huge_T", "verify_huge_T", "verify_negative_huge_T",
     ],
 )
 def test_resource_probe_ends_at_once(tmp_path, name):
@@ -822,14 +823,20 @@ def test_resource_probe_ends_at_once(tmp_path, name):
     # sweep's negative point runs no V solve, so it exits 0 with a merged
     # results.csv.  verify_n_max's n_max is over the cap: exit 4 before any
     # instance is drawn.  verify_w_over_cap's over-cap W shapes each give
-    # lemma3A/resource records.  A subprocess with a timeout turns a
+    # lemma3A/resource records.  The three *_huge_T probes run under the
+    # largest cap with T = 2^62, whose tables of aged entries numpy cannot
+    # address: the solve exits 4 as out of memory, and each verify instance
+    # gets a resource record.  A subprocess with a timeout turns a
     # regression into a failure rather than a hung suite; the runs take about
     # 0.35 s, most of it interpreter start-up, and verify_w_over_cap 0.75 s.
     src = str(Path(oppaccess.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = tmp_path / "out"
     command = "sweep" if name.startswith("sweep") else "run"
-    cap = "4000" if name == "verify_w_over_cap" else "100000"
+    if name.endswith("huge_T"):
+        cap = str(INT64_MAX)
+    else:
+        cap = "4000" if name == "verify_w_over_cap" else "100000"
     args = [command, str(PROBES / f"{name}.yaml"), "--out-dir", str(out), "--max-memo", cap]
     result = subprocess.run(
         _console_command() + args, env=env, capture_output=True, text=True, timeout=5
@@ -838,10 +845,13 @@ def test_resource_probe_ends_at_once(tmp_path, name):
         assert result.returncode == 2, result.stderr
         assert "config error: horizon.T must lie in" in result.stderr
         assert not out.exists()
-    elif name in ("solve", "simulate_optimal", "simulate_random", "verify_n_max"):
+    elif name in ("solve", "simulate_optimal", "simulate_random", "verify_n_max", "solve_huge_T"):
         assert result.returncode == 4, result.stderr
         if name == "verify_n_max":
             message = "verify.n_max = 9223372036854775807 exceeds cap 100000"
+        elif name == "solve_huge_T":
+            # V's (h + 2, B) table: h = T - 1 steps left, B = 5 bases.
+            message = "out of memory: (4611686018427387905, 5) float64 array cannot be addressed"
         else:
             message = "C(40, 20) = 137846528820 sensing sets exceed cap"
         assert f"resource cap: {message}" in result.stderr
@@ -857,6 +867,65 @@ def test_resource_probe_ends_at_once(tmp_path, name):
         records = [json.loads(line) for line in (out / "violations.json").read_text().splitlines()]
         assert [r["property_id"] for r in records] == ["lemma3A/resource"] * 112
         assert all("node count exceeded cap 4000" in r["error"] for r in records)
+    if name == "verify_huge_T":
+        # Instance 0 has beta = 0, so W's graph is one node but its (T, vectors)
+        # table is past numpy's size limit, and the affinity check's shorter
+        # table is refused by the allocator; instance 1's W graph build is
+        # refused before its first depth.
+        records = [json.loads(line) for line in (out / "violations.json").read_text().splitlines()]
+        props = ["theorem1", "lemma3A", "lemma3B", "lemma2", "affinity"]
+        assert [(r["property_id"], r["instance"]["index"]) for r in records] == [
+            (f"{prop}/resource", i) for prop in props for i in range(2)
+        ]
+        assert all(r["error"].startswith("MemoryError: ") for r in records)
+        assert [r["errors"] for r in read_rows(out)] == ["2"] * 5 + ["1"]
+    if name == "verify_negative_huge_T":
+        # V answers instance 0 (beta = 0) at once; instance 1's V solve needs a
+        # (T + 1, 5) table of aged entries.
+        scan = json.loads((out / "negative_scan.json").read_text())
+        assert (scan["scanned"], scan["findings"]) == (2, [])
+        assert [e["instance"]["index"] for e in scan["errors"]] == [1]
+        assert scan["errors"][0]["error"] == (
+            "MemoryError: (2569345756469950197, 5) float64 array cannot be addressed"
+        )
+
+
+# Runs the command in its arguments, then prints the largest peak resident set
+# of the processes it waited for, in KiB on Linux.  The probe runs in this
+# wrapper because the test process's own children counter would also hold
+# every earlier probe's peak.
+_PEAK_OF_CHILD = """
+import resource, subprocess, sys
+status = subprocess.run(sys.argv[1:], timeout=120).returncode
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+sys.exit(status)
+"""
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("solve_frontier", "15.28138611072572"), ("solve_frontier_negative", "14.31934843964742")],
+)
+def test_frontier_solve_within_time_and_memory(tmp_path, name, value):
+    # The largest V solves in the suite, through the console command: n = 8,
+    # k = 3, T = 8 with p11 > p01 (about 252k V graph nodes and 3.7M (state,
+    # selection) pairs), and the same beliefs with p11 < p01, where aging
+    # reverses the entries' order.  Each takes about 2-3 s and 380-430 MiB on
+    # one core, ten times any other V solve here.  Each must exit 0 within
+    # 120 s, peak under 500 MiB resident, and write its recorded values.
+    src = str(Path(oppaccess.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "out"
+    command = _console_command() + ["run", str(PROBES / f"{name}.yaml"), "--out-dir", str(out)]
+    result = subprocess.run(
+        [sys.executable, "-c", _PEAK_OF_CHILD, *command],
+        env=env, capture_output=True, text=True, timeout=150,
+    )
+    assert result.returncode == 0, result.stderr
+    peak_mib = int(result.stdout.split()[-1]) / 1024
+    assert peak_mib < 500, f"peak RSS {peak_mib:.0f} MiB"
+    (row,) = read_rows(out)
+    assert (row["analytic_value"], row["greedy_value"]) == (value, value)
 
 
 def test_negative_sweep_point_runs_no_v_solve(runner, tmp_path):

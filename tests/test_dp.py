@@ -1138,6 +1138,32 @@ class TestGreedyAudit:
         acts = all_greedy_actions((0.5, 0.5, 0.2), 1)
         assert [a.indices for a in acts] == [(1,), (2,)]
 
+    def test_least_tied_q_is_each_groups_least_tied_q(self):
+        # One (rewards, Q) group per state, checked against each group's
+        # brute-force least Q among the rewards within TIE_TOL of its best.
+        best = 0.75
+        groups = [
+            ([0.2, 0.5, best], [0.1, 0.05, 0.9]),  # a tie only at the last pair
+            ([best, 0.5, best], [0.3, 0.05, 0.9]),  # a tie at a pair that is not the last
+            # 0.5e-12 below the best ties it; 2e-12 below does not.
+            ([best - 2e-12, best - 0.5e-12, best], [0.01, 0.2, 0.7]),
+            ([best], [0.4]),
+        ]
+
+        def brute(rewards, qs):
+            return min(q for r, q in zip(rewards, qs) if r >= max(rewards) - dp.TIE_TOL)
+
+        assert [brute(*g) for g in groups] == [0.9, 0.3, 0.2, 0.4]
+        starts = np.cumsum([0] + [len(r) for r, _ in groups[:-1]])
+        reward = np.concatenate([r for r, _ in groups])
+        q = np.concatenate([qs for _, qs in groups])
+        least = dp._least_tied_q(q, reward, starts, np.array([max(r) for r, _ in groups]))
+        assert least.tolist() == [brute(*g) for g in groups]
+        # A single group, as at a root, whose best pair is not its last.
+        rewards, qs = [0.3, best, 0.7, best - 0.5e-12], [0.1, 0.6, 0.05, 0.8]
+        least = dp._least_tied_q(np.array(qs), np.array(rewards), [0], max(rewards))
+        assert least.tolist() == [brute(rewards, qs)] == [0.6]
+
     @staticmethod
     def _oracle_regret(oracle, omega, t, k):
         qs = oracle.action_values(BeliefVector(omega), t)

@@ -254,7 +254,7 @@ class TestChecks:
         monkeypatch.setattr(verify, "w_table", failing)
         got = check(s, 12)
         assert len(calls) == 12
-        inst = list(verify._sorted_instances(s, 12))[5]
+        inst = verify._sorted(s.instance(5))
         error = "MemoryError: Unable to allocate 128. MiB"
         assert [v for v in got if v.instance.index == 5] == [
             ViolationReport(f"{prop}/resource", inst, error=error)
