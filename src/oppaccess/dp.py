@@ -26,14 +26,20 @@ V is solved over a level graph, for a batch of root beliefs at one t at a
 time (``FiniteHorizonSolver.action_value_table``).  Every entry a reachable
 state can hold is ranked once by (value, base, age), so a state, sorted
 since channels are exchangeable, is a row of small ints.  Level d holds the
-distinct states reachable from the roots in d steps.  A child is its
-parent's unsensed entries, aged, plus the observed ones, so a level's
-(state, selection) pairs are grouped by their unsensed multisets with one
-``np.unique``, and only one row per group is aged, sorted and keyed
-(``_child_parts``); backward induction then runs level by level with
-numpy gathers in the scalar Bellman recursion's operation order, so the
-Q-values are float.hex-identical to it.  Equal entries are contiguous in a
-sorted state, and below the roots only the first selection of each sensed
+distinct states reachable from the roots in d steps.  Both passes walk a
+level in chunks of whole states of at most ``_CHUNK_PAIRS`` (state,
+selection) pairs (``_pair_chunks``), so what a level sizes by its pairs is
+held one chunk at a time; what a solve holds from one pass to the other is
+each level's sensed ranks, child indices and state starts.  A child is its
+parent's unsensed entries, aged, plus the observed ones, so a chunk's pairs
+are grouped by their unsensed multisets with one ``np.unique``, and only
+one row per group is aged and sorted (``_child_parts``); one key fold over
+every chunk's aged rows numbers the level's children (``_number_parts``),
+in the order a pass over the whole level gives.  Backward induction then
+runs level by level, chunk by chunk, with numpy gathers in the scalar
+Bellman recursion's operation order, so the Q-values are float.hex-identical
+to it and do not depend on the chunk size.  Equal entries are contiguous in
+a sorted state, and below the roots only the first selection of each sensed
 multiset is expanded: a selection is skipped when it senses position q + 1
 and not q of a state whose entries q and q + 1 are equal.  The skipped ones
 have bit-identical Q-values and reach the same states.  The sensing sets
@@ -125,9 +131,13 @@ def _tau(model: TransitionModel, x: np.ndarray) -> np.ndarray:
     return x * model.p11 + (1.0 - x) * model.p01
 
 
+#: The most float64 entries that one numpy array can address.
+_MAX_FLOATS = int(np.iinfo(np.intp).max) // 8
+
+
 def _check_addressable(*shape: int) -> None:
     """Raise MemoryError, the failed allocation it is, for a float64 `shape` past numpy's limit."""
-    if math.prod(shape) > np.iinfo(np.intp).max // 8:
+    if math.prod(shape) > _MAX_FLOATS:
         raise MemoryError(f"{shape} float64 array cannot be addressed")
 
 
@@ -215,6 +225,42 @@ def _sensing_pairs(rows: np.ndarray, sel_pos: np.ndarray) -> Tuple[np.ndarray, n
     return np.nonzero(~drop)
 
 
+#: The most (state, selection) pairs that one chunk of V's level passes holds,
+#: unless one state has more; a level is walked chunk by chunk.
+_CHUNK_PAIRS = 1 << 14
+
+
+def _pair_chunks(
+    rows: np.ndarray, sel_pos: np.ndarray, every: bool
+) -> Iterable[Tuple[np.ndarray, np.ndarray]]:
+    """A level's (state, selection) pairs, in chunks of whole consecutive states.
+
+    With `every`, as at the roots, each state is paired with every selection;
+    otherwise only with those ``_sensing_pairs`` keeps.  A chunk holds at most
+    ``_CHUNK_PAIRS`` pairs, or one state's pairs when they are more.  Pairs
+    are found for a block of max(1, _CHUNK_PAIRS // C) states at a time, so
+    no step sizes an array by the whole level.
+    """
+    step = max(1, _CHUNK_PAIRS // len(sel_pos))
+    state = sel = np.empty(0, dtype=np.intp)
+    for lo in range(0, len(rows), step):
+        block = rows[lo : lo + step]
+        if every:
+            s, c = np.nonzero(np.ones((len(block), len(sel_pos)), dtype=bool))
+        else:
+            s, c = _sensing_pairs(block, sel_pos)
+        state, sel = np.concatenate([state, s + lo]), np.concatenate([sel, c])
+        while len(state) > _CHUNK_PAIRS:
+            # The states before the one holding pair _CHUNK_PAIRS, or the first alone.
+            cut = np.searchsorted(state, state[_CHUNK_PAIRS]) or np.searchsorted(
+                state, state[0], side="right"
+            )
+            yield state[:cut], sel[:cut]
+            state, sel = state[cut:], sel[cut:]
+    if len(state):
+        yield state, sel
+
+
 def _least_tied_q(
     q: np.ndarray, reward: np.ndarray, starts: Sequence[int], best: float | np.ndarray
 ) -> np.ndarray:
@@ -268,23 +314,35 @@ def _groups(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def _child_parts(
     unsensed: np.ndarray, aged_rank: np.ndarray, base: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The distinct sorted aged parts of a level's children, and each pair's part.
+    """One sorted aged part per distinct unsensed multiset of a chunk's pairs, and each pair's.
 
     `unsensed` holds each (state, selection) pair's unsensed ranks, every
     row ascending, and `aged_rank` maps a rank below `base` to its rank one
-    unobserved step on.  Returns the distinct rows of ``aged_rank[unsensed]``,
-    each sorted, in lexicographic order, and for each pair the index of its
-    row there.  Equal rows are grouped first, so only one row per distinct
-    unsensed multiset is aged and sorted.  Aging maps distinct entries to
+    unobserved step on.  Equal rows are grouped, and only one row per group
+    is aged and sorted.  Returns those rows, in the groups' key order, and
+    for each pair the index of its group.  Aging maps distinct entries to
     distinct entries, so distinct groups keep distinct aged parts; it need
-    not keep their order (it reverses it when p11 < p01), so the groups are
-    then renumbered by their aged parts' keys, which are distinct.
+    not keep their order (it reverses it when p11 < p01), so
+    ``_number_parts`` numbers them by their own keys.
     """
     group, member = _groups(_fold_keys(unsensed, base))
     aged = aged_rank[unsensed[member]]
     aged.sort(axis=1)
-    renumber, order = _groups(_fold_keys(aged, base))
-    return aged[order], renumber[group]
+    return aged, group
+
+
+def _number_parts(parts: Sequence[np.ndarray], base: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of `parts` in lexicographic order, and each row's index there.
+
+    `parts` are ``_child_parts``'s rows of a level's chunks, whose ranks lie
+    below `base`; the index of row i of ``parts[j]`` is at sum(len(parts[:j])) + i.
+    One key fold over all the rows numbers them, so each number is the one
+    a single pass over the whole level gives: dense ids that ``_fold_keys``
+    makes within one chunk could not be compared across chunks.
+    """
+    rows = np.concatenate(parts)
+    number, member = _groups(_fold_keys(rows, base))
+    return rows[member], number
 
 
 @dataclass(frozen=True)
@@ -487,9 +545,15 @@ class FiniteHorizonSolver:
         selection of each sensed multiset (see ``_sensing_pairs``), and only
         the children of nonzero outcome probability.  Every entry a state can
         hold is ranked once, so a state is a sorted row of ranks.
-        A level's pairs are grouped by their sorted unsensed rows, and one
-        row per group is aged (``_child_parts``), so that work follows the
-        distinct unsensed multisets, not the pairs.
+        Each level is walked in chunks of whole states (``_pair_chunks``).
+        Forward, a chunk's pairs are grouped by their sorted unsensed rows,
+        and one row per group is aged (``_child_parts``), so that work follows
+        the distinct unsensed multisets, not the pairs; then one numbering of
+        every chunk's aged rows (``_number_parts``) gives each chunk its child
+        indices.  Backward, each chunk yields its pairs' Q and its states'
+        values, regrets and G, which are concatenated in state order.  So a
+        level's temporaries follow a chunk, and only the sensed ranks, child
+        indices and state starts of every pair are kept through the solve.
         The graph is complete, and counted against ``max_states``, before any
         value is computed; a graph stopped by the cap is not kept.
 
@@ -511,64 +575,80 @@ class FiniteHorizonSolver:
             raise _node_cap_error(self.max_states, "V")
         vals, symbols, bases, aged_rank, rows, bad, good = self._rank_entries(h, roots)
         nodes = 0
-        expanded = []  # level d < h: (sensed ranks, child index by s, first pair of each state)
+        expanded = []  # level d < h, per chunk: (sensed ranks, child index by s, state starts)
         levels = [rows]
+        s_col = np.arange(k + 1).reshape(-1, 1)
         for d in range(h):
-            if d == 0:
-                state = np.repeat(np.arange(len(rows)), len(sel_pos))
-                sel = np.tile(np.arange(len(sel_pos)), len(rows))
-            else:
-                state, sel = _sensing_pairs(rows, sel_pos)
-            sensed = rows[state[:, None], sel_pos[sel]]
-            live = _poisson_binomial_rows(vals[sensed].T) != 0.0
-            # A child is the aged unsensed entries plus k-s copies of p01 and s of
-            # p11.  No aged entry is p01 or p11 itself, so a child is identified
-            # by (its sorted aged part, s), and only new nodes need a full sort.
-            # Below the roots a state is sorted, so its unsensed entries are too;
-            # the roots keep their entry order.
-            unsensed = rows[state[:, None], comp_pos[sel]]
-            if d == 0:
-                unsensed.sort(axis=1)
-            aged, part = _child_parts(unsensed, aged_rank, len(vals))
-            del unsensed
-            slot = part.reshape(1, -1) * (k + 1) + np.arange(k + 1).reshape(-1, 1)
+            chunks, parts, count = [], [], 0
+            for state, sel in _pair_chunks(rows, sel_pos, every=d == 0):
+                sensed = rows[state[:, None], sel_pos[sel]]
+                live = _poisson_binomial_rows(vals[sensed].T) != 0.0
+                # A child is the aged unsensed entries plus k-s copies of p01 and s
+                # of p11.  No aged entry is p01 or p11 itself, so a child is
+                # identified by (its sorted aged part, s), and only new nodes need a
+                # full sort.  Below the roots a state is sorted, so its unsensed
+                # entries are too; the roots keep their entry order.
+                unsensed = rows[state[:, None], comp_pos[sel]]
+                if d == 0:
+                    unsensed.sort(axis=1)
+                aged, part = _child_parts(unsensed, aged_rank, len(vals))
+                starts = np.flatnonzero(np.diff(state, prepend=-1))
+                # `part` indexes this chunk's aged rows, `count` rows into `parts`.
+                chunks.append((sensed, live, part + count, starts))
+                parts.append(aged)
+                count += len(aged)
+            aged, number = _number_parts(parts, len(vals))
+            del parts
+            # Child slot part * (k+1) + s is (the level's part, s goods); only
+            # slots that some live pair reaches become nodes, in slot order.
             found = np.zeros(len(aged) * (k + 1), dtype=bool)
-            found[slot[live]] = True
+            for i, (sensed, live, part, starts) in enumerate(chunks):
+                part = number[part] * (k + 1)
+                found[(part + s_col)[live]] = True
+                chunks[i] = (sensed, live, part, starts)
             made = np.flatnonzero(found)
             nodes += len(made)
             if self._v_nodes + nodes > self.max_states:
                 raise _node_cap_error(self.max_states, "V")
             ids = np.cumsum(found, dtype=np.int32) - 1
-            child = np.where(live, ids[slot], 0)  # a pruned slot reads node 0, weight 0
+            for i, (sensed, live, part, starts) in enumerate(chunks):
+                # A pruned slot reads node 0, weight 0.
+                chunks[i] = (sensed, np.where(live, ids[part + s_col], 0), starts)
+            expanded.append(chunks)
             goods = (made % (k + 1)).reshape(-1, 1)
             rows = np.concatenate(
                 [aged[made // (k + 1)], np.where(np.arange(k) < k - goods, bad, good)],
                 axis=1,
             ).astype(rows.dtype)
             rows.sort(axis=1)
-            del aged, part, slot, found, made, ids
-            starts = np.flatnonzero(np.diff(state, prepend=-1))
-            expanded.append((sensed, child, starts))
+            del chunks, aged, number, found, made, ids
             levels.append(rows)
         value = _left_sum(vals[rows[:, n - k :]].T)
         greedy = value
         kept = []
         for d in range(h - 1, -1, -1):
-            sensed, child, starts = expanded.pop()
-            sensed = vals[sensed].T
-            law = _poisson_binomial_rows(sensed)
-            reward = _left_sum(sensed)
-            q = reward + beta * _left_sum(law[s] * value.take(child[s]) for s in range(k + 1))
+            out = []  # per chunk: its Q, or its states' (value, regret, G)
+            for sensed, child, starts in expanded.pop():
+                sensed = vals[sensed].T
+                law = _poisson_binomial_rows(sensed)
+                reward = _left_sum(sensed)
+                q = reward + beta * _left_sum(law[s] * value.take(child[s]) for s in range(k + 1))
+                if d == 0:
+                    out.append((q, child))
+                    continue
+                best_q = np.maximum.reduceat(q, starts)
+                # Greedy's pair senses the top k ranks, so its reward is the best.
+                last = np.append(starts[1:], len(q)) - 1
+                best = reward.take(last)
+                regret = best_q - _least_tied_q(q, reward, starts, best)
+                g = best + beta * _left_sum(
+                    law.take(last, axis=1) * greedy.take(child.take(last, axis=1))
+                )
+                out.append((best_q, regret, g))
             if d == 0:
+                q, child = (np.concatenate(a, axis=-1) for a in zip(*out))
                 break
-            value = np.maximum.reduceat(q, starts)
-            # Greedy's pair senses the top k ranks, so its reward is the best.
-            last = np.append(starts[1:], len(q)) - 1
-            best = reward.take(last)
-            regret = value - _least_tied_q(q, reward, starts, best)
-            greedy = best + beta * _left_sum(
-                law.take(last, axis=1) * greedy.take(child.take(last, axis=1))
-            )
+            value, regret, greedy = (np.concatenate(a) for a in zip(*out))
             kept.append(_VLevel(h - d, levels[d], value, regret))
         graph = _VGraph(vals, symbols, bases, tuple(kept), child, greedy)
         self._v_nodes += nodes

@@ -51,6 +51,9 @@ from .dp import (
     DEFAULT_MAX_STATES,
     FiniteHorizonSolver,
     ResourceLimitError,
+    _INT64_MAX,
+    _MAX_FLOATS,
+    _check_addressable,
     _selection_arrays,
     selection_count,
     w_graph_nodes,
@@ -119,6 +122,12 @@ class InstanceSampler:
     products of tau-iterates of p01/p11 (the reachable set), and
     boundary-heavy vectors with entries in {0, p01, stationary, p11, 1} --
     the strata the optimality proof's case analysis pivots on.
+
+    Each range is (low, high), both drawn: integers with 1 <= low <= high <=
+    2**63 - 1, and n_range's low end at most the float64 entries one array
+    can address.  Any other range raises ValueError naming its field.  A
+    drawn n past that limit raises MemoryError, the failed allocation it is;
+    callers bound n (the CLI checks n_max against its cap before any draw).
     """
 
     seed: int
@@ -131,6 +140,22 @@ class InstanceSampler:
     def __post_init__(self) -> None:
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
+        for name in ("n_range", "T_range", "k_range"):
+            bounds = getattr(self, name)
+            if name == "k_range" and bounds is None:
+                continue
+            pair = isinstance(bounds, (tuple, list)) and len(bounds) == 2 and all(
+                isinstance(b, (int, np.integer)) and not isinstance(b, bool) for b in bounds
+            )
+            if not pair or not 1 <= bounds[0] <= bounds[1] <= _INT64_MAX:
+                raise ValueError(
+                    f"{name} must be two integers with 1 <= low <= high <= 2**63 - 1, got {bounds!r}"
+                )
+        if self.n_range[0] > _MAX_FLOATS:
+            raise ValueError(
+                f"n_range draws at least {self.n_range[0]} belief entries, "
+                f"more than one array can address ({_MAX_FLOATS})"
+            )
 
     def rng_for(self, index: int) -> np.random.Generator:
         return np.random.default_rng([self.seed, index])
@@ -173,6 +198,7 @@ class InstanceSampler:
     def instance(self, index: int) -> Instance:
         rng = self.rng_for(index)
         n = int(rng.integers(self.n_range[0], self.n_range[1] + 1))
+        _check_addressable(n)
         if self.k_range is None:
             k = int(rng.integers(1, n + 1))
         else:

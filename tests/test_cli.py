@@ -910,9 +910,11 @@ def test_frontier_solve_within_time_and_memory(tmp_path, name, value):
     # The largest V solves in the suite, through the console command: n = 8,
     # k = 3, T = 8 with p11 > p01 (about 252k V graph nodes and 3.7M (state,
     # selection) pairs), and the same beliefs with p11 < p01, where aging
-    # reverses the entries' order.  Each takes about 2-3 s and 380-430 MiB on
-    # one core, ten times any other V solve here.  Each must exit 0 within
-    # 120 s, peak under 500 MiB resident, and write its recorded values.
+    # reverses the entries' order.  Each takes about 1.5 s and 144 MiB on one
+    # core, ten times any other V solve here: V's level passes hold one chunk
+    # of pairs at a time, so the peak is about the kept graph (82 MiB) plus
+    # the interpreter.  Each must exit 0 within 120 s, peak under 180 MiB
+    # resident (the measured peak plus 25%), and write its recorded values.
     src = str(Path(oppaccess.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = tmp_path / "out"
@@ -923,7 +925,7 @@ def test_frontier_solve_within_time_and_memory(tmp_path, name, value):
     )
     assert result.returncode == 0, result.stderr
     peak_mib = int(result.stdout.split()[-1]) / 1024
-    assert peak_mib < 500, f"peak RSS {peak_mib:.0f} MiB"
+    assert peak_mib < 180, f"peak RSS {peak_mib:.0f} MiB"
     (row,) = read_rows(out)
     assert (row["analytic_value"], row["greedy_value"]) == (value, value)
 

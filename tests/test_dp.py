@@ -896,19 +896,28 @@ def _rank_table(p01, p11, omega, h):
 
 
 class TestChildParts:
-    """``dp._child_parts`` against the per-pair numbering it replaced."""
+    """``dp._child_parts`` per chunk, numbered by ``dp._number_parts``, against
+    the per-pair numbering they replaced."""
 
     OMEGA = (0.15, 0.62, 0.4, 0.88, 0.27, 0.51)
 
     @staticmethod
     def _assert_matches(unsensed, aged_rank, given=None):
         # `given`: the rows as gathered, before the caller's sort
-        got = dp._child_parts(unsensed, aged_rank, len(aged_rank))
-        want = child_parts_per_pair(
-            unsensed if given is None else given, aged_rank, len(aged_rank)
-        )
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+        base = len(aged_rank)
+        want = child_parts_per_pair(unsensed if given is None else given, aged_rank, base)
+        # the whole level as one chunk, then in chunks that split repeated rows
+        for size in (len(unsensed), 7):
+            parts, index, count = [], [], 0
+            for lo in range(0, len(unsensed), size):
+                aged, part = dp._child_parts(unsensed[lo : lo + size], aged_rank, base)
+                parts.append(aged)
+                index.append(part + count)
+                count += len(aged)
+            aged, number = dp._number_parts(parts, base)
+            got = (aged, number[np.concatenate(index)])
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
     @pytest.mark.parametrize("p01, p11", [(0.3, 0.8), (0.8, 0.3), (0.4, 0.4)])
     def test_sorted_rows(self, p01, p11):
@@ -1253,3 +1262,79 @@ class TestGreedyAudit:
         for inst in sampler.instances(200):
             solver, b = inst.solver(), BeliefVector(inst.omega)
             assert solver.greedy_audit(b, 1).value.hex() == solver.greedy_value(b, 1).hex()
+
+
+# Instances for V's chunked level passes: (p01, p11, T, beta, k, roots).  The
+# pinned ones cover both regimes; then p11 = p01, a batch of unsorted roots
+# with repeated entries, one root given twice, and rows of 13 unsensed ranks,
+# whose keys ``_fold_keys`` re-densifies.  A root of five entries with k = 2
+# has 10 pairs, more than a 7-pair chunk holds.
+CHUNK_CASES = {
+    **{name: (*case[:5], [case[5]]) for name, case in PINNED_INSTANCES.items()},
+    "p11=p01": (0.4, 0.4, 4, 0.9, 2, [(0.15, 0.62, 0.4, 0.88, 0.27)]),
+    "wide-rows": (0.8, 0.3, 3, 0.95, 1, [tuple(np.random.default_rng(5).random(14).tolist())]),
+    "batch-repeated": (
+        0.3, 0.8, 4, 0.95, 2,
+        [(0.62, 0.15, 0.62, 0.4, 0.88), (0.4, 0.4, 0.9, 0.15, 0.4), (0.62, 0.15, 0.62, 0.4, 0.88)],
+    ),
+}
+
+
+class TestChunkedLevels:
+    """V's level passes walk chunks of whole states, and the chunk size changes nothing."""
+
+    @staticmethod
+    def _solve(case):
+        p01, p11, T, beta, k, roots = CHUNK_CASES[case]
+        solver = make_solver(p01, p11, T, beta, k)
+        beliefs = [BeliefVector(r) for r in roots]
+        q = [[x.hex() for x in row] for row in solver.action_value_table(beliefs, 1).tolist()]
+        graph = solver._answers[(1, roots[0])][1]
+        states = solver.cache_stats()["v_states"]
+        audits = [
+            (a.value.hex(), a.regret.hex(), a.t, a.omega)
+            for a in (solver.greedy_audit(b, 1) for b in beliefs)
+        ]
+        # a batch's audits solve each root once more on its own
+        return q, graph, (states, solver.cache_stats()["v_states"]), audits
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("case", sorted(CHUNK_CASES))
+    def test_chunk_size_changes_nothing(self, monkeypatch, case, chunk):
+        q, graph, states, audits = self._solve(case)
+        monkeypatch.setattr(dp, "_CHUNK_PAIRS", chunk)
+        got_q, got_graph, got_states, got_audits = self._solve(case)
+        assert got_q == q
+        assert got_states == states
+        assert got_audits == audits
+        if graph is None:  # beta = 0 keeps no graph
+            assert got_graph is None
+            return
+        assert [lv.h for lv in got_graph.levels] == [lv.h for lv in graph.levels]
+        for got, want in zip(got_graph.levels, graph.levels):
+            assert got.rows.dtype == want.rows.dtype and np.array_equal(got.rows, want.rows)
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.regret.tobytes() == want.regret.tobytes()
+        assert np.array_equal(got_graph.root_children, graph.root_children)
+        assert got_graph.greedy.tobytes() == graph.greedy.tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 7, 40])
+    def test_chunks_are_whole_states_as_full_as_they_fit(self, monkeypatch, chunk):
+        monkeypatch.setattr(dp, "_CHUNK_PAIRS", chunk)
+        rows = np.sort(np.random.default_rng(11).integers(0, 3, (30, 5)), axis=1)
+        sel_pos = dp._selection_arrays(5, 2)[0]
+        for every, want in [
+            (False, dp._sensing_pairs(rows, sel_pos)),
+            (True, np.nonzero(np.ones((30, 10), dtype=bool))),
+        ]:
+            chunks = list(dp._pair_chunks(rows, sel_pos, every))
+            assert np.array_equal(np.concatenate([s for s, _ in chunks]), want[0])
+            assert np.array_equal(np.concatenate([c for _, c in chunks]), want[1])
+            for (state, _), (nxt, _) in zip(chunks, chunks[1:]):
+                assert state[-1] < nxt[0]  # no state is split
+                # the next state would not have fit
+                assert len(state) + np.count_nonzero(nxt == nxt[0]) > chunk
+            for state, _ in chunks:
+                assert len(state) <= chunk or state[0] == state[-1]
+        # with every selection, each state has 10 pairs: more than 1 or 7 hold
+        assert any(len(state) > chunk for state, _ in chunks) == (chunk < 10)

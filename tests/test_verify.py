@@ -79,6 +79,41 @@ class TestSampler:
         with pytest.raises(ValueError):
             InstanceSampler(seed=1, regime="sideways")
 
+    # Each of these used to fail only at the first draw, in numpy: "low >=
+    # high" for the first two, "array is too big" (or an endless list build)
+    # for the third.
+    def test_reversed_range_names_its_field(self):
+        with pytest.raises(ValueError, match=r"n_range must be .*got \(5, 2\)"):
+            InstanceSampler(seed=1, n_range=(5, 2))
+
+    def test_empty_range_names_its_field(self):
+        with pytest.raises(ValueError, match=r"n_range must be .*got \(0, 0\)"):
+            InstanceSampler(seed=1, n_range=(0, 0))
+
+    def test_unaddressable_n_names_its_field(self):
+        with pytest.raises(ValueError, match="n_range draws at least 4611686018427387904"):
+            InstanceSampler(seed=1, n_range=(2**62, 2**62))
+
+    @pytest.mark.parametrize(
+        "field, bounds",
+        [
+            ("T_range", (0, 3)), ("T_range", (2, 1)), ("T_range", (1, 2**63)),
+            ("k_range", (0, 2)), ("k_range", (1,)),
+            ("n_range", (2.0, 4)), ("n_range", (True, 4)), ("n_range", 4), ("n_range", (2, "x", 4)),
+        ],
+    )
+    def test_other_malformed_ranges_name_their_field(self, field, bounds):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            InstanceSampler(seed=1, **{field: bounds})
+
+    def test_a_range_reaching_past_the_limit_fails_at_the_draw(self):
+        # The CLI passes (2, n_max) for any int64 n_max and checks n_max
+        # against its cap before drawing; a drawn n past the limit is a
+        # failed allocation, raised before any entry is drawn.
+        s = InstanceSampler(seed=1, n_range=(2, 2**63 - 1))
+        with pytest.raises(MemoryError):
+            s.instance(0)
+
 
 class TestChecks:
     def test_theorem1_positive_regime_clean(self):
