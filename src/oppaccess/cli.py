@@ -30,14 +30,20 @@ import time
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, List, Optional, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 import click
 import yaml
 
 from . import __version__
 from .model import ActionSet, BeliefVector, HorizonSpec, TransitionModel
-from .dp import DEFAULT_MAX_STATES, FiniteHorizonSolver, ResourceLimitError, selection_count
+from .dp import (
+    _INT64_MAX,
+    DEFAULT_MAX_STATES,
+    FiniteHorizonSolver,
+    ResourceLimitError,
+    selection_count,
+)
 from .policies import (
     FixedSetPolicy,
     GreedyPolicy,
@@ -120,10 +126,9 @@ _POLICY_KEYS = {"name": _REQUIRED, "indices": None}
 _VERIFY_KEYS = {
     "properties": _PROPERTIES, "count": 100, "regime": "positive", "n_max": 5, "T_max": 5,
 }
-# sim keys its Philox streams by the seed modulo 2**64.
+# sim keys its Philox streams by the seed modulo 2**64.  Every other integer
+# lies in int64 (``_int``), where numpy sizes arrays and draws integers.
 _SEED_MAX = 2**64 - 1
-# Every other integer: numpy sizes arrays and draws integers in int64.
-_INT_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -156,7 +161,7 @@ def _fields(value: Any, table: dict, where: str) -> dict:
     return {key: value.get(key, default) for key, default in table.items()}
 
 
-def _int(value: Any, where: str, low: int = -_INT_MAX - 1, high: int = _INT_MAX) -> int:
+def _int(value: Any, where: str, low: int = -_INT64_MAX - 1, high: int = _INT64_MAX) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
     if not low <= value <= high:
@@ -227,7 +232,17 @@ def _policy_specs(cfg: dict, values: dict, instance: SimConfig) -> tuple:
     if not isinstance(specs, list) or not specs or (compare and len(specs) != 2):
         size = "exactly two" if compare else "one or more"
         raise ConfigError(f"{values['kind']} needs a 'policies' list with {size} entries")
-    return tuple(_policy_spec(spec, instance) for spec in specs)
+    specs = tuple(_policy_spec(spec, instance) for spec in specs)
+    if not compare:  # compare may pit a policy against itself
+        _check_unrepeated(specs, "policies")
+    return specs
+
+
+def _check_unrepeated(entries: Sequence, where: str) -> None:
+    """Raise ConfigError naming the first entry that repeats an earlier one."""
+    for i, entry in enumerate(entries):
+        if entry in entries[:i]:
+            raise ConfigError(f"{where} lists {entry!r} more than once")
 
 
 def _policy_spec(spec: Any, instance: SimConfig) -> Union[str, ActionSet]:
@@ -252,6 +267,7 @@ def _verify_fields(section: Any, seed: int) -> dict:
     props = values["properties"]
     if not isinstance(props, list) or any(prop not in _PROPERTIES for prop in props):
         raise ConfigError(f"verify.properties must be a list drawn from {_PROPERTIES}, got {props!r}")
+    _check_unrepeated(props, "verify.properties")
     if values["regime"] == "negative" and "theorem1" in props:
         raise ConfigError("theorem1 holds only for p11 >= p01; it cannot run with regime 'negative'")
     n_max = _int(values["n_max"], "verify.n_max", 2)

@@ -29,31 +29,29 @@ since channels are exchangeable, is a row of small ints.  Level d holds the
 distinct states reachable from the roots in d steps.  Both passes walk a
 level in chunks of whole states of at most ``_CHUNK_PAIRS`` (state,
 selection) pairs (``_pair_chunks``), so what a level sizes by its pairs is
-held one chunk at a time; what a solve holds from one pass to the other is
-each level's sensed ranks, child indices and state starts.  A child is its
-parent's unsensed entries, aged, plus the observed ones, so a chunk's pairs
-are grouped by their unsensed multisets with one ``np.unique``, and only
-one row per group is aged and sorted (``_child_parts``); one key fold over
-every chunk's aged rows numbers the level's children (``_number_parts``),
-in the order a pass over the whole level gives.  Backward induction then
-runs level by level, chunk by chunk, with numpy gathers in the scalar
-Bellman recursion's operation order, so the Q-values are float.hex-identical
-to it and do not depend on the chunk size.  Equal entries are contiguous in
-a sorted state, and below the roots only the first selection of each sensed
-multiset is expanded: a selection is skipped when it senses position q + 1
-and not q of a state whose entries q and q + 1 are equal.  The skipped ones
-have bit-identical Q-values and reach the same states.  The sensing sets
-come from one cached read-only table per (n, k), ``_selection_arrays``: the
-selected and the other positions of every set, in lexicographic order.  It
-holds positions, not bit patterns, so it serves any n; the greedy audit,
-the lemma 2 check, the policies and ``enumerate_actions``, its 1-based view,
-read it.  Zero-probability children are pruned, so a single root's node
-count equals the recursion's memo size.  A solver's V graph nodes, summed
-over its queries, count against ``max_states`` before any value is computed,
-and so does C(n, k), before any of a V, Q or audit query's sensing sets is
-listed (``selection_count``).
-A solver keeps the Q rows it answered, keyed on (t, root belief), each with
-the graph it was solved in.
+held one chunk at a time.  A child is its parent's unsensed entries, aged,
+plus the observed ones, so a chunk's pairs are grouped by their unsensed
+multisets with one ``np.unique``, and only one row per group is aged and
+sorted (``_child_parts``); one key fold over every chunk's aged rows numbers
+the level's parts (``_number_parts``), in the order a pass over the whole
+level gives.  From one pass to the other a solve holds each pair's sensed
+ranks and part number, each state's start, and each level's child ids by
+(part, s goods); both passes prune a child by the same outcome law.
+Backward induction then runs level by level, chunk by chunk, with one
+Bellman step (``_backup``) in the scalar recursion's operation order, so the
+Q-values are float.hex-identical to it and do not depend on the chunk size.
+Equal entries are contiguous in a sorted state, and below the roots only the
+first selection of each sensed multiset is expanded: a selection is skipped
+when it senses position q + 1 and not q of a state whose entries q and q + 1
+are equal.  The skipped ones have bit-identical Q-values and reach the same
+states.  The sensing sets come from one cached read-only table per (n, k),
+``_selection_arrays``.  Zero-probability children are pruned, so a single
+root's node count equals the recursion's memo size.  A solver's V graph
+nodes, summed over its queries, count against ``max_states`` before any
+value is computed, and so does C(n, k), before any of a V, Q or audit
+query's sensing sets is listed (``selection_count``).  A solver keeps the Q
+rows it answered, keyed on (t, root belief), each with the graph it was
+solved in.
 
 The same backward pass audits greedy at every state below the roots, from
 the pass's own arrays: the regret of greedy's tied choices against the best
@@ -123,6 +121,15 @@ def _left_sum(values: Iterable) -> float | np.ndarray:
     for v in values:
         total += v
     return total
+
+
+def _backup(reward, law: np.ndarray, beta: float, nxt: np.ndarray, child: np.ndarray):
+    """One Bellman step, reward + β·(0.0 + law[0]·nxt[child[0]] + ... + law[k]·nxt[child[k]]).
+
+    `law[s]` is the chance of s good outcomes and `child[s]` the index into
+    `nxt` of the belief they lead to, elementwise; the sum folds s in order.
+    """
+    return reward + beta * _left_sum(law * nxt.take(child, axis=0))
 
 
 def _tau(model: TransitionModel, x: np.ndarray) -> np.ndarray:
@@ -507,10 +514,9 @@ class FiniteHorizonSolver:
         value = _left_sum(sensed)
         if graph is None:
             return GreedyAudit(value, regret, t, omega)
-        pick = int(np.flatnonzero((sel_pos == top).all(axis=1))[0])
+        child = graph.root_children[:, int(np.flatnonzero((sel_pos == top).all(axis=1))[0])]
         law = _poisson_binomial_rows(np.array(sensed))
-        total = _left_sum(law * graph.greedy.take(graph.root_children[:, pick]))
-        value = float(value + self.horizon.beta * total)
+        value = float(_backup(value, law, self.horizon.beta, graph.greedy, child))
         # The root's own node, unless a node below it is worse: the largest
         # regret, then the shallowest level, then the first state.
         for level in reversed(graph.levels):
@@ -543,17 +549,20 @@ class FiniteHorizonSolver:
         in d steps, with h - d steps remaining.  At the roots every selection
         is evaluated, in the given entry order; below them only the leftmost
         selection of each sensed multiset (see ``_sensing_pairs``), and only
-        the children of nonzero outcome probability.  Every entry a state can
-        hold is ranked once, so a state is a sorted row of ranks.
-        Each level is walked in chunks of whole states (``_pair_chunks``).
-        Forward, a chunk's pairs are grouped by their sorted unsensed rows,
-        and one row per group is aged (``_child_parts``), so that work follows
-        the distinct unsensed multisets, not the pairs; then one numbering of
-        every chunk's aged rows (``_number_parts``) gives each chunk its child
-        indices.  Backward, each chunk yields its pairs' Q and its states'
-        values, regrets and G, which are concatenated in state order.  So a
-        level's temporaries follow a chunk, and only the sensed ranks, child
-        indices and state starts of every pair are kept through the solve.
+        the children of nonzero outcome probability.  A state is a sorted row
+        of ranks, and each level is walked in chunks of whole states
+        (``_pair_chunks``).  Forward, a chunk's pairs are grouped by their
+        sorted unsensed rows, and one row per group is aged (``_child_parts``),
+        so that work follows the distinct unsensed multisets, not the pairs;
+        one numbering of every chunk's aged rows (``_number_parts``) gives each
+        pair its part, and each slot (part, s goods) that a pair reaches with
+        nonzero probability is a node of the next level.  Backward, each chunk
+        recomputes its outcome law, which prunes as the forward one did, reads
+        its children from the level's node ids by slot, and yields its pairs'
+        Q and its states' values, regrets and G, concatenated in state order.
+        So a level's temporaries follow a chunk; what is kept through the
+        solve is each pair's sensed ranks and int32 part, each state's start,
+        and each level's node ids by slot.
         The graph is complete, and counted against ``max_states``, before any
         value is computed; a graph stopped by the cap is not kept.
 
@@ -575,64 +584,56 @@ class FiniteHorizonSolver:
             raise _node_cap_error(self.max_states, "V")
         vals, symbols, bases, aged_rank, rows, bad, good = self._rank_entries(h, roots)
         nodes = 0
-        expanded = []  # level d < h, per chunk: (sensed ranks, child index by s, state starts)
+        expanded = []  # level d < h: its chunks' (sensed ranks, parts, state starts), ids by slot
         levels = [rows]
-        s_col = np.arange(k + 1).reshape(-1, 1)
         for d in range(h):
-            chunks, parts, count = [], [], 0
+            chunks, lives, parts, count = [], [], [], 0
             for state, sel in _pair_chunks(rows, sel_pos, every=d == 0):
                 sensed = rows[state[:, None], sel_pos[sel]]
-                live = _poisson_binomial_rows(vals[sensed].T) != 0.0
-                # A child is the aged unsensed entries plus k-s copies of p01 and s
-                # of p11.  No aged entry is p01 or p11 itself, so a child is
-                # identified by (its sorted aged part, s), and only new nodes need a
-                # full sort.  Below the roots a state is sorted, so its unsensed
-                # entries are too; the roots keep their entry order.
+                lives.append(_poisson_binomial_rows(vals[sensed].T) != 0.0)
+                # No aged entry is p01 or p11 itself, so a child is its (sorted aged
+                # part, s), and only new nodes need a full sort.  Below the roots
+                # unsensed entries are sorted already; the roots keep their order.
                 unsensed = rows[state[:, None], comp_pos[sel]]
                 if d == 0:
                     unsensed.sort(axis=1)
                 aged, part = _child_parts(unsensed, aged_rank, len(vals))
-                starts = np.flatnonzero(np.diff(state, prepend=-1))
                 # `part` indexes this chunk's aged rows, `count` rows into `parts`.
-                chunks.append((sensed, live, part + count, starts))
+                chunks.append((sensed, part + count, np.flatnonzero(np.diff(state, prepend=-1))))
                 parts.append(aged)
                 count += len(aged)
             aged, number = _number_parts(parts, len(vals))
-            del parts
-            # Child slot part * (k+1) + s is (the level's part, s goods); only
-            # slots that some live pair reaches become nodes, in slot order.
+            # Slot part * (k+1) + s, the level's part with s goods, is a node when a
+            # live pair reaches it; every pair has one, so int32 numbers the parts.
             found = np.zeros(len(aged) * (k + 1), dtype=bool)
-            for i, (sensed, live, part, starts) in enumerate(chunks):
-                part = number[part] * (k + 1)
-                found[(part + s_col)[live]] = True
-                chunks[i] = (sensed, live, part, starts)
+            for i, (sensed, part, starts) in enumerate(chunks):
+                part = number[part]
+                found[(part * (k + 1) + np.arange(k + 1)[:, None])[lives[i]]] = True
+                chunks[i] = (sensed, part.astype(np.int32), starts)
+            del parts, lives
             made = np.flatnonzero(found)
             nodes += len(made)
             if self._v_nodes + nodes > self.max_states:
                 raise _node_cap_error(self.max_states, "V")
-            ids = np.cumsum(found, dtype=np.int32) - 1
-            for i, (sensed, live, part, starts) in enumerate(chunks):
-                # A pruned slot reads node 0, weight 0.
-                chunks[i] = (sensed, np.where(live, ids[part + s_col], 0), starts)
-            expanded.append(chunks)
-            goods = (made % (k + 1)).reshape(-1, 1)
-            rows = np.concatenate(
-                [aged[made // (k + 1)], np.where(np.arange(k) < k - goods, bad, good)],
-                axis=1,
-            ).astype(rows.dtype)
+            expanded.append((chunks, (np.cumsum(found, dtype=np.int32) - 1).reshape(-1, k + 1)))
+            blocks = np.where(np.arange(k) < k - (made % (k + 1))[:, None], bad, good)
+            rows = np.concatenate([aged[made // (k + 1)], blocks], axis=1).astype(rows.dtype)
             rows.sort(axis=1)
-            del chunks, aged, number, found, made, ids
+            del aged, number, found, made, blocks
             levels.append(rows)
         value = _left_sum(vals[rows[:, n - k :]].T)
         greedy = value
         kept = []
         for d in range(h - 1, -1, -1):
-            out = []  # per chunk: its Q, or its states' (value, regret, G)
-            for sensed, child, starts in expanded.pop():
+            chunks, ids = expanded.pop()
+            out = []  # per chunk: its Q and children, or its states' (value, regret, G)
+            for sensed, part, starts in chunks:
                 sensed = vals[sensed].T
                 law = _poisson_binomial_rows(sensed)
                 reward = _left_sum(sensed)
-                q = reward + beta * _left_sum(law[s] * value.take(child[s]) for s in range(k + 1))
+                # The forward pass's law bit for bit, so it prunes the same slots (to node 0).
+                child = np.where(law != 0.0, ids.take(part, axis=0).T, 0)
+                q = _backup(reward, law, beta, value, child)
                 if d == 0:
                     out.append((q, child))
                     continue
@@ -641,9 +642,7 @@ class FiniteHorizonSolver:
                 last = np.append(starts[1:], len(q)) - 1
                 best = reward.take(last)
                 regret = best_q - _least_tied_q(q, reward, starts, best)
-                g = best + beta * _left_sum(
-                    law.take(last, axis=1) * greedy.take(child.take(last, axis=1))
-                )
+                g = _backup(best, law.take(last, axis=1), beta, greedy, child.take(last, axis=1))
                 out.append((best_q, regret, g))
             if d == 0:
                 q, child = (np.concatenate(a, axis=-1) for a in zip(*out))
@@ -847,7 +846,7 @@ def w_table(
     del sensed
     for d in range(H - 1, -1, -1):
         lo, hi = starts[d], starts[d + 1]
-        w = reward[lo:hi] + horizon.beta * _left_sum(law[:, lo:hi] * w[graph.children[d]])
+        w = _backup(reward[lo:hi], law[:, lo:hi], horizon.beta, w, graph.children[d])
         out[d] = w[0]
     return out
 

@@ -75,7 +75,8 @@ class TestRunSolve:
         )
         cfg = write_config(tmp_path, cfg_data)
         out = tmp_path / "out"
-        result = runner.invoke(main, ["run", cfg, "--out-dir", str(out)])
+        with pytest.warns(UserWarning, match="stationary belief undefined"):
+            result = runner.invoke(main, ["run", cfg, "--out-dir", str(out)])
         assert result.exit_code == 0, result.output
 
 
@@ -724,6 +725,34 @@ class TestRejectedBeforeAnyWork:
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "cfg_data, entry",
+    [
+        (dict(VERIFY_CFG, verify={"properties": ["affinity", "affinity", "negative-scan"]}),
+         "verify.properties lists 'affinity' more than once"),
+        (dict(SIM_CFG, policies=["round-robin", {"name": "fixed", "indices": [2]},
+                                 {"name": "fixed", "indices": [2]}]),
+         "policies lists ActionSet(indices=(2,)) more than once"),
+    ],
+    ids=["properties", "policies"],
+)
+def test_repeated_entry_exits_2_and_names_it(runner, tmp_path, cfg_data, entry):
+    # A repeat would run a check twice, or write one policy's rows and traces
+    # twice; compare alone may pit a policy against itself.
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["run", write_config(tmp_path, cfg_data), "--out-dir", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"config error: {entry}" in result.output
+    assert not out.exists()
+
+
+def test_compare_of_a_policy_against_itself_runs(runner, tmp_path):
+    cfg = write_config(tmp_path, dict(SIM_CFG, kind="compare", policies=["greedy", "greedy"]))
+    result = runner.invoke(main, ["run", cfg, "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    assert read_rows(tmp_path / "out")[0]["policy"] == "greedy vs greedy"
+
+
 INT64_MAX = 2**63 - 1
 
 
@@ -910,11 +939,12 @@ def test_frontier_solve_within_time_and_memory(tmp_path, name, value):
     # The largest V solves in the suite, through the console command: n = 8,
     # k = 3, T = 8 with p11 > p01 (about 252k V graph nodes and 3.7M (state,
     # selection) pairs), and the same beliefs with p11 < p01, where aging
-    # reverses the entries' order.  Each takes about 1.5 s and 144 MiB on one
+    # reverses the entries' order.  Each takes about 2 s and 104 MiB on one
     # core, ten times any other V solve here: V's level passes hold one chunk
-    # of pairs at a time, so the peak is about the kept graph (82 MiB) plus
-    # the interpreter.  Each must exit 0 within 120 s, peak under 180 MiB
-    # resident (the measured peak plus 25%), and write its recorded values.
+    # of pairs at a time, so the peak is about what V keeps between its
+    # passes (37 MiB) plus the interpreter.  Each must exit 0 within 120 s,
+    # peak under 131 MiB resident (the measured peak plus 25%), and write its
+    # recorded values.
     src = str(Path(oppaccess.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = tmp_path / "out"
@@ -925,7 +955,7 @@ def test_frontier_solve_within_time_and_memory(tmp_path, name, value):
     )
     assert result.returncode == 0, result.stderr
     peak_mib = int(result.stdout.split()[-1]) / 1024
-    assert peak_mib < 180, f"peak RSS {peak_mib:.0f} MiB"
+    assert peak_mib < 131, f"peak RSS {peak_mib:.0f} MiB"
     (row,) = read_rows(out)
     assert (row["analytic_value"], row["greedy_value"]) == (value, value)
 
@@ -1039,6 +1069,8 @@ def _configs(draw, with_grid):
     return cfg
 
 
+# p01 = 0, p11 = 1 with a stationary belief takes the documented fallback.
+@pytest.mark.filterwarnings("ignore:stationary belief undefined:UserWarning")
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     data=st.data(), command=st.sampled_from(["run", "sweep"]), cap=st.sampled_from(["5", "500"])
