@@ -51,7 +51,11 @@ nodes, summed over its queries, count against ``max_states`` before any
 value is computed, and so does C(n, k), before any of a V, Q or audit
 query's sensing sets is listed (``selection_count``).  A solver keeps the Q
 rows it answered, keyed on (t, root belief), each with the graph it was
-solved in.
+solved in, and keeps every graph it solved.  A later query's root that is a
+state of a held graph's level with as many steps left is answered from that
+level by one Bellman step, states matched by value; it builds no nodes and
+counts none.  So an optimal policy, whose later beliefs are all states of
+its first query's graph, solves each state once.
 
 The same backward pass audits greedy at every state below the roots, from
 the pass's own arrays: the regret of greedy's tied choices against the best
@@ -82,6 +86,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -352,6 +357,16 @@ def _number_parts(parts: Sequence[np.ndarray], base: int) -> Tuple[np.ndarray, n
     return rows[member], number
 
 
+def _void_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D array as one opaque item, so whole rows sort and compare at once.
+
+    Items order by their bytes, not by value; that order is only for
+    ``np.searchsorted`` over items sorted the same way.
+    """
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).reshape(-1)
+
+
 @dataclass(frozen=True)
 class _VLevel:
     """One level of a solved V graph: its states as sorted rank rows, their values,
@@ -363,13 +378,14 @@ class _VLevel:
     regret: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _VGraph:
     """The levels between the roots and the last step of one solved V graph, and
     what its ranks stand for: rank r is base b aged m steps, for ``symbols[r]``
     = b + m * len(bases).  The bases are kept here, since the greedy audit
     points a re-solved root's answer at a new graph, so the answers do not
-    tell a graph's roots."""
+    tell a graph's roots.  A graph is hashed by identity, so a solver keys
+    its held graphs' level indexes on the graph itself, weakly."""
 
     values: np.ndarray  # rank -> value
     symbols: np.ndarray  # rank -> b + m * len(bases)
@@ -379,6 +395,11 @@ class _VGraph:
     # column i * C(n, k) + c, row s; ``greedy`` is G at each level-1 state.
     root_children: np.ndarray
     greedy: np.ndarray
+
+
+#: What an answer keeps in place of a graph when it was given from a held
+#: graph's level (``FiniteHorizonSolver._held_rows``): it has no graph of its own.
+_HELD = "held"
 
 
 @dataclass(frozen=True)
@@ -414,10 +435,11 @@ class FiniteHorizonSolver:
     One instance owns a private table of V answers, each with the graph it
     was solved in, whose levels carry the greedy audits, and is meant to be
     used from a single thread; independent instances can run concurrently.
-    The table is shared across queries, so asking again is free.
-    ``max_states`` caps the V graph nodes over all of an instance's queries,
-    and, on its own, the node count of each W graph a query reads (see
-    ``w_table``).
+    The table is shared across queries, so asking again is free, and so are
+    the graphs: a later query's root found in a held graph's level is
+    answered from it, and builds no nodes and counts none.  ``max_states``
+    caps the V graph nodes over all of an instance's queries, and, on its
+    own, the node count of each W graph a query reads (see ``w_table``).
     """
 
     def __init__(
@@ -435,11 +457,16 @@ class FiniteHorizonSolver:
         self.max_states = max_states
         # W: the node count of the graph read for each belief length n.
         self._w_nodes: Dict[int, int] = {}
-        # V: the node count of the level graphs solved so far, and the Q row
-        # of every root answered with the graph it was solved in, keyed on
-        # (t, root belief).
+        # V: the node count of the level graphs solved so far; the Q row of
+        # every root answered, keyed on (t, root belief), with the graph it
+        # was solved in (None when none was needed, _HELD when it was read
+        # from a held level); and the graphs held, in solve order, each with
+        # the index of each of its levels searched so far, keyed on h.  A
+        # graph is held while an answer keeps it: the greedy audit can point
+        # every answer of a batch at new graphs.
         self._v_nodes = 0
-        self._answers: Dict[Tuple, Tuple[np.ndarray, Optional[_VGraph]]] = {}
+        self._answers: Dict[Tuple, Tuple[np.ndarray, object]] = {}
+        self._held: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     # -- shared plumbing ---------------------------------------------------
 
@@ -494,7 +521,8 @@ class FiniteHorizonSolver:
         Answered from the same cache as the Q rows, so after ``optimal_value``
         or ``action_values`` on the belief it solves nothing.  A root whose
         Q row came from a batch (``action_value_table`` on several beliefs)
-        shares its graph with the other roots, so it is solved once more on
+        shares its graph with the other roots, and a root answered from a
+        held level has no graph of its own, so either is solved once more on
         its own, against ``max_states`` like any solve.
         """
         h = self._check_v(belief, t)
@@ -503,7 +531,7 @@ class FiniteHorizonSolver:
         row, graph = self._answers[(t, root)]
         omega, k = belief.omega, self.k
         sel_pos = _selection_arrays(belief.n, k)[0]
-        if graph is not None and graph.root_children.shape[1] > len(sel_pos):
+        if graph is _HELD or graph is not None and graph.root_children.shape[1] > len(sel_pos):
             graph = self._solve_roots(h, [root])[1]
             self._answers[(t, root)] = (row, graph)
         rewards = _left_sum(np.array(omega)[sel_pos].T)
@@ -529,16 +557,99 @@ class FiniteHorizonSolver:
     def _q_table(self, h: int, roots: Sequence[Tuple[float, ...]]) -> np.ndarray:
         """Q rows of root beliefs with h steps remaining, through the answer cache.
 
-        Each answer keeps the graph its root was solved in (None when no
-        graph was needed).
+        A new root that is a state of a held graph's level with h steps left
+        is answered from that level by one Bellman step (``_held_rows``),
+        which builds no node and counts none; the other new roots are solved
+        together over one level graph (``_solve_roots``).  So a solver's first
+        query never uses the held levels.  Each answer keeps the graph its
+        root was solved in: None when no graph was needed, and ``_HELD`` when
+        it was read from a held level.
         """
         t = self.horizon.T - h
         new = list(dict.fromkeys(r for r in roots if (t, r) not in self._answers))
+        if new and h and self._held:
+            held = self._held_rows(h, new)
+            for root, row in held.items():
+                self._answers[(t, root)] = (row, _HELD)
+            new = [r for r in new if r not in held]
         if new:
             q, graph = self._solve_roots(h, new)
             for root, row in zip(new, q):
                 self._answers[(t, root)] = (row, graph)
         return np.array([self._answers[(t, r)][0] for r in roots])
+
+    def _held_rows(
+        self, h: int, roots: Sequence[Tuple[float, ...]]
+    ) -> Dict[Tuple[float, ...], np.ndarray]:
+        """The Q rows of the roots that are states of a held graph's level with h >= 1 steps left.
+
+        Graphs are searched in solve order.  A root's row is one Bellman step,
+        taken as ``_solve_roots`` takes it at the roots: every selection in
+        entry order, its reward, outcome law and ``_backup``.  Each live
+        child's V is read from the same graph's level with h - 1 steps left,
+        or, when h = 1, is the child's top-k reward.  V depends only on a
+        state's values, so the row is float.hex-equal to a fresh solve's.  A
+        root with a live child that the graph does not hold is left out.
+        """
+        out: Dict[Tuple[float, ...], np.ndarray] = {}
+        n, k, beta = len(roots[0]), self.k, self.horizon.beta
+        sel_pos, comp_pos = _selection_arrays(n, k)
+        # Row s: p01 for the k - s bad outcomes, then p11 for the s good ones.
+        bad = np.arange(k) < k - np.arange(k + 1)[:, None]
+        observed = np.where(bad, self.model.p01, self.model.p11)
+        for graph in self._held:
+            rest = [r for r in roots if r not in out]
+            if not rest or len(graph.levels) < h or graph.levels[0].rows.shape[1] != n:
+                continue
+            omega = np.array(rest)
+            omega = omega[self._find(graph, h, np.sort(omega, axis=1)) >= 0]
+            if not len(omega):
+                continue
+            q, answered = [], np.ones(len(omega), dtype=bool)
+            for state, sel in _pair_chunks(omega, sel_pos, every=True):
+                sensed = omega[state[:, None], sel_pos[sel]].T
+                law = _poisson_binomial_rows(sensed)
+                aged = _tau(self.model, omega[state[:, None], comp_pos[sel]])
+                # Each pair's child for s goods, at [pair, s], its values ascending.
+                children = np.empty((len(state), k + 1, n))
+                children[:, :, : n - k], children[:, :, n - k :] = aged[:, None], observed
+                children.sort(axis=2)
+                if h == 1:
+                    nxt = _left_sum(np.moveaxis(children[:, :, n - k :], 2, 0)).reshape(-1)
+                    child = np.arange(len(nxt)).reshape(-1, k + 1).T
+                else:
+                    nxt = graph.levels[h - 2].values
+                    child = self._find(graph, h - 1, children.reshape(-1, n)).reshape(-1, k + 1).T
+                    answered[state[((child < 0) & (law != 0.0)).any(axis=0)]] = False
+                    child = np.where(law != 0.0, child, 0)
+                q.append(_backup(_left_sum(sensed), law, beta, nxt, child))
+            q = np.concatenate(q).reshape(len(omega), len(sel_pos))
+            for root, row, ok in zip(map(tuple, omega.tolist()), q, answered):
+                if ok:
+                    out[root] = row
+        return out
+
+    def _find(self, graph: _VGraph, h: int, states: np.ndarray) -> np.ndarray:
+        """Each state's index in `graph`'s level with h steps left, or -1 where it has none.
+
+        `states` are rows of values, each ascending.  A value's canonical
+        rank is the first rank holding it: equal values held under different
+        symbols have bit-identical V, so states are matched by value.  The
+        level's states as canonical rank rows are sorted once per graph and
+        level, and kept with the graph in ``_held``.
+        """
+        level, index = graph.levels[h - 1], self._held[graph]
+        if h not in index:
+            first = np.searchsorted(graph.values, graph.values).astype(level.rows.dtype)
+            items = _void_rows(first[level.rows])
+            order = np.argsort(items)
+            index[h] = (items[order], order)
+        items, order = index[h]
+        ranks = np.minimum(np.searchsorted(graph.values, states), len(graph.values) - 1)
+        held = (graph.values[ranks] == states).all(axis=1)
+        query = _void_rows(ranks.astype(level.rows.dtype))
+        at = np.minimum(np.searchsorted(items, query), len(items) - 1)
+        return np.where(held & (items[at] == query), order[at], -1)
 
     def _solve_roots(
         self, h: int, roots: Sequence[Tuple[float, ...]]
@@ -651,6 +762,7 @@ class FiniteHorizonSolver:
             kept.append(_VLevel(h - d, levels[d], value, regret))
         graph = _VGraph(vals, symbols, bases, tuple(kept), child, greedy)
         self._v_nodes += nodes
+        self._held[graph] = {}
         return q.reshape(len(roots), len(sel_pos)), graph
 
     def _rank_entries(self, h: int, roots: Sequence[Tuple[float, ...]]):

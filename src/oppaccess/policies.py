@@ -84,12 +84,27 @@ class OptimalPolicy(Policy):
         # One solver query per step, over the distinct belief rows; replications
         # share the answer.  The first sensing set within VALUE_TOL of the row
         # maximum is optimal_value(...).best_actions[0].
-        uniq, inverse = np.unique(beliefs, axis=0, return_inverse=True)
+        uniq, inverse = _distinct_rows(beliefs)
         rows = [BeliefVector(tuple(row)) for row in uniq.tolist()]
         best = np.argmax(_optimal_mask(self.solver.action_value_table(rows, t)), axis=1)
         # The Q columns follow the selections' lexicographic order.
         selected = _selection_arrays(beliefs.shape[1], self.solver.k)[0]
-        return selected[best[inverse.reshape(-1)]]
+        return selected[best[inverse]]
+
+
+def _distinct_rows(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.unique(a, axis=0, return_inverse=True)`` for a 2-D float array, by one lexsort.
+
+    Returns the distinct rows in lexicographic order and each row's index
+    among them.
+    """
+    order = np.lexsort(a.T[::-1])
+    ordered = a[order]
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
 
 
 class OrderedListPolicy(Policy):

@@ -249,9 +249,12 @@ def _simulate_batch(config: SimConfig, policy: Policy, nat: np.ndarray, pol: np.
 def _run(
     config: SimConfig, policy: Policy, nat: np.ndarray, pol: Optional[np.ndarray]
 ) -> SimSummary:
-    """One policy on drawn streams; a policy that draws no randomness sees zeros."""
+    """One policy on drawn streams; a policy that draws no randomness sees zeros.
+
+    Those zeros are one read-only, zero-stride view, not an (R, T) array.
+    """
     if pol is None or not policy.uses_randomness:
-        pol = np.zeros((config.replications, config.horizon.T))
+        pol = np.broadcast_to(0.0, (config.replications, config.horizon.T))
     policy.reset(config.n, config.k, config.initial_belief.omega)
     return _summary(*_simulate_batch(config, policy, nat, pol))
 

@@ -919,6 +919,25 @@ def test_resource_probe_ends_at_once(tmp_path, name):
         )
 
 
+def test_simulate_optimal_probe_results_pinned(runner, tmp_path):
+    # optimal, greedy and ordered-list at n = 6, k = 2, T = 7 with 2,000
+    # replications.  The optimal policy's solver answers every step after the
+    # first from the graph its first query solved; every results.csv column
+    # but runtime_s keeps the bytes that a solve of each step's roots gave.
+    out = tmp_path / "out"
+    config = str(PROBES / "simulate_optimal_pins.yaml")
+    result = runner.invoke(main, ["run", config, "--out-dir", str(out)])
+    assert result.exit_code == 0, result.output
+    lines = (out / "results.csv").read_text().splitlines()
+    assert lines[0].endswith(",runtime_s")
+    assert [line.rsplit(",", 1)[0] for line in lines] == [
+        "instance,policy,simulated_mean,std_error,replications",
+        "0,optimal,8.9702462276249992,0.039356183817111534,2000",
+        "0,greedy,8.9702462276249992,0.039356183817111534,2000",
+        "0,ordered-list,8.9708492837656237,0.039232574325407839,2000",
+    ]
+
+
 # Runs the command in its arguments, then prints the largest peak resident set
 # of the processes it waited for, in KiB on Linux.  The probe runs in this
 # wrapper because the test process's own children counter would also hold

@@ -11,8 +11,10 @@ from oppaccess import (
     HorizonSpec,
     OptimalPolicy,
     ResourceLimitError,
+    SimConfig,
     TransitionModel,
     greedy_action,
+    simulate,
     tau_iterate,
 )
 from oppaccess import dp, verify
@@ -1338,3 +1340,133 @@ class TestChunkedLevels:
                 assert len(state) <= chunk or state[0] == state[-1]
         # with every selection, each state has 10 pairs: more than 1 or 7 hold
         assert any(len(state) > chunk for state, _ in chunks) == (chunk < 10)
+
+
+def _held_answers(solver):
+    """(t, root, Q row) of every answer a solver read from a held graph's level."""
+    return [
+        (t, root, row)
+        for (t, root), (row, graph) in solver._answers.items()
+        if graph is dp._HELD
+    ]
+
+
+class TestHeldLevels:
+    """A later query's roots that a held graph's level holds are answered from it."""
+
+    CASES = range(60)
+
+    @staticmethod
+    def _simulate(case):
+        # _sample_v_instance cycles positive, negative and boundary models,
+        # beta in {0, 1, random}, k <= 3, tied, p01- and p11-valued and 0/1
+        # roots; T of 3 to 5 gives each run held levels to read.
+        rng = np.random.default_rng(1300 + case)
+        model, horizon, k, belief = _sample_v_instance(rng, case)
+        horizon = HorizonSpec(int(rng.integers(3, 6)), horizon.beta)
+        policy = OptimalPolicy(model, horizon, k)
+        simulate(SimConfig(model, horizon, belief.n, k, belief, 100, case), policy)
+        return model, horizon, k, belief, policy.solver
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_optimal_policy_solves_each_state_once_and_exactly(self, case):
+        model, horizon, k, belief, solver = self._simulate(case)
+        oracle = RecursiveVSolver(model, horizon, k)
+        for t, root, row in _held_answers(solver):
+            want = oracle.action_values(BeliefVector(root), t).values()
+            assert [q.hex() for q in row.tolist()] == [q.hex() for q in want], (t, root)
+        # the t = 1 query solves the root's own graph; no later query adds a node
+        first = FiniteHorizonSolver(model, horizon, k).optimal_value(belief, 1)
+        assert solver.cache_stats()["v_states"] == first.cache_stats["v_states"]
+        assert bellman_residual(solver) <= 1e-12
+
+    def test_cases_cover_regimes_betas_ties_and_every_later_step(self):
+        regimes, betas, ks, tied, held = set(), set(), set(), 0, 0
+        for case in self.CASES:
+            model, horizon, k, belief, solver = self._simulate(case)
+            regimes.add((model.p11 > model.p01) - (model.p11 < model.p01))
+            betas.add(horizon.beta if horizon.beta in (0.0, 1.0) else "random")
+            ks.add(k)
+            tied += len(set(belief.omega)) < belief.n
+            answers = _held_answers(solver)
+            held += len(answers)
+            if horizon.beta != 0.0:
+                # every step but the first and the last reads the held graph
+                assert {t for t, _, _ in answers} == set(range(2, horizon.T))
+        assert regimes == {-1, 0, 1} and betas == {0.0, 1.0, "random"}
+        assert ks == {1, 2, 3} and tied >= 10 and held > 300
+
+    def test_a_batch_mixes_held_and_new_roots(self):
+        model, horizon, k = TransitionModel(0.3, 0.8), HorizonSpec(5, 0.9), 2
+        solver = FiniteHorizonSolver(model, horizon, k)
+        solver.optimal_value(BeliefVector((0.15, 0.62, 0.4, 0.88)), 1)
+        stats = solver.cache_stats()
+        (graph,) = v_graphs(solver)
+        level = next(level for level in graph.levels if level.h == 3)
+        states = {tuple(graph.values[row].tolist()) for row in level.rows}
+        state = graph.values[level.rows[len(level.rows) // 2]].tolist()
+        # A held state with its entries reversed; one whose values the graph
+        # holds, but not as a state of that level; and one with a value it
+        # does not hold.
+        held = tuple(state[::-1])
+        near = next(
+            root
+            for root in (tuple(sorted(state[1:] + [v])) for v in graph.values.tolist())
+            if root not in states
+        )
+        roots = [held, near, (0.11, 0.5, 0.52, 0.9)]
+        table = solver.action_value_table([BeliefVector(r) for r in roots], 2)
+        oracle = RecursiveVSolver(model, horizon, k)
+        for root, row in zip(roots, table.tolist()):
+            want = oracle.action_values(BeliefVector(root), 2).values()
+            assert [q.hex() for q in row] == [q.hex() for q in want]
+        assert [root for _, root, _ in _held_answers(solver)] == [held]
+        # only the other two are solved, together, as on a solver of their own
+        alone = FiniteHorizonSolver(model, horizon, k)
+        rest = alone.action_value_table([BeliefVector(r) for r in roots[1:]], 2)
+        assert np.array_equal(rest, table[1:])
+        assert solver.cache_stats()["v_states"] == (
+            stats["v_states"] + alone.cache_stats()["v_states"]
+        )
+
+    @pytest.mark.parametrize("chunk", [1, 7, 40])
+    def test_chunk_size_changes_nothing(self, monkeypatch, chunk):
+        def answers():
+            solver = self._simulate(5)[-1]
+            return {key: row.tobytes() for key, (row, _) in solver._answers.items()}
+
+        want = answers()
+        monkeypatch.setattr(dp, "_CHUNK_PAIRS", chunk)
+        assert answers() == want
+
+    def test_holds_the_graphs_its_answers_keep(self):
+        # Auditing both roots of a batch points both answers at graphs of
+        # their own, so the batch's graph is no longer held or searched.
+        model, horizon = TransitionModel(0.3, 0.8), HorizonSpec(4, 0.9)
+        beliefs = [BeliefVector((0.1, 0.5, 0.7)), BeliefVector((0.2, 0.4, 0.9))]
+        solver = FiniteHorizonSolver(model, horizon, 1)
+        solver.action_value_table(beliefs, 1)
+        assert len(solver._held) == 1
+        for b in beliefs:
+            solver.greedy_audit(b, 1)
+        assert list(solver._held) == v_graphs(solver) and len(v_graphs(solver)) == 2
+
+    def test_audit_of_a_held_answer_solves_its_root_alone(self):
+        model, horizon, k, belief, solver = self._simulate(5)
+        answers = _held_answers(solver)
+        assert len(answers) > 50
+        for t, root, _ in answers[:: len(answers) // 10]:
+            before = solver.cache_stats()["v_states"]
+            got = solver.greedy_audit(BeliefVector(root), t)
+            fresh = FiniteHorizonSolver(model, horizon, k)
+            want = fresh.greedy_audit(BeliefVector(root), t)
+            assert (got.value.hex(), got.regret.hex(), got.t, got.omega) == (
+                want.value.hex(), want.regret.hex(), want.t, want.omega
+            )
+            # the root is solved once more, on its own, and then kept
+            added = solver.cache_stats()["v_states"] - before
+            assert added == fresh.cache_stats()["v_states"]
+            assert solver._answers[(t, root)][1] is not dp._HELD
+            assert solver.greedy_audit(BeliefVector(root), t) == got
+            assert solver.cache_stats()["v_states"] == before + added
+        assert bellman_residual(solver) <= 1e-12

@@ -20,6 +20,8 @@ from oppaccess import (
     greedy_action,
 )
 
+from oppaccess.policies import _distinct_rows
+
 from _oracles import LoopRandom, LoopRoundRobin, ordered_list_step
 
 probs = st.floats(min_value=0.0, max_value=1.0)
@@ -251,6 +253,21 @@ class TestBaselines:
 
 
 class TestOptimalPolicy:
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 1), (50, 2), (300, 6)])
+    def test_distinct_rows_are_numpys(self, shape):
+        # Few values, so rows repeat and share prefixes; the first rows also
+        # differ only in their last column.
+        rng = np.random.default_rng(shape[0])
+        rows = rng.choice([0.1, 0.3, 0.3 + 2**-54, 0.7], shape)
+        rows[1::3] = rows[0]
+        if shape[1] > 1 and shape[0] > 2:
+            rows[2] = rows[0]
+            rows[2, -1] = 0.9
+        uniq, inverse = _distinct_rows(rows)
+        want, want_inverse = np.unique(rows, axis=0, return_inverse=True)
+        assert uniq.tobytes() == want.tobytes()
+        assert inverse.tolist() == want_inverse.reshape(-1).tolist()
+
     def test_shares_solver_and_is_deterministic(self):
         model, horizon = TransitionModel(0.3, 0.7), HorizonSpec(3, 1.0)
         p = OptimalPolicy(model, horizon, 1)

@@ -333,8 +333,12 @@ class TestBatchAgainstLoopOracle:
 
     def test_optimal_state_cap_trips_as_in_loop(self):
         m, h = TransitionModel(0.8, 0.3), HorizonSpec(4, 0.9)
-        cfg = SimConfig(m, h, 4, 2, BeliefVector((0.6, 0.3, 0.6, 0.8)), 50, 5)
-        for cap in (5, 10_000_000):
+        belief = BeliefVector((0.6, 0.3, 0.6, 0.8))
+        cfg = SimConfig(m, h, 4, 2, belief, 50, 5)
+        # Later steps are answered from the first query's graph, so a cap
+        # that graph fits runs the whole simulation.
+        nodes = FiniteHorizonSolver(m, h, 2).optimal_value(belief, 1).cache_stats["v_states"]
+        for cap in (5, nodes - 1, nodes, 10_000_000):
             outcomes = []
             for run in (simulate, simulate_loop):
                 try:
@@ -342,7 +346,7 @@ class TestBatchAgainstLoopOracle:
                 except ResourceLimitError:
                     outcomes.append("cap")
             assert outcomes[0] == outcomes[1]
-            assert (outcomes[0] == "cap") == (cap == 5)
+            assert (outcomes[0] == "cap") == (cap < nodes)
 
     def test_ordered_list_rejects_bad_initial_order(self):
         cfg = make_config(0.2, 0.8, 4, 2, 3, 1.0, (0.5,) * 4, 10, 1)
@@ -400,6 +404,33 @@ def assert_run_written_as_reference(tmp_path, cfg, make):
     assert_written_as_reference(
         tmp_path, simulate(cfg, make()).traces, simulate_loop(cfg, make()).traces
     )
+
+
+class TestPolicyStreamWithoutRandomness:
+    @pytest.mark.parametrize("name", ["greedy", "optimal", "ordered-list", "round-robin"])
+    def test_one_zero_view_and_the_same_runs(self, name):
+        # A policy that draws no randomness reads one read-only zero-stride
+        # view of zeros, and runs as it did on an (R, T) zeros array.
+        cfg = make_config(0.3, 0.8, 4, 2, 4, 0.9, (0.5, 0.3, 0.7, 0.6), 50, 3, traces=True)
+        make = POLICIES[name]
+        policy = make(cfg.model, cfg.horizon, 4, 2)
+        seen = []
+        batch_actions = policy.batch_actions
+        policy.batch_actions = lambda beliefs, t, u: seen.append(u) or batch_actions(beliefs, t, u)
+        got = simulate(cfg, policy)
+        assert len(seen) == 4
+        for u in seen:
+            assert u.shape == (50,) and u.strides == (0,)
+            assert not u.flags.writeable and not u.any()
+        want = make(cfg.model, cfg.horizon, 4, 2)
+        want.reset(4, 2, cfg.initial_belief.omega)
+        totals, traces = sim._simulate_batch(cfg, want, _nature_uniforms(cfg), np.zeros((50, 4)))
+        assert got.totals.tobytes() == totals.tobytes()
+        for a, b in zip(
+            (got.traces.states, got.traces.actions, got.traces.observations, got.traces.rewards),
+            (traces.states, traces.actions, traces.observations, traces.rewards),
+        ):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestTraceColumns:
