@@ -470,17 +470,18 @@ class FiniteHorizonSolver:
 
     # -- shared plumbing ---------------------------------------------------
 
-    def _check_t(self, belief: BeliefVector, t: int) -> int:
+    def _check_t(self, n: int, t: int) -> int:
+        """Check a query of beliefs with n channels at time t; return its steps left."""
         if not (1 <= t <= self.horizon.T):
             raise ValueError(f"t={t} outside 1..{self.horizon.T}")
-        if belief.n < self.k:
-            raise ValueError(f"belief has {belief.n} channels but k={self.k}")
+        if n < self.k:
+            raise ValueError(f"belief has {n} channels but k={self.k}")
         return self.horizon.T - t  # remaining steps after the current one
 
-    def _check_v(self, belief: BeliefVector, t: int) -> int:
+    def _check_v(self, n: int, t: int) -> int:
         """``_check_t`` for the queries that list the C(n, k) sensing sets."""
-        h = self._check_t(belief, t)
-        selection_count(belief.n, self.k, self.max_states)
+        h = self._check_t(n, t)
+        selection_count(n, self.k, self.max_states)
         return h
 
     def cache_stats(self) -> Dict[str, int]:
@@ -500,8 +501,16 @@ class FiniteHorizonSolver:
             raise ValueError("need at least one belief")
         if len({b.n for b in beliefs}) != 1:
             raise ValueError("beliefs must all have the same number of channels")
-        h = self._check_v(beliefs[0], t)
-        return self._q_table(h, [tuple(b.omega) for b in beliefs])
+        return self.action_value_rows([tuple(b.omega) for b in beliefs], t)
+
+    def action_value_rows(self, rows: Sequence[Tuple[float, ...]], t: int) -> np.ndarray:
+        """``action_value_table`` for beliefs given as tuples, all of one length.
+
+        Only n and t are checked, once per call: each entry is taken to be a
+        probability already, as the simulator's beliefs are.  The Q rows are
+        the ones ``action_value_table`` gives the same beliefs.
+        """
+        return self._q_table(self._check_v(len(rows[0]), t), rows)
 
     def action_values(self, belief: BeliefVector, t: int) -> Dict[ActionSet, float]:
         """Q-value of every first action: immediate reward + discounted optimal continuation."""
@@ -525,7 +534,7 @@ class FiniteHorizonSolver:
         held level has no graph of its own, so either is solved once more on
         its own, against ``max_states`` like any solve.
         """
-        h = self._check_v(belief, t)
+        h = self._check_v(belief.n, t)
         root = tuple(belief.omega)
         self._q_table(h, [root])
         row, graph = self._answers[(t, root)]
@@ -803,7 +812,7 @@ class FiniteHorizonSolver:
 
     def w_value(self, belief: BeliefVector, t: int) -> float:
         """W_t^k of the belief vector taken in its given (arbitrary) order."""
-        self._check_t(belief, t)
+        self._check_t(belief.n, t)
         return self._w_at(belief.omega, t)
 
     def greedy_value(self, belief: BeliefVector, t: int) -> float:
@@ -813,7 +822,7 @@ class FiniteHorizonSolver:
         p11 >= p01, and not in general otherwise; ``greedy_audit(belief,
         t).value`` is greedy's value in every regime.
         """
-        self._check_t(belief, t)
+        self._check_t(belief.n, t)
         return self._w_at(sorted(belief.omega), t)
 
 

@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import ActionSet, BeliefVector, HorizonSpec, TransitionModel
+from .model import ActionSet, HorizonSpec, TransitionModel
 from .dp import DEFAULT_MAX_STATES, FiniteHorizonSolver
 from .dp import _greedy_order, _optimal_mask, _selection_arrays
 
@@ -85,8 +85,8 @@ class OptimalPolicy(Policy):
         # share the answer.  The first sensing set within VALUE_TOL of the row
         # maximum is optimal_value(...).best_actions[0].
         uniq, inverse = _distinct_rows(beliefs)
-        rows = [BeliefVector(tuple(row)) for row in uniq.tolist()]
-        best = np.argmax(_optimal_mask(self.solver.action_value_table(rows, t)), axis=1)
+        rows = list(map(tuple, uniq.tolist()))
+        best = np.argmax(_optimal_mask(self.solver.action_value_rows(rows, t)), axis=1)
         # The Q columns follow the selections' lexicographic order.
         selected = _selection_arrays(beliefs.shape[1], self.solver.k)[0]
         return selected[best[inverse]]

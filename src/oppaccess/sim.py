@@ -15,21 +15,31 @@ works through chunks of lanes; each round multiplies the two words it
 transforms as one stacked array, in place, over buffers allocated once per
 chunk, so numpy's per-call overhead is paid about twenty times per round and
 chunk.  The chunk size trades that overhead against peak memory.
-``common_random_numbers_compare`` draws the streams once for both policies.
+
+Sensing does not move the hidden chains, so every policy run on one seed sees
+the same channel paths.  The process keeps the last run's paths in one slot
+(``_hidden_paths``): a (T, R, n) int8 array of hidden states, R*T*n bytes,
+keyed on exactly the inputs it is drawn from (seed, replications, T, n, p01,
+p11 and the initial belief), not on beta or the policy.  A run with the same
+key reads the held paths; any other run empties the slot before it draws, so
+the process never holds two.  ``common_random_numbers_compare`` is two
+``simulate`` calls whose totals are paired, so the second reads the paths the
+first drew.
 
 Every policy runs on one vectorised path that steps all replications together:
 at each slot it asks the policy for an (R, k) action array
-(``Policy.batch_actions``), reads the sensed states, and hands the
-observations back through ``Policy.batch_observe``, which stateful policies
-such as the ordered list use to update their per-replication state.  A traced
-run keeps each step's arrays as the four read-only columns of one ``Traces``,
-and ``write_traces`` writes the JSONL from them.
+(``Policy.batch_actions``), reads the sensed states from the paths, and hands
+the observations back through ``Policy.batch_observe``, which stateful
+policies such as the ordered list use to update their per-replication state.
+A traced run keeps each step's arrays as the four read-only columns of one
+``Traces``, whose ``states`` is the paths array itself, and ``write_traces``
+writes the JSONL from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -204,6 +214,41 @@ def _policy_uniforms(config: SimConfig) -> np.ndarray:
     return _substream_uniforms(config.seed, _STREAM_POLICY, config.replications, config.horizon.T)
 
 
+#: The one slot of hidden paths: at most one entry, keyed by ``_path_key``.
+_PATHS: Dict[tuple, np.ndarray] = {}
+
+
+def _path_key(config: SimConfig) -> tuple:
+    """Exactly the inputs the hidden paths are drawn from."""
+    m = config.model
+    return (
+        config.seed, config.replications, config.horizon.T, config.n,
+        m.p01, m.p11, config.initial_belief.omega,
+    )
+
+
+def _hidden_paths(config: SimConfig) -> np.ndarray:
+    """The read-only (T, R, n) int8 hidden channel states of every replication.
+
+    Row 0 is Bernoulli(omega_i) from the nature uniforms' row 0; row t steps
+    each channel with row t's uniforms, good with chance p11 from good and
+    p01 from bad.  A different key empties the slot before the draw.
+    """
+    key = _path_key(config)
+    paths = _PATHS.get(key)
+    if paths is None:
+        _PATHS.clear()
+        m, T = config.model, config.horizon.T
+        nat = _nature_uniforms(config)
+        paths = np.empty((T, config.replications, config.n), dtype=np.int8)
+        paths[0] = nat[:, 0, :] < np.array(config.initial_belief.omega)
+        for t in range(1, T):
+            paths[t] = nat[:, t, :] < np.where(paths[t - 1], m.p11, m.p01)
+        paths.flags.writeable = False
+        _PATHS[key] = paths
+    return paths
+
+
 def _summary(totals: np.ndarray, traces=None) -> SimSummary:
     mean = float(totals.mean())
     var = float(totals.var(ddof=1)) if len(totals) > 1 else 0.0
@@ -211,66 +256,50 @@ def _summary(totals: np.ndarray, traces=None) -> SimSummary:
     return SimSummary(mean, var, se, len(totals), totals, traces)
 
 
-def _simulate_batch(config: SimConfig, policy: Policy, nat: np.ndarray, pol: np.ndarray):
+def _simulate_batch(config: SimConfig, policy: Policy, paths: np.ndarray, pol: np.ndarray):
     m, beta, T = config.model, config.horizon.beta, config.horizon.T
-    R, n, k = config.replications, config.n, config.k
-    omega0 = np.array(config.initial_belief.omega)
-    states = (nat[:, 0, :] < omega0).astype(np.int8)
-    beliefs = np.tile(omega0, (R, 1))
+    R, k = config.replications, config.k
+    beliefs = np.tile(np.array(config.initial_belief.omega), (R, 1))
     totals = np.zeros(R)
     rows = np.arange(R)[:, None]
     disc = 1.0
     columns = None
     if config.record_traces:
         columns = (
-            np.empty((T, R, n), dtype=np.int8),
             np.empty((T, R, k), dtype=np.int64),
             np.empty((T, R, k), dtype=np.int8),
             np.empty((T, R), dtype=np.int64),
         )
     for t in range(1, T + 1):
         acts = policy.batch_actions(beliefs, t, pol[:, t - 1])
-        obs = states[rows, acts]
+        obs = paths[t - 1][rows, acts]
         policy.batch_observe(acts, obs)
         rewards = obs.sum(axis=1)
         totals += disc * rewards
         if columns is not None:
-            for column, step in zip(columns, (states, acts + 1, obs, rewards)):
+            for column, step in zip(columns, (acts + 1, obs, rewards)):
                 column[t - 1] = step
         if t < T:
             beliefs = _tau(m, beliefs)
             beliefs[rows, acts] = np.where(obs, m.p11, m.p01)
-            p_good = np.where(states, m.p11, m.p01)
-            states = (nat[:, t, :] < p_good).astype(np.int8)
         disc *= beta
-    return totals, (Traces(*columns) if columns is not None else None)
-
-
-def _run(
-    config: SimConfig, policy: Policy, nat: np.ndarray, pol: Optional[np.ndarray]
-) -> SimSummary:
-    """One policy on drawn streams; a policy that draws no randomness sees zeros.
-
-    Those zeros are one read-only, zero-stride view, not an (R, T) array.
-    """
-    if pol is None or not policy.uses_randomness:
-        pol = np.broadcast_to(0.0, (config.replications, config.horizon.T))
-    policy.reset(config.n, config.k, config.initial_belief.omega)
-    return _summary(*_simulate_batch(config, policy, nat, pol))
-
-
-def _draw(config: SimConfig, *policies: Policy) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """The nature uniforms, and the policy uniforms if any of ``policies`` uses them."""
-    uses = any(p.uses_randomness for p in policies)
-    return _nature_uniforms(config), (_policy_uniforms(config) if uses else None)
+    return totals, (Traces(paths, *columns) if columns is not None else None)
 
 
 def simulate(config: SimConfig, policy: Policy) -> SimSummary:
     """Estimate a policy's expected discounted reward by seeded Monte Carlo.
 
-    Identical (config, policy) inputs produce bit-identical output.
+    Identical (config, policy) inputs produce bit-identical output.  A policy
+    that draws no randomness reads one read-only, zero-stride view of zeros,
+    not an (R, T) array.
     """
-    return _run(config, policy, *_draw(config, policy))
+    paths = _hidden_paths(config)
+    if policy.uses_randomness:
+        pol = _policy_uniforms(config)
+    else:
+        pol = np.broadcast_to(0.0, (config.replications, config.horizon.T))
+    policy.reset(config.n, config.k, config.initial_belief.omega)
+    return _summary(*_simulate_batch(config, policy, paths, pol))
 
 
 def common_random_numbers_compare(
@@ -278,12 +307,12 @@ def common_random_numbers_compare(
 ) -> PairedSummary:
     """Run both policies against identical channel sample paths and pair the totals.
 
-    The streams are drawn once and shared; each policy's totals equal those of
-    its own ``simulate`` call bit for bit.
+    The two runs are ``simulate`` calls, so each policy's totals are its own
+    ``simulate`` totals bit for bit, and the second run reads the hidden paths
+    the first one drew.
     """
-    nat, pol = _draw(config, policy_a, policy_b)
-    sa = _run(config, policy_a, nat, pol)
-    sb = _run(config, policy_b, nat, pol)
+    sa = simulate(config, policy_a)
+    sb = simulate(config, policy_b)
     diff = _summary(sa.totals - sb.totals)
     return PairedSummary(
         sa.mean, sb.mean, diff.mean, diff.std_error, diff.replications, diff.totals

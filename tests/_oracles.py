@@ -267,7 +267,7 @@ class RecursiveVSolver(FiniteHorizonSolver):
 
     def action_values(self, belief: BeliefVector, t: int) -> Dict[ActionSet, float]:
         """Q-value of every first action: immediate reward + discounted optimal continuation."""
-        h = self._check_t(belief, t)
+        h = self._check_t(belief.n, t)
         entries = self._root_entries(belief)
         aged = self._aged(entries) if h > 0 and self.horizon.beta != 0.0 else ()
         return {
@@ -338,12 +338,12 @@ class RecursiveVSolver(FiniteHorizonSolver):
 
     def w_value(self, belief: BeliefVector, t: int) -> float:
         """W_t^k of the belief vector taken in its given (arbitrary) order."""
-        h = self._check_t(belief, t)
+        h = self._check_t(belief.n, t)
         return self._w(h, tuple(self._root_entries(belief)))
 
     def greedy_value(self, belief: BeliefVector, t: int) -> float:
         """Expected discounted reward of the greedy policy: W on the sorted vector."""
-        h = self._check_t(belief, t)
+        h = self._check_t(belief.n, t)
         entries = sorted(self._root_entries(belief))
         return self._w(h, tuple(entries))
 

@@ -938,6 +938,36 @@ def test_simulate_optimal_probe_results_pinned(runner, tmp_path):
     ]
 
 
+def test_simulate_probe_draws_the_nature_stream_once(runner, tmp_path, monkeypatch):
+    # greedy, random and round-robin on one seed share the hidden paths: the
+    # run draws the nature stream (1) once and random's policy stream (2)
+    # once.  results.csv but runtime_s and the traces keep the bytes they had
+    # when each policy drew its own paths.
+    from oppaccess import sim
+
+    sim._PATHS.clear()
+    streams = []
+    real = sim._substream_uniforms
+    monkeypatch.setattr(
+        sim, "_substream_uniforms", lambda *args: streams.append(args[1]) or real(*args)
+    )
+    out = tmp_path / "out"
+    config = str(PROBES / "simulate_shared_paths.yaml")
+    result = runner.invoke(main, ["run", config, "--out-dir", str(out), "--traces"])
+    assert result.exit_code == 0, result.output
+    assert streams == [1, 2]
+    csv = "\n".join(line.rsplit(",", 1)[0] for line in (out / "results.csv").read_text().splitlines())
+    digests = {"results.csv": hashlib.sha256(csv.encode()).hexdigest()}
+    for name in ("greedy", "random", "round-robin"):
+        digests[name] = hashlib.sha256((out / f"traces_{name}.jsonl").read_bytes()).hexdigest()
+    assert digests == {
+        "results.csv": "7ca73b041b45eb69e6f329d0b054959acf8ebd1faa7f0c666bafd0218c58a531",
+        "greedy": "12fa972433eb42d529f0a39cfc1710503aa1675417a7227d775e29e2a27c6b5d",
+        "random": "ce901c3ffb88d44c548e21f563f5afa5fbb5d1f4293f335060cbed0395451bc7",
+        "round-robin": "99dea2976bb1b2f954a5f5dce20f1f1a15dc98856f9b67474492f1bfd18cd155",
+    }
+
+
 # Runs the command in its arguments, then prints the largest peak resident set
 # of the processes it waited for, in KiB on Linux.  The probe runs in this
 # wrapper because the test process's own children counter would also hold

@@ -1124,6 +1124,17 @@ class TestVGraph:
         with pytest.raises(ValueError):
             solver.action_value_table([BeliefVector((0.1, 0.2))], 4)
 
+    def test_rows_as_tuples(self):
+        # The same Q rows as action_value_table, bit for bit; n and t checked once.
+        rows = [(0.15, 0.62, 0.4, 0.88), (0.3, 0.3, 0.7, 0.1)]
+        table = make_solver(0.3, 0.8, 4, 0.9, 2).action_value_table(list(map(BeliefVector, rows)), 1)
+        solver = make_solver(0.3, 0.8, 4, 0.9, 2)
+        assert solver.action_value_rows(rows, 1).tobytes() == table.tobytes()
+        with pytest.raises(ValueError, match="outside 1..4"):
+            solver.action_value_rows(rows, 5)
+        with pytest.raises(ValueError, match="1 channels but k=2"):
+            solver.action_value_rows([(0.5,)], 1)
+
 
 def _audit_case(case):
     """A sampled V instance and a t; past the 48 sampled, one of GREEDY_LOSSES

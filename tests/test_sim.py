@@ -1,5 +1,7 @@
 import hashlib
 import json
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,6 +36,22 @@ from _oracles import (
     simulate_loop,
     write_traces_json,
 )
+
+
+@pytest.fixture
+def empty_slot():
+    """Start from an empty slot of hidden paths, so a test counts its own draws."""
+    sim._PATHS.clear()
+
+
+def count_draws(monkeypatch):
+    """A Counter of ``_substream_uniforms`` calls by stream id (1 nature, 2 policy)."""
+    calls = Counter()
+    real = sim._substream_uniforms
+    monkeypatch.setattr(
+        sim, "_substream_uniforms", lambda *args: calls.update([args[1]]) or real(*args)
+    )
+    return calls
 
 
 def make_config(p01, p11, n, k, T, beta, omega, reps, seed, traces=False):
@@ -173,7 +191,7 @@ class TestCommonRandomNumbers:
         assert paired.mean_b.hex() == sb.mean.hex()
 
     @pytest.mark.parametrize("pair,draws", [("greedy-random", 2), ("greedy-round-robin", 1)])
-    def test_draws_each_stream_once(self, monkeypatch, pair, draws):
+    def test_draws_each_stream_once(self, monkeypatch, empty_slot, pair, draws):
         calls = []
         real = sim._substream_uniforms
         monkeypatch.setattr(
@@ -183,6 +201,14 @@ class TestCommonRandomNumbers:
         cfg = make_config(0.3, 0.7, 4, 2, 5, 0.9, (0.2, 0.5, 0.8, 0.4), 50, 42)
         common_random_numbers_compare(cfg, make_a(), make_b())
         assert len(calls) == draws
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_matches_the_loop_oracle(self, pair):
+        make_a, make_b = self.PAIRS[pair]
+        cfg = make_config(0.3, 0.7, 4, 2, 5, 0.9, (0.2, 0.5, 0.8, 0.4), 60, 43)
+        paired = common_random_numbers_compare(cfg, make_a(), make_b())
+        diffs = simulate_loop(cfg, make_a()).totals - simulate_loop(cfg, make_b()).totals
+        assert paired.diffs.tobytes() == diffs.tobytes()
 
     @pytest.mark.parametrize("reps", [1, 700])
     def test_paired_statistics_pinned(self, reps):
@@ -317,19 +343,30 @@ class TestBatchAgainstLoopOracle:
         cfg = SimConfig(m, h, 4, 2, BeliefVector((0.6, 0.3, 0.6, 0.8)), 500, 5)
         policy = OptimalPolicy(m, h, 2)
         calls = []
-        query = policy.solver.action_value_table
+        query = policy.solver.action_value_rows
 
-        def recording(beliefs, t):
-            calls.append((t, [b.omega for b in beliefs]))
-            return query(beliefs, t)
+        def recording(rows, t):
+            calls.append((t, list(rows)))
+            return query(rows, t)
 
-        policy.solver.action_value_table = recording
+        policy.solver.action_value_rows = recording
         simulate(cfg, policy)
         # one batched query per step, each over distinct belief rows
         assert [t for t, _ in calls] == [1, 2, 3, 4]
         for _, rows in calls:
             assert len(rows) == len(set(rows))
         assert len(calls[0][1]) == 1 and 1 < len(calls[-1][1]) < 500
+
+    def test_optimal_builds_no_belief_vector(self, monkeypatch):
+        # The distinct rows reach the solver as tuples, checked once per query.
+        m, h = TransitionModel(0.8, 0.3), HorizonSpec(4, 0.9)
+        cfg = SimConfig(m, h, 4, 2, BeliefVector((0.6, 0.3, 0.6, 0.8)), 200, 5)
+        policy = OptimalPolicy(m, h, 2)
+        built = []
+        monkeypatch.setattr(BeliefVector, "__post_init__", lambda self: built.append(self))
+        got = simulate(cfg, policy)
+        assert built == []
+        assert got.totals.tobytes() == simulate_loop(cfg, OptimalPolicy(m, h, 2)).totals.tobytes()
 
     def test_optimal_state_cap_trips_as_in_loop(self):
         m, h = TransitionModel(0.8, 0.3), HorizonSpec(4, 0.9)
@@ -424,7 +461,7 @@ class TestPolicyStreamWithoutRandomness:
             assert not u.flags.writeable and not u.any()
         want = make(cfg.model, cfg.horizon, 4, 2)
         want.reset(4, 2, cfg.initial_belief.omega)
-        totals, traces = sim._simulate_batch(cfg, want, _nature_uniforms(cfg), np.zeros((50, 4)))
+        totals, traces = sim._simulate_batch(cfg, want, sim._hidden_paths(cfg), np.zeros((50, 4)))
         assert got.totals.tobytes() == totals.tobytes()
         for a, b in zip(
             (got.traces.states, got.traces.actions, got.traces.observations, got.traces.rewards),
@@ -518,3 +555,92 @@ class TestConfigValidation:
     def test_replications_positive(self):
         with pytest.raises(ValueError):
             make_config(0.2, 0.8, 2, 1, 2, 1.0, (0.5, 0.5), 0, 1)
+
+
+class TestHiddenPathsSlot:
+    """One process-wide slot holds the last run's hidden paths, keyed on their inputs."""
+
+    BASE = dict(p01=0.3, p11=0.7, n=4, k=2, T=5, beta=0.9, omega=(0.2, 0.5, 0.8, 0.4),
+                reps=60, seed=44)
+    REDRAWN = {
+        "seed": dict(seed=45),
+        "replications": dict(reps=61),
+        "T": dict(T=4),
+        "n": dict(n=5, omega=(0.2, 0.5, 0.8, 0.4, 0.6)),
+        "p01": dict(p01=0.31),
+        "p11": dict(p11=0.71),
+        "one belief entry": dict(omega=(0.2, 0.5, 0.8, 0.41)),
+    }
+    KEPT = {"beta": dict(beta=0.5), "k": dict(k=3), "traces": dict(traces=True)}
+
+    def config(self, **changes):
+        return make_config(**dict(self.BASE, **changes))
+
+    @pytest.mark.parametrize("change", list(REDRAWN) + list(KEPT))
+    def test_exactly_the_path_inputs_key_it(self, monkeypatch, empty_slot, change):
+        simulate(self.config(), GreedyPolicy(2))
+        draws = count_draws(monkeypatch)
+        cfg = self.config(**{**self.REDRAWN, **self.KEPT}[change])
+        got = simulate(cfg, GreedyPolicy(2))
+        assert draws == Counter({1: 1} if change in self.REDRAWN else {})
+        assert got.totals.tobytes() == simulate_loop(cfg, GreedyPolicy(2)).totals.tobytes()
+
+    def test_the_policy_does_not_key_it(self, monkeypatch, empty_slot):
+        cfg = self.config()
+        simulate(cfg, GreedyPolicy(2))
+        draws = count_draws(monkeypatch)
+        for policy in (UniformRandomPolicy(4, 2), RoundRobinPolicy(4, 2), OrderedListPolicy(2)):
+            simulate(cfg, policy)
+        assert draws == Counter({2: 1})
+
+    def test_interleaved_runs_equal_fresh_ones_and_the_loop(self, empty_slot):
+        a, b = self.config(traces=True), self.config(seed=46, traces=True)
+        a_beta = self.config(beta=0.5, traces=True)
+        order = (a, b, a, a_beta)
+        runs = [simulate(cfg, UniformRandomPolicy(4, 2)) for cfg in order]
+        # The last run read the paths the one before it drew.
+        assert runs[3].traces.states is runs[2].traces.states
+        for cfg, run in zip(order, runs):
+            sim._PATHS.clear()
+            fresh = simulate(cfg, UniformRandomPolicy(4, 2))
+            looped = simulate_loop(cfg, UniformRandomPolicy(4, 2))
+            assert run.totals.tobytes() == fresh.totals.tobytes() == looped.totals.tobytes()
+            for x, y in zip(columns_of(run.traces), columns_of(fresh.traces)):
+                assert x.tobytes() == y.tobytes()
+            assert_columns_equal(run.traces, looped.traces)
+
+    def test_paths_are_read_only_and_the_traced_states(self, empty_slot):
+        cfg = self.config(traces=True)
+        paths = sim._hidden_paths(cfg)
+        assert paths.shape == (5, 60, 4) and paths.dtype == np.int8
+        with pytest.raises(ValueError, match="read-only"):
+            paths[0, 0, 0] = 1
+        assert simulate(cfg, GreedyPolicy(2)).traces.states is paths
+        assert list(sim._PATHS) == [sim._path_key(cfg)]
+
+    def test_a_miss_frees_the_held_paths_before_it_draws(self, empty_slot):
+        # Each config holds 20,000 * 5 * 5 = 500,000 bytes of paths, and draws
+        # 4 MB of nature uniforms.  Were a's paths still held during b's draw,
+        # b's peak after a would be theirs higher than b's from an empty slot.
+        a = make_config(0.3, 0.8, 5, 2, 5, 0.9, (0.1, 0.4, 0.5, 0.6, 0.9), 20_000, 1)
+        b = make_config(0.3, 0.8, 5, 2, 5, 0.9, (0.1, 0.4, 0.5, 0.6, 0.9), 20_000, 2)
+
+        def peak_of_b():
+            tracemalloc.reset_peak()
+            simulate(b, GreedyPolicy(2))
+            return tracemalloc.get_traced_memory()[1]
+
+        tracemalloc.start()
+        try:
+            simulate(a, GreedyPolicy(2))
+            after_a = peak_of_b()
+            sim._PATHS.clear()
+            from_empty = peak_of_b()
+        finally:
+            tracemalloc.stop()
+        assert after_a <= from_empty + 64 * 1024
+        assert list(sim._PATHS) == [sim._path_key(b)]
+
+
+def columns_of(traces):
+    return (traces.states, traces.actions, traces.observations, traces.rewards)
