@@ -17,14 +17,16 @@ chunk, so numpy's per-call overhead is paid about twenty times per round and
 chunk.  The chunk size trades that overhead against peak memory.
 
 Sensing does not move the hidden chains, so every policy run on one seed sees
-the same channel paths.  The process keeps the last run's paths in one slot
+the same channel paths.  The process keeps them in one slot
 (``_hidden_paths``): a (T, R, n) int8 array of hidden states, R*T*n bytes,
-keyed on exactly the inputs it is drawn from (seed, replications, T, n, p01,
-p11 and the initial belief), not on beta or the policy.  A run with the same
-key reads the held paths; any other run empties the slot before it draws, so
-the process never holds two.  ``common_random_numbers_compare`` is two
-``simulate`` calls whose totals are paired, so the second reads the paths the
-first drew.
+keyed on the inputs it is drawn from (seed, T, n, p01, p11 and the initial
+belief), not on the replication count, beta or the policy.  Replication r's
+substream does not depend on how many others are drawn, so a run with the
+same key and R' <= R replications reads the held array, or the read-only
+view of its first R'.  A run with another key or more replications empties
+the slot before it draws, so the process never holds two.
+``common_random_numbers_compare`` is two ``simulate`` calls whose totals are
+paired, so the second reads the paths the first drew.
 
 Every policy runs on one vectorised path that steps all replications together:
 at each slot it asks the policy for an (R, k) action array
@@ -32,8 +34,9 @@ at each slot it asks the policy for an (R, k) action array
 the observations back through ``Policy.batch_observe``, which stateful
 policies such as the ordered list use to update their per-replication state.
 A traced run keeps each step's arrays as the four read-only columns of one
-``Traces``, whose ``states`` is the paths array itself, and ``write_traces``
-writes the JSONL from them.
+``Traces``, whose ``states`` is the paths array or view itself, and
+``write_traces`` writes the JSONL from them, formatting each distinct step
+row's text once per file.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .dp import _check_addressable, _fold_keys, _groups, _tau
+from .dp import _check_addressable, _tau
 from .model import BeliefVector, HorizonSpec, TransitionModel
 from .policies import Policy
 
@@ -77,6 +80,10 @@ class SimConfig:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
         if self.initial_belief.n != self.n:
             raise ValueError("initial belief length must equal n")
+        for name in ("replications", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
 
@@ -219,12 +226,13 @@ _PATHS: Dict[tuple, np.ndarray] = {}
 
 
 def _path_key(config: SimConfig) -> tuple:
-    """Exactly the inputs the hidden paths are drawn from."""
+    """Exactly the inputs the hidden paths are drawn from, but the replication count.
+
+    Replication r's substream does not depend on how many others are drawn,
+    so the paths of R' < R replications are the first R' of the R drawn.
+    """
     m = config.model
-    return (
-        config.seed, config.replications, config.horizon.T, config.n,
-        m.p01, m.p11, config.initial_belief.omega,
-    )
+    return (config.seed, config.horizon.T, config.n, m.p01, m.p11, config.initial_belief.omega)
 
 
 def _hidden_paths(config: SimConfig) -> np.ndarray:
@@ -232,20 +240,27 @@ def _hidden_paths(config: SimConfig) -> np.ndarray:
 
     Row 0 is Bernoulli(omega_i) from the nature uniforms' row 0; row t steps
     each channel with row t's uniforms, good with chance p11 from good and
-    p01 from bad.  A different key empties the slot before the draw.
+    p01 from bad.  With the key held, R replications read the held array when
+    it has exactly R, and the view of its first R when it has more.  A
+    different key, or more replications than held, empties the slot before
+    the draw.
     """
     key = _path_key(config)
-    paths = _PATHS.get(key)
-    if paths is None:
-        _PATHS.clear()
-        m, T = config.model, config.horizon.T
-        nat = _nature_uniforms(config)
-        paths = np.empty((T, config.replications, config.n), dtype=np.int8)
-        paths[0] = nat[:, 0, :] < np.array(config.initial_belief.omega)
-        for t in range(1, T):
-            paths[t] = nat[:, t, :] < np.where(paths[t - 1], m.p11, m.p01)
-        paths.flags.writeable = False
-        _PATHS[key] = paths
+    R = config.replications
+    held = _PATHS.get(key)
+    if held is not None and held.shape[1] >= R:
+        return held if held.shape[1] == R else held[:, :R]
+    # Free the held paths before the draw, so the process never holds two.
+    del held
+    _PATHS.clear()
+    m, T = config.model, config.horizon.T
+    nat = _nature_uniforms(config)
+    paths = np.empty((T, R, config.n), dtype=np.int8)
+    paths[0] = nat[:, 0, :] < np.array(config.initial_belief.omega)
+    for t in range(1, T):
+        paths[t] = nat[:, t, :] < np.where(paths[t - 1], m.p11, m.p01)
+    paths.flags.writeable = False
+    _PATHS[key] = paths
     return paths
 
 
@@ -324,8 +339,11 @@ def write_traces(path: str, traces: Traces) -> None:
     schema version, replication, t, hidden states, 1-based action indices,
     observation bits, realised reward.
 
-    Each block of replications folds every step's (t, states, action, obs,
-    reward) row to one int64 code and formats each distinct row's text once.
+    The steps are gathered a block of replications at a time, as one (t,
+    states, action, obs, reward) row each.  A row's text after the
+    replication number is formatted once per file and kept in a table keyed
+    on the row's values.  The table is emptied before it would pass
+    ``_TRACE_BLOCK_LINES`` entries, so it holds about one block's text.
     """
     if not isinstance(traces, Traces):
         raise TypeError(f"write_traces needs a Traces, got {type(traces).__name__}")
@@ -340,6 +358,10 @@ def write_traces(path: str, traces: Traces) -> None:
     )
     head = f'{{"v":{TRACE_SCHEMA_VERSION},"rep":'
     block = max(1, _TRACE_BLOCK_LINES // T)
+    # The narrowest signed type for every entry (t <= T, action <= n), fixed
+    # per file, so a row's bytes in it are the row's key in every block.
+    dtype = np.min_scalar_type(-max(T, n))
+    table: Dict[bytes, str] = {}
     with open(path, "w") as f:
         for start in range(0, R, block):
             stop = min(start + block, R)
@@ -347,20 +369,24 @@ def write_traces(path: str, traces: Traces) -> None:
             rows = np.concatenate(
                 [c[:, start:stop].swapaxes(0, 1).reshape((stop - start) * T, -1) for c in columns],
                 axis=1,
+                dtype=dtype,
             )
-            ids, member = _groups(_fold_keys(rows, int(rows.max()) + 1))
-            tails = [
-                f',"t":{row[0]},"states":[{",".join(map(str, row[1 : n + 1]))}],'
-                f'"action":[{",".join(map(str, row[n + 1 : n + k + 1]))}],'
-                f'"obs":[{",".join(map(str, row[n + k + 1 : -1]))}],"reward":{row[-1]}}}\n'
-                for row in rows[member].tolist()
-            ]
-            f.write(
-                "".join(
-                    [
-                        head + str(r) + tails[i]
-                        for r, rep_ids in zip(range(start, stop), ids.reshape(-1, T).tolist())
-                        for i in rep_ids
-                    ]
+            keys = rows.view(np.dtype((np.void, rows[0].nbytes))).ravel().tolist()
+            # One row of each key the table lacks.
+            fresh = {key: i for i, key in enumerate(keys) if key not in table}
+            if len(table) + len(fresh) > _TRACE_BLOCK_LINES:
+                table.clear()
+                fresh = {key: i for i, key in enumerate(keys)}
+            for key, row in zip(fresh, rows[list(fresh.values())].tolist()):
+                table[key] = (
+                    f',"t":{row[0]},"states":[{",".join(map(str, row[1 : n + 1]))}],'
+                    f'"action":[{",".join(map(str, row[n + 1 : n + k + 1]))}],'
+                    f'"obs":[{",".join(map(str, row[n + k + 1 : -1]))}],"reward":{row[-1]}}}\n'
                 )
-            )
+            tails = [table[key] for key in keys]
+            del rows, keys, fresh
+            # Each replication's T lines are prefix + prefix.join(its tails).
+            prefixes = [head + str(r) for r in range(start, stop)]
+            f.write("".join([p + p.join(tails[i * T : i * T + T]) for i, p in enumerate(prefixes)]))
+            # The next block may empty the table; the tails must not keep its text alive.
+            del tails

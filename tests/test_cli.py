@@ -968,6 +968,43 @@ def test_simulate_probe_draws_the_nature_stream_once(runner, tmp_path, monkeypat
     }
 
 
+def test_replications_sweep_draws_the_nature_stream_once(runner, tmp_path, monkeypatch):
+    # Replication r's hidden paths do not depend on how many others are
+    # drawn, so the 1,000-replication point reads the first 1,000 of the
+    # paths the 4,000-replication point drew: the sweep draws the nature
+    # stream (1) once, and random's policy stream (2) once a point.
+    # results.csv but runtime_s and every trace file keep the bytes they had
+    # when each point drew its own paths.
+    from oppaccess import sim
+
+    sim._PATHS.clear()
+    streams = []
+    real = sim._substream_uniforms
+    monkeypatch.setattr(
+        sim, "_substream_uniforms", lambda *args: streams.append(args[1]) or real(*args)
+    )
+    out = tmp_path / "sweep"
+    config = str(PROBES / "sweep_replications.yaml")
+    result = runner.invoke(main, ["sweep", config, "--out-dir", str(out), "--traces"])
+    assert result.exit_code == 0, result.output
+    assert streams == [1, 2, 2]
+    lines = [line.split(",") for line in (out / "results.csv").read_text().splitlines()]
+    runtime = lines[0].index("runtime_s")
+    csv = "\n".join(",".join(row[:runtime] + row[runtime + 1 :]) for row in lines)
+    digests = {"results.csv": hashlib.sha256(csv.encode()).hexdigest()}
+    for path in sorted(out.glob("point_*/traces_*.jsonl")):
+        digests[f"{path.parent.name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == {
+        "results.csv": "ed45b952862b9e5d3d58635ad9eb61cc9b893e26cd3ad6f005e64225397e41e7",
+        "point_0000/traces_greedy.jsonl": "9fa7071a8ab03fee50551427e9289170758dc212b800a98d58531e823d7a4015",
+        "point_0000/traces_random.jsonl": "d747b2d92b1d6dc0c3773036276b95880661827f6e956e0aab290f1fe9234cd2",
+        "point_0000/traces_round-robin.jsonl": "03860db2c0bcc49a6138deb2a1533d82604183a938bb4a5ade9dad97683e0fba",
+        "point_0001/traces_greedy.jsonl": "f610bb7812db11a15166c63032d98e705d9d99fa86cde3a05d30c14762f9265b",
+        "point_0001/traces_random.jsonl": "23b32a64142c763a947b9591a3aeaa6672fd63bb43a48df1232b6695b9ce3a8f",
+        "point_0001/traces_round-robin.jsonl": "869272937c4814be6317e7a0113cdc45ec11b319aa2daec984e6603c4470eddc",
+    }
+
+
 # Runs the command in its arguments, then prints the largest peak resident set
 # of the processes it waited for, in KiB on Linux.  The probe runs in this
 # wrapper because the test process's own children counter would also hold

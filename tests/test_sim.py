@@ -500,8 +500,8 @@ class TestTraceColumns:
         assert_run_written_as_reference(tmp_path, cfg, lambda: GreedyPolicy(2))
 
     def test_wide_rows_re_rank(self, tmp_path):
-        # Rows of 1 + 70 + 3 + 3 + 1 entries below base 71 overflow an int64
-        # many times over, so the codes must be re-ranked as they are folded.
+        # Rows of 1 + 70 + 3 + 3 + 1 entries below 71: no int64 code in base
+        # 71 holds one, so the writer must key each row on all its entries.
         n = 70
         omega = tuple(np.random.default_rng(3).random(n))
         cfg = make_config(0.2, 0.8, n, 3, 3, 0.9, omega, 50, 9, traces=True)
@@ -509,8 +509,9 @@ class TestTraceColumns:
         assert_run_written_as_reference(tmp_path, cfg, lambda: UniformRandomPolicy(n, 3))
 
     def test_rows_differing_only_in_the_first_channel(self, tmp_path):
-        # Base 64 (the largest entry is action 63): a fold that let the code
-        # wrap would multiply the first channels by 64**11 = 0 mod 2**64.
+        # Base 64 (the largest entry is action 63): a key folded to an int64
+        # code that wraps would multiply the first channels by 64**11 = 0 mod
+        # 2**64, and write both rows alike.
         states = np.zeros((1, 2, 63), dtype=np.int8)
         states[0, 1, 0] = 1
         traces = Traces(
@@ -526,6 +527,54 @@ class TestTraceColumns:
         assert_written_as_reference(tmp_path, traces, runs)
         lines = (tmp_path / "columns.jsonl").read_text().splitlines()
         assert [json.loads(line)["states"][0] for line in lines] == [0, 1]
+
+    # Traces that span several writer blocks: greedy at (n, k, T) = (5, 2, 5),
+    # whose rows repeat often, and uniform random at (12, 3, 4), whose rows
+    # almost never do.  The digests are of the bytes the writer wrote when it
+    # formatted each block's distinct rows afresh.
+    SPANNING = {
+        "repeating": (
+            (5, 2, 5, (0.1, 0.4, 0.5, 0.6, 0.9), 5000, 2801), lambda: GreedyPolicy(2),
+            "9fbdb3df3a605bfb1f2a97847ec129071e7506891f03989a5b737dab4405269f",
+        ),
+        "distinct": (
+            (12, 3, 4, tuple(np.linspace(0.05, 0.95, 12)), 2 * 2048 + 500, 2802),
+            lambda: UniformRandomPolicy(12, 3),
+            "2e4d2eb0da755e51f522ded24e10e5dabb0ac447cd20132126eb7d26f25de9bb",
+        ),
+    }
+
+    def spanning_traces(self, name):
+        (n, k, T, omega, reps, seed), make, _ = self.SPANNING[name]
+        cfg = make_config(0.3, 0.8, n, k, T, 0.95, omega, reps, seed, traces=True)
+        assert reps * T > 2 * sim._TRACE_BLOCK_LINES
+        return simulate(cfg, make()).traces
+
+    @pytest.mark.parametrize("block_lines", [None, 300])
+    @pytest.mark.parametrize("name", list(SPANNING))
+    def test_bytes_pinned_across_blocks(self, tmp_path, monkeypatch, name, block_lines):
+        # 300 lines a block empties the table at almost every block.
+        traces = self.spanning_traces(name)
+        if block_lines is not None:
+            monkeypatch.setattr(sim, "_TRACE_BLOCK_LINES", block_lines)
+        path = tmp_path / "traces.jsonl"
+        write_traces(str(path), traces)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.SPANNING[name][2]
+
+    def test_distinct_rows_peak_no_higher_than_per_block_formatting(self, tmp_path):
+        # The table of row texts is emptied before it passes one block's
+        # lines, so on rows that almost never repeat the writer holds about
+        # one block's text, as the writer that formatted each block afresh
+        # did.  That writer peaked at 5,726,626 bytes on this trace under
+        # Python 3.11 and numpy 2.4.
+        traces = self.spanning_traces("distinct")
+        tracemalloc.start()
+        try:
+            write_traces(str(tmp_path / "traces.jsonl"), traces)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5_726_626
 
     def test_columns_read_only(self):
         cfg = make_config(0.2, 0.8, 3, 2, 2, 0.9, (0.5, 0.3, 0.7), 4, 13, traces=True)
@@ -556,14 +605,27 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             make_config(0.2, 0.8, 2, 1, 2, 1.0, (0.5, 0.5), 0, 1)
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [("replications", 2.5), ("replications", 10.0), ("replications", True),
+         ("seed", 1.5), ("seed", False), ("seed", "1")],
+    )
+    def test_replications_and_seed_are_integers(self, name, value):
+        # Were they let through, simulate would fail deep inside with a TypeError.
+        values = {"replications": 10, "seed": 1, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            make_config(0.2, 0.8, 2, 1, 2, 1.0, (0.5, 0.5), values["replications"], values["seed"])
+
 
 class TestHiddenPathsSlot:
-    """One process-wide slot holds the last run's hidden paths, keyed on their inputs."""
+    """One process-wide slot holds the hidden paths of the most replications
+    drawn on their inputs, keyed on those inputs but the replication count."""
 
     BASE = dict(p01=0.3, p11=0.7, n=4, k=2, T=5, beta=0.9, omega=(0.2, 0.5, 0.8, 0.4),
                 reps=60, seed=44)
     REDRAWN = {
         "seed": dict(seed=45),
+        # More replications than held; fewer read a prefix of the held paths.
         "replications": dict(reps=61),
         "T": dict(T=4),
         "n": dict(n=5, omega=(0.2, 0.5, 0.8, 0.4, 0.6)),
@@ -617,6 +679,55 @@ class TestHiddenPathsSlot:
             paths[0, 0, 0] = 1
         assert simulate(cfg, GreedyPolicy(2)).traces.states is paths
         assert list(sim._PATHS) == [sim._path_key(cfg)]
+
+    def test_fewer_replications_read_the_held_prefix(self, tmp_path, monkeypatch, empty_slot):
+        simulate(self.config(traces=True), UniformRandomPolicy(4, 2))
+        draws = count_draws(monkeypatch)
+        cfg = self.config(reps=25, traces=True)
+        got = simulate(cfg, UniformRandomPolicy(4, 2))
+        assert draws == Counter({2: 1})
+        held = sim._PATHS[sim._path_key(cfg)]
+        assert held.shape == (5, 60, 4) and got.traces.states.base is held
+        write_traces(str(tmp_path / "prefix.jsonl"), got.traces)
+        sim._PATHS.clear()
+        cold = simulate(cfg, UniformRandomPolicy(4, 2))
+        write_traces(str(tmp_path / "cold.jsonl"), cold.traces)
+        assert got.totals.tobytes() == cold.totals.tobytes()
+        for x, y in zip(columns_of(got.traces), columns_of(cold.traces)):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+        assert (tmp_path / "prefix.jsonl").read_bytes() == (tmp_path / "cold.jsonl").read_bytes()
+
+    def test_more_replications_draw_again_and_replace_the_held(self, monkeypatch, empty_slot):
+        simulate(self.config(reps=25), GreedyPolicy(2))
+        draws = count_draws(monkeypatch)
+        cfg = self.config()
+        got = simulate(cfg, GreedyPolicy(2))
+        assert draws == Counter({1: 1})
+        assert [paths.shape for paths in sim._PATHS.values()] == [(5, 60, 4)]
+        assert got.totals.tobytes() == simulate_loop(cfg, GreedyPolicy(2)).totals.tobytes()
+
+    @pytest.mark.parametrize(
+        "change", [c for c in REDRAWN if c != "replications"] + list(KEPT) + ["policy"]
+    )
+    def test_a_prefix_is_served_only_on_the_same_key(self, monkeypatch, empty_slot, change):
+        simulate(self.config(), GreedyPolicy(2))
+        draws = count_draws(monkeypatch)
+        cfg = self.config(reps=25, **{**self.REDRAWN, **self.KEPT}.get(change, {}))
+        make = (lambda: RoundRobinPolicy(cfg.n, cfg.k)) if change == "policy" else (
+            lambda: GreedyPolicy(cfg.k)
+        )
+        got = simulate(cfg, make())
+        assert draws == Counter({1: 1} if change in self.REDRAWN else {})
+        assert got.totals.tobytes() == simulate_loop(cfg, make()).totals.tobytes()
+
+    def test_a_served_prefix_is_a_read_only_view(self, empty_slot):
+        held = sim._hidden_paths(self.config())
+        view = sim._hidden_paths(self.config(reps=25))
+        assert view.base is held and view.shape == (5, 25, 4)
+        assert np.array_equal(view, held[:, :25])
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0, 0] = 1
+        assert sim._hidden_paths(self.config()) is held
 
     def test_a_miss_frees_the_held_paths_before_it_draws(self, empty_slot):
         # Each config holds 20,000 * 5 * 5 = 500,000 bytes of paths, and draws
