@@ -17,16 +17,14 @@ chunk, so numpy's per-call overhead is paid about twenty times per round and
 chunk.  The chunk size trades that overhead against peak memory.
 
 Sensing does not move the hidden chains, so every policy run on one seed sees
-the same channel paths.  The process keeps them in one slot
+the same channel paths.  The process keeps the last run's paths in one slot
 (``_hidden_paths``): a (T, R, n) int8 array of hidden states, R*T*n bytes,
-keyed on the inputs it is drawn from (seed, T, n, p01, p11 and the initial
-belief), not on the replication count, beta or the policy.  Replication r's
-substream does not depend on how many others are drawn, so a run with the
-same key and R' <= R replications reads the held array, or the read-only
-view of its first R'.  A run with another key or more replications empties
-the slot before it draws, so the process never holds two.
-``common_random_numbers_compare`` is two ``simulate`` calls whose totals are
-paired, so the second reads the paths the first drew.
+keyed on exactly the inputs it is drawn from (seed, replications, T, n, p01,
+p11 and the initial belief), not on beta or the policy.  A run with the same
+key reads the held paths; any other run empties the slot before it draws, so
+the process never holds two.  ``common_random_numbers_compare`` is two
+``simulate`` calls whose totals are paired, so the second reads the paths the
+first drew.
 
 Every policy runs on one vectorised path that steps all replications together:
 at each slot it asks the policy for an (R, k) action array
@@ -34,13 +32,14 @@ at each slot it asks the policy for an (R, k) action array
 the observations back through ``Policy.batch_observe``, which stateful
 policies such as the ordered list use to update their per-replication state.
 A traced run keeps each step's arrays as the four read-only columns of one
-``Traces``, whose ``states`` is the paths array or view itself, and
-``write_traces`` writes the JSONL from them, formatting each distinct step
-row's text once per file.
+``Traces``, whose ``states`` is the paths array itself, and ``write_traces``
+writes the JSONL from them, formatting each distinct step row's text once per
+file.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -82,8 +81,14 @@ class SimConfig:
             raise ValueError("initial belief length must equal n")
         for name in ("replications", "seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            try:
+                if isinstance(value, (bool, np.bool_)):
+                    raise TypeError
+                index = operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            # Held as a Python int (a numpy integer seed would overflow the Philox key sums).
+            object.__setattr__(self, name, index)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
 
@@ -226,13 +231,12 @@ _PATHS: Dict[tuple, np.ndarray] = {}
 
 
 def _path_key(config: SimConfig) -> tuple:
-    """Exactly the inputs the hidden paths are drawn from, but the replication count.
-
-    Replication r's substream does not depend on how many others are drawn,
-    so the paths of R' < R replications are the first R' of the R drawn.
-    """
+    """Exactly the inputs the hidden paths are drawn from."""
     m = config.model
-    return (config.seed, config.horizon.T, config.n, m.p01, m.p11, config.initial_belief.omega)
+    return (
+        config.seed, config.replications, config.horizon.T, config.n,
+        m.p01, m.p11, config.initial_belief.omega,
+    )
 
 
 def _hidden_paths(config: SimConfig) -> np.ndarray:
@@ -240,27 +244,20 @@ def _hidden_paths(config: SimConfig) -> np.ndarray:
 
     Row 0 is Bernoulli(omega_i) from the nature uniforms' row 0; row t steps
     each channel with row t's uniforms, good with chance p11 from good and
-    p01 from bad.  With the key held, R replications read the held array when
-    it has exactly R, and the view of its first R when it has more.  A
-    different key, or more replications than held, empties the slot before
-    the draw.
+    p01 from bad.  A different key empties the slot before the draw.
     """
     key = _path_key(config)
-    R = config.replications
-    held = _PATHS.get(key)
-    if held is not None and held.shape[1] >= R:
-        return held if held.shape[1] == R else held[:, :R]
-    # Free the held paths before the draw, so the process never holds two.
-    del held
-    _PATHS.clear()
-    m, T = config.model, config.horizon.T
-    nat = _nature_uniforms(config)
-    paths = np.empty((T, R, config.n), dtype=np.int8)
-    paths[0] = nat[:, 0, :] < np.array(config.initial_belief.omega)
-    for t in range(1, T):
-        paths[t] = nat[:, t, :] < np.where(paths[t - 1], m.p11, m.p01)
-    paths.flags.writeable = False
-    _PATHS[key] = paths
+    paths = _PATHS.get(key)
+    if paths is None:
+        _PATHS.clear()
+        m, T = config.model, config.horizon.T
+        nat = _nature_uniforms(config)
+        paths = np.empty((T, config.replications, config.n), dtype=np.int8)
+        paths[0] = nat[:, 0, :] < np.array(config.initial_belief.omega)
+        for t in range(1, T):
+            paths[t] = nat[:, t, :] < np.where(paths[t - 1], m.p11, m.p01)
+        paths.flags.writeable = False
+        _PATHS[key] = paths
     return paths
 
 

@@ -968,13 +968,13 @@ def test_simulate_probe_draws_the_nature_stream_once(runner, tmp_path, monkeypat
     }
 
 
-def test_replications_sweep_draws_the_nature_stream_once(runner, tmp_path, monkeypatch):
-    # Replication r's hidden paths do not depend on how many others are
-    # drawn, so the 1,000-replication point reads the first 1,000 of the
-    # paths the 4,000-replication point drew: the sweep draws the nature
-    # stream (1) once, and random's policy stream (2) once a point.
-    # results.csv but runtime_s and every trace file keep the bytes they had
-    # when each point drew its own paths.
+def test_replications_sweep_probe_keeps_its_bytes(runner, tmp_path, monkeypatch):
+    # A sweep over replications [4000, 1000] with --traces: each point draws
+    # its own hidden paths, since the slot is keyed on the replication count,
+    # so the nature stream (1) and random's policy stream (2) are drawn once a
+    # point.  The 20,000-line trace files span three writer blocks.
+    # results.csv but runtime_s and every trace file are pinned to digests of
+    # the output of the writer that formatted each block's rows afresh.
     from oppaccess import sim
 
     sim._PATHS.clear()
@@ -987,7 +987,7 @@ def test_replications_sweep_draws_the_nature_stream_once(runner, tmp_path, monke
     config = str(PROBES / "sweep_replications.yaml")
     result = runner.invoke(main, ["sweep", config, "--out-dir", str(out), "--traces"])
     assert result.exit_code == 0, result.output
-    assert streams == [1, 2, 2]
+    assert streams == [1, 2, 1, 2]
     lines = [line.split(",") for line in (out / "results.csv").read_text().splitlines()]
     runtime = lines[0].index("runtime_s")
     csv = "\n".join(",".join(row[:runtime] + row[runtime + 1 :]) for row in lines)
