@@ -79,6 +79,9 @@ reward.  Its values are float.hex-identical to the scalar memoised
 recursion, and its node count, summed over depths, counts against
 ``max_states`` on its own (``w_graph_nodes``).  Every sum in this module
 folds left to right from 0.0, so values do not depend on the Python version.
+Every gather is a ``take`` on flat indices, each index built in place
+(``_pair_entries`` reads a pair's entries so); advanced indexing is kept
+only for boolean masks.
 """
 
 from __future__ import annotations
@@ -237,6 +240,19 @@ def _sensing_pairs(rows: np.ndarray, sel_pos: np.ndarray) -> Tuple[np.ndarray, n
     return np.nonzero(~drop)
 
 
+def _pair_entries(
+    rows: np.ndarray, state: np.ndarray, sel: np.ndarray, pos: np.ndarray
+) -> np.ndarray:
+    """Each (state, selection) pair's entries: row i is row state[i] of `rows` at pos[sel[i]].
+
+    `pos` is one of ``_selection_arrays``' tables.  The entries are read by
+    one flat take, its index built in place in the array ``pos.take`` returns.
+    """
+    at = pos.take(sel, axis=0)
+    at += (state * rows.shape[1])[:, None]
+    return rows.take(at)
+
+
 #: The most (state, selection) pairs that one chunk of V's level passes holds,
 #: unless one state has more; a level is walked chunk by chunk.
 _CHUNK_PAIRS = 1 << 14
@@ -338,7 +354,7 @@ def _child_parts(
     ``_number_parts`` numbers them by their own keys.
     """
     group, member = _groups(_fold_keys(unsensed, base))
-    aged = aged_rank[unsensed[member]]
+    aged = aged_rank.take(unsensed.take(member, axis=0))
     aged.sort(axis=1)
     return aged, group
 
@@ -354,7 +370,7 @@ def _number_parts(parts: Sequence[np.ndarray], base: int) -> Tuple[np.ndarray, n
     """
     rows = np.concatenate(parts)
     number, member = _groups(_fold_keys(rows, base))
-    return rows[member], number
+    return rows.take(member, axis=0), number
 
 
 def _void_rows(rows: np.ndarray) -> np.ndarray:
@@ -543,7 +559,7 @@ class FiniteHorizonSolver:
         if graph is _HELD or graph is not None and graph.root_children.shape[1] > len(sel_pos):
             graph = self._solve_roots(h, [root])[1]
             self._answers[(t, root)] = (row, graph)
-        rewards = _left_sum(np.array(omega)[sel_pos].T)
+        rewards = _left_sum(np.array(omega).take(sel_pos).T)
         regret = float(row.max()) - float(_least_tied_q(row, rewards, [0], rewards.max())[0])
         # Greedy's set; G folds its sensed entries in ascending order, as W does.
         top = np.sort(_greedy_order(np.array(omega))[:k])
@@ -560,7 +576,7 @@ class FiniteHorizonSolver:
             j = int(level.regret.argmax())
             if level.regret[j] > regret:
                 regret, t = float(level.regret[j]), self.horizon.T - level.h
-                omega = tuple(graph.values[level.rows[j]].tolist())
+                omega = tuple(graph.values.take(level.rows[j]).tolist())
         return GreedyAudit(value, regret, t, omega)
 
     def _q_table(self, h: int, roots: Sequence[Tuple[float, ...]]) -> np.ndarray:
@@ -616,9 +632,9 @@ class FiniteHorizonSolver:
                 continue
             q, answered = [], np.ones(len(omega), dtype=bool)
             for state, sel in _pair_chunks(omega, sel_pos, every=True):
-                sensed = omega[state[:, None], sel_pos[sel]].T
+                sensed = _pair_entries(omega, state, sel, sel_pos).T
                 law = _poisson_binomial_rows(sensed)
-                aged = _tau(self.model, omega[state[:, None], comp_pos[sel]])
+                aged = _tau(self.model, _pair_entries(omega, state, sel, comp_pos))
                 # Each pair's child for s goods, at [pair, s], its values ascending.
                 children = np.empty((len(state), k + 1, n))
                 children[:, :, : n - k], children[:, :, n - k :] = aged[:, None], observed
@@ -650,15 +666,15 @@ class FiniteHorizonSolver:
         level, index = graph.levels[h - 1], self._held[graph]
         if h not in index:
             first = np.searchsorted(graph.values, graph.values).astype(level.rows.dtype)
-            items = _void_rows(first[level.rows])
+            items = _void_rows(first.take(level.rows))
             order = np.argsort(items)
-            index[h] = (items[order], order)
+            index[h] = (items.take(order), order)
         items, order = index[h]
         ranks = np.minimum(np.searchsorted(graph.values, states), len(graph.values) - 1)
-        held = (graph.values[ranks] == states).all(axis=1)
+        held = (graph.values.take(ranks) == states).all(axis=1)
         query = _void_rows(ranks.astype(level.rows.dtype))
         at = np.minimum(np.searchsorted(items, query), len(items) - 1)
-        return np.where(held & (items[at] == query), order[at], -1)
+        return np.where(held & (items.take(at) == query), order.take(at), -1)
 
     def _solve_roots(
         self, h: int, roots: Sequence[Tuple[float, ...]]
@@ -697,7 +713,7 @@ class FiniteHorizonSolver:
         n, k, beta = len(roots[0]), self.k, self.horizon.beta
         sel_pos, comp_pos = _selection_arrays(n, k)
         if h == 0 or beta == 0.0:
-            return _left_sum(np.moveaxis(np.array(roots)[:, sel_pos], 2, 0)), None
+            return _left_sum(np.moveaxis(np.array(roots).take(sel_pos, axis=1), 2, 0)), None
         if self._v_nodes + h > self.max_states:
             # Each of the h levels below the roots holds a node, so the build
             # would trip the cap; this stops it before any level is sized.
@@ -709,12 +725,12 @@ class FiniteHorizonSolver:
         for d in range(h):
             chunks, lives, parts, count = [], [], [], 0
             for state, sel in _pair_chunks(rows, sel_pos, every=d == 0):
-                sensed = rows[state[:, None], sel_pos[sel]]
-                lives.append(_poisson_binomial_rows(vals[sensed].T) != 0.0)
+                sensed = _pair_entries(rows, state, sel, sel_pos)
+                lives.append(_poisson_binomial_rows(vals.take(sensed).T) != 0.0)
                 # No aged entry is p01 or p11 itself, so a child is its (sorted aged
                 # part, s), and only new nodes need a full sort.  Below the roots
                 # unsensed entries are sorted already; the roots keep their order.
-                unsensed = rows[state[:, None], comp_pos[sel]]
+                unsensed = _pair_entries(rows, state, sel, comp_pos)
                 if d == 0:
                     unsensed.sort(axis=1)
                 aged, part = _child_parts(unsensed, aged_rank, len(vals))
@@ -727,7 +743,7 @@ class FiniteHorizonSolver:
             # live pair reaches it; every pair has one, so int32 numbers the parts.
             found = np.zeros(len(aged) * (k + 1), dtype=bool)
             for i, (sensed, part, starts) in enumerate(chunks):
-                part = number[part]
+                part = number.take(part)
                 found[(part * (k + 1) + np.arange(k + 1)[:, None])[lives[i]]] = True
                 chunks[i] = (sensed, part.astype(np.int32), starts)
             del parts, lives
@@ -737,18 +753,19 @@ class FiniteHorizonSolver:
                 raise _node_cap_error(self.max_states, "V")
             expanded.append((chunks, (np.cumsum(found, dtype=np.int32) - 1).reshape(-1, k + 1)))
             blocks = np.where(np.arange(k) < k - (made % (k + 1))[:, None], bad, good)
-            rows = np.concatenate([aged[made // (k + 1)], blocks], axis=1).astype(rows.dtype)
+            made //= k + 1
+            rows = np.concatenate([aged.take(made, axis=0), blocks], axis=1).astype(rows.dtype)
             rows.sort(axis=1)
             del aged, number, found, made, blocks
             levels.append(rows)
-        value = _left_sum(vals[rows[:, n - k :]].T)
+        value = _left_sum(vals.take(rows[:, n - k :]).T)
         greedy = value
         kept = []
         for d in range(h - 1, -1, -1):
             chunks, ids = expanded.pop()
             out = []  # per chunk: its Q and children, or its states' (value, regret, G)
             for sensed, part, starts in chunks:
-                sensed = vals[sensed].T
+                sensed = vals.take(sensed).T
                 law = _poisson_binomial_rows(sensed)
                 reward = _left_sum(sensed)
                 # The forward pass's law bit for bit, so it prunes the same slots (to node 0).
@@ -792,14 +809,14 @@ class FiniteHorizonSolver:
         symbols = np.arange((h + 1) * B - 2)
         symbols[h * B :] += 2  # skips p01 and p11 aged h, which no state holds
         age, base = np.divmod(symbols, B)
-        values = _aged_values(self.model, bases, h).reshape(-1)[symbols]
+        values = _aged_values(self.model, bases, h).reshape(-1).take(symbols)
         order = np.lexsort((age, base, values))
-        symbols, values = symbols[order], values[order]
+        symbols, values = symbols.take(order), values.take(order)
         dtype = np.int16 if len(symbols) <= np.iinfo(np.int16).max else np.int32
         rank = np.full((h + 2) * B, -1, dtype=dtype)  # symbol -> rank, -1 where not kept
         rank[symbols] = np.arange(len(symbols))
-        rows = rank[[[base_of[w] for w in root] for root in roots]]
-        return values, symbols, bases, rank[symbols + B], rows, rank[0], rank[1]
+        rows = rank.take([[base_of[w] for w in root] for root in roots])
+        return values, symbols, bases, rank.take(symbols + B), rows, rank[0], rank[1]
 
     # -- greedy value ------------------------------------------------------
 
@@ -956,7 +973,7 @@ def w_table(
     # Base b aged m, for every vector, is row b + m*(n+2).
     bases = np.empty((n + 2, V))
     bases[0], bases[1], bases[2:] = model.p01, model.p11, omega.T
-    sensed = _aged_values(model, bases, H).reshape(-1, V)[graph.sensed]
+    sensed = _aged_values(model, bases, H).reshape(-1, V).take(graph.sensed, axis=0)
     reward = _left_sum(sensed)
     starts = graph.starts
     out = np.empty((horizon.T, V))

@@ -89,7 +89,7 @@ class OptimalPolicy(Policy):
         best = np.argmax(_optimal_mask(self.solver.action_value_rows(rows, t)), axis=1)
         # The Q columns follow the selections' lexicographic order.
         selected = _selection_arrays(beliefs.shape[1], self.solver.k)[0]
-        return selected[best[inverse]]
+        return selected.take(best.take(inverse), axis=0)
 
 
 def _distinct_rows(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -99,7 +99,7 @@ def _distinct_rows(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     among them.
     """
     order = np.lexsort(a.T[::-1])
-    ordered = a[order]
+    ordered = a.take(order, axis=0)
     first = np.ones(len(a), dtype=bool)
     first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     inverse = np.empty(len(a), dtype=np.intp)
@@ -144,10 +144,14 @@ class OrderedListPolicy(Policy):
     def batch_observe(self, acts: np.ndarray, obs: np.ndarray) -> None:
         # Group per channel: 0 sensed bad (to the front), 1 unsensed, 2 sensed
         # good (to the back).  The stable sort keeps list order within a group.
-        group = np.ones(self._lists.shape, dtype=np.int8)
-        np.put_along_axis(group, acts, 2 * obs, axis=1)
-        order = np.argsort(np.take_along_axis(group, self._lists, axis=1), axis=1, kind="stable")
-        self._lists = np.take_along_axis(self._lists, order, axis=1)
+        # Every array is read and written flat, at column + each row's offset.
+        R, n = self._lists.shape
+        offset = np.arange(0, R * n, n)[:, None]
+        group = np.ones(R * n, dtype=np.int8)
+        group.put(acts + offset, 2 * obs)
+        order = np.argsort(group.take(self._lists + offset), axis=1, kind="stable")
+        order += offset
+        self._lists = self._lists.take(order)
 
 
 class RoundRobinPolicy(Policy):
@@ -202,4 +206,4 @@ class UniformRandomPolicy(Policy):
 
     def batch_actions(self, beliefs: np.ndarray, t: int, u: np.ndarray) -> np.ndarray:
         count = len(self._table)
-        return self._table[np.minimum((u * count).astype(int), count - 1)]
+        return self._table.take(np.minimum((u * count).astype(int), count - 1), axis=0)

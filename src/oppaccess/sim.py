@@ -30,7 +30,10 @@ Every policy runs on one vectorised path that steps all replications together:
 at each slot it asks the policy for an (R, k) action array
 (``Policy.batch_actions``), reads the sensed states from the paths, and hands
 the observations back through ``Policy.batch_observe``, which stateful
-policies such as the ordered list use to update their per-replication state.
+policies such as the ordered list use to update their per-replication state;
+then it sets the sensed channels' beliefs.  The sensed entries are read and
+written by one flat take or put each, at the actions plus each replication's
+row offset.
 A traced run keeps each step's arrays as the four read-only columns of one
 ``Traces``, whose ``states`` is the paths array itself, and ``write_traces``
 writes the JSONL from them, formatting each distinct step row's text once per
@@ -273,7 +276,8 @@ def _simulate_batch(config: SimConfig, policy: Policy, paths: np.ndarray, pol: n
     R, k = config.replications, config.k
     beliefs = np.tile(np.array(config.initial_belief.omega), (R, 1))
     totals = np.zeros(R)
-    rows = np.arange(R)[:, None]
+    # Replication r's offset into a flattened (R, n) step: channel c is at offset[r] + c.
+    offset = np.arange(0, R * config.n, config.n)[:, None]
     disc = 1.0
     columns = None
     if config.record_traces:
@@ -284,7 +288,8 @@ def _simulate_batch(config: SimConfig, policy: Policy, paths: np.ndarray, pol: n
         )
     for t in range(1, T + 1):
         acts = policy.batch_actions(beliefs, t, pol[:, t - 1])
-        obs = paths[t - 1][rows, acts]
+        at = acts + offset
+        obs = paths[t - 1].take(at)
         policy.batch_observe(acts, obs)
         rewards = obs.sum(axis=1)
         totals += disc * rewards
@@ -293,7 +298,7 @@ def _simulate_batch(config: SimConfig, policy: Policy, paths: np.ndarray, pol: n
                 column[t - 1] = step
         if t < T:
             beliefs = _tau(m, beliefs)
-            beliefs[rows, acts] = np.where(obs, m.p11, m.p01)
+            beliefs.put(at, np.where(obs, m.p11, m.p01))
         disc *= beta
     return totals, (Traces(paths, *columns) if columns is not None else None)
 

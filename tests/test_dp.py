@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1351,6 +1352,89 @@ class TestChunkedLevels:
                 assert len(state) <= chunk or state[0] == state[-1]
         # with every selection, each state has 10 pairs: more than 1 or 7 hold
         assert any(len(state) > chunk for state, _ in chunks) == (chunk < 10)
+
+
+class TestPairGather:
+    """``dp._pair_entries``, V's one flat-take gather of a pair's entries."""
+
+    @staticmethod
+    def _assert_gathers(rows, state, sel, pos):
+        got = dp._pair_entries(rows, state, sel, pos)
+        want = rows[state[:, None], pos[sel]]
+        assert got.dtype == rows.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 70),
+        width=st.integers(1, 70),
+        states=st.integers(1, 40),
+        pairs=st.integers(0, 300),
+        wide=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_advanced_indexing(self, n, width, states, pairs, wide, seed):
+        rng = np.random.default_rng(seed)
+        dtype = np.int32 if wide else np.int16
+        rows = rng.integers(np.iinfo(dtype).min, np.iinfo(dtype).max, (states, n), dtype=dtype)
+        pos = rng.integers(0, n, (int(rng.integers(1, 50)), min(width, n)))
+        state = np.sort(rng.integers(0, states, pairs))
+        sel = rng.integers(0, len(pos), pairs)
+        self._assert_gathers(rows, state, sel, pos)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32])
+    @pytest.mark.parametrize("n, k", [(8, 3), (70, 2)])
+    def test_one_state_with_many_pairs_and_an_empty_chunk(self, dtype, n, k):
+        rows = np.sort(np.random.default_rng(n).integers(0, 500, (5, n)), axis=1).astype(dtype)
+        for pos in dp._selection_arrays(n, k):
+            # the last state with every selection, as one chunk of its own
+            sel = np.arange(len(pos))
+            self._assert_gathers(rows, np.full(len(sel), 4), sel, pos)
+            empty = np.empty(0, dtype=np.intp)
+            self._assert_gathers(rows, empty, empty, pos)
+
+    # The tracemalloc peak of one n = 8, k = 3, T = 6 solve on a fresh
+    # solver, after a warm-up solve, when V gathered (state, selection) pairs
+    # by two-dimensional advanced indexing; measured with numpy 2.4 on Python
+    # 3.11.  The peak lies in ``_number_parts`` at the last level, not in a
+    # gather, so the per-call bound below is what sees a gather's temporaries.
+    PEAK_BEFORE_FLAT_TAKES = 15_438_788
+
+    def test_solve_peak_pinned_and_each_gather_holds_one_index(self, monkeypatch):
+        root = (0.212, 0.601, 0.986, 0.427, 0.335, 0.183, 0.678, 0.295)
+        gathers, real = [], dp._pair_entries
+
+        def spy(rows, state, sel, pos):
+            # What one call allocates above the memory in use when it starts.
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = real(rows, state, sel, pos)
+            gathers.append((tracemalloc.get_traced_memory()[1] - start, out.nbytes, state, pos))
+            return out
+
+        def solve():
+            return make_solver(0.3, 0.8, 6, 0.95, 3)._solve_roots(5, [root])
+
+        want = solve()[0]
+        tracemalloc.start()
+        try:
+            q = solve()[0]
+            peak = tracemalloc.get_traced_memory()[1]
+            monkeypatch.setattr(dp, "_pair_entries", spy)
+            spied = solve()[0]
+        finally:
+            tracemalloc.stop()
+        assert q.tobytes() == spied.tobytes() == want.tobytes()
+        assert peak <= self.PEAK_BEFORE_FLAT_TAKES * 1.01
+        # The forward pass gathers every level's sensed and unsensed entries.
+        assert len(gathers) >= 10
+        for held, out, state, pos in gathers:
+            # The output, one index of its shape, one row offset per pair and
+            # the one ufunc buffer that adding the offsets in place may take:
+            # a second index temporary would add len(state) * width * 8 bytes.
+            index = len(state) * pos.shape[1] * np.dtype(np.intp).itemsize
+            buffer = np.getbufsize() * np.dtype(np.intp).itemsize
+            assert held <= out + index + state.nbytes + buffer + 4096
 
 
 def _held_answers(solver):
