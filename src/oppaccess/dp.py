@@ -22,8 +22,8 @@ base b aged m steps, into a table values[m, b] = tau^m(bases[b])
 fragility.  Bases 0 and 1 are p01 and p11, then V's distinct root values in
 ascending order or W's root positions; aging a symbol adds B.
 
-V is solved over a level graph, for a batch of root beliefs at one t at a
-time (``FiniteHorizonSolver.action_value_table``).  Every entry a reachable
+V is solved over a level graph, for a batch of root belief rows at one t at
+a time (``FiniteHorizonSolver.action_value_table``).  Every entry a reachable
 state can hold is ranked once by (value, base, age), so a state, sorted
 since channels are exchangeable, is a row of small ints.  Level d holds the
 distinct states reachable from the roots in d steps.  Both passes walk a
@@ -50,8 +50,10 @@ root's node count equals the recursion's memo size.  A solver's V graph
 nodes, summed over its queries, count against ``max_states`` before any
 value is computed, and so does C(n, k), before any of a V, Q or audit
 query's sensing sets is listed (``selection_count``).  A solver keeps the Q
-rows it answered, keyed on (t, root belief), each with the graph it was
-solved in, and keeps every graph it solved.  A later query's root that is a
+rows it answered, keyed on (t, root belief), and every graph it solved, in
+solve order.  An answer keeps a graph only when its root was solved alone;
+a root of a batch, or one answered from a held level, keeps None, and the
+greedy audit solves it once more on its own.  A later query's root that is a
 state of a held graph's level with as many steps left is answered from that
 level by one Bellman step, states matched by value; it builds no nodes and
 counts none.  So an optimal policy, whose later beliefs are all states of
@@ -89,7 +91,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import weakref
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -102,6 +103,7 @@ from .model import (
     PROB_TOL,
     VALUE_TOL,
     TransitionModel,
+    _as_int,
 )
 from .model import tau  # noqa: F401  (perfbench's tracer patches it here)
 
@@ -398,10 +400,10 @@ class _VLevel:
 class _VGraph:
     """The levels between the roots and the last step of one solved V graph, and
     what its ranks stand for: rank r is base b aged m steps, for ``symbols[r]``
-    = b + m * len(bases).  The bases are kept here, since the greedy audit
-    points a re-solved root's answer at a new graph, so the answers do not
-    tell a graph's roots.  A graph is hashed by identity, so a solver keys
-    its held graphs' level indexes on the graph itself, weakly."""
+    = b + m * len(bases).  The bases are kept here, since a batch's answers
+    keep no graph, so the answers do not tell a graph's roots.  A graph is
+    hashed by identity, so a solver keys its held graphs' level indexes on
+    the graph itself."""
 
     values: np.ndarray  # rank -> value
     symbols: np.ndarray  # rank -> b + m * len(bases)
@@ -413,9 +415,14 @@ class _VGraph:
     greedy: np.ndarray
 
 
-#: What an answer keeps in place of a graph when it was given from a held
-#: graph's level (``FiniteHorizonSolver._held_rows``): it has no graph of its own.
-_HELD = "held"
+def _belief_rows(beliefs) -> np.ndarray:
+    """A nonempty 2-D array, or equal-length float sequences, as float rows in [0, 1]."""
+    omega = np.asarray(beliefs, dtype=float)
+    if omega.ndim != 2 or omega.size == 0:
+        raise ValueError("beliefs must be a nonempty list of equal-length belief vectors")
+    if not (omega.min() >= -PROB_TOL and omega.max() <= 1.0 + PROB_TOL):  # NaN fails both
+        raise ValueError("belief entries must lie in [0, 1]")
+    return omega
 
 
 @dataclass(frozen=True)
@@ -448,9 +455,9 @@ class SolveResult:
 class FiniteHorizonSolver:
     """Exact solver for a fixed (model, horizon, k).
 
-    One instance owns a private table of V answers, each with the graph it
-    was solved in, whose levels carry the greedy audits, and is meant to be
-    used from a single thread; independent instances can run concurrently.
+    One instance owns a private table of V answers and keeps every V graph
+    it solved, whose levels carry the greedy audits; it is meant to be used
+    from a single thread, and independent instances can run concurrently.
     The table is shared across queries, so asking again is free, and so are
     the graphs: a later query's root found in a held graph's level is
     answered from it, and builds no nodes and counts none.  ``max_states``
@@ -465,24 +472,22 @@ class FiniteHorizonSolver:
         k: int,
         max_states: int = DEFAULT_MAX_STATES,
     ) -> None:
-        if k < 1:
+        self.k = _as_int(k, "k")
+        if self.k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.model = model
         self.horizon = horizon
-        self.k = k
         self.max_states = max_states
         # W: the node count of the graph read for each belief length n.
         self._w_nodes: Dict[int, int] = {}
         # V: the node count of the level graphs solved so far; the Q row of
-        # every root answered, keyed on (t, root belief), with the graph it
-        # was solved in (None when none was needed, _HELD when it was read
-        # from a held level); and the graphs held, in solve order, each with
-        # the index of each of its levels searched so far, keyed on h.  A
-        # graph is held while an answer keeps it: the greedy audit can point
-        # every answer of a batch at new graphs.
+        # every root answered, keyed on (t, root belief), with the graph
+        # solved for that root alone, or None; and every graph solved, in
+        # solve order, each with the index of each of its levels searched so
+        # far, keyed on h.
         self._v_nodes = 0
-        self._answers: Dict[Tuple, Tuple[np.ndarray, object]] = {}
-        self._held: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        self._answers: Dict[Tuple, Tuple[np.ndarray, Optional[_VGraph]]] = {}
+        self._held: Dict[_VGraph, Dict[int, Tuple[np.ndarray, np.ndarray]]] = {}
 
     # -- shared plumbing ---------------------------------------------------
 
@@ -505,37 +510,27 @@ class FiniteHorizonSolver:
 
     # -- optimal value -----------------------------------------------------
 
-    def action_value_table(self, beliefs: Sequence[BeliefVector], t: int) -> np.ndarray:
-        """Q-values of every first action for each belief, all at time t.
+    def action_value_table(self, beliefs: Sequence[Sequence[float]], t: int) -> np.ndarray:
+        """Q-values of every first action for each belief row, all at time t.
 
-        Returns a (len(beliefs), C(n, k)) array whose columns follow the
-        lexicographic order of the sensing sets (``enumerate_actions``).
-        The beliefs not answered before are solved together over one level
-        graph; the answers are kept, so asking again is free.
+        `beliefs` are belief vectors as ``w_table`` takes them: a 2-D array,
+        or equal-length float sequences, each entry in [0, 1].  Returns a
+        (len(beliefs), C(n, k)) array whose columns follow the lexicographic
+        order of the sensing sets (``enumerate_actions``).  The beliefs not
+        answered before are solved together over one level graph; the
+        answers are kept, so asking again is free.
         """
-        if not beliefs:
-            raise ValueError("need at least one belief")
-        if len({b.n for b in beliefs}) != 1:
-            raise ValueError("beliefs must all have the same number of channels")
-        return self.action_value_rows([tuple(b.omega) for b in beliefs], t)
-
-    def action_value_rows(self, rows: Sequence[Tuple[float, ...]], t: int) -> np.ndarray:
-        """``action_value_table`` for beliefs given as tuples, all of one length.
-
-        Only n and t are checked, once per call: each entry is taken to be a
-        probability already, as the simulator's beliefs are.  The Q rows are
-        the ones ``action_value_table`` gives the same beliefs.
-        """
-        return self._q_table(self._check_v(len(rows[0]), t), rows)
+        omega = _belief_rows(beliefs)
+        return self._q_table(self._check_v(omega.shape[1], t), list(map(tuple, omega.tolist())))
 
     def action_values(self, belief: BeliefVector, t: int) -> Dict[ActionSet, float]:
         """Q-value of every first action: immediate reward + discounted optimal continuation."""
-        row = self.action_value_table([belief], t)[0]
+        row = self.action_value_table([belief.omega], t)[0]
         return dict(zip(enumerate_actions(belief.n, self.k), row.tolist()))
 
     def optimal_value(self, belief: BeliefVector, t: int) -> SolveResult:
         """Optimal value from time t plus every action within VALUE_TOL of the maximum."""
-        row = self.action_value_table([belief], t)[0]
+        row = self.action_value_table([belief.omega], t)[0]
         picks = _selection_arrays(belief.n, self.k)[0][_optimal_mask(row)] + 1
         actions = tuple(ActionSet(tuple(a)) for a in picks.tolist())
         return SolveResult(float(row.max()), actions, self.cache_stats())
@@ -545,20 +540,20 @@ class FiniteHorizonSolver:
 
         Answered from the same cache as the Q rows, so after ``optimal_value``
         or ``action_values`` on the belief it solves nothing.  A root whose
-        Q row came from a batch (``action_value_table`` on several beliefs)
-        shares its graph with the other roots, and a root answered from a
-        held level has no graph of its own, so either is solved once more on
-        its own, against ``max_states`` like any solve.
+        answer keeps no graph of its own (its Q row came from a batch of
+        several new beliefs or from a held level) is solved once more on its
+        own, against ``max_states`` like any solve; that graph is kept with
+        its answer and held with the others.
         """
         h = self._check_v(belief.n, t)
         root = tuple(belief.omega)
         self._q_table(h, [root])
         row, graph = self._answers[(t, root)]
-        omega, k = belief.omega, self.k
-        sel_pos = _selection_arrays(belief.n, k)[0]
-        if graph is _HELD or graph is not None and graph.root_children.shape[1] > len(sel_pos):
+        if graph is None and h and self.horizon.beta:  # h = 0 or beta = 0 needs no graph
             graph = self._solve_roots(h, [root])[1]
             self._answers[(t, root)] = (row, graph)
+        omega, k = belief.omega, self.k
+        sel_pos = _selection_arrays(belief.n, k)[0]
         rewards = _left_sum(np.array(omega).take(sel_pos).T)
         regret = float(row.max()) - float(_least_tied_q(row, rewards, [0], rewards.max())[0])
         # Greedy's set; G folds its sensed entries in ascending order, as W does.
@@ -586,19 +581,19 @@ class FiniteHorizonSolver:
         is answered from that level by one Bellman step (``_held_rows``),
         which builds no node and counts none; the other new roots are solved
         together over one level graph (``_solve_roots``).  So a solver's first
-        query never uses the held levels.  Each answer keeps the graph its
-        root was solved in: None when no graph was needed, and ``_HELD`` when
-        it was read from a held level.
+        query never uses the held levels.  An answer keeps the graph only
+        when its root was the one new root solved; otherwise it keeps None.
         """
         t = self.horizon.T - h
         new = list(dict.fromkeys(r for r in roots if (t, r) not in self._answers))
         if new and h and self._held:
             held = self._held_rows(h, new)
             for root, row in held.items():
-                self._answers[(t, root)] = (row, _HELD)
+                self._answers[(t, root)] = (row, None)
             new = [r for r in new if r not in held]
         if new:
             q, graph = self._solve_roots(h, new)
+            graph = graph if len(new) == 1 else None
             for root, row in zip(new, q):
                 self._answers[(t, root)] = (row, graph)
         return np.array([self._answers[(t, r)][0] for r in roots])
@@ -959,11 +954,8 @@ def w_table(
     node count (``w_graph_nodes``), summed over depths, counts against
     ``max_states``; with H = 0 every row is the sum of the last k entries.
     """
-    omega = np.array(vectors, dtype=float)
-    if omega.ndim != 2 or omega.shape[0] == 0:
-        raise ValueError("vectors must be a nonempty list of equal-length belief vectors")
-    if not np.all((omega >= -PROB_TOL) & (omega <= 1.0 + PROB_TOL)):
-        raise ValueError("belief entries must lie in [0, 1]")
+    omega = _belief_rows(vectors)
+    k = _as_int(k, "k")
     if k < 1 or omega.shape[1] < k:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={omega.shape[1]}")
     V, n = omega.shape

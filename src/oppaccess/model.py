@@ -12,8 +12,11 @@ Channel indices are 1-based throughout the public API.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional, Tuple
+
+import numpy as np
 
 #: Absolute tolerance for probability-domain and probability-sum checks.
 PROB_TOL = 1e-12
@@ -25,6 +28,18 @@ VALUE_TOL = 1e-9
 def _check_prob(p: float, name: str) -> None:
     if not (-PROB_TOL <= p <= 1.0 + PROB_TOL):
         raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
+
+
+def _as_int(value, name: str) -> int:
+    """An integer input as a Python int (a numpy one would overflow the Philox key sums).
+
+    A bool or a non-integer raises ValueError, when the object is built."""
+    try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -65,6 +80,7 @@ class HorizonSpec:
     beta: float = 1.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "T", _as_int(self.T, "T"))
         if self.T < 1:
             raise ValueError(f"horizon T must be >= 1, got {self.T}")
         if not (0.0 <= self.beta <= 1.0):

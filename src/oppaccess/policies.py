@@ -85,8 +85,7 @@ class OptimalPolicy(Policy):
         # share the answer.  The first sensing set within VALUE_TOL of the row
         # maximum is optimal_value(...).best_actions[0].
         uniq, inverse = _distinct_rows(beliefs)
-        rows = list(map(tuple, uniq.tolist()))
-        best = np.argmax(_optimal_mask(self.solver.action_value_rows(rows, t)), axis=1)
+        best = np.argmax(_optimal_mask(self.solver.action_value_table(uniq, t)), axis=1)
         # The Q columns follow the selections' lexicographic order.
         selected = _selection_arrays(beliefs.shape[1], self.solver.k)[0]
         return selected.take(best.take(inverse), axis=0)

@@ -42,14 +42,13 @@ file.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 import numpy as np
 
 from .dp import _check_addressable, _tau
-from .model import BeliefVector, HorizonSpec, TransitionModel
+from .model import BeliefVector, HorizonSpec, TransitionModel, _as_int
 from .policies import Policy
 
 TRACE_SCHEMA_VERSION = 1
@@ -78,20 +77,12 @@ class SimConfig:
     record_traces: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("n", "k", "replications", "seed"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if not (1 <= self.k <= self.n):
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
         if self.initial_belief.n != self.n:
             raise ValueError("initial belief length must equal n")
-        for name in ("replications", "seed"):
-            value = getattr(self, name)
-            try:
-                if isinstance(value, (bool, np.bool_)):
-                    raise TypeError
-                index = operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
-            # Held as a Python int (a numpy integer seed would overflow the Philox key sums).
-            object.__setattr__(self, name, index)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
 

@@ -46,7 +46,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import VALUE_TOL, BeliefVector, HorizonSpec, TransitionModel, tau_iterate
+from .model import VALUE_TOL, BeliefVector, HorizonSpec, TransitionModel, _as_int, tau_iterate
 from .dp import (
     DEFAULT_MAX_STATES,
     FiniteHorizonSolver,
@@ -138,6 +138,7 @@ class InstanceSampler:
     sorted_beliefs: bool = False
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
         for name in ("n_range", "T_range", "k_range"):

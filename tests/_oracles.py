@@ -39,7 +39,7 @@ from oppaccess import (
     tau,
     tau_iterate,
 )
-from oppaccess.dp import _HELD, ResourceLimitError, SolveResult, _fold_keys, _left_sum
+from oppaccess.dp import ResourceLimitError, SolveResult, _fold_keys, _left_sum
 from oppaccess.model import VALUE_TOL, _check_prob
 
 
@@ -349,13 +349,8 @@ class RecursiveVSolver(FiniteHorizonSolver):
 
 
 def v_graphs(solver: FiniteHorizonSolver) -> List:
-    """The distinct V graphs a solver keeps: those its answers hold.
-
-    An answer read from a held graph's level keeps the marker ``_HELD``,
-    not a graph, and is skipped; its row's graph is held by another answer.
-    """
-    graphs = {id(g): g for _, g in solver._answers.values() if g is not None and g is not _HELD}
-    return list(graphs.values())
+    """Every V graph a solver keeps, in solve order: each graph it solved, batches included."""
+    return list(solver._held)
 
 
 def graph_entries(graph) -> List[Tuple[float, Tuple]]:
@@ -380,7 +375,7 @@ def bellman_residual(solver: FiniteHorizonSolver) -> float:
     keyed as the recursion keys its states, and that solver's audit
     recomputes each node from its children in scalar code.  A child not in
     the memo, such as a state at the last step, is solved by the recursion.
-    Answers read from held levels hold no graph (``v_graphs``) and add none.
+    Answers read from held levels build no graph and add none.
     """
     ref = RecursiveVSolver(solver.model, solver.horizon, solver.k)
     for graph in v_graphs(solver):

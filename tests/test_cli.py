@@ -945,7 +945,6 @@ def test_simulate_probe_draws_the_nature_stream_once(runner, tmp_path, monkeypat
     # when each policy drew its own paths.
     from oppaccess import sim
 
-    sim._PATHS.clear()
     streams = []
     real = sim._substream_uniforms
     monkeypatch.setattr(
@@ -977,7 +976,6 @@ def test_replications_sweep_probe_keeps_its_bytes(runner, tmp_path, monkeypatch)
     # the output of the writer that formatted each block's rows afresh.
     from oppaccess import sim
 
-    sim._PATHS.clear()
     streams = []
     real = sim._substream_uniforms
     monkeypatch.setattr(

@@ -567,7 +567,7 @@ class TestSelectionCap:
         queries = [
             lambda: s.optimal_value(b, 1),
             lambda: s.action_values(b, 2),
-            lambda: s.action_value_table([b, b], 1),
+            lambda: s.action_value_table([b.omega, b.omega], 1),
             lambda: s.greedy_audit(b, 1),
             lambda: OptimalPolicy(model, horizon, 20, 100_000).batch_actions(
                 np.array([b.omega]), 1, np.zeros(1)
@@ -877,7 +877,7 @@ class TestEntryTable:
             BeliefVector((1.0 + 1e-13, p01, 1e-13, 0.5)),
         ]
         solver = FiniteHorizonSolver(model, horizon, k)
-        solver.action_value_table(beliefs, 1)
+        solver.action_value_table([b.omega for b in beliefs], 1)
         (graph,) = v_graphs(solver)
         entries = graph_entries(graph)
         assert all(a < b for a, b in zip(entries, entries[1:]))
@@ -1054,7 +1054,7 @@ class TestVGraph:
         belief = BeliefVector(tuple(np.random.default_rng(n).integers(1, 10, n) / 10))
         graph = FiniteHorizonSolver(model, horizon, k)
         oracle = RecursiveVSolver(model, horizon, k)
-        got = graph.action_value_table([belief], 1)[0].tolist()
+        got = graph.action_value_table([belief.omega], 1)[0].tolist()
         want = oracle.action_values(belief, 1)
         assert [q.hex() for q in got] == [q.hex() for q in want.values()]
         assert graph.cache_stats()["v_states"] == len(oracle._v_memo)
@@ -1082,7 +1082,7 @@ class TestVGraph:
         ]
         solver = FiniteHorizonSolver(model, horizon, k)
         for t in (1, 2, 4):
-            table = solver.action_value_table(beliefs, t)
+            table = solver.action_value_table([b.omega for b in beliefs], t)
             assert table.shape == (4, 6)
             for b, row in zip(beliefs, table.tolist()):
                 want = RecursiveVSolver(model, horizon, k).action_values(b, t)
@@ -1092,10 +1092,10 @@ class TestVGraph:
     def test_answers_are_cached_and_copied(self):
         solver = make_solver(0.3, 0.8, 4, 0.9, 2)
         b = BeliefVector((0.15, 0.62, 0.4, 0.88))
-        first = solver.action_value_table([b], 1)
+        first = solver.action_value_table([b.omega], 1)
         stats = solver.cache_stats()
         first[0, 0] = -1.0
-        again = solver.action_value_table([b, b], 1)
+        again = solver.action_value_table([b.omega, b.omega], 1)
         assert solver.cache_stats() == stats
         assert again[0, 0] != -1.0 and np.array_equal(again[0], again[1])
 
@@ -1118,23 +1118,25 @@ class TestVGraph:
 
     def test_rejects_bad_queries(self):
         solver = make_solver(0.3, 0.8, 3, 0.9, 1)
-        with pytest.raises(ValueError):
-            solver.action_value_table([], 1)
-        with pytest.raises(ValueError):
-            solver.action_value_table([BeliefVector((0.1, 0.2)), BeliefVector((0.3,))], 1)
-        with pytest.raises(ValueError):
-            solver.action_value_table([BeliefVector((0.1, 0.2))], 4)
+        # Empty, ragged, out of [0, 1], NaN or 1-D rows: refused before any solve.
+        for rows in [], [(0.1, 0.2), (0.3,)], [(0.2, 1.7)], [(0.2, float("nan"))], [0.1, 0.2]:
+            with pytest.raises(ValueError):
+                solver.action_value_table(rows, 1)
+        assert solver.cache_stats()["v_states"] == 0 and solver._answers == {}
+        with pytest.raises(ValueError, match="outside 1..3"):
+            solver.action_value_table([(0.1, 0.2)], 4)
 
     def test_rows_as_tuples(self):
-        # The same Q rows as action_value_table, bit for bit; n and t checked once.
+        # A 2-D array and the same rows as tuples give the same Q rows, bit
+        # for bit; n and t are checked.
         rows = [(0.15, 0.62, 0.4, 0.88), (0.3, 0.3, 0.7, 0.1)]
-        table = make_solver(0.3, 0.8, 4, 0.9, 2).action_value_table(list(map(BeliefVector, rows)), 1)
+        table = make_solver(0.3, 0.8, 4, 0.9, 2).action_value_table(np.array(rows), 1)
         solver = make_solver(0.3, 0.8, 4, 0.9, 2)
-        assert solver.action_value_rows(rows, 1).tobytes() == table.tobytes()
+        assert solver.action_value_table(rows, 1).tobytes() == table.tobytes()
         with pytest.raises(ValueError, match="outside 1..4"):
-            solver.action_value_rows(rows, 5)
+            solver.action_value_table(rows, 5)
         with pytest.raises(ValueError, match="1 channels but k=2"):
-            solver.action_value_rows([(0.5,)], 1)
+            solver.action_value_table([(0.5,)], 1)
 
 
 def _audit_case(case):
@@ -1261,7 +1263,7 @@ class TestGreedyAudit:
         model, horizon = TransitionModel(p01, p11), HorizonSpec(T, 1.0)
         beliefs = [BeliefVector(omega), BeliefVector((0.1, 0.2, 0.3, 0.4))]
         solver = FiniteHorizonSolver(model, horizon, 1)
-        solver.action_value_table(beliefs, 1)
+        solver.action_value_table([b.omega for b in beliefs], 1)
         audits = [solver.greedy_audit(b, 1) for b in beliefs]
         assert [a.regret > 1e-9 for a in audits] == [True, False]
         for b, audit in zip(beliefs, audits):
@@ -1302,8 +1304,8 @@ class TestChunkedLevels:
         p01, p11, T, beta, k, roots = CHUNK_CASES[case]
         solver = make_solver(p01, p11, T, beta, k)
         beliefs = [BeliefVector(r) for r in roots]
-        q = [[x.hex() for x in row] for row in solver.action_value_table(beliefs, 1).tolist()]
-        graph = solver._answers[(1, roots[0])][1]
+        q = [[x.hex() for x in row] for row in solver.action_value_table(roots, 1).tolist()]
+        graph = next(iter(v_graphs(solver)), None)
         states = solver.cache_stats()["v_states"]
         audits = [
             (a.value.hex(), a.regret.hex(), a.t, a.omega)
@@ -1437,13 +1439,21 @@ class TestPairGather:
             assert held <= out + index + state.nbytes + buffer + 4096
 
 
-def _held_answers(solver):
-    """(t, root, Q row) of every answer a solver read from a held graph's level."""
-    return [
-        (t, root, row)
-        for (t, root), (row, graph) in solver._answers.items()
-        if graph is dp._HELD
-    ]
+def record_held(solver):
+    """A list that gathers (t, root, Q row) of each answer `solver` reads from a held level.
+
+    It wraps the solver's ``_held_rows``, so it sees the answers of the
+    queries made after this call, in the order they are given.
+    """
+    answers, held_rows = [], solver._held_rows
+
+    def recording(h, roots):
+        out = held_rows(h, roots)
+        answers.extend((solver.horizon.T - h, root, row) for root, row in out.items())
+        return out
+
+    solver._held_rows = recording
+    return answers
 
 
 class TestHeldLevels:
@@ -1460,14 +1470,15 @@ class TestHeldLevels:
         model, horizon, k, belief = _sample_v_instance(rng, case)
         horizon = HorizonSpec(int(rng.integers(3, 6)), horizon.beta)
         policy = OptimalPolicy(model, horizon, k)
+        held = record_held(policy.solver)
         simulate(SimConfig(model, horizon, belief.n, k, belief, 100, case), policy)
-        return model, horizon, k, belief, policy.solver
+        return model, horizon, k, belief, policy.solver, held
 
     @pytest.mark.parametrize("case", CASES)
     def test_optimal_policy_solves_each_state_once_and_exactly(self, case):
-        model, horizon, k, belief, solver = self._simulate(case)
+        model, horizon, k, belief, solver, held = self._simulate(case)
         oracle = RecursiveVSolver(model, horizon, k)
-        for t, root, row in _held_answers(solver):
+        for t, root, row in held:
             want = oracle.action_values(BeliefVector(root), t).values()
             assert [q.hex() for q in row.tolist()] == [q.hex() for q in want], (t, root)
         # the t = 1 query solves the root's own graph; no later query adds a node
@@ -1478,12 +1489,11 @@ class TestHeldLevels:
     def test_cases_cover_regimes_betas_ties_and_every_later_step(self):
         regimes, betas, ks, tied, held = set(), set(), set(), 0, 0
         for case in self.CASES:
-            model, horizon, k, belief, solver = self._simulate(case)
+            model, horizon, k, belief, solver, answers = self._simulate(case)
             regimes.add((model.p11 > model.p01) - (model.p11 < model.p01))
             betas.add(horizon.beta if horizon.beta in (0.0, 1.0) else "random")
             ks.add(k)
             tied += len(set(belief.omega)) < belief.n
-            answers = _held_answers(solver)
             held += len(answers)
             if horizon.beta != 0.0:
                 # every step but the first and the last reads the held graph
@@ -1496,6 +1506,7 @@ class TestHeldLevels:
         solver = FiniteHorizonSolver(model, horizon, k)
         solver.optimal_value(BeliefVector((0.15, 0.62, 0.4, 0.88)), 1)
         stats = solver.cache_stats()
+        answers = record_held(solver)
         (graph,) = v_graphs(solver)
         level = next(level for level in graph.levels if level.h == 3)
         states = {tuple(graph.values[row].tolist()) for row in level.rows}
@@ -1510,15 +1521,15 @@ class TestHeldLevels:
             if root not in states
         )
         roots = [held, near, (0.11, 0.5, 0.52, 0.9)]
-        table = solver.action_value_table([BeliefVector(r) for r in roots], 2)
+        table = solver.action_value_table(roots, 2)
         oracle = RecursiveVSolver(model, horizon, k)
         for root, row in zip(roots, table.tolist()):
             want = oracle.action_values(BeliefVector(root), 2).values()
             assert [q.hex() for q in row] == [q.hex() for q in want]
-        assert [root for _, root, _ in _held_answers(solver)] == [held]
+        assert [root for _, root, _ in answers] == [held]
         # only the other two are solved, together, as on a solver of their own
         alone = FiniteHorizonSolver(model, horizon, k)
-        rest = alone.action_value_table([BeliefVector(r) for r in roots[1:]], 2)
+        rest = alone.action_value_table(roots[1:], 2)
         assert np.array_equal(rest, table[1:])
         assert solver.cache_stats()["v_states"] == (
             stats["v_states"] + alone.cache_stats()["v_states"]
@@ -1527,28 +1538,34 @@ class TestHeldLevels:
     @pytest.mark.parametrize("chunk", [1, 7, 40])
     def test_chunk_size_changes_nothing(self, monkeypatch, chunk):
         def answers():
-            solver = self._simulate(5)[-1]
+            solver = self._simulate(5)[4]
             return {key: row.tobytes() for key, (row, _) in solver._answers.items()}
 
         want = answers()
         monkeypatch.setattr(dp, "_CHUNK_PAIRS", chunk)
         assert answers() == want
 
-    def test_holds_the_graphs_its_answers_keep(self):
-        # Auditing both roots of a batch points both answers at graphs of
-        # their own, so the batch's graph is no longer held or searched.
+    def test_holds_every_graph_it_solved(self):
+        # Auditing each root of a batch solves it once more on its own; the
+        # batch's graph stays held, and every graph held is audited.
         model, horizon = TransitionModel(0.3, 0.8), HorizonSpec(4, 0.9)
-        beliefs = [BeliefVector((0.1, 0.5, 0.7)), BeliefVector((0.2, 0.4, 0.9))]
+        roots = [(0.1, 0.5, 0.7), (0.2, 0.4, 0.9), (0.6, 0.3, 0.6)]
         solver = FiniteHorizonSolver(model, horizon, 1)
-        solver.action_value_table(beliefs, 1)
-        assert len(solver._held) == 1
-        for b in beliefs:
-            solver.greedy_audit(b, 1)
-        assert list(solver._held) == v_graphs(solver) and len(v_graphs(solver)) == 2
+        solver.action_value_table(roots, 1)
+        batch = solver.cache_stats()["v_states"]
+        (graph,) = v_graphs(solver)
+        alone = 0
+        for root in roots:
+            solver.greedy_audit(BeliefVector(root), 1)
+            fresh = FiniteHorizonSolver(model, horizon, 1).optimal_value(BeliefVector(root), 1)
+            alone += fresh.cache_stats["v_states"]
+        graphs = v_graphs(solver)
+        assert len(graphs) == 4 and graphs[0] is graph
+        assert bellman_residual(solver) <= 1e-12
+        assert solver.cache_stats()["v_states"] == batch + alone
 
     def test_audit_of_a_held_answer_solves_its_root_alone(self):
-        model, horizon, k, belief, solver = self._simulate(5)
-        answers = _held_answers(solver)
+        model, horizon, k, belief, solver, answers = self._simulate(5)
         assert len(answers) > 50
         for t, root, _ in answers[:: len(answers) // 10]:
             before = solver.cache_stats()["v_states"]
@@ -1561,7 +1578,7 @@ class TestHeldLevels:
             # the root is solved once more, on its own, and then kept
             added = solver.cache_stats()["v_states"] - before
             assert added == fresh.cache_stats()["v_states"]
-            assert solver._answers[(t, root)][1] is not dp._HELD
+            assert solver._answers[(t, root)][1] is not None
             assert solver.greedy_audit(BeliefVector(root), t) == got
             assert solver.cache_stats()["v_states"] == before + added
         assert bellman_residual(solver) <= 1e-12

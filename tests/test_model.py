@@ -1,16 +1,21 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from oppaccess import (
     ActionSet,
     BeliefVector,
+    HorizonSpec,
     TransitionModel,
     enumerate_actions,
     tau,
     tau_iterate,
 )
+from oppaccess.dp import FiniteHorizonSolver, w_table
+from oppaccess.sim import SimConfig
+from oppaccess.verify import InstanceSampler
 from _oracles import (
     OutcomeRealization,
     enumerate_outcomes,
@@ -200,3 +205,21 @@ class TestModelTypes:
             HorizonSpec(3, 1.5)
         HorizonSpec(1, 0.0)
         HorizonSpec(1, 1.0)
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True, np.bool_(True), "2", None])
+@pytest.mark.parametrize("name", ["T", "solver k", "w_table k", "n", "k", "sampler seed"])
+def test_integer_inputs_are_read_at_construction(name, value):
+    # Let through, each would fail later with a TypeError, or a bool T run as T = 1.
+    model, horizon, belief = TransitionModel(0.3, 0.8), HorizonSpec(2), BeliefVector((0.5, 0.5))
+    build = {
+        "T": lambda v: HorizonSpec(v),
+        "solver k": lambda v: FiniteHorizonSolver(model, horizon, v),
+        "w_table k": lambda v: w_table(model, horizon, v, [belief.omega]),
+        "n": lambda v: SimConfig(model, horizon, v, 1, belief, 10, 1),
+        "k": lambda v: SimConfig(model, horizon, 2, v, belief, 10, 1),
+        "sampler seed": lambda v: InstanceSampler(seed=v),
+    }[name]
+    with pytest.raises(ValueError, match=f"{name.split()[-1]} must be an integer"):
+        build(value)
+    build(np.int64(2))  # a numpy integer is an integer

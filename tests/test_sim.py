@@ -39,12 +39,6 @@ from _oracles import (
 )
 
 
-@pytest.fixture
-def empty_slot():
-    """Start from an empty slot of hidden paths, so a test counts its own draws."""
-    sim._PATHS.clear()
-
-
 def count_draws(monkeypatch):
     """A Counter of ``_substream_uniforms`` calls by stream id (1 nature, 2 policy)."""
     calls = Counter()
@@ -192,7 +186,7 @@ class TestCommonRandomNumbers:
         assert paired.mean_b.hex() == sb.mean.hex()
 
     @pytest.mark.parametrize("pair,draws", [("greedy-random", 2), ("greedy-round-robin", 1)])
-    def test_draws_each_stream_once(self, monkeypatch, empty_slot, pair, draws):
+    def test_draws_each_stream_once(self, monkeypatch, pair, draws):
         calls = []
         real = sim._substream_uniforms
         monkeypatch.setattr(
@@ -344,13 +338,13 @@ class TestBatchAgainstLoopOracle:
         cfg = SimConfig(m, h, 4, 2, BeliefVector((0.6, 0.3, 0.6, 0.8)), 500, 5)
         policy = OptimalPolicy(m, h, 2)
         calls = []
-        query = policy.solver.action_value_rows
+        query = policy.solver.action_value_table
 
         def recording(rows, t):
-            calls.append((t, list(rows)))
+            calls.append((t, list(map(tuple, rows.tolist()))))
             return query(rows, t)
 
-        policy.solver.action_value_rows = recording
+        policy.solver.action_value_table = recording
         simulate(cfg, policy)
         # one batched query per step, each over distinct belief rows
         assert [t for t, _ in calls] == [1, 2, 3, 4]
@@ -359,7 +353,7 @@ class TestBatchAgainstLoopOracle:
         assert len(calls[0][1]) == 1 and 1 < len(calls[-1][1]) < 500
 
     def test_optimal_builds_no_belief_vector(self, monkeypatch):
-        # The distinct rows reach the solver as tuples, checked once per query.
+        # The distinct rows reach the solver as one array, checked once per query.
         m, h = TransitionModel(0.8, 0.3), HorizonSpec(4, 0.9)
         cfg = SimConfig(m, h, 4, 2, BeliefVector((0.6, 0.3, 0.6, 0.8)), 200, 5)
         policy = OptimalPolicy(m, h, 2)
@@ -680,7 +674,7 @@ class TestHiddenPathsSlot:
         return make_config(**dict(self.BASE, **changes))
 
     @pytest.mark.parametrize("change", list(REDRAWN) + list(KEPT))
-    def test_exactly_the_path_inputs_key_it(self, monkeypatch, empty_slot, change):
+    def test_exactly_the_path_inputs_key_it(self, monkeypatch, change):
         simulate(self.config(), GreedyPolicy(2))
         draws = count_draws(monkeypatch)
         cfg = self.config(**{**self.REDRAWN, **self.KEPT}[change])
@@ -688,7 +682,7 @@ class TestHiddenPathsSlot:
         assert draws == Counter({1: 1} if change in self.REDRAWN else {})
         assert got.totals.tobytes() == simulate_loop(cfg, GreedyPolicy(2)).totals.tobytes()
 
-    def test_the_policy_does_not_key_it(self, monkeypatch, empty_slot):
+    def test_the_policy_does_not_key_it(self, monkeypatch):
         cfg = self.config()
         simulate(cfg, GreedyPolicy(2))
         draws = count_draws(monkeypatch)
@@ -696,7 +690,7 @@ class TestHiddenPathsSlot:
             simulate(cfg, policy)
         assert draws == Counter({2: 1})
 
-    def test_interleaved_runs_equal_fresh_ones_and_the_loop(self, empty_slot):
+    def test_interleaved_runs_equal_fresh_ones_and_the_loop(self):
         a, b = self.config(traces=True), self.config(seed=46, traces=True)
         a_beta = self.config(beta=0.5, traces=True)
         order = (a, b, a, a_beta)
@@ -712,7 +706,7 @@ class TestHiddenPathsSlot:
                 assert x.tobytes() == y.tobytes()
             assert_columns_equal(run.traces, looped.traces)
 
-    def test_paths_are_read_only_and_the_traced_states(self, empty_slot):
+    def test_paths_are_read_only_and_the_traced_states(self):
         cfg = self.config(traces=True)
         paths = sim._hidden_paths(cfg)
         assert paths.shape == (5, 60, 4) and paths.dtype == np.int8
@@ -721,7 +715,7 @@ class TestHiddenPathsSlot:
         assert simulate(cfg, GreedyPolicy(2)).traces.states is paths
         assert list(sim._PATHS) == [sim._path_key(cfg)]
 
-    def test_a_miss_frees_the_held_paths_before_it_draws(self, empty_slot):
+    def test_a_miss_frees_the_held_paths_before_it_draws(self):
         # Each config holds 20,000 * 5 * 5 = 500,000 bytes of paths, and draws
         # 4 MB of nature uniforms.  Were a's paths still held during b's draw,
         # b's peak after a would be theirs higher than b's from an empty slot.
