@@ -36,7 +36,7 @@ import click
 import yaml
 
 from . import __version__
-from .model import ActionSet, BeliefVector, HorizonSpec, TransitionModel
+from .model import ActionSet, BeliefVector, HorizonSpec, TransitionModel, _as_int, _as_prob
 from .dp import (
     _INT64_MAX,
     DEFAULT_MAX_STATES,
@@ -71,7 +71,7 @@ EXIT_CONFIG = 2
 EXIT_VIOLATIONS = 3
 EXIT_RESOURCE = 4
 
-RESULT_SCHEMA_VERSION = 1
+RESULT_SCHEMA_VERSION = 2
 
 
 class ConfigError(Exception):
@@ -127,7 +127,7 @@ _VERIFY_KEYS = {
     "properties": _PROPERTIES, "count": 100, "regime": "positive", "n_max": 5, "T_max": 5,
 }
 # sim keys its Philox streams by the seed modulo 2**64.  Every other integer
-# lies in int64 (``_int``), where numpy sizes arrays and draws integers.
+# lies in int64, where numpy sizes arrays and draws integers.
 _SEED_MAX = 2**64 - 1
 
 
@@ -161,37 +161,20 @@ def _fields(value: Any, table: dict, where: str) -> dict:
     return {key: value.get(key, default) for key, default in table.items()}
 
 
-def _int(value: Any, where: str, low: int = -_INT64_MAX - 1, high: int = _INT64_MAX) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    if not low <= value <= high:
-        raise ConfigError(f"{where} must lie in [{low}, {high}], got {value}")
-    return value
-
-
-def _prob(value: Any, where: str) -> float:
-    """A number; the model and belief constructors check that it is a probability."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(f"{where} is out of range, got {value!r}")
-
-
 def load_config(cfg: dict, seed: Optional[int] = None) -> _Experiment:
     """Parse and check one config mapping; `seed`, when given, overrides its seed.
 
     Every check runs here, before any work: a malformed or out-of-range value
-    raises ConfigError, and the library constructors' range checks are
-    re-raised as ConfigError.
+    raises ConfigError.  Numbers are read by ``model``'s readers under their
+    dotted config names, and their ValueErrors, like the library
+    constructors', are re-raised as ConfigError.
     """
     kind = cfg.get("kind")
     if not isinstance(kind, str) or kind not in _KEYS:
         raise ConfigError(f"unknown experiment kind {kind!r}; expected one of {list(_KEYS)}")
     values = _fields(cfg, _KEYS[kind], "config")
-    seed = _int(values["seed"] if seed is None else seed, "seed", 0, _SEED_MAX)
     try:
+        seed = _as_int(values["seed"] if seed is None else seed, "seed", 0, _SEED_MAX)
         if kind == "verify":
             return _Experiment(cfg, kind, seed, **_verify_fields(values["verify"], seed))
         instance = _instance(values, seed)
@@ -202,10 +185,12 @@ def load_config(cfg: dict, seed: Optional[int] = None) -> _Experiment:
 
 def _instance(values: dict, seed: int) -> SimConfig:
     section = _fields(values["model"], _MODEL_KEYS, "model")
-    model = TransitionModel(_prob(section["p01"], "model.p01"), _prob(section["p11"], "model.p11"))
+    model = TransitionModel(*(_as_prob(section[p], f"model.{p}") for p in ("p01", "p11")))
     section = _fields(values["horizon"], _HORIZON_KEYS, "horizon")
-    horizon = HorizonSpec(_int(section["T"], "horizon.T"), _prob(section["beta"], "horizon.beta"))
-    n, k = _int(values["n"], "n"), _int(values["k"], "k")
+    T = _as_int(section["T"], "horizon.T", 1, _INT64_MAX)
+    horizon = HorizonSpec(T, _as_prob(section["beta"], "horizon.beta", 0.0))
+    n = _as_int(values["n"], "n", 1, _INT64_MAX)
+    k = _as_int(values["k"], "k", 1, n)
     raw = values["initial_belief"]
     if raw == "stationary":
         try:
@@ -215,10 +200,10 @@ def _instance(values: dict, seed: int) -> SimConfig:
             star = 0.5
         omega = (star,) * n
     elif isinstance(raw, list):
-        omega = tuple(_prob(w, "initial_belief entry") for w in raw)
+        omega = tuple(_as_prob(w, "initial_belief entry") for w in raw)
     else:
         raise ConfigError("initial_belief must be a list of probabilities or 'stationary'")
-    replications = _int(values.get("replications", 1), "replications")
+    replications = _as_int(values.get("replications", 1), "replications", 1, _INT64_MAX)
     return SimConfig(model, horizon, n, k, BeliefVector(omega), replications, seed)
 
 
@@ -252,7 +237,7 @@ def _policy_spec(spec: Any, instance: SimConfig) -> Union[str, ActionSet]:
         indices = spec.get("indices")
         if not isinstance(indices, list):
             raise ConfigError("fixed policy needs an 'indices' list")
-        action = ActionSet(tuple(_int(i, "fixed policy index") for i in indices))
+        action = ActionSet(tuple(_as_int(i, "fixed policy index", 1, _INT64_MAX) for i in indices))
         action.validate_for(instance.n, instance.k)
         return action
     if not isinstance(name, str) or name not in _POLICIES:
@@ -270,11 +255,11 @@ def _verify_fields(section: Any, seed: int) -> dict:
     _check_unrepeated(props, "verify.properties")
     if values["regime"] == "negative" and "theorem1" in props:
         raise ConfigError("theorem1 holds only for p11 >= p01; it cannot run with regime 'negative'")
-    n_max = _int(values["n_max"], "verify.n_max", 2)
-    t_max = _int(values["T_max"], "verify.T_max", 1)
+    n_max = _as_int(values["n_max"], "verify.n_max", 2, _INT64_MAX)
+    t_max = _as_int(values["T_max"], "verify.T_max", 1, _INT64_MAX)
     return {
         "properties": tuple(props),
-        "count": _int(values["count"], "verify.count", 0),
+        "count": _as_int(values["count"], "verify.count", 0, _INT64_MAX),
         "sampler": InstanceSampler(seed, values["regime"], (2, n_max), (1, t_max)),
     }
 
@@ -391,7 +376,8 @@ def _write_csv(path: Path, rows: List[dict]) -> None:
     if not rows:
         path.write_text("")
         return
-    fields = list(rows[0].keys())
+    # Wall-clock times go to meta.json alone, so results.csv reruns byte for byte.
+    fields = [field for field in rows[0] if field != "runtime_s"]
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(fields)
@@ -399,13 +385,14 @@ def _write_csv(path: Path, rows: List[dict]) -> None:
             writer.writerow([_fmt(row.get(c, "")) for c in fields])
 
 
-def _write_sidecar(path: Path, cfg: dict, seed: int, wall: float) -> None:
+def _write_sidecar(path: Path, cfg: dict, seed: int, wall: float, rows: List[dict]) -> None:
     sidecar = {
         "schema_version": RESULT_SCHEMA_VERSION,
         "library_version": __version__,
         "config": cfg,
         "seed": seed,
         "wall_time_s": wall,
+        "runtime_s": [row["runtime_s"] for row in rows if "runtime_s" in row],
     }
     path.write_text(json.dumps(sidecar, sort_keys=True, indent=2, default=str) + "\n")
 
@@ -426,7 +413,7 @@ def _execute(exp: _Experiment, max_states: int, out_dir: Path, traces: bool) -> 
         if n_violations:
             status = EXIT_VIOLATIONS
     _write_csv(out_dir / "results.csv", rows)
-    _write_sidecar(out_dir / "meta.json", exp.mapping, exp.seed, time.perf_counter() - t0)
+    _write_sidecar(out_dir / "meta.json", exp.mapping, exp.seed, time.perf_counter() - t0, rows)
     return status, rows
 
 
@@ -550,7 +537,7 @@ def sweep(config, seed, out_dir, max_memo, traces):
     fields = sorted({k for r in all_rows for k in r})
     normalized = [{f: r.get(f, "") for f in fields} for r in all_rows]
     _write_csv(out / "results.csv", normalized)
-    _write_sidecar(out / "meta.json", cfg, points[0][1].seed, time.perf_counter() - t0)
+    _write_sidecar(out / "meta.json", cfg, points[0][1].seed, time.perf_counter() - t0, all_rows)
     return status
 
 

@@ -79,7 +79,10 @@ continuation sum runs depth by depth; the root is node 0 of every depth, so
 one pass yields W_t for t = 1..T, and with H = 0 every t reads the root's
 reward.  Its values are float.hex-identical to the scalar memoised
 recursion, and its node count, summed over depths, counts against
-``max_states`` on its own (``w_graph_nodes``).  Every sum in this module
+``max_states`` on its own (``w_graph_nodes``).  ``max_states`` is read,
+by ``model._as_int``, wherever it enters: the solver, each W graph lookup
+and ``selection_count``.  It is an integer >= 0, and 0 refuses every graph;
+a bool, a float or a negative cap raises ValueError.  Every sum in this module
 folds left to right from 0.0, so values do not depend on the Python version.
 Every gather is a ``take`` on flat indices, each index built in place
 (``_pair_entries`` reads a pair's entries so); advanced indexing is kept
@@ -176,7 +179,7 @@ def selection_count(n: int, k: int, max_states: int) -> int:
     below are C(n, k) long.
     """
     count = math.comb(n, k)
-    if count > max_states:
+    if count > _as_int(max_states, "max_states", 0):
         raise ResourceLimitError(f"C({n}, {k}) = {count} sensing sets exceed cap {max_states}")
     return count
 
@@ -207,8 +210,7 @@ def _selection_arrays(n: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
 
 def enumerate_actions(n: int, k: int) -> list[ActionSet]:
     """All C(n, k) sensing sets in lexicographic order: ``_selection_arrays``, 1-based."""
-    if not (1 <= k <= n):
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    k = _as_int(k, "k", 1, _as_int(n, "n", 1))
     return [ActionSet(tuple(row)) for row in (_selection_arrays(n, k)[0] + 1).tolist()]
 
 
@@ -472,12 +474,10 @@ class FiniteHorizonSolver:
         k: int,
         max_states: int = DEFAULT_MAX_STATES,
     ) -> None:
-        self.k = _as_int(k, "k")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        self.k = _as_int(k, "k", 1)
         self.model = model
         self.horizon = horizon
-        self.max_states = max_states
+        self.max_states = _as_int(max_states, "max_states", 0)
         # W: the node count of the graph read for each belief length n.
         self._w_nodes: Dict[int, int] = {}
         # V: the node count of the level graphs solved so far; the Q row of
@@ -493,7 +493,7 @@ class FiniteHorizonSolver:
 
     def _check_t(self, n: int, t: int) -> int:
         """Check a query of beliefs with n channels at time t; return its steps left."""
-        if not (1 <= t <= self.horizon.T):
+        if not (1 <= _as_int(t, "t") <= self.horizon.T):
             raise ValueError(f"t={t} outside 1..{self.horizon.T}")
         if n < self.k:
             raise ValueError(f"belief has {n} channels but k={self.k}")
@@ -874,6 +874,7 @@ def _node_cap_error(max_states: int, graph: str = "W") -> ResourceLimitError:
 
 
 def _w_graph(n: int, k: int, H: int, max_states: int) -> _WGraph:
+    max_states = _as_int(max_states, "max_states", 0)
     graph = _W_GRAPHS.get((n, k, H))
     if graph is None or graph.children is None and graph.nodes <= max_states:
         try:
@@ -955,9 +956,7 @@ def w_table(
     ``max_states``; with H = 0 every row is the sum of the last k entries.
     """
     omega = _belief_rows(vectors)
-    k = _as_int(k, "k")
-    if k < 1 or omega.shape[1] < k:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={omega.shape[1]}")
+    k = _as_int(k, "k", 1, omega.shape[1])
     V, n = omega.shape
     H = _w_depth(horizon)
     graph = _w_graph(n, k, H, max_states)

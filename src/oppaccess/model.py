@@ -12,6 +12,8 @@ Channel indices are 1-based throughout the public API.
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -25,21 +27,34 @@ PROB_TOL = 1e-12
 VALUE_TOL = 1e-9
 
 
-def _check_prob(p: float, name: str) -> None:
-    if not (-PROB_TOL <= p <= 1.0 + PROB_TOL):
-        raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
+def _as_int(value, name: str, low: float = -math.inf, high: float = math.inf) -> int:
+    """An integer input in [low, high] as a Python int (a numpy one would overflow the
+    Philox key sums); a bool, a non-integer or one out of range raises ValueError."""
+    if type(value) is not int:
+        try:
+            if isinstance(value, (bool, np.bool_)):
+                raise TypeError
+            value = operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if not low <= value <= high:
+        raise ValueError(f"{name} must lie in [{low}, {high}], got {value}")
+    return value
 
 
-def _as_int(value, name: str) -> int:
-    """An integer input as a Python int (a numpy one would overflow the Philox key sums).
-
-    A bool or a non-integer raises ValueError, when the object is built."""
+def _as_prob(value, name: str, tol: float = PROB_TOL) -> float:
+    """A probability input in [-tol, 1 + tol] as a Python float; a bool, a non-number,
+    NaN, a number past float range or one out of range raises ValueError."""
     try:
-        if isinstance(value, (bool, np.bool_)):
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        if type(value) is not float:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError
+            value = float(value)
+        if -tol <= value <= 1.0 + tol:  # NaN fails
+            return value
+    except (TypeError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -49,9 +64,10 @@ class TransitionModel:
     p01: float
     p11: float
 
-    def __post_init__(self) -> None:
-        _check_prob(self.p01, "p01")
-        _check_prob(self.p11, "p11")
+    # An __init__ of its own stores each field once: verify builds one per instance.
+    def __init__(self, p01: float, p11: float) -> None:
+        object.__setattr__(self, "p01", _as_prob(p01, "p01"))
+        object.__setattr__(self, "p11", _as_prob(p11, "p11"))
 
     @property
     def positively_correlated(self) -> bool:
@@ -79,25 +95,23 @@ class HorizonSpec:
     T: int
     beta: float = 1.0
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "T", _as_int(self.T, "T"))
-        if self.T < 1:
-            raise ValueError(f"horizon T must be >= 1, got {self.T}")
-        if not (0.0 <= self.beta <= 1.0):
-            raise ValueError(f"discount beta must lie in [0, 1], got {self.beta}")
+    # Read in __init__, as TransitionModel is.
+    def __init__(self, T: int, beta: float = 1.0) -> None:
+        object.__setattr__(self, "T", _as_int(T, "T", 1))
+        object.__setattr__(self, "beta", _as_prob(beta, "beta", 0.0))
 
 
 @dataclass(frozen=True)
 class BeliefVector:
-    """Information state: per-channel probability of being good."""
+    """Information state: per-channel probability of being good, held as a tuple of floats."""
 
     omega: Tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.omega) < 1:
+        omega = tuple(_as_prob(w, f"omega[{i}]") for i, w in enumerate(self.omega))
+        if not omega:
             raise ValueError("belief vector must have at least one entry")
-        for i, w in enumerate(self.omega):
-            _check_prob(w, f"omega[{i}]")
+        object.__setattr__(self, "omega", omega)
 
     @property
     def n(self) -> int:
@@ -111,11 +125,9 @@ class ActionSet:
     indices: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        idx = tuple(sorted(self.indices))
+        idx = tuple(sorted(_as_int(i, "channel index", 1) for i in self.indices))
         if len(set(idx)) != len(idx) or not idx:
             raise ValueError(f"action indices must be distinct and nonempty: {self.indices}")
-        if idx[0] < 1:
-            raise ValueError(f"channel indices are 1-based, got {self.indices}")
         object.__setattr__(self, "indices", idx)
 
     def validate_for(self, n: int, k: Optional[int] = None) -> None:
@@ -131,14 +143,12 @@ class ActionSet:
 
 def tau(omega: float, model: TransitionModel) -> float:
     """One-step belief propagation for an unobserved channel."""
-    if not (-PROB_TOL <= omega <= 1.0 + PROB_TOL):
-        raise ValueError(f"belief {omega!r} outside [0, 1]")
-    omega = min(1.0, max(0.0, omega))
+    omega = min(1.0, max(0.0, _as_prob(omega, "belief")))
     return omega * model.p11 + (1.0 - omega) * model.p01
 
 
 def tau_iterate(omega: float, model: TransitionModel, steps: int) -> float:
     """tau applied `steps` times; steps = 0 returns omega unchanged."""
-    for _ in range(steps):
+    for _ in range(_as_int(steps, "steps", 0)):
         omega = tau(omega, model)
     return omega

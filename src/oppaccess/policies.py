@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import ActionSet, HorizonSpec, TransitionModel
+from .model import ActionSet, HorizonSpec, TransitionModel, _as_int
 from .dp import DEFAULT_MAX_STATES, FiniteHorizonSolver
 from .dp import _greedy_order, _optimal_mask, _selection_arrays
 
@@ -28,8 +28,7 @@ from .dp import _greedy_order, _optimal_mask, _selection_arrays
 def greedy_action(omega: Sequence[float], k: int) -> ActionSet:
     """Indices (1-based) of the k largest beliefs, ties broken toward lower index."""
     n = len(omega)
-    if not (1 <= k <= n):
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    k = _as_int(k, "k", 1, n)
     order = sorted(range(n), key=lambda i: (-omega[i], i))
     return ActionSet(tuple(i + 1 for i in order[:k]))
 
@@ -60,7 +59,7 @@ class GreedyPolicy(Policy):
     name = "greedy"
 
     def __init__(self, k: int) -> None:
-        self.k = k
+        self.k = _as_int(k, "k", 1)
 
     def batch_actions(self, beliefs: np.ndarray, t: int, u: np.ndarray) -> np.ndarray:
         return np.sort(_greedy_order(beliefs)[:, : self.k], axis=1)
@@ -117,8 +116,10 @@ class OrderedListPolicy(Policy):
     name = "ordered-list"
 
     def __init__(self, k: int, initial_order: Optional[Sequence[int]] = None) -> None:
-        self.k = k
-        self.initial_order = tuple(initial_order) if initial_order is not None else None
+        self.k = _as_int(k, "k", 1)
+        if initial_order is not None:
+            initial_order = tuple(_as_int(c, "initial_order entry") for c in initial_order)
+        self.initial_order = initial_order
         self._order: Tuple[int, ...] = ()
         self._lists: Optional[np.ndarray] = None
 
@@ -159,8 +160,8 @@ class RoundRobinPolicy(Policy):
     name = "round-robin"
 
     def __init__(self, n: int, k: int) -> None:
-        self.n = n
-        self.k = k
+        self.n = _as_int(n, "n", 1)
+        self.k = _as_int(k, "k", 1, self.n)
 
     # perfbench/workloads.py computes sim-greedy's exact round-robin reference from this.
     def action(self, omega: Tuple[float, ...], t: int) -> ActionSet:
@@ -195,13 +196,11 @@ class UniformRandomPolicy(Policy):
     uses_randomness = True
 
     def __init__(self, n: int, k: int) -> None:
-        if not (1 <= k <= n):
-            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-        self.n = n
-        self.k = k
+        self.n = _as_int(n, "n", 1)
+        self.k = _as_int(k, "k", 1, self.n)
         # Row j holds the j-th k-subset's 0-based channel indices, in
         # lexicographic order; one read-only table per (n, k) in the process.
-        self._table = _selection_arrays(n, k)[0]
+        self._table = _selection_arrays(self.n, self.k)[0]
 
     def batch_actions(self, beliefs: np.ndarray, t: int, u: np.ndarray) -> np.ndarray:
         count = len(self._table)

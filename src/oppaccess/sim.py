@@ -77,14 +77,13 @@ class SimConfig:
     record_traces: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("n", "k", "replications", "seed"):
-            object.__setattr__(self, name, _as_int(getattr(self, name), name))
-        if not (1 <= self.k <= self.n):
-            raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-        if self.initial_belief.n != self.n:
+        n = _as_int(self.n, "n", 1)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", _as_int(self.k, "k", 1, n))
+        object.__setattr__(self, "replications", _as_int(self.replications, "replications", 1))
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
+        if self.initial_belief.n != n:
             raise ValueError("initial belief length must equal n")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, asdict, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -138,20 +138,21 @@ class InstanceSampler:
     sorted_beliefs: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed", 0))
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
         for name in ("n_range", "T_range", "k_range"):
             bounds = getattr(self, name)
             if name == "k_range" and bounds is None:
                 continue
-            pair = isinstance(bounds, (tuple, list)) and len(bounds) == 2 and all(
-                isinstance(b, (int, np.integer)) and not isinstance(b, bool) for b in bounds
-            )
-            if not pair or not 1 <= bounds[0] <= bounds[1] <= _INT64_MAX:
+            try:
+                low, high = bounds
+                low = _as_int(low, name, 1, _INT64_MAX)
+                object.__setattr__(self, name, (low, _as_int(high, name, low, _INT64_MAX)))
+            except (TypeError, ValueError):
                 raise ValueError(
                     f"{name} must be two integers with 1 <= low <= high <= 2**63 - 1, got {bounds!r}"
-                )
+                ) from None
         if self.n_range[0] > _MAX_FLOATS:
             raise ValueError(
                 f"n_range draws at least {self.n_range[0]} belief entries, "
@@ -159,7 +160,7 @@ class InstanceSampler:
             )
 
     def rng_for(self, index: int) -> np.random.Generator:
-        return np.random.default_rng([self.seed, index])
+        return np.random.default_rng([self.seed, _as_int(index, "index", 0)])
 
     def _draw_model(self, rng: np.random.Generator) -> Tuple[float, float]:
         a, b = rng.random(), rng.random()
@@ -213,9 +214,8 @@ class InstanceSampler:
         inst = Instance(index, n, k, T, beta, p01, p11, omega)
         return _sorted(inst) if self.sorted_beliefs else inst
 
-    def instances(self, count: int):
-        for i in range(count):
-            yield self.instance(i)
+    def instances(self, count: int) -> Iterator[Instance]:
+        return map(self.instance, range(_as_int(count, "count", 0)))
 
 
 def _reports(
@@ -457,6 +457,7 @@ def scan_negative_regime(
     """
     if sampler.regime != "negative":
         raise ValueError("negative-regime scan requires the negative regime")
+    count = _as_int(count, "count", 0)
 
     def body(inst: Instance) -> List[ViolationReport]:
         solver = inst.solver(max_states)

@@ -40,7 +40,7 @@ from oppaccess import (
     tau_iterate,
 )
 from oppaccess.dp import ResourceLimitError, SolveResult, _fold_keys, _left_sum
-from oppaccess.model import VALUE_TOL, _check_prob
+from oppaccess.model import VALUE_TOL, _as_prob
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ def outcome_probability(beliefs_on_action: Sequence[float], bits: Sequence[int])
         )
     p = 1.0
     for w, b in zip(beliefs_on_action, bits):
-        _check_prob(w, "belief")
+        _as_prob(w, "belief")
         p *= w if b else (1.0 - w)
     return p
 

@@ -305,17 +305,29 @@ class TestSimulateAndCompare:
         assert "mean_diff" in row and "se_diff" in row
 
     def test_byte_identical_reruns(self, runner, tmp_path):
-        cfg_data = dict(SOLVE_CFG, kind="simulate", policy="greedy", replications=500)
-        cfg = write_config(tmp_path, cfg_data)
-        outs = []
-        for name in ("a", "b"):
-            out = tmp_path / name
-            result = runner.invoke(main, ["run", cfg, "--out-dir", str(out)])
-            assert result.exit_code == 0
-            row = (out / "results.csv").read_text()
-            # strip the runtime column, which is wall-clock and legitimately varies
-            outs.append([line.rsplit(",", 1)[0] for line in row.splitlines()])
-        assert outs[0] == outs[1]
+        # Every artifact but meta.json, which alone holds wall-clock times:
+        # one runtime_s entry per results.csv row, in row order.
+        sim = dict(SOLVE_CFG, kind="simulate", policies=["greedy", "random"], replications=500)
+        cases = {
+            "solve": ("run", SOLVE_CFG, []),
+            "simulate": ("run", sim, ["--traces"]),
+            "compare": ("run", dict(sim, kind="compare"), []),
+            "sweep": ("sweep", dict(sim, grid={"model.p11": [0.8, 0.1]}), ["--traces"]),
+        }
+        for case, (command, cfg_data, extra) in cases.items():
+            cfg = write_config(tmp_path, cfg_data, f"{case}.yaml")
+            artifacts = []
+            for name in ("a", "b"):
+                out = tmp_path / case / name
+                result = runner.invoke(main, [command, cfg, "--out-dir", str(out), *extra])
+                assert result.exit_code == 0, result.output
+                files = sorted(p for p in out.rglob("*") if p.is_file() and p.name != "meta.json")
+                artifacts.append({p.relative_to(out): p.read_bytes() for p in files})
+                meta = json.loads((out / "meta.json").read_text())
+                assert meta["schema_version"] == 2
+                assert len(meta["runtime_s"]) == len(read_rows(out))
+            assert "traces" not in extra or any(p.suffix == ".jsonl" for p in artifacts[0])
+            assert artifacts[0] == artifacts[1]
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -516,10 +528,9 @@ class TestSweep:
         ]
         assert all(r["grid.verify.count"] == r["count"] for r in rows)
 
-    # Merged results.csv of two negative-regime sweeps, less the wall-clock
-    # runtime_s column.  The negative rows' greedy_value and greedy_gap hold
-    # greedy's own value, which test_negative_rows_hold_greedys_value checks
-    # against the exact rollout.
+    # Merged results.csv of two negative-regime sweeps.  The negative rows'
+    # greedy_value and greedy_gap hold greedy's own value, which
+    # test_negative_rows_hold_greedys_value checks against the exact rollout.
     SOLVE_SWEEP = (
         {"kind": "solve", "model": {"p01": 0.2, "p11": 0.8}, "horizon": {"T": 4, "beta": 0.9},
          "n": 4, "k": 2, "initial_belief": [0.9, 0.2, 0.5, 0.4],
@@ -548,9 +559,6 @@ class TestSweep:
 
     @pytest.mark.parametrize("case", [SOLVE_SWEEP, SIMULATE_SWEEP], ids=["solve", "simulate"])
     def test_negative_gap_solved_once_per_point(self, runner, tmp_path, monkeypatch, case):
-        import csv
-        import io
-
         cfg_data, expected_solves, expected_csv = case
         calls = []
         query = FiniteHorizonSolver.optimal_value
@@ -566,14 +574,7 @@ class TestSweep:
         # solve: one solve per point; simulate: none, since its rows report no
         # exact value.
         assert len(calls) == expected_solves
-        with open(out / "results.csv", newline="") as f:
-            rows = list(csv.reader(f))
-        if "runtime_s" in rows[0]:
-            col = rows[0].index("runtime_s")
-            rows = [r[:col] + r[col + 1:] for r in rows]
-        text = io.StringIO()
-        csv.writer(text, lineterminator="\n").writerows(rows)
-        assert text.getvalue() == expected_csv
+        assert (out / "results.csv").read_text() == expected_csv
 
     @pytest.mark.parametrize("case", [SOLVE_SWEEP, SIMULATE_SWEEP], ids=["solve", "simulate"])
     def test_negative_rows_hold_greedys_value(self, case):
@@ -922,27 +923,25 @@ def test_resource_probe_ends_at_once(tmp_path, name):
 def test_simulate_optimal_probe_results_pinned(runner, tmp_path):
     # optimal, greedy and ordered-list at n = 6, k = 2, T = 7 with 2,000
     # replications.  The optimal policy's solver answers every step after the
-    # first from the graph its first query solved; every results.csv column
-    # but runtime_s keeps the bytes that a solve of each step's roots gave.
+    # first from the graph its first query solved; results.csv keeps the
+    # bytes that a solve of each step's roots gave.
     out = tmp_path / "out"
     config = str(PROBES / "simulate_optimal_pins.yaml")
     result = runner.invoke(main, ["run", config, "--out-dir", str(out)])
     assert result.exit_code == 0, result.output
-    lines = (out / "results.csv").read_text().splitlines()
-    assert lines[0].endswith(",runtime_s")
-    assert [line.rsplit(",", 1)[0] for line in lines] == [
-        "instance,policy,simulated_mean,std_error,replications",
-        "0,optimal,8.9702462276249992,0.039356183817111534,2000",
-        "0,greedy,8.9702462276249992,0.039356183817111534,2000",
-        "0,ordered-list,8.9708492837656237,0.039232574325407839,2000",
-    ]
+    assert (out / "results.csv").read_text() == (
+        "instance,policy,simulated_mean,std_error,replications\n"
+        "0,optimal,8.9702462276249992,0.039356183817111534,2000\n"
+        "0,greedy,8.9702462276249992,0.039356183817111534,2000\n"
+        "0,ordered-list,8.9708492837656237,0.039232574325407839,2000\n"
+    )
 
 
 def test_simulate_probe_draws_the_nature_stream_once(runner, tmp_path, monkeypatch):
     # greedy, random and round-robin on one seed share the hidden paths: the
     # run draws the nature stream (1) once and random's policy stream (2)
-    # once.  results.csv but runtime_s and the traces keep the bytes they had
-    # when each policy drew its own paths.
+    # once.  results.csv and the traces keep the bytes they had when each
+    # policy drew its own paths.
     from oppaccess import sim
 
     streams = []
@@ -955,12 +954,11 @@ def test_simulate_probe_draws_the_nature_stream_once(runner, tmp_path, monkeypat
     result = runner.invoke(main, ["run", config, "--out-dir", str(out), "--traces"])
     assert result.exit_code == 0, result.output
     assert streams == [1, 2]
-    csv = "\n".join(line.rsplit(",", 1)[0] for line in (out / "results.csv").read_text().splitlines())
-    digests = {"results.csv": hashlib.sha256(csv.encode()).hexdigest()}
+    digests = {"results.csv": hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()}
     for name in ("greedy", "random", "round-robin"):
         digests[name] = hashlib.sha256((out / f"traces_{name}.jsonl").read_bytes()).hexdigest()
     assert digests == {
-        "results.csv": "7ca73b041b45eb69e6f329d0b054959acf8ebd1faa7f0c666bafd0218c58a531",
+        "results.csv": "c3b9fc3b462919da22de63a9a07ce11440ec0775623478ae00889bfd661a90f6",
         "greedy": "12fa972433eb42d529f0a39cfc1710503aa1675417a7227d775e29e2a27c6b5d",
         "random": "ce901c3ffb88d44c548e21f563f5afa5fbb5d1f4293f335060cbed0395451bc7",
         "round-robin": "99dea2976bb1b2f954a5f5dce20f1f1a15dc98856f9b67474492f1bfd18cd155",
@@ -972,8 +970,8 @@ def test_replications_sweep_probe_keeps_its_bytes(runner, tmp_path, monkeypatch)
     # its own hidden paths, since the slot is keyed on the replication count,
     # so the nature stream (1) and random's policy stream (2) are drawn once a
     # point.  The 20,000-line trace files span three writer blocks.
-    # results.csv but runtime_s and every trace file are pinned to digests of
-    # the output of the writer that formatted each block's rows afresh.
+    # results.csv and every trace file are pinned to digests of the output of
+    # the writer that formatted each block's rows afresh.
     from oppaccess import sim
 
     streams = []
@@ -986,14 +984,11 @@ def test_replications_sweep_probe_keeps_its_bytes(runner, tmp_path, monkeypatch)
     result = runner.invoke(main, ["sweep", config, "--out-dir", str(out), "--traces"])
     assert result.exit_code == 0, result.output
     assert streams == [1, 2, 1, 2]
-    lines = [line.split(",") for line in (out / "results.csv").read_text().splitlines()]
-    runtime = lines[0].index("runtime_s")
-    csv = "\n".join(",".join(row[:runtime] + row[runtime + 1 :]) for row in lines)
-    digests = {"results.csv": hashlib.sha256(csv.encode()).hexdigest()}
+    digests = {"results.csv": hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()}
     for path in sorted(out.glob("point_*/traces_*.jsonl")):
         digests[f"{path.parent.name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digests == {
-        "results.csv": "ed45b952862b9e5d3d58635ad9eb61cc9b893e26cd3ad6f005e64225397e41e7",
+        "results.csv": "c404fe1a53dbbc0dad07877bff5e75aa38d4e75be58970a1b292689134412217",
         "point_0000/traces_greedy.jsonl": "9fa7071a8ab03fee50551427e9289170758dc212b800a98d58531e823d7a4015",
         "point_0000/traces_random.jsonl": "d747b2d92b1d6dc0c3773036276b95880661827f6e956e0aab290f1fe9234cd2",
         "point_0000/traces_round-robin.jsonl": "03860db2c0bcc49a6138deb2a1533d82604183a938bb4a5ade9dad97683e0fba",

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,21 @@ from oppaccess import (
     tau,
     tau_iterate,
 )
-from oppaccess.dp import FiniteHorizonSolver, w_table
+from oppaccess.dp import (
+    FiniteHorizonSolver,
+    enumerate_actions,
+    selection_count,
+    w_graph_nodes,
+    w_table,
+)
+from oppaccess.policies import (
+    GreedyPolicy,
+    OptimalPolicy,
+    OrderedListPolicy,
+    RoundRobinPolicy,
+    UniformRandomPolicy,
+    greedy_action,
+)
 from oppaccess.sim import SimConfig
 from oppaccess.verify import InstanceSampler
 from _oracles import (
@@ -207,19 +222,95 @@ class TestModelTypes:
         HorizonSpec(1, 1.0)
 
 
-@pytest.mark.parametrize("value", [2.5, 2.0, True, np.bool_(True), "2", None])
-@pytest.mark.parametrize("name", ["T", "solver k", "w_table k", "n", "k", "sampler seed"])
+_MODEL, _HORIZON, _BELIEF = TransitionModel(0.3, 0.8), HorizonSpec(2), BeliefVector((0.5, 0.5))
+
+# Every numeric input of the library's constructors and entry points: how to
+# build with it, and whether it is an integer or a probability.  Named
+# "<where> <field>", each is read by model's one reader of its kind.
+NUMERIC_INPUTS = {
+    "T": (int, lambda v: HorizonSpec(v)),
+    "solver k": (int, lambda v: FiniteHorizonSolver(_MODEL, _HORIZON, v)),
+    "w_table k": (int, lambda v: w_table(_MODEL, _HORIZON, v, [_BELIEF.omega])),
+    "n": (int, lambda v: SimConfig(_MODEL, _HORIZON, v, 1, _BELIEF, 10, 1)),
+    "k": (int, lambda v: SimConfig(_MODEL, _HORIZON, 2, v, _BELIEF, 10, 1)),
+    "sampler seed": (int, lambda v: InstanceSampler(seed=v)),
+    "sampler n_range": (int, lambda v: InstanceSampler(1, n_range=(v, 3))),
+    "sampler T_range": (int, lambda v: InstanceSampler(1, T_range=(1, v))),
+    "sampler k_range": (int, lambda v: InstanceSampler(1, k_range=(v, v))),
+    "sampler count": (int, lambda v: InstanceSampler(1).instances(v)),
+    "tau_iterate steps": (int, lambda v: tau_iterate(0.5, _MODEL, v)),
+    "sampler index": (int, lambda v: InstanceSampler(1).instance(v)),
+    "optimal_value t": (int, lambda v: FiniteHorizonSolver(_MODEL, _HORIZON, 1).optimal_value(_BELIEF, v)),
+    "w_value t": (int, lambda v: FiniteHorizonSolver(_MODEL, _HORIZON, 1).w_value(_BELIEF, v)),
+    "solver max_states": (int, lambda v: FiniteHorizonSolver(_MODEL, _HORIZON, 1, v)),
+    "w_table max_states": (int, lambda v: w_table(_MODEL, HorizonSpec(1), 1, [_BELIEF.omega], v)),
+    "w_graph_nodes max_states": (int, lambda v: w_graph_nodes(2, 1, HorizonSpec(1), v)),
+    "selection_count max_states": (int, lambda v: selection_count(2, 1, v)),
+    "OptimalPolicy max_states": (int, lambda v: OptimalPolicy(_MODEL, _HORIZON, 1, v)),
+    "GreedyPolicy k": (int, lambda v: GreedyPolicy(v)),
+    "OrderedListPolicy k": (int, lambda v: OrderedListPolicy(v)),
+    "OrderedListPolicy initial_order entry": (int, lambda v: OrderedListPolicy(1, (v, 1))),
+    "RoundRobinPolicy n": (int, lambda v: RoundRobinPolicy(v, 1)),
+    "RoundRobinPolicy k": (int, lambda v: RoundRobinPolicy(2, v)),
+    "UniformRandomPolicy n": (int, lambda v: UniformRandomPolicy(v, 1)),
+    "UniformRandomPolicy k": (int, lambda v: UniformRandomPolicy(2, v)),
+    "greedy_action k": (int, lambda v: greedy_action(_BELIEF.omega, v)),
+    "enumerate_actions n": (int, lambda v: enumerate_actions(v, 1)),
+    "enumerate_actions k": (int, lambda v: enumerate_actions(2, v)),
+    "ActionSet channel index": (int, lambda v: ActionSet((v, 1))),
+    "p01": (float, lambda v: TransitionModel(v, 0.5)),
+    "p11": (float, lambda v: TransitionModel(0.5, v)),
+    "beta": (float, lambda v: HorizonSpec(2, v)),
+    "BeliefVector omega[1]": (float, lambda v: BeliefVector((0.5, v))),
+    "tau belief": (float, lambda v: tau(v, _MODEL)),
+}
+
+
+def _field_error(name):
+    """ValueError whose message begins with the input's field."""
+    return pytest.raises(ValueError, match=rf"^{re.escape(name.split(' ', 1)[-1])} must ")
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True, np.bool_(True), "2", None, "0.3", math.nan])
+@pytest.mark.parametrize("name", list(NUMERIC_INPUTS))
 def test_integer_inputs_are_read_at_construction(name, value):
-    # Let through, each would fail later with a TypeError, or a bool T run as T = 1.
-    model, horizon, belief = TransitionModel(0.3, 0.8), HorizonSpec(2), BeliefVector((0.5, 0.5))
+    # Let through, each would fail later with a TypeError, run a bool as 1, or
+    # keep a float where an integer is counted on.  2.5 and 2.0 are outside
+    # [0, 1], so a probability refuses them too.
+    kind, build = NUMERIC_INPUTS[name]
+    with _field_error(name):
+        build(value)
+    build(np.int64(2) if kind is int else np.float64(0.5))  # numpy numbers are numbers
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, (kind, _) in NUMERIC_INPUTS.items() if kind is float or "range" in name]
+)
+def test_numbers_past_float_or_int64_range_are_refused(name):
+    with _field_error(name):
+        NUMERIC_INPUTS[name][1](10**400)
+
+
+@pytest.mark.parametrize(
+    "name, value", [("T", 0), ("max_states", -1), ("channel index", 0), ("seed", -1)]
+)
+def test_integer_bounds_name_their_field(name, value):
     build = {
         "T": lambda v: HorizonSpec(v),
-        "solver k": lambda v: FiniteHorizonSolver(model, horizon, v),
-        "w_table k": lambda v: w_table(model, horizon, v, [belief.omega]),
-        "n": lambda v: SimConfig(model, horizon, v, 1, belief, 10, 1),
-        "k": lambda v: SimConfig(model, horizon, 2, v, belief, 10, 1),
-        "sampler seed": lambda v: InstanceSampler(seed=v),
+        "max_states": lambda v: FiniteHorizonSolver(_MODEL, _HORIZON, 1, v),
+        "channel index": lambda v: ActionSet((v,)),
+        "seed": lambda v: InstanceSampler(seed=v),  # numpy seeds no negative integer
     }[name]
-    with pytest.raises(ValueError, match=f"{name.split()[-1]} must be an integer"):
+    with pytest.raises(ValueError, match=rf"^{name} must lie in \[{value + 1}, inf\], got {value}$"):
         build(value)
-    build(np.int64(2))  # a numpy integer is an integer
+
+
+def test_inputs_are_held_as_python_numbers():
+    model = TransitionModel(np.float64(0.3), 1)
+    horizon = HorizonSpec(np.int64(3), np.float32(0.5))
+    belief = BeliefVector(np.array([0.2, 0.5]))
+    held = (model.p01, model.p11, horizon.T, horizon.beta, *belief.omega)
+    assert [type(x) for x in held] == [float, float, int, float, float, float]
+    assert held == (0.3, 1.0, 3, 0.5, 0.2, 0.5)
+    assert ActionSet([np.int64(2), 1]).indices == (1, 2)
+    assert type(ActionSet([np.int64(2), 1]).indices[1]) is int

@@ -653,6 +653,16 @@ class TestConfigValidation:
         got = simulate(cfg, GreedyPolicy(1))
         assert got.totals.tobytes() == simulate(want, GreedyPolicy(1)).totals.tobytes()
 
+    @pytest.mark.parametrize("omega", [[0.2, 0.5, 0.9], np.array([0.2, 0.5, 0.9])], ids=["list", "array"])
+    def test_belief_list_or_array_runs_as_the_tuple(self, omega):
+        # Once kept as given, such a belief made simulate fail hashing the path key.
+        runs = []
+        for belief in (BeliefVector(omega), BeliefVector((0.2, 0.5, 0.9))):
+            cfg = SimConfig(TransitionModel(0.3, 0.8), HorizonSpec(4, 0.9), 3, 2, belief, 50, 3, True)
+            runs.append(simulate(cfg, GreedyPolicy(2)))
+        assert runs[0].totals.tobytes() == runs[1].totals.tobytes()
+        assert runs[0].traces.states.tobytes() == runs[1].traces.states.tobytes()
+
 
 class TestHiddenPathsSlot:
     """One process-wide slot holds the last run's hidden paths, keyed on their inputs."""
