@@ -106,6 +106,7 @@ from .model import (
     PROB_TOL,
     VALUE_TOL,
     TransitionModel,
+    _as_belief,
     _as_int,
 )
 from .model import tau  # noqa: F401  (perfbench's tracer patches it here)
@@ -525,11 +526,13 @@ class FiniteHorizonSolver:
 
     def action_values(self, belief: BeliefVector, t: int) -> Dict[ActionSet, float]:
         """Q-value of every first action: immediate reward + discounted optimal continuation."""
+        belief = _as_belief(belief, "belief")
         row = self.action_value_table([belief.omega], t)[0]
         return dict(zip(enumerate_actions(belief.n, self.k), row.tolist()))
 
     def optimal_value(self, belief: BeliefVector, t: int) -> SolveResult:
         """Optimal value from time t plus every action within VALUE_TOL of the maximum."""
+        belief = _as_belief(belief, "belief")
         row = self.action_value_table([belief.omega], t)[0]
         picks = _selection_arrays(belief.n, self.k)[0][_optimal_mask(row)] + 1
         actions = tuple(ActionSet(tuple(a)) for a in picks.tolist())
@@ -545,6 +548,7 @@ class FiniteHorizonSolver:
         own, against ``max_states`` like any solve; that graph is kept with
         its answer and held with the others.
         """
+        belief = _as_belief(belief, "belief")
         h = self._check_v(belief.n, t)
         root = tuple(belief.omega)
         self._q_table(h, [root])
@@ -824,6 +828,7 @@ class FiniteHorizonSolver:
 
     def w_value(self, belief: BeliefVector, t: int) -> float:
         """W_t^k of the belief vector taken in its given (arbitrary) order."""
+        belief = _as_belief(belief, "belief")
         self._check_t(belief.n, t)
         return self._w_at(belief.omega, t)
 
@@ -834,6 +839,7 @@ class FiniteHorizonSolver:
         p11 >= p01, and not in general otherwise; ``greedy_audit(belief,
         t).value`` is greedy's value in every regime.
         """
+        belief = _as_belief(belief, "belief")
         self._check_t(belief.n, t)
         return self._w_at(sorted(belief.omega), t)
 

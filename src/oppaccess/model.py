@@ -57,6 +57,13 @@ def _as_prob(value, name: str, tol: float = PROB_TOL) -> float:
     raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
 
 
+def _as_belief(value, name: str) -> "BeliefVector":
+    """A belief input, which must be a BeliefVector; anything else raises ValueError."""
+    if not isinstance(value, BeliefVector):
+        raise ValueError(f"{name} must be a BeliefVector, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class TransitionModel:
     """Markov law of a single channel: p01 = P(bad -> good), p11 = P(good -> good)."""

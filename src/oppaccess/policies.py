@@ -34,7 +34,12 @@ def greedy_action(omega: Sequence[float], k: int) -> ActionSet:
 
 
 class Policy:
-    """Base policy: override ``batch_actions``; hooks for per-run state."""
+    """Base policy: override ``batch_actions``; hooks for per-run state.
+
+    ``uses_beliefs = False`` says ``batch_actions`` reads only the row count of
+    its beliefs: the simulator then skips the belief update and passes the
+    initial belief rows at every step.
+    """
 
     name = "policy"
 
@@ -51,6 +56,8 @@ class Policy:
 
     # Whether the policy consumes the policy-stream uniforms.
     uses_randomness = False
+    # Whether batch_actions reads the entries of its beliefs.
+    uses_beliefs = True
 
 
 class GreedyPolicy(Policy):
@@ -114,6 +121,7 @@ class OrderedListPolicy(Policy):
     """
 
     name = "ordered-list"
+    uses_beliefs = False
 
     def __init__(self, k: int, initial_order: Optional[Sequence[int]] = None) -> None:
         self.k = _as_int(k, "k", 1)
@@ -158,6 +166,7 @@ class RoundRobinPolicy(Policy):
     """Cycle through the channels in blocks of k, ignoring beliefs."""
 
     name = "round-robin"
+    uses_beliefs = False
 
     def __init__(self, n: int, k: int) -> None:
         self.n = _as_int(n, "n", 1)
@@ -177,6 +186,8 @@ class RoundRobinPolicy(Policy):
 class FixedSetPolicy(Policy):
     """Always sense the same fixed set of channels, named by them: ``fixed-1+2``."""
 
+    uses_beliefs = False
+
     def __init__(self, indices: Sequence[int]) -> None:
         self.action_set = ActionSet(tuple(indices))
         self.name = "fixed-" + "+".join(map(str, self.action_set.indices))
@@ -194,6 +205,7 @@ class UniformRandomPolicy(Policy):
 
     name = "random"
     uses_randomness = True
+    uses_beliefs = False
 
     def __init__(self, n: int, k: int) -> None:
         self.n = _as_int(n, "n", 1)

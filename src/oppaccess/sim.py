@@ -10,11 +10,12 @@ policies evaluated on the same seed see identical channel sample paths.
 The substreams of all replications are generated together in one vectorised
 Philox4x64-10 pass.  Its key/counter layout is the one numpy's
 ``np.random.Philox(key=[seed, (stream_id << 48) + r])`` uses, so the draws, and
-every seeded result computed from them earlier, reproduce exactly.  The pass
-works through chunks of lanes; each round multiplies the two words it
-transforms as one stacked array, in place, over buffers allocated once per
-chunk, so numpy's per-call overhead is paid about twenty times per round and
-chunk.  The chunk size trades that overhead against peak memory.
+every seeded result computed from them earlier, reproduce exactly.  The first
+round sees only the block counter, so its output is computed once per block in
+Python integers.  The pass runs rounds 2-10 through chunks of lanes; each round
+multiplies the two words it transforms as one stacked array, in place, over
+buffers allocated once per chunk.  The chunk size trades numpy's per-call
+overhead against peak memory.
 
 Sensing does not move the hidden chains, so every policy run on one seed sees
 the same channel paths.  The process keeps the last run's paths in one slot
@@ -31,9 +32,11 @@ at each slot it asks the policy for an (R, k) action array
 (``Policy.batch_actions``), reads the sensed states from the paths, and hands
 the observations back through ``Policy.batch_observe``, which stateful
 policies such as the ordered list use to update their per-replication state;
-then it sets the sensed channels' beliefs.  The sensed entries are read and
-written by one flat take or put each, at the actions plus each replication's
-row offset.
+then, for a policy that reads beliefs (``Policy.uses_beliefs``), it ages every
+belief one step and sets the sensed channels' beliefs.  A policy that does not
+is handed the initial belief rows at every step.  The sensed entries are read
+and written by one flat take or put each, at the actions plus each
+replication's row offset.
 A traced run keeps each step's arrays as the four read-only columns of one
 ``Traces``, whose ``states`` is the paths array itself, and ``write_traces``
 writes the JSONL from them, formatting each distinct step row's text once per
@@ -48,7 +51,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .dp import _check_addressable, _tau
-from .model import BeliefVector, HorizonSpec, TransitionModel, _as_int
+from .model import BeliefVector, HorizonSpec, TransitionModel, _as_belief, _as_int
 from .policies import Policy
 
 TRACE_SCHEMA_VERSION = 1
@@ -82,7 +85,7 @@ class SimConfig:
         object.__setattr__(self, "k", _as_int(self.k, "k", 1, n))
         object.__setattr__(self, "replications", _as_int(self.replications, "replications", 1))
         object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
-        if self.initial_belief.n != n:
+        if _as_belief(self.initial_belief, "initial_belief").n != n:
             raise ValueError("initial belief length must equal n")
 
 
@@ -145,19 +148,22 @@ def _substream_uniforms(seed: int, stream_id: int, replications: int, count: int
     """(R, count) doubles; row r equals the first ``count`` draws of
     ``Generator(Philox(key=[seed, (stream_id << 48) + r])).random()``.
 
-    All (replication, counter-block) lanes run through the rounds together, in
-    chunks of about ``_CHUNK_LANES`` lanes.  A chunk keeps words 0 and 2, the
-    two a round multiplies, stacked as one (2, rows, blocks) array ``x``, and
-    words 1 and 3 as another, ``y``.  Each round forms both 128-bit products
-    from 32-bit halves in place, over buffers allocated once per chunk, so a
-    round is about twenty numpy calls whatever the chunk size.  Larger chunks
-    spread that per-call cost over more lanes but hold more memory at once:
-    8192 lanes left peak RSS flat, 16384 raised it.  The round scratch is
-    dropped before the output words are stacked, so it is not held twice.
-
     Block j of a substream has counter (j + 1, 0, 0, 0), because numpy bumps
     the counter before its first block; each 64-bit word w becomes the double
-    (w >> 11) * 2**-53, in C order.
+    (w >> 11) * 2**-53, in C order.  Round 1 meets only the counter's j + 1,
+    so it leaves (k0, 0, hi_j ^ (r + k1), lo_j), where hi_j:lo_j = (j + 1) * M0
+    is computed per block in Python integers.
+
+    All (replication, counter-block) lanes run through rounds 2-10 together,
+    in chunks of about ``_CHUNK_LANES`` lanes.  A chunk keeps words 0 and 2,
+    the two a round multiplies, stacked as one (2, rows, blocks) array ``x``,
+    and words 1 and 3 as another, ``y``.  Each round forms both 128-bit
+    products from 32-bit halves in place, over buffers allocated once per
+    chunk, so a round is about twenty numpy calls whatever the chunk size.
+    Larger chunks spread that per-call cost over more lanes but hold more
+    memory at once: 8192 lanes left peak RSS flat, 16384 raised it.  The
+    round scratch is dropped before the output words are stacked, so it is
+    not held twice.
     """
     _check_addressable(replications, count)
     blocks = -(-count // 4)
@@ -167,15 +173,20 @@ def _substream_uniforms(seed: int, stream_id: int, replications: int, count: int
         ((seed + i * _PHILOX_W[0]) & _MASK64, ((stream_id << 48) + i * _PHILOX_W[1]) & _MASK64)
         for i in range(_PHILOX_ROUNDS)
     ]
-    counter = np.arange(1, blocks + 1, dtype=np.uint64)
+    (first_k0, first_k1), round_keys = round_keys[0], round_keys[1:]
+    first = [(j + 1) * _PHILOX_M[0] for j in range(blocks)]
+    first_hi = np.array([p >> 64 for p in first], dtype=np.uint64)
+    first_lo = np.array([p & _MASK64 for p in first], dtype=np.uint64)
     out = np.empty((replications, count))
     for start in range(0, replications, rows):
         stop = min(start + rows, replications)
         reps = np.arange(start, stop, dtype=np.uint64)[:, None]
         shape = (2, stop - start, blocks)
-        x = np.zeros(shape, dtype=np.uint64)
-        x[0] = counter
+        x = np.empty(shape, dtype=np.uint64)
+        x[0] = first_k0
+        np.bitwise_xor(reps + first_k1, first_hi, out=x[1])
         y = np.zeros(shape, dtype=np.uint64)
+        y[1] = first_lo
         a, hi, lo = (np.empty(shape, dtype=np.uint64) for _ in range(3))
         for k0, k1 in round_keys:
             # hi:lo = x * M.  No sum overflows: (2**32 - 1)**2 + (2**32 - 1) < 2**64.
@@ -286,7 +297,7 @@ def _simulate_batch(config: SimConfig, policy: Policy, paths: np.ndarray, pol: n
         if columns is not None:
             for column, step in zip(columns, (acts + 1, obs, rewards)):
                 column[t - 1] = step
-        if t < T:
+        if t < T and policy.uses_beliefs:
             beliefs = _tau(m, beliefs)
             beliefs.put(at, np.where(obs, m.p11, m.p01))
         disc *= beta

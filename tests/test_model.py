@@ -305,6 +305,28 @@ def test_integer_bounds_name_their_field(name, value):
         build(value)
 
 
+# Every belief argument of the library's entry points, each read by model's belief reader.
+BELIEF_INPUTS = {
+    "SimConfig initial_belief": lambda b: SimConfig(_MODEL, _HORIZON, 2, 1, b, 10, 1),
+    "optimal_value belief": lambda b: FiniteHorizonSolver(_MODEL, _HORIZON, 1).optimal_value(b, 1),
+    "action_values belief": lambda b: FiniteHorizonSolver(_MODEL, _HORIZON, 1).action_values(b, 1),
+    "greedy_audit belief": lambda b: FiniteHorizonSolver(_MODEL, _HORIZON, 1).greedy_audit(b, 1),
+    "w_value belief": lambda b: FiniteHorizonSolver(_MODEL, _HORIZON, 1).w_value(b, 1),
+    "greedy_value belief": lambda b: FiniteHorizonSolver(_MODEL, _HORIZON, 1).greedy_value(b, 1),
+}
+
+
+@pytest.mark.parametrize(
+    "value", [(0.5, 0.5), [0.5, 0.5], np.array([0.5, 0.5]), None], ids=["tuple", "list", "array", "None"]
+)
+@pytest.mark.parametrize("name", list(BELIEF_INPUTS))
+def test_belief_inputs_must_be_belief_vectors(name, value):
+    # Each used to end in an AttributeError on .n or .omega.
+    with _field_error(name):
+        BELIEF_INPUTS[name](value)
+    BELIEF_INPUTS[name](_BELIEF)
+
+
 def test_inputs_are_held_as_python_numbers():
     model = TransitionModel(np.float64(0.3), 1)
     horizon = HorizonSpec(np.int64(3), np.float32(0.5))

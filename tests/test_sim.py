@@ -107,6 +107,17 @@ class TestStreamLayout:
         assert -(-reps // rows) >= 3 and reps % rows
         self.assert_matches_oracle(2**64 - 1, T, n, reps)
 
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("stream_id", [0, 3, 2**16 - 1])
+    def test_any_stream_id_across_three_chunks(self, seed, stream_id):
+        # Round 1 is computed per block and folds the stream id and the
+        # replication into word 2, so both reach past the two streams the
+        # simulator draws from.  25 draws are 7 blocks per replication.
+        rows = sim._CHUNK_LANES // 7
+        reps = 2 * rows + 5
+        got = sim._substream_uniforms(seed, stream_id, reps, 25)
+        assert np.array_equal(got, philox_substream_uniforms(seed, stream_id, reps, (25,)))
+
 
 class TestDeterminism:
     def test_same_seed_bitwise_identical(self):
@@ -385,6 +396,40 @@ class TestBatchAgainstLoopOracle:
         for order in [(1, 2, 3), (1, 2, 3, 3), (1, 2, 3, 5)]:
             with pytest.raises(ValueError, match="permutation"):
                 simulate(cfg, OrderedListPolicy(2, order))
+
+    @pytest.mark.parametrize("name", list(POLICIES))
+    def test_ages_beliefs_only_for_policies_that_read_them(self, monkeypatch, name):
+        calls = []
+        real = sim._tau
+        monkeypatch.setattr(sim, "_tau", lambda m, x: calls.append(x.shape) or real(m, x))
+        cfg = make_config(0.3, 0.8, 4, 2, 5, 0.9, (0.5, 0.3, 0.7, 0.6), 30, 3)
+        seen = []
+        policy = POLICIES[name](cfg.model, cfg.horizon, 4, 2)
+        batch_actions = policy.batch_actions
+        policy.batch_actions = lambda b, t, u: seen.append(b.copy()) or batch_actions(b, t, u)
+        simulate(cfg, policy)
+        reads = name in ("greedy", "optimal")
+        assert policy.uses_beliefs is reads
+        assert calls == ([(30, 4)] * 4 if reads else [])
+        assert len(seen) == 5
+        if not reads:  # the initial belief rows at every step
+            assert all((b == cfg.initial_belief.omega).all() for b in seen)
+
+    def test_policy_updates_beliefs_by_default(self):
+        class PlainGreedy(Policy):
+            def __init__(self, k):
+                self.k = k
+
+            batch_actions = GreedyPolicy.batch_actions
+
+        class BlindGreedy(PlainGreedy):
+            uses_beliefs = False
+
+        cfg = make_config(0.3, 0.8, 4, 2, 5, 0.9, (0.5, 0.3, 0.7, 0.6), 200, 3)
+        want = simulate(cfg, GreedyPolicy(2)).totals
+        assert simulate(cfg, PlainGreedy(2)).totals.tobytes() == want.tobytes()
+        # Served the initial beliefs throughout, greedy senses other channels.
+        assert simulate(cfg, BlindGreedy(2)).totals.tobytes() != want.tobytes()
 
     def test_policy_without_batch_form_names_the_method(self):
         class NoBatchForm(Policy):
