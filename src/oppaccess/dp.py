@@ -44,7 +44,7 @@ Equal entries are contiguous in a sorted state, and below the roots only the
 first selection of each sensed multiset is expanded: a selection is skipped
 when it senses position q + 1 and not q of a state whose entries q and q + 1
 are equal.  The skipped ones have bit-identical Q-values and reach the same
-states.  The sensing sets come from one cached read-only table per (n, k),
+states.  The sensing sets come from one read-only (n, k) table in ``_TABLES``,
 ``_selection_arrays``.  Zero-probability children are pruned, so a single
 root's node count equals the recursion's memo size.  A solver's V graph
 nodes, summed over its queries, count against ``max_states`` before any
@@ -71,8 +71,8 @@ W has one engine, ``w_table``, which evaluates many vectors for every t at
 once; ``FiniteHorizonSolver.w_value`` and ``greedy_value`` read one row of
 it.  W's state graph depends only on (n, k, H), where H is T - 1, or 0 when
 beta = 0 and no child is read (``_w_depth``): each entry of a reachable
-state is p01, p11 or a root position, aged m steps.  The graph is built once
-per (n, k, H) and kept as int32 arrays: the sensed symbols of all depths
+state is p01, p11 or a root position, aged m steps.  The graph is kept in
+``_TABLES`` per (n, k, H) as int32 arrays: the sensed symbols of all depths
 concatenated, and each depth's child indices.  Every reward and outcome law
 is computed at once over a (nodes x vectors) array, and only the
 continuation sum runs depth by depth; the root is node 0 of every depth, so
@@ -91,7 +91,6 @@ only for boolean masks.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -192,7 +191,16 @@ def _membership(sel_pos: np.ndarray, n: int) -> np.ndarray:
     return member
 
 
-@functools.lru_cache(maxsize=None)
+# All the process keeps between calls, keyed on the kind plus exactly the
+# inputs each entry is computed from: ("sets", n, k) -> the sensing sets'
+# (sel_pos, comp_pos), C(n, k)*n intp; ("W", n, k, H) -> W's graph; ("paths",)
+# -> the last run's (path key, hidden paths), R*T*n int8.  Entries stay until
+# ``_TABLES.clear()``.  A paths miss drops the held paths before it draws, so
+# one set at most is held; a W build a cap stopped stays as a stub whose node
+# count is a lower bound, tried again only under a larger cap.
+_TABLES: Dict[tuple, object] = {}
+
+
 def _selection_arrays(n: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
     """Every k-subset of positions 0..n-1 in lexicographic order, as read-only arrays.
 
@@ -200,13 +208,17 @@ def _selection_arrays(n: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
     each row ascending: the one table of sensing sets that V, the greedy
     audit, lemma 2 and the policies read.
     """
-    count = math.comb(n, k)
-    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
-    sel_pos = np.fromiter(flat, dtype=np.intp, count=count * k).reshape(count, k)
-    comp_pos = np.nonzero(~_membership(sel_pos, n))[1].reshape(count, n - k)
-    for a in (sel_pos, comp_pos):
-        a.setflags(write=False)
-    return sel_pos, comp_pos
+    tables = _TABLES.get(("sets", n, k))
+    if tables is None:
+        count = math.comb(n, k)
+        _check_addressable(count, n)  # the two tables hold count * n entries
+        flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+        sel_pos = np.fromiter(flat, dtype=np.intp, count=count * k).reshape(count, k)
+        comp_pos = np.nonzero(~_membership(sel_pos, n))[1].reshape(count, n - k)
+        for a in (sel_pos, comp_pos):
+            a.setflags(write=False)
+        tables = _TABLES[("sets", n, k)] = sel_pos, comp_pos
+    return tables
 
 
 def enumerate_actions(n: int, k: int) -> list[ActionSet]:
@@ -869,25 +881,19 @@ class _WGraph:
     nodes: int  # for a stopped build, a lower bound: the cap it exceeded plus one
 
 
-# (n, k, H) -> its graph.  Every graph is a pure function of its key, so the
-# cache is shared by all callers.  A build stopped by a cap is kept as a
-# lower bound on its node count, so it is tried again only under a larger cap.
-_W_GRAPHS: Dict[Tuple[int, int, int], _WGraph] = {}
-
-
 def _node_cap_error(max_states: int, graph: str = "W") -> ResourceLimitError:
     return ResourceLimitError(f"{graph} state graph node count exceeded cap {max_states}")
 
 
 def _w_graph(n: int, k: int, H: int, max_states: int) -> _WGraph:
     max_states = _as_int(max_states, "max_states", 0)
-    graph = _W_GRAPHS.get((n, k, H))
+    graph = _TABLES.get(("W", n, k, H))
     if graph is None or graph.children is None and graph.nodes <= max_states:
         try:
             graph = _build_w_graph(n, k, H, max_states)
         except ResourceLimitError:
             graph = _WGraph(None, (), None, max_states + 1)
-        _W_GRAPHS[(n, k, H)] = graph
+        _TABLES[("W", n, k, H)] = graph
     if graph.nodes > max_states:
         raise _node_cap_error(max_states)
     return graph
@@ -901,8 +907,8 @@ def _w_depth(horizon: HorizonSpec) -> int:
 def w_graph_nodes(n: int, k: int, horizon: HorizonSpec, max_states: int) -> int:
     """The W nodes that ``w_table`` reads for length-n vectors, checked against ``max_states``.
 
-    That is every node of the (n, k, H) graph (``_w_depth``), built here if it
-    is not cached.  Raises ResourceLimitError over the cap.
+    That is every node of the (n, k, H) graph (``_w_depth``), built here if
+    ``_TABLES`` does not hold it.  Raises ResourceLimitError over the cap.
     """
     return _w_graph(n, k, _w_depth(horizon), max_states).nodes
 

@@ -210,8 +210,7 @@ class UniformRandomPolicy(Policy):
     def __init__(self, n: int, k: int) -> None:
         self.n = _as_int(n, "n", 1)
         self.k = _as_int(k, "k", 1, self.n)
-        # Row j holds the j-th k-subset's 0-based channel indices, in
-        # lexicographic order; one read-only table per (n, k) in the process.
+        # Row j holds the j-th k-subset's 0-based channels, in lexicographic order.
         self._table = _selection_arrays(self.n, self.k)[0]
 
     def batch_actions(self, beliefs: np.ndarray, t: int, u: np.ndarray) -> np.ndarray:

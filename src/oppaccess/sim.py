@@ -18,14 +18,11 @@ buffers allocated once per chunk.  The chunk size trades numpy's per-call
 overhead against peak memory.
 
 Sensing does not move the hidden chains, so every policy run on one seed sees
-the same channel paths.  The process keeps the last run's paths in one slot
-(``_hidden_paths``): a (T, R, n) int8 array of hidden states, R*T*n bytes,
-keyed on exactly the inputs it is drawn from (seed, replications, T, n, p01,
-p11 and the initial belief), not on beta or the policy.  A run with the same
-key reads the held paths; any other run empties the slot before it draws, so
-the process never holds two.  ``common_random_numbers_compare`` is two
-``simulate`` calls whose totals are paired, so the second reads the paths the
-first drew.
+the same channel paths: ``_hidden_paths`` keeps the last run's (T, R, n) int8
+hidden states in ``dp._TABLES``, keyed on exactly the inputs they are drawn
+from (seed, replications, T, n, p01, p11 and the initial belief), not on beta
+or the policy.  ``common_random_numbers_compare`` is two ``simulate`` calls
+whose totals are paired, so the second reads the paths the first drew.
 
 Every policy runs on one vectorised path that steps all replications together:
 at each slot it asks the policy for an (R, k) action array
@@ -50,7 +47,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .dp import _check_addressable, _tau
+from .dp import _TABLES, _check_addressable, _tau
 from .model import BeliefVector, HorizonSpec, TransitionModel, _as_belief, _as_int
 from .policies import Policy
 
@@ -230,10 +227,6 @@ def _policy_uniforms(config: SimConfig) -> np.ndarray:
     return _substream_uniforms(config.seed, _STREAM_POLICY, config.replications, config.horizon.T)
 
 
-#: The one slot of hidden paths: at most one entry, keyed by ``_path_key``.
-_PATHS: Dict[tuple, np.ndarray] = {}
-
-
 def _path_key(config: SimConfig) -> tuple:
     """Exactly the inputs the hidden paths are drawn from."""
     m = config.model
@@ -248,20 +241,22 @@ def _hidden_paths(config: SimConfig) -> np.ndarray:
 
     Row 0 is Bernoulli(omega_i) from the nature uniforms' row 0; row t steps
     each channel with row t's uniforms, good with chance p11 from good and
-    p01 from bad.  A different key empties the slot before the draw.
+    p01 from bad.  They are held in ``dp._TABLES``, with their ``_path_key``.
     """
     key = _path_key(config)
-    paths = _PATHS.get(key)
-    if paths is None:
-        _PATHS.clear()
-        m, T = config.model, config.horizon.T
-        nat = _nature_uniforms(config)
-        paths = np.empty((T, config.replications, config.n), dtype=np.int8)
-        paths[0] = nat[:, 0, :] < np.array(config.initial_belief.omega)
-        for t in range(1, T):
-            paths[t] = nat[:, t, :] < np.where(paths[t - 1], m.p11, m.p01)
-        paths.flags.writeable = False
-        _PATHS[key] = paths
+    held = _TABLES.get(("paths",), (None, None))
+    if held[0] == key:
+        return held[1]
+    del held  # no reference may keep the held paths alive during the draw
+    _TABLES.pop(("paths",), None)
+    m, T = config.model, config.horizon.T
+    nat = _nature_uniforms(config)
+    paths = np.empty((T, config.replications, config.n), dtype=np.int8)
+    paths[0] = nat[:, 0, :] < np.array(config.initial_belief.omega)
+    for t in range(1, T):
+        paths[t] = nat[:, t, :] < np.where(paths[t - 1], m.p11, m.p01)
+    paths.flags.writeable = False
+    _TABLES[("paths",)] = key, paths
     return paths
 
 

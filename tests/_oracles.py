@@ -22,7 +22,6 @@ and share no code with its batch forms.  It records each run as a
 ``columns`` turns into the four columns of a ``sim.Traces``.
 """
 
-import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -113,18 +112,22 @@ def _poisson_binomial(values: Sequence[float]) -> List[float]:
     return probs
 
 
-@functools.lru_cache(maxsize=None)
+_SUBSETS: Dict[Tuple[int, int], Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], int], ...]] = {}
+
+
 def _subsets(n: int, k: int) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...], int], ...]:
     """(sel, complement, mask) of every k-subset of 0..n-1, in lexicographic order.
 
     Listed here, not read from ``dp``'s table, so the oracles stay
     independent of it; the masks are Python ints, which do not overflow.
     """
-    out = []
-    for sel in itertools.combinations(range(n), k):
-        mask = sum(1 << i for i in sel)
-        out.append((sel, tuple(i for i in range(n) if not mask >> i & 1), mask))
-    return tuple(out)
+    if (n, k) not in _SUBSETS:
+        out = []
+        for sel in itertools.combinations(range(n), k):
+            mask = sum(1 << i for i in sel)
+            out.append((sel, tuple(i for i in range(n) if not mask >> i & 1), mask))
+        _SUBSETS[(n, k)] = tuple(out)
+    return _SUBSETS[(n, k)]
 
 
 def _distinct_selections(

@@ -1,9 +1,9 @@
 import pytest
 
-from oppaccess import sim
+from oppaccess import dp
 
 
 @pytest.fixture(autouse=True)
-def empty_path_slot():
-    """Start every test from an empty slot of hidden paths, so it counts its own draws."""
-    sim._PATHS.clear()
+def empty_tables():
+    """Start every test from empty process tables, so it reads and counts only its own."""
+    dp._TABLES.clear()

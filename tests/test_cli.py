@@ -843,6 +843,7 @@ def _console_command():
         "solve", "simulate_optimal", "simulate_random", "verify_lemma2", "solve_wide",
         "solve_long", "sweep_negative_wide", "verify_n_max", "verify_w_over_cap",
         "solve_huge_T", "verify_huge_T", "verify_negative_huge_T",
+        "solve_huge_sets", "simulate_random_huge_sets",
     ],
 )
 def test_resource_probe_ends_at_once(tmp_path, name):
@@ -856,14 +857,16 @@ def test_resource_probe_ends_at_once(tmp_path, name):
     # lemma3A/resource records.  The three *_huge_T probes run under the
     # largest cap with T = 2^62, whose tables of aged entries numpy cannot
     # address: the solve exits 4 as out of memory, and each verify instance
-    # gets a resource record.  A subprocess with a timeout turns a
+    # gets a resource record.  The two *_huge_sets probes' C(66, 33) passes
+    # that cap, but their tables of sensing sets numpy cannot address: exit
+    # 4 as out of memory.  A subprocess with a timeout turns a
     # regression into a failure rather than a hung suite; the runs take about
     # 0.35 s, most of it interpreter start-up, and verify_w_over_cap 0.75 s.
     src = str(Path(oppaccess.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = tmp_path / "out"
     command = "sweep" if name.startswith("sweep") else "run"
-    if name.endswith("huge_T"):
+    if name.endswith(("huge_T", "huge_sets")):
         cap = str(INT64_MAX)
     else:
         cap = "4000" if name == "verify_w_over_cap" else "100000"
@@ -875,13 +878,20 @@ def test_resource_probe_ends_at_once(tmp_path, name):
         assert result.returncode == 2, result.stderr
         assert "config error: horizon.T must lie in" in result.stderr
         assert not out.exists()
-    elif name in ("solve", "simulate_optimal", "simulate_random", "verify_n_max", "solve_huge_T"):
+    elif name in (
+        "solve", "simulate_optimal", "simulate_random", "verify_n_max", "solve_huge_T",
+        "solve_huge_sets", "simulate_random_huge_sets",
+    ):
         assert result.returncode == 4, result.stderr
+        assert "Traceback" not in result.stderr
         if name == "verify_n_max":
             message = "verify.n_max = 9223372036854775807 exceeds cap 100000"
         elif name == "solve_huge_T":
             # V's (h + 2, B) table: h = T - 1 steps left, B = 5 bases.
             message = "out of memory: (4611686018427387905, 5) float64 array cannot be addressed"
+        elif name.endswith("huge_sets"):
+            # The sensing sets' (C, n) positions, C = C(66, 33).
+            message = "out of memory: (7219428434016265740, 66) float64 array cannot be addressed"
         else:
             message = "C(40, 20) = 137846528820 sensing sets exceed cap"
         assert f"resource cap: {message}" in result.stderr
@@ -967,9 +977,9 @@ def test_simulate_probe_draws_the_nature_stream_once(runner, tmp_path, monkeypat
 
 def test_replications_sweep_probe_keeps_its_bytes(runner, tmp_path, monkeypatch):
     # A sweep over replications [4000, 1000] with --traces: each point draws
-    # its own hidden paths, since the slot is keyed on the replication count,
-    # so the nature stream (1) and random's policy stream (2) are drawn once a
-    # point.  The 20,000-line trace files span three writer blocks.
+    # its own hidden paths, since they are held keyed on the replication
+    # count, so the nature stream (1) and random's policy stream (2) are drawn
+    # once a point.  The 20,000-line trace files span three writer blocks.
     # results.csv and every trace file are pinned to digests of the output of
     # the writer that formatted each block's rows afresh.
     from oppaccess import sim

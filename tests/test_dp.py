@@ -359,7 +359,7 @@ class TestWTable:
     def test_node_cap_while_building_and_when_cached(self, monkeypatch):
         model, horizon, k = TransitionModel(0.3, 0.8), HorizonSpec(4, 0.9), 2
         vectors = [(0.1, 0.5, 0.7, 0.9)]
-        key = (4, k, 3)
+        key = ("W", 4, k, 3)
         nodes = dp._w_graph(4, k, 3, 10_000).nodes
         assert nodes > 5
         builds = []
@@ -371,7 +371,7 @@ class TestWTable:
 
         monkeypatch.setattr(dp, "_build_w_graph", counting)
         for cap in (5, nodes - 1):
-            dp._W_GRAPHS.pop(key, None)
+            dp._TABLES.pop(key, None)
             del builds[:]
             for _ in range(2):
                 with pytest.raises(ResourceLimitError):
@@ -380,7 +380,7 @@ class TestWTable:
             assert builds == [(4, k, 3, cap)]
         w_table(model, horizon, k, vectors, max_states=nodes)
         assert builds == [(4, k, 3, nodes - 1), (4, k, 3, nodes)]
-        assert dp._W_GRAPHS[key].nodes == nodes
+        assert dp._TABLES[key].nodes == nodes
         with pytest.raises(ResourceLimitError):
             w_table(model, horizon, k, vectors, max_states=nodes - 1)
 
@@ -388,9 +388,8 @@ class TestWTable:
         # W_t is the left-folded sum of the last k entries for every t.
         model, horizon = TransitionModel(0.3, 0.8), HorizonSpec(6, 0.0)
         vectors = [(0.1, 0.5, 0.7, 0.9), (0.9, 0.7, 0.5, 0.1), (1.0 + 1e-13, 0.2, 0.3, -1e-13)]
-        dp._W_GRAPHS.pop((4, 3, 5), None)
         table = w_table(model, horizon, 3, vectors, max_states=1)
-        assert (4, 3, 5) not in dp._W_GRAPHS
+        assert ("W", 4, 3, 5) not in dp._TABLES
         oracle = RecursiveVSolver(model, horizon, 3)
         for t in range(1, 7):
             for vec, got in zip(vectors, table[t - 1].tolist()):
@@ -469,7 +468,7 @@ class TestWTable:
             w_table(model, HorizonSpec(T, beta), 2, vectors)
             assert len(calls) == (T > 1 and beta != 0.0)
             if calls:
-                graph = dp._W_GRAPHS[(4, 2, T - 1)]
+                graph = dp._TABLES[("W", 4, 2, T - 1)]
                 assert calls[0] == (2, graph.starts[T - 1], len(vectors))
         # A T = 1 evaluation still counts, and caps, its one-node graph.
         s = FiniteHorizonSolver(model, HorizonSpec(1, 0.9), 2)
@@ -519,8 +518,8 @@ class TestSolverWReadsTheTable:
                         compared += 1
                 # w_states counts the one graph every query read; with beta = 0
                 # that is its root alone, and no graph is built
-                key = (inst.n, inst.k, inst.T - 1)
-                nodes = 1 if inst.beta == 0.0 else dp._W_GRAPHS[key].nodes
+                key = ("W", inst.n, inst.k, inst.T - 1)
+                nodes = 1 if inst.beta == 0.0 else dp._TABLES[key].nodes
                 assert solver.cache_stats() == {"v_states": 0, "w_states": nodes}
                 tied += len(set(omega)) < inst.n
                 betas.add(inst.beta if inst.beta in (0.0, 1.0) else "random")

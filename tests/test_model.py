@@ -186,6 +186,11 @@ class TestRewardAndActions:
         with pytest.raises(ValueError):
             enumerate_actions(2, 3)
 
+    def test_enumerate_actions_past_numpys_size_limit(self):
+        # C(66, 33) ~ 7.2e18 sets: their (C, 66) positions cannot be addressed.
+        with pytest.raises(MemoryError, match=r"\(7219428434016265740, 66\) float64 array"):
+            enumerate_actions(66, 33)
+
     def test_action_set_validation(self):
         with pytest.raises(ValueError):
             ActionSet((1, 1))

@@ -230,6 +230,11 @@ class TestBaselines:
             with pytest.raises(ValueError):
                 UniformRandomPolicy(4, k)
 
+    def test_random_table_past_numpys_size_limit(self):
+        # C(66, 33) ~ 7.2e18 sets: their (C, 66) positions cannot be addressed.
+        with pytest.raises(MemoryError, match=r"\(7219428434016265740, 66\) float64 array"):
+            UniformRandomPolicy(66, 33)
+
     def test_batch_matches_single(self):
         beliefs = np.array([[0.1, 0.9, 0.5], [0.4, 0.4, 0.2]])
         g = GreedyPolicy(2)

@@ -25,7 +25,7 @@ from oppaccess import (
     simulate,
     write_traces,
 )
-from oppaccess import sim
+from oppaccess import dp, sim
 from oppaccess.dp import _fold_keys, _groups
 from oppaccess.sim import _nature_uniforms, _policy_uniforms
 
@@ -710,7 +710,7 @@ class TestConfigValidation:
 
 
 class TestHiddenPathsSlot:
-    """One process-wide slot holds the last run's hidden paths, keyed on their inputs."""
+    """``dp._TABLES`` holds the last run's hidden paths, keyed on their inputs."""
 
     BASE = dict(p01=0.3, p11=0.7, n=4, k=2, T=5, beta=0.9, omega=(0.2, 0.5, 0.8, 0.4),
                 reps=60, seed=44)
@@ -753,7 +753,7 @@ class TestHiddenPathsSlot:
         # The last run read the paths the one before it drew.
         assert runs[3].traces.states is runs[2].traces.states
         for cfg, run in zip(order, runs):
-            sim._PATHS.clear()
+            dp._TABLES.clear()
             fresh = simulate(cfg, UniformRandomPolicy(4, 2))
             looped = simulate_loop(cfg, UniformRandomPolicy(4, 2))
             assert run.totals.tobytes() == fresh.totals.tobytes() == looped.totals.tobytes()
@@ -768,12 +768,13 @@ class TestHiddenPathsSlot:
         with pytest.raises(ValueError, match="read-only"):
             paths[0, 0, 0] = 1
         assert simulate(cfg, GreedyPolicy(2)).traces.states is paths
-        assert list(sim._PATHS) == [sim._path_key(cfg)]
+        key, held = dp._TABLES[("paths",)]
+        assert key == sim._path_key(cfg) and held is paths
 
     def test_a_miss_frees_the_held_paths_before_it_draws(self):
         # Each config holds 20,000 * 5 * 5 = 500,000 bytes of paths, and draws
         # 4 MB of nature uniforms.  Were a's paths still held during b's draw,
-        # b's peak after a would be theirs higher than b's from an empty slot.
+        # b's peak after a would be theirs higher than b's from empty tables.
         a = make_config(0.3, 0.8, 5, 2, 5, 0.9, (0.1, 0.4, 0.5, 0.6, 0.9), 20_000, 1)
         b = make_config(0.3, 0.8, 5, 2, 5, 0.9, (0.1, 0.4, 0.5, 0.6, 0.9), 20_000, 2)
 
@@ -786,12 +787,12 @@ class TestHiddenPathsSlot:
         try:
             simulate(a, GreedyPolicy(2))
             after_a = peak_of_b()
-            sim._PATHS.clear()
+            dp._TABLES.clear()
             from_empty = peak_of_b()
         finally:
             tracemalloc.stop()
         assert after_a <= from_empty + 64 * 1024
-        assert list(sim._PATHS) == [sim._path_key(b)]
+        assert dp._TABLES[("paths",)][0] == sim._path_key(b)
 
 
 def columns_of(traces):

@@ -311,7 +311,6 @@ class TestChecks:
             return build(*args)
 
         monkeypatch.setattr(dp, "_build_w_graph", counting)
-        monkeypatch.setattr(dp, "_W_GRAPHS", {})
         s = InstanceSampler(seed=4, n_range=(8, 8), T_range=(17, 17), k_range=(3, 3))
         reports = check_lemma3_A(s, 5, max_states=300_000)
         assert [v.property_id for v in reports] == ["lemma3A/resource"] * 5
